@@ -9,6 +9,7 @@ finishes with a manifest sufficient to reproduce the run. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -21,8 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, evaluation, ngram, pssm, store, synth
-from .ensemble import (ForestConfig, RusBoostConfig, fit_forest,
-                       fit_rusboost)
+from .ensemble import Forest, ForestConfig, RusBoostConfig, RusBoostModel
 from .models import (ModelSpec, NeuralClassifier, TrainConfig,
                      TrainingDivergedError)
 from .seqio import DataError, load_dataset, prepare_corpus, save_dataset, write_fasta
@@ -60,8 +60,10 @@ DEFAULT_GRIDS = {
             "batch_size": [128],
             "epochs": [300],
             "kernel_size": [3]},
+    # The paper searches 1-5 heads with a per-head width independent of
+    # embed_dim; here heads split embed_dim, so the count must divide it.
     "transformer": {"embed_dim": [32, 64, 128],
-                    "num_heads": [1, 2, 3, 4, 5],
+                    "num_heads": [1, 2, 4],
                     "batch_size": [128],
                     "epochs": [300]},
 }
@@ -158,7 +160,7 @@ def _add_data_flags(p):
 
 
 def _add_model_flags(p):
-    p.add_argument("--model", choices=NEURAL_KINDS + TREE_KINDS)
+    p.add_argument("--model", choices=list(MODELS))
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
@@ -386,94 +388,80 @@ def _model_defaults(args, config) -> dict:
     }
 
 
-def _pick(params, defaults, keys, fallback):
-    """First hit wins: grid params by any alias, then flag defaults."""
-    for k in keys:
-        if k in params and params[k] is not None:
-            return params[k]
-    for k in keys:
-        v = defaults.get(k)
-        if v is not None:
-            return v
-    return fallback
+# Config fields that grid points and model flags may set.
+_SETTABLE = {
+    ForestConfig: ("n_estimators", "max_depth"),
+    RusBoostConfig: ("n_estimators", "learning_rate", "max_depth"),
+    ModelSpec: ("hidden", "embed_dim", "filters", "kernel_size", "num_heads"),
+    TrainConfig: ("learning_rate", "batch_size", "epochs", "optimizer",
+                  "alpha"),
+}
+# Other names a field answers to, tried before its own: the paper's
+# scikit-learn and Keras grid names, and the boosted trees' base depth.
+_ALIASES = {
+    (RusBoostConfig, "max_depth"): ("base_depth",),
+    (ModelSpec, "filters"): ("num_filters",),
+    (TrainConfig, "learning_rate"): ("learning_rate_init",),
+    (TrainConfig, "epochs"): ("max_iter",),
+}
 
 
-class _ForestAdapter:
-    def __init__(self, cfg: ForestConfig, n_classes: int):
-        self.cfg = cfg
-        self.n_classes = n_classes
-        self.model = None
-
-    def fit(self, X, y):
-        self.model = fit_forest(X, y, self.cfg, n_classes=self.n_classes)
-        return self
-
-    def predict_proba(self, X):
-        return self.model.predict_proba(X)
+def _neural(kind):
+    def build(config, seed, n_classes, inputs):
+        spec = config(ModelSpec, kind=kind, n_classes=n_classes, **inputs)
+        return NeuralClassifier(spec, config(TrainConfig, seed=seed))
+    return build
 
 
-class _RusBoostAdapter:
-    def __init__(self, cfg: RusBoostConfig, n_classes: int):
-        self.cfg = cfg
-        self.n_classes = n_classes
-        self.model = None
-
-    def fit(self, X, y):
-        self.model = fit_rusboost(X, y, self.cfg, n_classes=self.n_classes)
-        return self
-
-    def predict_proba(self, X):
-        return self.model.predict_proba(X)
+# --model -> builder of an unfitted estimator; config(cls, **fixed) makes
+# one config dataclass from the grid point and the flags.
+MODELS = {
+    **{kind: _neural(kind) for kind in NEURAL_KINDS},
+    "rf": lambda config, seed, n_classes, inputs: Forest(
+        config(ForestConfig, seed=seed), n_classes),
+    "rusboost": lambda config, seed, n_classes, inputs: RusBoostModel(
+        config(RusBoostConfig, seed=seed), n_classes),
+}
 
 
 def make_model_factory(model: str, n_classes: int, defaults: dict,
                        in_dim: int = 0, vocab_size: int = 0,
                        max_len: int = 0):
-    """Returns factory(params, seed) -> unfitted estimator."""
+    """Returns factory(params, seed) -> unfitted estimator.
+
+    A settable field takes the first value given under any of its names,
+    grid params before flag defaults, coerced to the type of the config
+    dataclass default, which applies when no name is given. A grid key
+    that no field of the model answers to is a usage error.
+    """
     input_kind = "tokens" if vocab_size else "features"
     if model in ("cnn", "transformer") and input_kind != "tokens":
         raise UsageError(f"{model} requires token input (--ngrams/--tokens)")
     if model in TREE_KINDS and input_kind != "features":
         raise UsageError(f"{model} requires feature input (--scheme/--features)")
+    inputs = {"input_kind": input_kind, "in_dim": in_dim,
+              "vocab_size": vocab_size, "max_len": max_len}
 
     def factory(params, seed):
-        if model == "rf":
-            cfg = ForestConfig(
-                n_estimators=int(_pick(params, defaults, ("n_estimators",), 100)),
-                max_depth=int(_pick(params, defaults, ("max_depth",), 10)),
-                seed=seed)
-            return _ForestAdapter(cfg, n_classes)
-        if model == "rusboost":
-            cfg = RusBoostConfig(
-                n_estimators=int(_pick(params, defaults, ("n_estimators",), 50)),
-                learning_rate=float(_pick(params, defaults,
-                                          ("learning_rate",), 0.1)),
-                max_depth=int(_pick(params, defaults,
-                                    ("base_depth", "max_depth"), 3)),
-                seed=seed)
-            return _RusBoostAdapter(cfg, n_classes)
-        spec = ModelSpec(
-            kind=model,
-            n_classes=n_classes,
-            input_kind=input_kind,
-            in_dim=in_dim,
-            hidden=tuple(_pick(params, defaults, ("hidden",), (100,))),
-            vocab_size=vocab_size,
-            max_len=max_len,
-            embed_dim=int(_pick(params, defaults, ("embed_dim",), 32)),
-            filters=int(_pick(params, defaults, ("num_filters", "filters"), 64)),
-            kernel_size=int(_pick(params, defaults, ("kernel_size",), 3)),
-            num_heads=int(_pick(params, defaults, ("num_heads",), 1)))
-        train_cfg = TrainConfig(
-            learning_rate=float(_pick(params, defaults,
-                                      ("learning_rate_init", "learning_rate"),
-                                      0.001)),
-            batch_size=int(_pick(params, defaults, ("batch_size",), 128)),
-            epochs=int(_pick(params, defaults, ("max_iter", "epochs"), 300)),
-            optimizer=str(_pick(params, defaults, ("optimizer",), "adam")),
-            alpha=float(_pick(params, defaults, ("alpha",), 0.0)),
-            seed=seed)
-        return NeuralClassifier(spec, train_cfg)
+        read = set()
+
+        def config(cls, **fixed):
+            types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+            for field in _SETTABLE[cls]:
+                names = _ALIASES.get((cls, field), ()) + (field,)
+                read.update(names)
+                given = [source[name] for source in (params, defaults)
+                         for name in names if source.get(name) is not None]
+                if given:
+                    fixed[field] = types[field](given[0])
+            return cls(**fixed)
+
+        estimator = MODELS[model](config, seed, n_classes, inputs)
+        unknown = sorted(set(params) - read)
+        if unknown:
+            raise UsageError(
+                f"--model {model} reads no grid key {unknown[0]!r}")
+        return estimator
 
     return factory
 
@@ -499,27 +487,20 @@ def _load_data(args, config):
     return "tokens", matrix, ids, labels, class_names, (vocab, max_len)
 
 
-def _label_indices(labels, class_names):
-    index = {name: i for i, name in enumerate(class_names)}
-    return np.array([index[v] for v in labels], dtype=np.int64)
-
-
 def cmd_train(args, config) -> int:
     out = _out_dir(args, config)
     model_kind = _require(_cfg(args, config, "model"), "model")
     seed = _require(_cfg(args, config, "seed"), "seed")
     kind, inputs, ids, labels, class_names, vocab_info = _load_data(args, config)
-    y = _label_indices(labels, class_names)
+    y = evaluation.label_indices(labels, class_names)
     defaults = _model_defaults(args, config)
     factory = make_model_factory(
         model_kind, len(class_names), defaults,
         in_dim=inputs.shape[1] if kind == "features" else 0,
         vocab_size=vocab_info[0].size if vocab_info else 0,
         max_len=vocab_info[1] if vocab_info else 0)
-    estimator = factory({}, seed)
-    estimator.fit(inputs, y)
-    model = estimator.model if hasattr(estimator, "model") else estimator
-    store.save_model(os.path.join(out, MODEL_FILE), model, class_names)
+    estimator = factory({}, seed).fit(inputs, y)
+    store.save_model(os.path.join(out, MODEL_FILE), estimator, class_names)
     effective = {"model": model_kind, "seed": seed,
                  **{k: v for k, v in defaults.items() if v is not None}}
     _write_manifest(out, "train", effective, [MODEL_FILE])
@@ -541,7 +522,7 @@ def _predict_with_model(args, config):
 def cmd_evaluate(args, config) -> int:
     out = _out_dir(args, config)
     _, class_names, _, ids, labels, proba = _predict_with_model(args, config)
-    y = _label_indices(labels, class_names)
+    y = evaluation.label_indices(labels, class_names)
     report = evaluation.compute_report(y, proba, class_names)
     _write_json(os.path.join(out, METRICS_FILE),
                 evaluation.report_to_dict(report))
@@ -653,7 +634,7 @@ def cmd_nested_cv(args, config) -> int:
         data_kind, inputs, ids, labels, class_names, vocab_info = \
             _load_data(args, config)
 
-    y = _label_indices(labels, class_names)
+    y = evaluation.label_indices(labels, class_names)
     defaults = _model_defaults(args, config)
     factory = make_model_factory(
         model_kind, len(class_names), defaults,
@@ -661,6 +642,8 @@ def cmd_nested_cv(args, config) -> int:
         vocab_size=vocab_info[0].size if vocab_info else 0,
         max_len=vocab_info[1] if vocab_info else 0)
     grid = _parse_grid(_cfg(args, config, "grid"), model_kind)
+    for params in grid:  # a bad grid point fails before any fit runs
+        factory(params, seed)
 
     plan = evaluation.make_cv_plan(y, k_outer, k_inner, seed)
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
@@ -759,7 +742,7 @@ def cmd_report(args, config) -> int:
 
     if pred_paths:
         ids0, true0, _, class_names, proba0 = _read_predictions(pred_paths[0])
-        y = _label_indices(true0, class_names)
+        y = evaluation.label_indices(true0, class_names)
         report = evaluation.compute_report(y, proba0, class_names)
         doc = evaluation.report_to_dict(report)
         _write_json(os.path.join(out, METRICS_FILE), doc)

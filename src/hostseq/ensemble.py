@@ -2,14 +2,14 @@
 undersampling for imbalanced data.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds.
-Split ties break toward the lowest feature index, then the lowest
-threshold, so fits are reproducible. All randomness flows through
+Split ties break toward the lowest threshold, then the lowest feature
+index, so fits are reproducible. All randomness flows through
 generators seeded with util.derive_seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -210,11 +210,29 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
     return tree
 
 
+def _tree_arrays(trees) -> dict:
+    return {f"t{i}.{key}": arr for i, tree in enumerate(trees)
+            for key, arr in tree.to_arrays().items()}
+
+
+def _trees_from_arrays(arrays, count: int, max_depth: int) -> list:
+    keys = ("feature", "threshold", "left", "right", "counts")
+    return [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys},
+                                     max_depth) for i in range(count)]
+
+
 @dataclass
 class Forest:
-    trees: list
+    """Random forest estimator; fit delegates to fit_forest."""
+
+    FAMILY = "forest"
     config: ForestConfig
     n_classes: int
+    trees: list = field(default_factory=list)
+
+    def fit(self, X, y) -> "Forest":
+        self.trees = fit_forest(X, y, self.config, self.n_classes).trees
+        return self
 
     def predict_proba(self, X) -> np.ndarray:
         dists = [t.leaf_distributions(X) for t in self.trees]
@@ -223,9 +241,19 @@ class Forest:
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
 
+    def to_checkpoint(self):
+        meta = {"config": asdict(self.config), "n_classes": self.n_classes}
+        return "forest", meta, _tree_arrays(self.trees)
 
-def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None,
-               bootstrap: bool = True) -> Forest:
+    @classmethod
+    def from_checkpoint(cls, meta, arrays) -> "Forest":
+        config = ForestConfig(**meta["config"])
+        return cls(config, int(meta["n_classes"]), _trees_from_arrays(
+            arrays, config.n_estimators, config.max_depth))
+
+
+def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
+               ) -> Forest:
     """Bag of CART trees on bootstrap resamples; predicted probabilities
     are the mean of per-tree leaf distributions."""
     X = np.asarray(X, dtype=np.float64)
@@ -241,19 +269,27 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None,
     trees = []
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(fit_tree(X[idx], y[idx], cfg.max_depth,
                               features_per_split=per_split, rng=rng,
                               n_classes=n_classes))
-    return Forest(trees=trees, config=cfg, n_classes=n_classes)
+    return Forest(cfg, n_classes, trees)
 
 
 @dataclass
 class RusBoostModel:
-    trees: list
-    alphas: list
+    """RUSBoost estimator; fit delegates to fit_rusboost."""
+
+    FAMILY = "rusboost"
     config: RusBoostConfig
     n_classes: int
+    trees: list = field(default_factory=list)
+    alphas: list = field(default_factory=list)
+
+    def fit(self, X, y) -> "RusBoostModel":
+        fitted = fit_rusboost(X, y, self.config, self.n_classes)
+        self.trees, self.alphas = fitted.trees, fitted.alphas
+        return self
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -265,6 +301,20 @@ class RusBoostModel:
 
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
+
+    def to_checkpoint(self):
+        meta = {"config": asdict(self.config), "n_classes": self.n_classes}
+        alphas = np.asarray(self.alphas, dtype=np.float64)
+        return "rusboost", meta, {"alphas": alphas,
+                                  **_tree_arrays(self.trees)}
+
+    @classmethod
+    def from_checkpoint(cls, meta, arrays) -> "RusBoostModel":
+        config = RusBoostConfig(**meta["config"])
+        alphas = arrays["alphas"]
+        trees = _trees_from_arrays(arrays, len(alphas), config.max_depth)
+        return cls(config, int(meta["n_classes"]), trees,
+                   [float(a) for a in alphas])
 
 
 def _balanced_subsample(rng, y, n_classes: int) -> np.ndarray:
@@ -331,14 +381,5 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
         w /= w.sum()
         trees.append(tree)
         alphas.append(float(alpha))
-    return RusBoostModel(trees=trees, alphas=alphas, config=cfg,
-                         n_classes=n_classes)
+    return RusBoostModel(cfg, n_classes, trees, alphas)
 
-
-def predict_proba(model, X) -> np.ndarray:
-    """Probability matrix for any fitted tree model; rows sum to 1."""
-    if isinstance(model, DecisionTree):
-        return model.leaf_distributions(X)
-    if isinstance(model, (Forest, RusBoostModel)):
-        return model.predict_proba(X)
-    raise TypeError(f"not a tree model: {type(model).__name__}")

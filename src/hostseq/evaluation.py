@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TrainingDivergedError
+from .seqio import DataError
 from .util import atomic_write_text, derive_seed
 
 
@@ -37,7 +38,9 @@ class ConfusionMatrix:
         return int(self.array.sum())
 
 
-def _label_indices(values, class_names) -> np.ndarray:
+def label_indices(values, class_names) -> np.ndarray:
+    """Class index per label; a label may be a class name or an integer
+    index. Raises DataError for a label outside class_names."""
     index = {name: i for i, name in enumerate(class_names)}
     c = len(class_names)
     out = np.empty(len(values), dtype=np.intp)
@@ -47,7 +50,7 @@ def _label_indices(values, class_names) -> np.ndarray:
         elif isinstance(v, (int, np.integer)) and 0 <= v < c:
             out[pos] = int(v)
         else:
-            raise ValueError(f"unknown label {v!r}")
+            raise DataError(f"unknown label {v!r}")
     return out
 
 
@@ -59,8 +62,8 @@ def confusion(y_true, y_pred, class_names) -> ConfusionMatrix:
     if len(y_true) != len(y_pred):
         raise ValueError("y_true and y_pred lengths differ")
     class_names = tuple(class_names)
-    ti = _label_indices(y_true, class_names)
-    pi = _label_indices(y_pred, class_names)
+    ti = label_indices(y_true, class_names)
+    pi = label_indices(y_pred, class_names)
     c = len(class_names)
     counts = np.zeros((c, c), dtype=np.int64)
     np.add.at(counts, (ti, pi), 1)

@@ -9,7 +9,7 @@ with util.derive_seed, so repeated fits are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -365,6 +365,8 @@ def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
 class NeuralClassifier:
     """fit/predict_proba wrapper tying a ModelSpec to a TrainConfig."""
 
+    FAMILY = "neural"
+
     def __init__(self, spec: ModelSpec, config: TrainConfig):
         self.spec = spec
         self.config = config
@@ -425,3 +427,14 @@ class NeuralClassifier:
                     f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr
         return self
+
+    def to_checkpoint(self):
+        meta = {"spec": asdict(self.spec), "config": asdict(self.config)}
+        return self.spec.kind, meta, self.state_arrays()
+
+    @classmethod
+    def from_checkpoint(cls, meta, arrays) -> "NeuralClassifier":
+        spec = ModelSpec(**{**meta["spec"],
+                            "hidden": tuple(meta["spec"]["hidden"])})
+        return cls(spec, TrainConfig(**meta["config"])).load_state_arrays(
+            arrays)

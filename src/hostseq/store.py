@@ -16,9 +16,8 @@ import struct
 
 import numpy as np
 
-from .ensemble import (DecisionTree, Forest, ForestConfig, RusBoostConfig,
-                       RusBoostModel)
-from .models import ModelSpec, NeuralClassifier, TrainConfig
+from .ensemble import Forest, RusBoostModel
+from .models import NeuralClassifier
 from .seqio import DataError
 from .util import atomic_write_bytes, atomic_write_text
 
@@ -158,96 +157,30 @@ def load_checkpoint(path):
     return header["kind"], header["meta"], arrays
 
 
-def _spec_to_meta(spec: ModelSpec) -> dict:
-    return {"kind": spec.kind, "n_classes": spec.n_classes,
-            "input_kind": spec.input_kind, "in_dim": spec.in_dim,
-            "hidden": list(spec.hidden), "vocab_size": spec.vocab_size,
-            "max_len": spec.max_len, "embed_dim": spec.embed_dim,
-            "filters": spec.filters, "kernel_size": spec.kernel_size,
-            "num_heads": spec.num_heads}
-
-
-def _spec_from_meta(meta: dict) -> ModelSpec:
-    meta = dict(meta)
-    meta["hidden"] = tuple(meta["hidden"])
-    return ModelSpec(**meta)
-
-
-def _config_to_meta(config: TrainConfig) -> dict:
-    return {"learning_rate": config.learning_rate,
-            "batch_size": config.batch_size, "epochs": config.epochs,
-            "optimizer": config.optimizer, "alpha": config.alpha,
-            "seed": config.seed}
+# Checkpoint "model" tag -> estimator class. Each class writes itself
+# with to_checkpoint() and reads itself back with from_checkpoint().
+_FAMILIES = {cls.FAMILY: cls
+             for cls in (NeuralClassifier, Forest, RusBoostModel)}
 
 
 def save_model(path, model, class_names) -> None:
-    class_names = list(class_names)
-    if isinstance(model, NeuralClassifier):
-        meta = {"model": "neural", "spec": _spec_to_meta(model.spec),
-                "config": _config_to_meta(model.config),
-                "class_names": class_names}
-        save_checkpoint(path, model.spec.kind, meta, model.state_arrays())
-        return
-    if isinstance(model, Forest):
-        arrays = {}
-        for i, tree in enumerate(model.trees):
-            for key, arr in tree.to_arrays().items():
-                arrays[f"t{i}.{key}"] = arr
-        meta = {"model": "forest",
-                "config": {"n_estimators": model.config.n_estimators,
-                           "max_depth": model.config.max_depth,
-                           "features_per_split": model.config.features_per_split,
-                           "seed": model.config.seed},
-                "n_classes": model.n_classes, "class_names": class_names}
-        save_checkpoint(path, "forest", meta, arrays)
-        return
-    if isinstance(model, RusBoostModel):
-        arrays = {"alphas": np.asarray(model.alphas, dtype=np.float64)}
-        for i, tree in enumerate(model.trees):
-            for key, arr in tree.to_arrays().items():
-                arrays[f"t{i}.{key}"] = arr
-        meta = {"model": "rusboost",
-                "config": {"n_estimators": model.config.n_estimators,
-                           "learning_rate": model.config.learning_rate,
-                           "max_depth": model.config.max_depth,
-                           "seed": model.config.seed},
-                "n_classes": model.n_classes, "class_names": class_names}
-        save_checkpoint(path, "rusboost", meta, arrays)
-        return
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def _trees_from_arrays(arrays: dict, count: int, max_depth: int) -> list:
-    trees = []
-    for i in range(count):
-        group = {key.split(".", 1)[1]: arr for key, arr in arrays.items()
-                 if key.startswith(f"t{i}.")}
-        if not group:
-            raise CheckpointError(f"missing arrays for tree {i}")
-        trees.append(DecisionTree.from_arrays(group, max_depth))
-    return trees
+    if type(model) not in _FAMILIES.values():
+        raise TypeError(
+            f"cannot serialize model of type {type(model).__name__}")
+    kind, meta, arrays = model.to_checkpoint()
+    meta = {**meta, "model": model.FAMILY, "class_names": list(class_names)}
+    save_checkpoint(path, kind, meta, arrays)
 
 
 def load_model(path):
     """Returns (model, class_names)."""
-    kind, meta, arrays = load_checkpoint(path)
-    class_names = tuple(meta["class_names"])
-    if meta["model"] == "neural":
-        spec = _spec_from_meta(meta["spec"])
-        clf = NeuralClassifier(spec, TrainConfig(**meta["config"]))
-        clf.load_state_arrays(arrays)
-        return clf, class_names
-    if meta["model"] == "forest":
-        cfg = ForestConfig(**meta["config"])
-        trees = _trees_from_arrays(arrays, cfg.n_estimators, cfg.max_depth)
-        return Forest(trees=trees, config=cfg,
-                      n_classes=int(meta["n_classes"])), class_names
-    if meta["model"] == "rusboost":
-        cfg = RusBoostConfig(**meta["config"])
-        trees = _trees_from_arrays(arrays, len(arrays["alphas"]),
-                                   cfg.max_depth)
-        return RusBoostModel(trees=trees,
-                             alphas=[float(a) for a in arrays["alphas"]],
-                             config=cfg,
-                             n_classes=int(meta["n_classes"])), class_names
-    raise CheckpointError(f"{path}: unknown model family {meta['model']!r}")
+    _, meta, arrays = load_checkpoint(path)
+    cls = _FAMILIES.get(meta.get("model"))
+    if cls is None:
+        raise CheckpointError(
+            f"{path}: unknown model family {meta.get('model')!r}")
+    try:
+        return cls.from_checkpoint(meta, arrays), tuple(meta["class_names"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: arrays or header do not match: {exc}") from exc

@@ -9,9 +9,9 @@ import pytest
 
 from hostseq import cli, evaluation as ev, ngram, pssm, synth
 from hostseq.ensemble import (
+    Forest,
     ForestConfig,
     RusBoostConfig,
-    fit_forest,
     fit_rusboost,
     fit_tree,
 )
@@ -238,20 +238,8 @@ def test_c6_end_to_end_learnability():
         pssm.encode_record_features(r.residues, profiles[r.id], "er").values
         for r in ds.records])
 
-    class ForestAdapter:
-        def __init__(self, cfg):
-            self.cfg = cfg
-            self.model = None
-
-        def fit(self, X, y):
-            self.model = fit_forest(X, y, self.cfg, n_classes=3)
-            return self
-
-        def predict_proba(self, X):
-            return self.model.predict_proba(X)
-
-    forest_factory = lambda params, seed: ForestAdapter(
-        ForestConfig(n_estimators=50, max_depth=10, seed=seed))
+    forest_factory = lambda params, seed: Forest(
+        ForestConfig(n_estimators=50, max_depth=10, seed=seed), 3)
     result_f = ev.nested_cv(X_er, labels, forest_factory, [{}], plan, names)
     _assert_learned(result_f.pooled_report)
     assert time.perf_counter() - start < 600.0

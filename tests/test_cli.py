@@ -1,12 +1,13 @@
 """Command-line pipeline: exit codes, artifacts, overrides, determinism."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hostseq import cli, seqio
+from hostseq import cli, ensemble, seqio, store
 
 
 def run(argv):
@@ -335,3 +336,114 @@ def test_evaluate_wrong_width_features_exit_1(tmp_path):
                 "--features", str(other / "features.csv"),
                 "--out", str(out)])
     assert code in (1, 2)
+
+
+@pytest.mark.parametrize("command,table,flag", [
+    ("evaluate", "features.csv", "--features"),
+    ("report", "predictions.csv", "--predictions"),
+])
+def test_unknown_label_exit_2(tmp_path, capsys, command, table, flag):
+    out = predictions_fixture(tmp_path)
+    lines = (out / table).read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1] = "martian"
+    bad = tmp_path / table
+    bad.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    argv = [command, flag, str(bad), "--out", str(tmp_path / "o")]
+    if command == "evaluate":
+        argv += ["--model-file", str(out / "model.bin")]
+    assert run(argv) == 2
+    assert "martian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,extra,dropped", [
+    ("mlp", ("--epochs", "2"), "out.w"),
+    ("rf", ("--n-estimators", "3", "--max-depth", "2"), "t1.feature"),
+])
+def test_inconsistent_checkpoint_exit_2(tmp_path, capsys, model, extra,
+                                        dropped):
+    out = train_flow(tmp_path, model, extra)
+    path = out / "model.bin"
+    kind, meta, arrays = store.load_checkpoint(path)
+    del arrays[dropped]
+    store.save_checkpoint(path, kind, meta, arrays)
+    assert run(["predict", "--model-file", str(path),
+                "--features", str(out / "features.csv"),
+                "--out", str(tmp_path / "p")]) == 2
+    assert "do not match" in capsys.readouterr().err
+
+
+def test_nested_cv_unknown_grid_key_exit_1_before_fitting(tmp_path, capsys,
+                                                         monkeypatch):
+    out = tmp_path / "run"
+    dataset = synth_corpus(out, records=20, seed=17)
+    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
+                "--synth-pssms", "--seed", "3", "--out", str(out)]) == 0
+    fits = []
+    monkeypatch.setattr(ensemble, "fit_forest",
+                        lambda *a, **k: fits.append(1))
+    grid = json.dumps([{"n_estimators": 2},
+                       {"n_estimator": 50, "max_dept": 9}])
+    assert run(["nested-cv", "--model", "rf", "--grid", grid,
+                "--features", str(out / "features.csv"),
+                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert "'max_dept'" in capsys.readouterr().err
+    assert fits == []
+    assert not (out / "metrics.json").exists()
+
+
+def test_grid_aliases_and_flag_precedence():
+    boost = cli.make_model_factory("rusboost", 2, {"base_depth": 4,
+                                                   "max_depth": 7}, in_dim=3)
+    assert boost({}, 0).config.max_depth == 4
+    assert boost({"max_depth": 2}, 0).config.max_depth == 2
+    assert boost({"max_depth": 2, "base_depth": 1}, 0).config.max_depth == 1
+    mlp = cli.make_model_factory("mlp", 2, {"epochs": 9,
+                                            "learning_rate": 0.5}, in_dim=3)
+    clf = mlp({"max_iter": 3, "epochs": 5, "learning_rate_init": 0.1}, 0)
+    assert (clf.config.epochs, clf.config.learning_rate) == (3, 0.1)
+    clf = mlp({"num_filters": 8.0}, 0)
+    assert (clf.config.epochs, clf.config.learning_rate) == (9, 0.5)
+    assert clf.spec.filters == 8 and isinstance(clf.spec.filters, int)
+    assert clf.config.batch_size == 128  # TrainConfig default
+    rf = cli.make_model_factory("rf", 2, {"base_depth": 4}, in_dim=3)
+    assert rf({}, 0).config.max_depth == 10  # ForestConfig default
+    with pytest.raises(cli.UsageError, match="base_depth"):
+        rf({"base_depth": 4}, 0)
+
+
+def test_default_grids_build_through_registry():
+    shapes = {"mlp": {"in_dim": 10}, "rf": {"in_dim": 10},
+              "rusboost": {"in_dim": 10},
+              "cnn": {"vocab_size": 50, "max_len": 60},
+              "transformer": {"vocab_size": 50, "max_len": 60}}
+    assert set(shapes) == set(cli.DEFAULT_GRIDS)
+    for model, shape in shapes.items():
+        factory = cli.make_model_factory(model, 3, {}, **shape)
+        for params in cli._parse_grid(None, model):
+            factory(params, 0)
+    assert set(cli.MODELS) == set(shapes)
+
+
+def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
+    # Pins model.bin for fixed-seed forest and RUSBoost fits; tree fits
+    # use no BLAS, so the bytes depend only on the code.
+    rng = np.random.default_rng(2022)
+    X = rng.random((36, 6))
+    labels = [("avian", "human", "swine")[i] for i in X[:, :3].argmax(axis=1)]
+    features = tmp_path / "features.csv"
+    store.write_features_csv(features, [f"r{i}" for i in range(36)], labels,
+                             "eg", X)
+    golden = {
+        "rf": ("9bf8a3983c5b7dfebeec792b50c5e86431bb0f76a8a9adf427546a5be3e7f35d",
+               ("--n-estimators", "5", "--max-depth", "3")),
+        "rusboost": ("f8c1fa6ea2a94e732a574515e61d82d8f8b7e30ab86055b10fdc1cc9248e694b",
+                     ("--n-estimators", "5", "--base-depth", "2")),
+    }
+    for model, (digest, extra) in golden.items():
+        out = tmp_path / model
+        assert run(["train", "--model", model, "--features", str(features),
+                    "--seed", "1", "--out", str(out), *extra]) == 0
+        blob = (out / "model.bin").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest, model

@@ -12,7 +12,6 @@ from hostseq.ensemble import (
     fit_forest,
     fit_rusboost,
     fit_tree,
-    predict_proba,
 )
 
 
@@ -63,6 +62,16 @@ def test_tree_threshold_tiebreak_prefers_lowest():
     y = np.array([0, 1, 1, 0])
     tree = fit_tree(X, y, max_depth=1)
     assert tree.threshold[0] == pytest.approx(0.5)
+
+
+def test_tree_tiebreak_prefers_threshold_over_feature_index():
+    # both features separate the classes perfectly; feature 1's midpoint
+    # 0.5 is below feature 0's midpoint 5.0, so the lower threshold wins
+    X = np.array([[0.0, 0.0], [10.0, 1.0]])
+    y = np.array([0, 1])
+    tree = fit_tree(X, y, max_depth=1)
+    assert tree.feature[0] == 1
+    assert tree.threshold[0] == 0.5
 
 
 def test_tree_sample_weight_changes_split():
@@ -167,14 +176,3 @@ def test_rusboost_missing_class_errors():
     with pytest.raises(ValueError, match="at least 2"):
         fit_rusboost(X, y, RusBoostConfig(n_estimators=2))
 
-
-def test_predict_proba_dispatch():
-    rng = np.random.default_rng(9)
-    X = rng.random((40, 3))
-    y = (X[:, 0] > 0.5).astype(int)
-    forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2, seed=0))
-    boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=3, seed=0))
-    assert predict_proba(forest, X).shape == (40, 2)
-    assert predict_proba(boost, X).shape == (40, 2)
-    with pytest.raises(TypeError):
-        predict_proba(object(), X)

@@ -1,12 +1,16 @@
 """Artifact persistence: CSV tables, binary checkpoints, model files."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hostseq import store
 from hostseq.ensemble import (
+    Forest,
     ForestConfig,
     RusBoostConfig,
+    RusBoostModel,
     fit_forest,
     fit_rusboost,
 )
@@ -143,3 +147,66 @@ def test_rusboost_model_roundtrip(tmp_path):
 def test_save_model_rejects_unknown(tmp_path):
     with pytest.raises(TypeError, match="serialize"):
         store.save_model(tmp_path / "m.bin", object(), ("a",))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Forest(ForestConfig(n_estimators=3, max_depth=2, seed=1), 2),
+    lambda: RusBoostModel(RusBoostConfig(n_estimators=3, seed=1), 2),
+    lambda: NeuralClassifier(ModelSpec(kind="mlp", n_classes=2, in_dim=3,
+                                       hidden=(4,)),
+                             TrainConfig(epochs=2, seed=1)),
+], ids=["forest", "rusboost", "neural"])
+def test_estimator_protocol_checkpoint_roundtrip(make):
+    rng = np.random.default_rng(5)
+    X = rng.random((40, 3))
+    y = (X[:, 0] > 0.5).astype(int)
+    estimator = make()
+    assert estimator.fit(X, y) is estimator
+    kind, meta, arrays = estimator.to_checkpoint()
+    meta = json.loads(json.dumps(meta))  # headers are plain JSON
+    restored = type(estimator).from_checkpoint(meta, arrays)
+    assert np.array_equal(restored.predict_proba(X), estimator.predict_proba(X))
+
+
+def _rewrite_without(path, array_name):
+    kind, meta, arrays = store.load_checkpoint(path)
+    del arrays[array_name]
+    store.save_checkpoint(path, kind, meta, arrays)
+
+
+def test_load_model_missing_tree_block_is_checkpoint_error(tmp_path):
+    rng = np.random.default_rng(6)
+    X = rng.random((30, 3))
+    y = rng.integers(0, 2, size=30)
+    path = tmp_path / "model.bin"
+    forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2))
+    store.save_model(path, forest, ("a", "b"))
+    _rewrite_without(path, "t2.counts")
+    with pytest.raises(store.CheckpointError, match="t2.counts"):
+        store.load_model(path)
+
+
+def test_load_model_parameter_mismatch_is_checkpoint_error(tmp_path):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(20, 3))
+    y = rng.integers(0, 2, size=20)
+    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=3, hidden=(4,))
+    clf = NeuralClassifier(spec, TrainConfig(epochs=1)).fit(X, y)
+    path = tmp_path / "model.bin"
+    store.save_model(path, clf, ("a", "b"))
+    _rewrite_without(path, "out.b")
+    with pytest.raises(store.CheckpointError, match="parameter mismatch"):
+        store.load_model(path)
+
+
+def test_neural_checkpoint_save_load_save_identical(tmp_path):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(20, 3))
+    y = rng.integers(0, 3, size=20)
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=3, hidden=(5, 4))
+    clf = NeuralClassifier(spec, TrainConfig(epochs=2, alpha=0.01,
+                                             seed=4)).fit(X, y)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    store.save_model(first, clf, ("x", "y", "z"))
+    store.save_model(second, *store.load_model(first))
+    assert first.read_bytes() == second.read_bytes()
