@@ -424,6 +424,19 @@ MODELS = {
 }
 
 
+def _coerce(kind, name, value):
+    """value as a config field of type kind; a scalar for a tuple field
+    (the MLP's hidden layer sizes) is one layer of that width."""
+    try:
+        if kind is tuple:
+            return tuple(int(v) for v in (
+                value if isinstance(value, (list, tuple)) else [value]))
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{name!r} takes a {kind.__name__}, "
+                         f"not {value!r}") from exc
+
+
 def make_model_factory(model: str, n_classes: int, defaults: dict,
                        in_dim: int = 0, vocab_size: int = 0,
                        max_len: int = 0):
@@ -431,8 +444,9 @@ def make_model_factory(model: str, n_classes: int, defaults: dict,
 
     A settable field takes the first value given under any of its names,
     grid params before flag defaults, coerced to the type of the config
-    dataclass default, which applies when no name is given. A grid key
-    that no field of the model answers to is a usage error.
+    dataclass default (see _coerce), which applies when no name is
+    given. A grid key that no field of the model answers to, or a value
+    that cannot be coerced, is a usage error naming the key.
     """
     input_kind = "tokens" if vocab_size else "features"
     if model in ("cnn", "transformer") and input_kind != "tokens":
@@ -450,10 +464,10 @@ def make_model_factory(model: str, n_classes: int, defaults: dict,
             for field in _SETTABLE[cls]:
                 names = _ALIASES.get((cls, field), ()) + (field,)
                 read.update(names)
-                given = [source[name] for source in (params, defaults)
+                given = [(name, source[name]) for source in (params, defaults)
                          for name in names if source.get(name) is not None]
                 if given:
-                    fixed[field] = types[field](given[0])
+                    fixed[field] = _coerce(types[field], *given[0])
             return cls(**fixed)
 
         estimator = MODELS[model](config, seed, n_classes, inputs)

@@ -2,9 +2,12 @@
 undersampling for imbalanced data.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds.
-Split ties break toward the lowest threshold, then the lowest feature
-index, so fits are reproducible. All randomness flows through
-generators seeded with util.derive_seed.
+The split search is exact and vectorized: a node sorts its candidate
+columns a block at a time and scores every cut point of the block in
+one pass over class-weight prefix sums. Split ties break toward the
+lowest threshold, then the lowest feature index, so fits are
+reproducible. A fitted tree is a set of flat numpy arrays. All
+randomness flows through generators seeded with util.derive_seed.
 """
 
 from __future__ import annotations
@@ -44,69 +47,52 @@ class RusBoostConfig:
             raise ValueError("learning_rate must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    """Flat node arrays; feature == -1 marks a leaf. Leaves carry the
-    weighted class counts seen during the fit."""
+    """Flat node arrays; feature == -1 marks a leaf, whose threshold is
+    nan and whose children are -1. counts holds each leaf's weighted
+    class counts from the fit, and zero rows at internal nodes."""
 
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    counts: list = field(default_factory=list)
-    max_depth: int = 0
-    n_classes: int = 0
-
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(float("nan"))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.counts.append(None)
-        return len(self.feature) - 1
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
     def leaf_distributions(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
         node = np.zeros(X.shape[0], dtype=np.intp)
         while True:
-            internal = feature[node] >= 0
-            if not internal.any():
+            rows = np.flatnonzero(self.feature[node] >= 0)
+            if rows.size == 0:
                 break
-            rows = np.flatnonzero(internal)
-            f = feature[node[rows]]
-            go_left = X[rows, f] <= threshold[node[rows]]
-            node[rows] = np.where(go_left, left[node[rows]], right[node[rows]])
-        counts = np.array([self.counts[i] for i in node], dtype=np.float64)
+            at = node[rows]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        counts = self.counts[node]
         return counts / counts.sum(axis=1, keepdims=True)
 
     def predict(self, X) -> np.ndarray:
         return self.leaf_distributions(X).argmax(axis=1)
 
     def to_arrays(self) -> dict:
-        dists = [c if c is not None else [0.0] * self.n_classes
-                 for c in self.counts]
-        return {"feature": np.asarray(self.feature, dtype=np.int64),
-                "threshold": np.asarray(self.threshold, dtype=np.float64),
-                "left": np.asarray(self.left, dtype=np.int64),
-                "right": np.asarray(self.right, dtype=np.int64),
-                "counts": np.asarray(dists, dtype=np.float64)}
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left, "right": self.right,
+                "counts": self.counts}
 
     @classmethod
-    def from_arrays(cls, arrays, max_depth: int) -> "DecisionTree":
-        feature = list(int(v) for v in arrays["feature"])
-        counts_arr = np.asarray(arrays["counts"], dtype=np.float64)
-        tree = cls(feature=feature,
-                   threshold=[float(v) for v in arrays["threshold"]],
-                   left=[int(v) for v in arrays["left"]],
-                   right=[int(v) for v in arrays["right"]],
-                   counts=[row.tolist() if feature[i] < 0 else None
-                           for i, row in enumerate(counts_arr)],
-                   max_depth=max_depth,
-                   n_classes=counts_arr.shape[1])
+    def from_arrays(cls, arrays) -> "DecisionTree":
+        tree = cls(np.asarray(arrays["feature"], dtype=np.int64),
+                   np.asarray(arrays["threshold"], dtype=np.float64),
+                   np.asarray(arrays["left"], dtype=np.int64),
+                   np.asarray(arrays["right"], dtype=np.int64),
+                   np.asarray(arrays["counts"], dtype=np.float64))
+        nodes = (tree.feature.size,)
+        if nodes == (0,) or tree.counts.ndim != 2 \
+                or tree.counts.shape[:1] != nodes or any(
+                    a.shape != nodes for a in (tree.feature, tree.threshold,
+                                               tree.left, tree.right)):
+            raise ValueError("tree arrays disagree on the node count")
         return tree
 
 
@@ -114,38 +100,59 @@ def _gini(weighted_counts: np.ndarray, total: float) -> float:
     return 1.0 - float(((weighted_counts / total) ** 2).sum())
 
 
-def _best_split_for_feature(values, class_weights, parent_total):
-    """Scan midpoints of one sorted feature column.
+# Candidate columns scored per numpy pass: bounds the (rows, columns,
+# classes) temporaries when a node scans all 910 ER features.
+_BLOCK = 64
 
-    Returns (weighted child impurity, threshold) or None when the
-    column is constant.
-    """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cw = class_weights[order]
-    boundaries = np.flatnonzero(v[:-1] < v[1:])
-    if boundaries.size == 0:
+
+def _best_split(X, idx, candidates, weights, parent_total, parent_gini):
+    """(feature, threshold) of the best split of rows idx over the sorted
+    candidates, or None; fit_tree states the rule. A column's cut is its
+    first minimum in sorted order, i.e. its lowest threshold."""
+    impurity, thresholds = [], []
+    for s in range(0, candidates.size, _BLOCK):
+        values = X[idx[:, None], candidates[s:s + _BLOCK]]
+        order = np.argsort(values, axis=0, kind="stable")
+        v = np.take_along_axis(values, order, axis=0)
+        prefix = np.cumsum(weights[order], axis=0)
+        total = prefix[-1]
+        left = prefix[:-1]
+        right = total - left
+        wl = left.sum(axis=2)
+        wr = right.sum(axis=2)
+        gini_l = 1.0 - ((left / wl[:, :, None]) ** 2).sum(axis=2)
+        gini_r = 1.0 - ((right / wr[:, :, None]) ** 2).sum(axis=2)
+        weighted = (wl * gini_l + wr * gini_r) / parent_total
+        weighted = np.where(v[:-1] < v[1:], weighted, np.inf)
+        cut = weighted.argmin(axis=0)
+        cols = np.arange(v.shape[1])
+        impurity.append(weighted[cut, cols])
+        thresholds.append((v[cut, cols] + v[cut + 1, cols]) / 2.0)
+    impurity = np.concatenate(impurity)
+    thresholds = np.concatenate(thresholds)
+    ok = impurity <= parent_gini
+    if not ok.any():
         return None
-    prefix = np.cumsum(cw, axis=0)
-    total = prefix[-1]
-    left = prefix[boundaries]
-    right = total - left
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
-    gini_l = 1.0 - ((left / wl[:, None]) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / wr[:, None]) ** 2).sum(axis=1)
-    weighted = (wl * gini_l + wr * gini_r) / parent_total
-    best = int(np.argmin(weighted))
-    b = boundaries[best]
-    return float(weighted[best]), float((v[b] + v[b + 1]) / 2.0)
+    tied = np.flatnonzero(impurity == impurity[ok].min())
+    best = tied[thresholds[tied].argmin()]
+    return int(candidates[best]), float(thresholds[best])
 
 
 def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
              rng=None, sample_weight=None, n_classes: int | None = None
              ) -> DecisionTree:
-    """Greedy CART fit. Candidate features are drawn without replacement
-    at every split when features_per_split is given; a chosen split never
-    has higher weighted Gini impurity than its parent."""
+    """Greedy CART fit on weighted Gini impurity.
+
+    Candidate features are all columns, or features_per_split of them
+    drawn without replacement at every split. A node scores its sorted
+    candidates _BLOCK columns at a time: one stable sort of the block,
+    class-weight prefix sums, and the weighted child impurity of every
+    cut point between distinct values at once. It keeps the split with
+    the lowest impurity, then the lowest threshold, then the lowest
+    feature index, and never one with more impurity than the node; with
+    no such split the node is a leaf. Nodes are numbered depth-first,
+    left child first, in lists frozen into a DecisionTree at the end.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
@@ -167,47 +174,38 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
     onehot = np.zeros((X.shape[0], n_classes))
     onehot[np.arange(X.shape[0]), y] = 1.0
     class_weights = onehot * sample_weight[:, None]
-
-    tree = DecisionTree(max_depth=max_depth, n_classes=n_classes)
+    nodes = []      # [feature, threshold, left, right, counts] per node
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        node = tree._add_node()
-        cw = class_weights[idx].sum(axis=0)
+        node = len(nodes)
+        weights = class_weights[idx]
+        cw = weights.sum(axis=0)
+        nodes.append([-1, np.nan, -1, -1, cw])
         total = float(cw.sum())
         parent_gini = _gini(cw, total)
         if depth >= max_depth or idx.size < 2 or parent_gini == 0.0:
-            tree.counts[node] = cw.tolist()
             return node
         if features_per_split is None:
             candidates = np.arange(d)
         else:
             candidates = np.sort(rng.choice(d, size=features_per_split,
                                             replace=False))
-        best = None
-        for f in candidates:
-            found = _best_split_for_feature(X[idx, f], class_weights[idx],
-                                            total)
-            if found is None:
-                continue
-            impurity, thr = found
-            if impurity > parent_gini:
-                continue
-            if best is None or impurity < best[0] \
-                    or (impurity == best[0] and thr < best[2]):
-                best = (impurity, int(f), thr)
-        if best is None:
-            tree.counts[node] = cw.tolist()
+        split = _best_split(X, idx, candidates, weights, total, parent_gini)
+        if split is None:
             return node
-        _, f, thr = best
+        f, thr = split
         go_left = X[idx, f] <= thr
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        tree.left[node] = grow(idx[go_left], depth + 1)
-        tree.right[node] = grow(idx[~go_left], depth + 1)
+        nodes[node] = [f, thr, grow(idx[go_left], depth + 1),
+                       grow(idx[~go_left], depth + 1), np.zeros(n_classes)]
         return node
 
     grow(np.arange(X.shape[0]), 0)
-    return tree
+    feature, threshold, left, right, counts = zip(*nodes)
+    return DecisionTree(np.array(feature, dtype=np.int64),
+                        np.array(threshold, dtype=np.float64),
+                        np.array(left, dtype=np.int64),
+                        np.array(right, dtype=np.int64),
+                        np.array(counts, dtype=np.float64))
 
 
 def _tree_arrays(trees) -> dict:
@@ -215,10 +213,10 @@ def _tree_arrays(trees) -> dict:
             for key, arr in tree.to_arrays().items()}
 
 
-def _trees_from_arrays(arrays, count: int, max_depth: int) -> list:
+def _trees_from_arrays(arrays, count: int) -> list:
     keys = ("feature", "threshold", "left", "right", "counts")
-    return [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys},
-                                     max_depth) for i in range(count)]
+    return [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys})
+            for i in range(count)]
 
 
 @dataclass
@@ -248,8 +246,8 @@ class Forest:
     @classmethod
     def from_checkpoint(cls, meta, arrays) -> "Forest":
         config = ForestConfig(**meta["config"])
-        return cls(config, int(meta["n_classes"]), _trees_from_arrays(
-            arrays, config.n_estimators, config.max_depth))
+        return cls(config, int(meta["n_classes"]),
+                   _trees_from_arrays(arrays, config.n_estimators))
 
 
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
@@ -312,7 +310,7 @@ class RusBoostModel:
     def from_checkpoint(cls, meta, arrays) -> "RusBoostModel":
         config = RusBoostConfig(**meta["config"])
         alphas = arrays["alphas"]
-        trees = _trees_from_arrays(arrays, len(alphas), config.max_depth)
+        trees = _trees_from_arrays(arrays, len(alphas))
         return cls(config, int(meta["n_classes"]), trees,
                    [float(a) for a in alphas])
 

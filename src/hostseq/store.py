@@ -140,17 +140,25 @@ def load_checkpoint(path):
         header = json.loads(blob[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
+    if not isinstance(header, dict) or not isinstance(
+            header.get("arrays"), list) or "kind" not in header \
+            or not isinstance(header.get("meta"), dict):
+        raise CheckpointError(f"{path}: header lacks kind, meta or arrays")
     offset = start + header_len
     arrays = {}
     for entry in header["arrays"]:
-        dtype = _DTYPES.get(entry["dtype"])
+        try:
+            name, dtype = entry["name"], _DTYPES.get(entry["dtype"])
+            shape = tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed array entry {entry!r}") from exc
         if dtype is None:
             raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated array block")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             blob, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
             offset=offset).reshape(shape).copy()
         offset += nbytes

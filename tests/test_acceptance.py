@@ -208,6 +208,7 @@ def _assert_learned(report):
         assert entry["aucpr"] > entry["prevalence"], name
 
 
+@pytest.mark.slow
 @pytest.mark.acceptance(6, "600-record corpus: trigram transformer and "
                            "forest on ER profiles reach mean score >= 0.90")
 def test_c6_end_to_end_learnability():

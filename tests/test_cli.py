@@ -393,6 +393,40 @@ def test_nested_cv_unknown_grid_key_exit_1_before_fitting(tmp_path, capsys,
     assert not (out / "metrics.json").exists()
 
 
+def test_nested_cv_scalar_hidden_is_one_layer(tmp_path):
+    out = tmp_path / "run"
+    dataset = synth_corpus(out, records=20, seed=17)
+    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
+                "--synth-pssms", "--seed", "3", "--out", str(out)]) == 0
+    assert run(["nested-cv", "--model", "mlp", "--grid", '{"hidden": [8]}',
+                "--epochs", "2", "--features", str(out / "features.csv"),
+                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+                "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert '"hidden": 8' in json.dumps(metrics)
+    mlp = cli.make_model_factory("mlp", 2, {}, in_dim=3)
+    assert mlp({"hidden": 8}, 0).spec.hidden == (8,)
+    assert mlp({"hidden": [8, 4]}, 0).spec.hidden == (8, 4)
+
+
+@pytest.mark.parametrize("grid, key", [
+    ('{"hidden": [[8, "wide"]]}', "'hidden'"),
+    ('{"max_iter": ["many"]}', "'max_iter'"),
+    ('{"learning_rate_init": [[0.1]]}', "'learning_rate_init'"),
+])
+def test_nested_cv_uncoercible_grid_value_exit_1(tmp_path, capsys, grid, key):
+    out = tmp_path / "run"
+    dataset = synth_corpus(out, records=20, seed=17)
+    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
+                "--synth-pssms", "--seed", "3", "--out", str(out)]) == 0
+    assert run(["nested-cv", "--model", "mlp", "--grid", grid,
+                "--features", str(out / "features.csv"),
+                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
 def test_grid_aliases_and_flag_precedence():
     boost = cli.make_model_factory("rusboost", 2, {"base_depth": 4,
                                                    "max_depth": 7}, in_dim=3)

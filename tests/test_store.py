@@ -1,6 +1,7 @@
 """Artifact persistence: CSV tables, binary checkpoints, model files."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -183,6 +184,42 @@ def test_load_model_missing_tree_block_is_checkpoint_error(tmp_path):
     store.save_model(path, forest, ("a", "b"))
     _rewrite_without(path, "t2.counts")
     with pytest.raises(store.CheckpointError, match="t2.counts"):
+        store.load_model(path)
+
+
+def _rewrite_header(path, edit):
+    """Apply edit(header dict) to a checkpoint's JSON header in place."""
+    blob = path.read_bytes()
+    start = len(store.MAGIC) + 12
+    version, size = struct.unpack_from("<IQ", blob, len(store.MAGIC))
+    header = json.loads(blob[start:start + size])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(store.MAGIC + struct.pack("<IQ", version, len(text))
+                     + text + blob[start + size:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("arrays"),
+    lambda h: h.pop("kind"),
+    lambda h: h.pop("meta"),
+    lambda h: h["arrays"][1].pop("shape"),
+    lambda h: h["arrays"][0].pop("name"),
+    lambda h: h["arrays"][2].pop("dtype"),
+    lambda h: h["arrays"][2].update(dtype=["<f8"]),
+    lambda h: h["arrays"][3].update(shape=["three"]),
+], ids=["no-arrays", "no-kind", "no-meta", "entry-no-shape", "entry-no-name",
+        "entry-no-dtype", "entry-list-dtype", "entry-text-shape"])
+def test_load_model_malformed_header_is_checkpoint_error(tmp_path, edit):
+    rng = np.random.default_rng(6)
+    X = rng.random((30, 3))
+    y = rng.integers(0, 2, size=30)
+    path = tmp_path / "model.bin"
+    store.save_model(path, fit_forest(X, y, ForestConfig(n_estimators=2,
+                                                         max_depth=2)),
+                     ("a", "b"))
+    _rewrite_header(path, edit)
+    with pytest.raises(store.CheckpointError):
         store.load_model(path)
 
 
