@@ -12,8 +12,6 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
-import io
-import csv
 import itertools
 import json
 import os
@@ -23,10 +21,11 @@ import numpy as np
 
 from . import __version__, evaluation, ngram, pssm, store, synth
 from .ensemble import Forest, ForestConfig, RusBoostConfig, RusBoostModel
-from .models import (ModelSpec, NeuralClassifier, TrainConfig,
+from .models import (OPTIMIZERS, ModelSpec, NeuralClassifier, TrainConfig,
                      TrainingDivergedError)
-from .seqio import DataError, load_dataset, prepare_corpus, save_dataset, write_fasta
-from .util import atomic_write_text, derive_seed
+from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
+                    read_text, save_dataset, write_fasta)
+from .util import atomic_write_text
 
 DATASET_FILE = "dataset.json"
 FEATURES_FILE = "features.csv"
@@ -34,15 +33,16 @@ TOKENS_FILE = "tokens.csv"
 VOCAB_FILE = "vocab.json"
 MODEL_FILE = "model.bin"
 METRICS_FILE = "metrics.json"
+METRICS_CSV_FILE = "metrics.csv"
 PR_CURVES_FILE = "pr_curves.csv"
 MANIFEST_FILE = "manifest.json"
 PLAN_FILE = "cv_plan.json"
 FILTER_REPORT_FILE = "filter_report.json"
 FASTA_FILE = "corpus.fasta"
 PREDICTIONS_FILE = "predictions.csv"
+DISAGREEMENT_FILE = "disagreement.json"
+TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
 LOG_FILE = "run.log"
-
-WORKERS_ENV = "HOSTSEQ_WORKERS"
 
 NEURAL_KINDS = ("mlp", "cnn", "transformer")
 TREE_KINDS = ("rf", "rusboost")
@@ -68,6 +68,101 @@ DEFAULT_GRIDS = {
                     "epochs": [300]},
 }
 
+# Config fields that grid points and model flags may set.
+_SETTABLE = {
+    ForestConfig: ("n_estimators", "max_depth"),
+    RusBoostConfig: ("n_estimators", "learning_rate", "max_depth"),
+    ModelSpec: ("hidden", "embed_dim", "filters", "kernel_size", "num_heads"),
+    TrainConfig: ("learning_rate", "batch_size", "epochs", "optimizer",
+                  "alpha"),
+}
+# Other names a field answers to, tried before its own: the paper's
+# scikit-learn and Keras grid names, and the boosted trees' base depth.
+_ALIASES = {
+    (RusBoostConfig, "max_depth"): ("base_depth",),
+    (ModelSpec, "filters"): ("num_filters",),
+    (TrainConfig, "learning_rate"): ("learning_rate_init",),
+    (TrainConfig, "epochs"): ("max_iter",),
+}
+
+
+def _field_types() -> dict:
+    """Model flag name (a field name) -> type of its config default: every
+    settable field, plus base_depth for the boosted trees' max_depth."""
+    types = {}
+    for cls, names in _SETTABLE.items():
+        defaults = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        for name in names:
+            types.setdefault(name, defaults[name])
+    types["base_depth"] = types["max_depth"]
+    return types
+
+
+_MODEL_FIELDS = _field_types()
+
+# add_argument keywords of each flag, defined once. A model field's flag
+# takes its type from the config dataclass (see build_parser), so only
+# its choices or help are listed here.
+_FLAGS = {
+    "config": {"help": "JSON config file; flags override it"},
+    "out": {"help": "output directory"},
+    "fasta": {"help": "input FASTA path"},
+    "level": {"choices": ["coarse", "fine"]},
+    "host-key": {"help": "metadata key holding the host"},
+    "drop-incomplete": {"action": "store_true", "default": None},
+    "records": {"type": int},
+    "classes": {"type": int},
+    "seed": {"type": int},
+    "min-len": {"type": int},
+    "max-len": {"type": int},
+    "with-pssms": {"action": "store_true", "default": None,
+                   "help": "also write synthetic profiles under pssms/"},
+    "dataset": {"help": "dataset.json path"},
+    "scheme": {"choices": sorted(pssm.SCHEME_DIMS)},
+    "pssm-dir": {"help": "directory of <record id>.pssm files"},
+    "synth-pssms": {"action": "store_true", "default": None,
+                    "help": "derive profiles synthetically from --seed"},
+    "ngrams": {"type": int, "help": "token window size"},
+    "features": {"help": "features.csv path"},
+    "tokens": {"help": "tokens.csv path"},
+    "vocab": {"help": "vocab.json path"},
+    "model-file": {"help": "model.bin path"},
+    "optimizer": {"choices": OPTIMIZERS},
+    "hidden": {"help": "comma-separated dense layer sizes"},
+    "base-depth": {"help": "depth of boosted base trees"},
+    "k-outer": {"type": int},
+    "k-inner": {"type": int},
+    "grid": {"help": "JSON grid: file path or inline text"},
+    "workers": {"type": int},
+    "predictions": {"nargs": "+",
+                    "help": "prediction CSVs; first defines the metrics"},
+    "top-tokens": {"type": int},
+}
+_DATASET_FLAGS = ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams")
+_DATA_FLAGS = ("features", "tokens", "vocab")
+_MODEL_FLAGS = ("model", "seed") + tuple(
+    name.replace("_", "-") for name in _MODEL_FIELDS)
+# subcommand -> (help, its flags besides --config and --out)
+_SUBCOMMANDS = {
+    "prepare": ("parse, filter, dedup a FASTA corpus",
+                ("fasta", "level", "host-key", "drop-incomplete")),
+    "synth": ("generate a synthetic motif corpus",
+              ("records", "classes", "seed", "min-len", "max-len",
+               "with-pssms")),
+    "encode": ("featurize a dataset", _DATASET_FLAGS + ("seed",)),
+    "train": ("fit one model on a full feature file",
+              _MODEL_FLAGS + _DATA_FLAGS),
+    "evaluate": ("score a saved model on a data file",
+                 ("model-file",) + _DATA_FLAGS),
+    "predict": ("write per-record predictions",
+                ("model-file",) + _DATA_FLAGS),
+    "nested-cv": ("nested cross-validation run",
+                  _MODEL_FLAGS + _DATASET_FLAGS + _DATA_FLAGS
+                  + ("k-outer", "k-inner", "grid", "workers")),
+    "report": ("derive tables from prediction files",
+               ("predictions", "dataset", "ngrams", "top-tokens")),
+}
+
 
 class UsageError(Exception):
     pass
@@ -78,104 +173,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="hostseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("prepare", help="parse, filter, dedup a FASTA corpus")
-    _add_common(p)
-    p.add_argument("--fasta", help="input FASTA path")
-    p.add_argument("--level", choices=["coarse", "fine"])
-    p.add_argument("--host-key", help="metadata key holding the host")
-    p.add_argument("--drop-incomplete", action="store_true", default=None)
-
-    p = sub.add_parser("synth", help="generate a synthetic motif corpus")
-    _add_common(p)
-    p.add_argument("--records", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--with-pssms", action="store_true", default=None,
-                   help="also write synthetic profiles under pssms/")
-
-    p = sub.add_parser("encode", help="featurize a dataset")
-    _add_common(p)
-    p.add_argument("--dataset", help="dataset.json path")
-    p.add_argument("--scheme", choices=sorted(pssm.SCHEME_DIMS))
-    p.add_argument("--pssm-dir", help="directory of <record id>.pssm files")
-    p.add_argument("--synth-pssms", action="store_true", default=None,
-                   help="derive profiles synthetically from --seed")
-    p.add_argument("--ngrams", type=int, help="token window size")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="fit one model on a full feature file")
-    _add_common(p)
-    _add_model_flags(p)
-    _add_data_flags(p)
-
-    p = sub.add_parser("evaluate", help="score a saved model on a data file")
-    _add_common(p)
-    p.add_argument("--model-file", help="model.bin path")
-    _add_data_flags(p)
-
-    p = sub.add_parser("predict", help="write per-record predictions")
-    _add_common(p)
-    p.add_argument("--model-file", help="model.bin path")
-    _add_data_flags(p)
-
-    p = sub.add_parser("nested-cv", help="nested cross-validation run")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--dataset", help="dataset.json path")
-    p.add_argument("--scheme", choices=sorted(pssm.SCHEME_DIMS))
-    p.add_argument("--pssm-dir")
-    p.add_argument("--synth-pssms", action="store_true", default=None)
-    p.add_argument("--ngrams", type=int)
-    _add_data_flags(p)
-    p.add_argument("--k-outer", type=int)
-    p.add_argument("--k-inner", type=int)
-    p.add_argument("--grid", help="JSON grid: file path or inline text")
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("report", help="derive tables from prediction files")
-    _add_common(p)
-    p.add_argument("--predictions", nargs="+",
-                   help="prediction CSVs; first defines the metrics")
-    p.add_argument("--dataset", help="dataset.json for token tables")
-    p.add_argument("--ngrams", type=int)
-    p.add_argument("--top-tokens", type=int)
+    flags = {"model": {"choices": list(MODELS)}}
+    for name, kind in _MODEL_FIELDS.items():
+        # a tuple field is given as text and read by _model_defaults
+        flags[name.replace("_", "-")] = {} if kind is tuple else {
+            "type": kind}
+    for name, options in _FLAGS.items():
+        flags[name] = {**flags.get(name, {}), **options}
+    for command, (text, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in ("config", "out") + names:
+            p.add_argument("--" + name, **flags[name])
     return parser
-
-
-def _add_data_flags(p):
-    p.add_argument("--features", help="features.csv path")
-    p.add_argument("--tokens", help="tokens.csv path")
-    p.add_argument("--vocab", help="vocab.json path")
-
-
-def _add_model_flags(p):
-    p.add_argument("--model", choices=list(MODELS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--hidden", help="comma-separated dense layer sizes")
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--num-heads", type=int)
-    p.add_argument("--filters", type=int)
-    p.add_argument("--kernel-size", type=int)
-    p.add_argument("--n-estimators", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--base-depth", type=int,
-                   help="depth of boosted base trees")
 
 
 def _load_config(path):
@@ -202,21 +214,14 @@ def _require(value, name):
     return value
 
 
-def _out_dir(args, config) -> str:
-    out = _require(_cfg(args, config, "out"), "out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _workers(args, config) -> int:
-    requested = _cfg(args, config, "workers", 1)
-    cap = os.environ.get(WORKERS_ENV)
-    if cap is not None:
-        requested = min(int(requested), max(int(cap), 1))
-    return max(int(requested), 1)
+    """--workers, capped at the cores this process may run on."""
+    requested = int(_cfg(args, config, "workers", 1))
+    return max(min(requested, len(os.sched_getaffinity(0))), 1)
 
 
-def _write_manifest(out, command, effective, artifacts) -> None:
+def _finish(out, command, effective, artifacts) -> None:
+    """Writes the manifest and appends a run.log line."""
     canonical = json.dumps(effective, sort_keys=True)
     doc = {
         "command": command,
@@ -228,11 +233,7 @@ def _write_manifest(out, command, effective, artifacts) -> None:
                      "numpy": np.__version__},
         "artifacts": sorted(artifacts),
     }
-    atomic_write_text(os.path.join(out, MANIFEST_FILE),
-                      json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _log(out, command) -> None:
+    _write_json(os.path.join(out, MANIFEST_FILE), doc)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(os.path.join(out, LOG_FILE), "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {command}\n")
@@ -242,30 +243,35 @@ def _write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_prepare(args, config) -> int:
-    out = _out_dir(args, config)
+def _write_scores(out, doc, y, proba, class_names) -> list:
+    """metrics.json holding doc, and the per-class PR curves of proba."""
+    _write_json(os.path.join(out, METRICS_FILE), doc)
+    curves = evaluation.per_class_pr_curves(y, proba, class_names)
+    atomic_write_text(os.path.join(out, PR_CURVES_FILE),
+                      evaluation.render_pr_curves_csv(curves))
+    return [METRICS_FILE, PR_CURVES_FILE]
+
+
+# Each command returns (effective config, artifacts written, message);
+# main writes the manifest and prints the message.
+
+def cmd_prepare(args, config, out):
     fasta = _require(_cfg(args, config, "fasta"), "fasta")
     level = _require(_cfg(args, config, "level"), "level")
     host_key = _cfg(args, config, "host-key", "host")
     drop_incomplete = bool(_cfg(args, config, "drop-incomplete", False))
-    with open(fasta, encoding="utf-8") as fh:
-        text = fh.read()
-    ds, report = prepare_corpus(text, level, host_key=host_key,
+    ds, report = prepare_corpus(read_text(fasta), level, host_key=host_key,
                                 drop_incomplete=drop_incomplete)
     save_dataset(ds, os.path.join(out, DATASET_FILE))
     _write_json(os.path.join(out, FILTER_REPORT_FILE), report.to_dict())
     effective = {"fasta": fasta, "level": level, "host-key": host_key,
                  "drop-incomplete": drop_incomplete}
-    _write_manifest(out, "prepare", effective,
-                    [DATASET_FILE, FILTER_REPORT_FILE])
-    _log(out, "prepare")
-    print(f"kept {report.kept} of {report.parsed} records "
-          f"({len(ds.class_names)} classes)")
-    return 0
+    return (effective, [DATASET_FILE, FILTER_REPORT_FILE],
+            f"kept {report.kept} of {report.parsed} records "
+            f"({len(ds.class_names)} classes)")
 
 
-def cmd_synth(args, config) -> int:
-    out = _out_dir(args, config)
+def cmd_synth(args, config, out):
     records = _require(_cfg(args, config, "records"), "records")
     classes = _cfg(args, config, "classes", 3)
     seed = _require(_cfg(args, config, "seed"), "seed")
@@ -289,10 +295,29 @@ def cmd_synth(args, config) -> int:
     effective = {"records": records, "classes": classes, "seed": seed,
                  "min-len": min_len, "max-len": max_len,
                  "with-pssms": with_pssms}
-    _write_manifest(out, "synth", effective, artifacts)
-    _log(out, "synth")
-    print(f"wrote {len(ds)} records over {classes} classes")
-    return 0
+    return (effective, artifacts,
+            f"wrote {len(ds)} records over {classes} classes")
+
+
+@dataclasses.dataclass
+class _Table:
+    """Model input: one row of features, or of token ids from vocab, per
+    record. Classes are ordered by seqio.class_order."""
+    matrix: np.ndarray
+    ids: list
+    labels: list
+    vocab: ngram.Vocabulary | None = None
+
+    def __post_init__(self):
+        self.class_names = class_order(self.labels)
+        self.y = evaluation.label_indices(self.labels, self.class_names)
+
+    def model_factory(self, model, defaults):
+        width = self.matrix.shape[1]
+        shape = ({"in_dim": width} if self.vocab is None
+                 else {"vocab_size": self.vocab.size, "max_len": width})
+        return make_model_factory(model, len(self.class_names), defaults,
+                                  **shape)
 
 
 def _dataset_pssms(ds, pssm_dir, synth_pssms, seed):
@@ -304,106 +329,96 @@ def _dataset_pssms(ds, pssm_dir, synth_pssms, seed):
         return synth.generate_pssms(ds, seed)
     if not pssm_dir:
         raise UsageError("scheme encoding needs --pssm-dir or --synth-pssms")
-    out = {}
-    for r in ds.records:
-        path = os.path.join(pssm_dir, f"{r.id}.pssm")
-        with open(path, encoding="utf-8") as fh:
-            out[r.id] = pssm.parse_psiblast_pssm(fh.read())
-    return out
+    return {r.id: pssm.parse_psiblast_pssm(
+                read_text(os.path.join(pssm_dir, f"{r.id}.pssm")))
+            for r in ds.records}
 
 
-def _encode_scheme(ds, scheme, profiles):
-    rows = np.empty((len(ds.records), pssm.SCHEME_DIMS[scheme]))
-    for i, r in enumerate(ds.records):
-        rows[i] = pssm.encode_record_features(r.residues, profiles[r.id],
-                                              scheme).values
-    return rows
-
-
-def _encode_ngrams(ds, n):
-    token_lists = [ngram.tokenize(r.residues, n) for r in ds.records]
-    vocab = ngram.build_vocab(token_lists, n)
-    max_len = max(len(tokens) for tokens in token_lists)
-    matrix, true_lens = ngram.encode_corpus(token_lists, vocab, max_len)
-    return vocab, max_len, matrix, true_lens
-
-
-def cmd_encode(args, config) -> int:
-    out = _out_dir(args, config)
+def _encode(args, config, seed) -> _Table:
+    """--dataset featurized by --scheme, or tokenized by --ngrams."""
     ds = load_dataset(_require(_cfg(args, config, "dataset"), "dataset"))
     scheme = _cfg(args, config, "scheme")
     n = _cfg(args, config, "ngrams")
-    seed = _cfg(args, config, "seed")
     if (scheme is None) == (n is None):
         raise UsageError("pass exactly one of --scheme or --ngrams")
     ids = [r.id for r in ds.records]
-    labels = ds.labels
     if scheme:
         profiles = _dataset_pssms(ds, _cfg(args, config, "pssm-dir"),
                                   bool(_cfg(args, config, "synth-pssms")),
                                   seed)
-        matrix = _encode_scheme(ds, scheme, profiles)
+        rows = np.empty((len(ds.records), pssm.SCHEME_DIMS[scheme]))
+        for i, r in enumerate(ds.records):
+            rows[i] = pssm.encode_record_features(r.residues, profiles[r.id],
+                                                  scheme).values
+        return _Table(rows, ids, ds.labels)
+    token_lists = [ngram.tokenize(r.residues, n) for r in ds.records]
+    vocab = ngram.build_vocab(token_lists, n)
+    max_len = max(len(tokens) for tokens in token_lists)
+    matrix, _ = ngram.encode_corpus(token_lists, vocab, max_len)
+    return _Table(matrix, ids, ds.labels, vocab)
+
+
+def _load_table(args, config) -> _Table:
+    """The --features file, or the --tokens file with its --vocab."""
+    features = _cfg(args, config, "features")
+    tokens = _cfg(args, config, "tokens")
+    if (features is None) == (tokens is None):
+        raise UsageError("pass exactly one of --features or --tokens")
+    if features:
+        ids, labels, _, matrix = store.read_features_csv(features)
+        return _Table(matrix, ids, labels)
+    vocab_path = _require(_cfg(args, config, "vocab"), "vocab")
+    vocab, max_len = ngram.load_vocab(vocab_path)
+    ids, labels, matrix, _ = store.read_tokens_csv(tokens)
+    if matrix.shape[1] != max_len:
+        raise DataError(f"{tokens}: width {matrix.shape[1]} does not match "
+                        f"vocab max_len {max_len}")
+    if matrix.size and not 0 <= matrix.min() <= matrix.max() < vocab.size:
+        raise DataError(f"{tokens}: token ids outside [0, {vocab.size}), "
+                        f"the ids of {vocab_path}")
+    return _Table(matrix, ids, labels, vocab)
+
+
+def cmd_encode(args, config, out):
+    seed = _cfg(args, config, "seed")
+    table = _encode(args, config, seed)
+    scheme = _cfg(args, config, "scheme")
+    n = _cfg(args, config, "ngrams")
+    records = len(table.ids)
+    if table.vocab is None:
         store.write_features_csv(os.path.join(out, FEATURES_FILE),
-                                 ids, labels, scheme, matrix)
+                                 table.ids, table.labels, scheme, table.matrix)
         artifacts = [FEATURES_FILE]
-        print(f"encoded {len(ids)} records as {scheme} "
-              f"({matrix.shape[1]} features)")
+        message = (f"encoded {records} records as {scheme} "
+                   f"({table.matrix.shape[1]} features)")
     else:
-        vocab, max_len, matrix, true_lens = _encode_ngrams(ds, n)
-        ngram.save_vocab(vocab, max_len, os.path.join(out, VOCAB_FILE))
-        store.write_tokens_csv(os.path.join(out, TOKENS_FILE),
-                               ids, labels, matrix, true_lens)
+        max_len = table.matrix.shape[1]
+        ngram.save_vocab(table.vocab, max_len, os.path.join(out, VOCAB_FILE))
+        # every token id is at least 1, so non-pad ids count the tokens
+        true_lens = np.count_nonzero(table.matrix != ngram.PAD_ID, axis=1)
+        store.write_tokens_csv(os.path.join(out, TOKENS_FILE), table.ids,
+                               table.labels, table.matrix, true_lens)
         artifacts = [VOCAB_FILE, TOKENS_FILE]
-        print(f"encoded {len(ids)} records as {n}-grams "
-              f"(vocab {vocab.size}, max_len {max_len})")
+        message = (f"encoded {records} records as {n}-grams "
+                   f"(vocab {table.vocab.size}, max_len {max_len})")
     effective = {"dataset": _cfg(args, config, "dataset"), "scheme": scheme,
                  "ngrams": n, "seed": seed,
                  "pssm-dir": _cfg(args, config, "pssm-dir"),
                  "synth-pssms": bool(_cfg(args, config, "synth-pssms"))}
-    _write_manifest(out, "encode", effective, artifacts)
-    _log(out, "encode")
-    return 0
+    return effective, artifacts, message
 
 
 def _model_defaults(args, config) -> dict:
-    hidden = _cfg(args, config, "hidden")
+    """The model flags given, by field name."""
+    given = {name: value for name in _MODEL_FIELDS
+             if (value := _cfg(args, config, name.replace("_", "-")))
+             is not None}
+    hidden = given.get("hidden")
     if isinstance(hidden, str):
-        hidden = tuple(int(v) for v in hidden.split(",") if v)
-    elif hidden is not None:
-        hidden = tuple(int(v) for v in hidden)
-    return {
-        "epochs": _cfg(args, config, "epochs"),
-        "batch_size": _cfg(args, config, "batch-size"),
-        "learning_rate": _cfg(args, config, "learning-rate"),
-        "alpha": _cfg(args, config, "alpha"),
-        "optimizer": _cfg(args, config, "optimizer"),
-        "hidden": hidden,
-        "embed_dim": _cfg(args, config, "embed-dim"),
-        "num_heads": _cfg(args, config, "num-heads"),
-        "filters": _cfg(args, config, "filters"),
-        "kernel_size": _cfg(args, config, "kernel-size"),
-        "n_estimators": _cfg(args, config, "n-estimators"),
-        "max_depth": _cfg(args, config, "max-depth"),
-        "base_depth": _cfg(args, config, "base-depth"),
-    }
-
-
-# Config fields that grid points and model flags may set.
-_SETTABLE = {
-    ForestConfig: ("n_estimators", "max_depth"),
-    RusBoostConfig: ("n_estimators", "learning_rate", "max_depth"),
-    ModelSpec: ("hidden", "embed_dim", "filters", "kernel_size", "num_heads"),
-    TrainConfig: ("learning_rate", "batch_size", "epochs", "optimizer",
-                  "alpha"),
-}
-# Other names a field answers to, tried before its own: the paper's
-# scikit-learn and Keras grid names, and the boosted trees' base depth.
-_ALIASES = {
-    (RusBoostConfig, "max_depth"): ("base_depth",),
-    (ModelSpec, "filters"): ("num_filters",),
-    (TrainConfig, "learning_rate"): ("learning_rate_init",),
-    (TrainConfig, "epochs"): ("max_iter",),
-}
+        hidden = [v for v in hidden.split(",") if v]
+    if hidden is not None:
+        given["hidden"] = _coerce(tuple, "hidden", hidden)
+    return given
 
 
 def _neural(kind):
@@ -480,118 +495,51 @@ def make_model_factory(model: str, n_classes: int, defaults: dict,
     return factory
 
 
-def _load_data(args, config):
-    """Load a features or tokens file; returns
-    (kind, inputs, ids, labels, class_names, vocab_info)."""
-    features = _cfg(args, config, "features")
-    tokens = _cfg(args, config, "tokens")
-    if (features is None) == (tokens is None):
-        raise UsageError("pass exactly one of --features or --tokens")
-    if features:
-        ids, labels, scheme, matrix = store.read_features_csv(features)
-        class_names = tuple(sorted(set(labels)))
-        return "features", matrix, ids, labels, class_names, None
-    vocab_path = _require(_cfg(args, config, "vocab"), "vocab")
-    vocab, max_len = ngram.load_vocab(vocab_path)
-    ids, labels, matrix, true_lens = store.read_tokens_csv(tokens)
-    if matrix.shape[1] != max_len:
-        raise DataError(f"{tokens}: width {matrix.shape[1]} does not match "
-                        f"vocab max_len {max_len}")
-    class_names = tuple(sorted(set(labels)))
-    return "tokens", matrix, ids, labels, class_names, (vocab, max_len)
-
-
-def cmd_train(args, config) -> int:
-    out = _out_dir(args, config)
+def cmd_train(args, config, out):
     model_kind = _require(_cfg(args, config, "model"), "model")
     seed = _require(_cfg(args, config, "seed"), "seed")
-    kind, inputs, ids, labels, class_names, vocab_info = _load_data(args, config)
-    y = evaluation.label_indices(labels, class_names)
+    table = _load_table(args, config)
     defaults = _model_defaults(args, config)
-    factory = make_model_factory(
-        model_kind, len(class_names), defaults,
-        in_dim=inputs.shape[1] if kind == "features" else 0,
-        vocab_size=vocab_info[0].size if vocab_info else 0,
-        max_len=vocab_info[1] if vocab_info else 0)
-    estimator = factory({}, seed).fit(inputs, y)
-    store.save_model(os.path.join(out, MODEL_FILE), estimator, class_names)
-    effective = {"model": model_kind, "seed": seed,
-                 **{k: v for k, v in defaults.items() if v is not None}}
-    _write_manifest(out, "train", effective, [MODEL_FILE])
-    _log(out, "train")
-    print(f"trained {model_kind} on {len(ids)} records")
-    return 0
+    estimator = table.model_factory(model_kind, defaults)({}, seed)
+    estimator.fit(table.matrix, table.y)
+    store.save_model(os.path.join(out, MODEL_FILE), estimator,
+                     table.class_names)
+    effective = {"model": model_kind, "seed": seed, **defaults}
+    return (effective, [MODEL_FILE],
+            f"trained {model_kind} on {len(table.ids)} records")
 
 
-def _predict_with_model(args, config):
+def _predict(args, config):
+    """Scores the data file with --model-file; returns (table, the
+    model's class names, probabilities, effective config)."""
     model_path = _require(_cfg(args, config, "model-file"), "model-file")
     model, class_names = store.load_model(model_path)
-    kind, inputs, ids, labels, _, vocab_info = _load_data(args, config)
-    proba = model.predict_proba(inputs)
+    table = _load_table(args, config)
+    proba = model.predict_proba(table.matrix)
     if proba.shape[1] != len(class_names):
         raise DataError("model class count does not match data")
-    return model, tuple(class_names), inputs, ids, labels, proba
+    effective = {key: _cfg(args, config, key)
+                 for key in ("model-file", "features", "tokens")}
+    return table, class_names, proba, effective
 
 
-def cmd_evaluate(args, config) -> int:
-    out = _out_dir(args, config)
-    _, class_names, _, ids, labels, proba = _predict_with_model(args, config)
-    y = evaluation.label_indices(labels, class_names)
+def cmd_evaluate(args, config, out):
+    table, class_names, proba, effective = _predict(args, config)
+    y = evaluation.label_indices(table.labels, class_names)
     report = evaluation.compute_report(y, proba, class_names)
-    _write_json(os.path.join(out, METRICS_FILE),
-                evaluation.report_to_dict(report))
-    curves = evaluation.per_class_pr_curves(y, proba, class_names)
-    atomic_write_text(os.path.join(out, PR_CURVES_FILE),
-                      evaluation.render_pr_curves_csv(curves))
-    effective = {"model-file": _cfg(args, config, "model-file"),
-                 "features": _cfg(args, config, "features"),
-                 "tokens": _cfg(args, config, "tokens")}
-    _write_manifest(out, "evaluate", effective,
-                    [METRICS_FILE, PR_CURVES_FILE])
-    _log(out, "evaluate")
-    print(f"mean score {report.overall['mean_score']:.4f} "
-          f"over {len(ids)} records")
-    return 0
+    artifacts = _write_scores(out, evaluation.report_to_dict(report), y,
+                              proba, class_names)
+    return (effective, artifacts,
+            f"mean score {report.overall['mean_score']:.4f} "
+            f"over {len(table.ids)} records")
 
 
-def _write_predictions(path, ids, labels, proba, class_names) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "true", "predicted"]
-                    + [f"p_{name}" for name in class_names])
-    pred = proba.argmax(axis=1)
-    for i, rid in enumerate(ids):
-        writer.writerow([rid, labels[i], class_names[pred[i]]]
-                        + [repr(float(v)) for v in proba[i]])
-    atomic_write_text(path, buf.getvalue())
-
-
-def _read_predictions(path):
-    """Returns (ids, true, predicted, class_names, proba)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[0][:3] != ["id", "true", "predicted"]:
-        raise DataError(f"{path}: not a predictions file")
-    class_names = tuple(h[2:] for h in rows[0][3:])
-    ids = [r[0] for r in rows[1:]]
-    true = [r[1] for r in rows[1:]]
-    predicted = [r[2] for r in rows[1:]]
-    proba = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
-    return ids, true, predicted, class_names, proba
-
-
-def cmd_predict(args, config) -> int:
-    out = _out_dir(args, config)
-    _, class_names, _, ids, labels, proba = _predict_with_model(args, config)
-    _write_predictions(os.path.join(out, PREDICTIONS_FILE),
-                       ids, labels, proba, class_names)
-    effective = {"model-file": _cfg(args, config, "model-file"),
-                 "features": _cfg(args, config, "features"),
-                 "tokens": _cfg(args, config, "tokens")}
-    _write_manifest(out, "predict", effective, [PREDICTIONS_FILE])
-    _log(out, "predict")
-    print(f"wrote predictions for {len(ids)} records")
-    return 0
+def cmd_predict(args, config, out):
+    table, class_names, proba, effective = _predict(args, config)
+    store.write_predictions_csv(os.path.join(out, PREDICTIONS_FILE),
+                                table.ids, table.labels, proba, class_names)
+    return (effective, [PREDICTIONS_FILE],
+            f"wrote predictions for {len(table.ids)} records")
 
 
 def _parse_grid(text, model_kind) -> list:
@@ -613,100 +561,39 @@ def _parse_grid(text, model_kind) -> list:
     raise UsageError("grid must be a JSON object of lists or list of objects")
 
 
-def cmd_nested_cv(args, config) -> int:
-    out = _out_dir(args, config)
+def cmd_nested_cv(args, config, out):
     model_kind = _require(_cfg(args, config, "model"), "model")
     seed = _require(_cfg(args, config, "seed"), "seed")
     k_outer = int(_cfg(args, config, "k-outer", 5))
     k_inner = int(_cfg(args, config, "k-inner", 4))
     workers = _workers(args, config)
-
-    dataset_path = _cfg(args, config, "dataset")
-    scheme = _cfg(args, config, "scheme")
-    n = _cfg(args, config, "ngrams")
-    vocab_info = None
-    artifacts = []
-    if dataset_path:
-        ds = load_dataset(dataset_path)
-        ids = [r.id for r in ds.records]
-        labels = ds.labels
-        class_names = ds.class_names
-        if (scheme is None) == (n is None):
-            raise UsageError("pass exactly one of --scheme or --ngrams "
-                             "with --dataset")
-        if scheme:
-            profiles = _dataset_pssms(ds, _cfg(args, config, "pssm-dir"),
-                                      bool(_cfg(args, config, "synth-pssms")),
-                                      seed)
-            inputs = _encode_scheme(ds, scheme, profiles)
-            data_kind = "features"
-        else:
-            vocab, max_len, inputs, _ = _encode_ngrams(ds, n)
-            vocab_info = (vocab, max_len)
-            data_kind = "tokens"
-    else:
-        data_kind, inputs, ids, labels, class_names, vocab_info = \
-            _load_data(args, config)
-
-    y = evaluation.label_indices(labels, class_names)
+    dataset = _cfg(args, config, "dataset")
+    table = (_encode(args, config, seed) if dataset
+             else _load_table(args, config))
     defaults = _model_defaults(args, config)
-    factory = make_model_factory(
-        model_kind, len(class_names), defaults,
-        in_dim=inputs.shape[1] if data_kind == "features" else 0,
-        vocab_size=vocab_info[0].size if vocab_info else 0,
-        max_len=vocab_info[1] if vocab_info else 0)
+    factory = table.model_factory(model_kind, defaults)
     grid = _parse_grid(_cfg(args, config, "grid"), model_kind)
     for params in grid:  # a bad grid point fails before any fit runs
         factory(params, seed)
 
-    plan = evaluation.make_cv_plan(y, k_outer, k_inner, seed)
+    plan = evaluation.make_cv_plan(table.y, k_outer, k_inner, seed)
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
-    artifacts.append(PLAN_FILE)
-
-    result = evaluation.nested_cv(inputs, y, factory, grid, plan,
-                                  class_names, workers=workers)
-    _write_json(os.path.join(out, METRICS_FILE),
-                evaluation.nested_cv_to_dict(result))
-    curves = evaluation.per_class_pr_curves(result.y_true,
-                                            result.pooled_proba, class_names)
-    atomic_write_text(os.path.join(out, PR_CURVES_FILE),
-                      evaluation.render_pr_curves_csv(curves))
-    artifacts += [METRICS_FILE, PR_CURVES_FILE]
-
+    result = evaluation.nested_cv(table.matrix, table.y, factory, grid, plan,
+                                  table.class_names, workers=workers)
+    artifacts = [PLAN_FILE] + _write_scores(
+        out, evaluation.nested_cv_to_dict(result), result.y_true,
+        result.pooled_proba, table.class_names)
     effective = {"model": model_kind, "seed": seed, "k-outer": k_outer,
-                 "k-inner": k_inner, "dataset": dataset_path,
-                 "scheme": scheme, "ngrams": n,
-                 "grid": grid,
-                 **{k: v for k, v in defaults.items() if v is not None}}
-    _write_manifest(out, "nested-cv", effective, artifacts)
-    _log(out, "nested-cv")
+                 "k-inner": k_inner, "dataset": dataset,
+                 "scheme": _cfg(args, config, "scheme"),
+                 "ngrams": _cfg(args, config, "ngrams"), "grid": grid,
+                 **defaults}
     pooled = result.pooled_report.overall
-    print(f"pooled mean score {pooled['mean_score']:.4f} "
-          f"(micro F1 {pooled['micro_f1']:.4f}, "
-          f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
-          f"MCC {pooled['overall_mcc']:.4f})")
-    return 0
-
-
-def _metrics_csv(report_dict) -> str:
-    lines = ["scope,class,metric,value"]
-    for name in report_dict["class_names"]:
-        for metric, value in sorted(report_dict["per_class"][name].items()):
-            lines.append(f"per_class,{name},{metric},{value!r}")
-    for metric, value in sorted(report_dict["overall"].items()):
-        lines.append(f"overall,,{metric},{value!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _token_frequency_csv(ds, n, top) -> str:
-    freqs = ngram.token_frequencies(ds, n)
-    lines = ["class,token,count"]
-    for name in ds.class_names:
-        counter = freqs.get(name, {})
-        ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        for token, count in ranked[:top]:
-            lines.append(f"{name},{token},{count}")
-    return "\n".join(lines) + "\n"
+    return (effective, artifacts,
+            f"pooled mean score {pooled['mean_score']:.4f} "
+            f"(micro F1 {pooled['micro_f1']:.4f}, "
+            f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
+            f"MCC {pooled['overall_mcc']:.4f})")
 
 
 def _prediction_names(paths) -> list:
@@ -742,8 +629,7 @@ def _prediction_names(paths) -> list:
     return [name(i) for i in range(len(paths))]
 
 
-def cmd_report(args, config) -> int:
-    out = _out_dir(args, config)
+def cmd_report(args, config, out):
     pred_paths = _cfg(args, config, "predictions") or []
     dataset_path = _cfg(args, config, "dataset")
     n = _cfg(args, config, "ngrams")
@@ -751,48 +637,42 @@ def cmd_report(args, config) -> int:
     if not pred_paths and not dataset_path:
         raise UsageError("report needs --predictions and/or --dataset")
     artifacts = []
-    effective = {"predictions": list(pred_paths), "dataset": dataset_path,
-                 "ngrams": n, "top-tokens": top}
 
     if pred_paths:
-        ids0, true0, _, class_names, proba0 = _read_predictions(pred_paths[0])
+        tables = [store.read_predictions_csv(path) for path in pred_paths]
+        ids0, true0, _, class_names, proba0 = tables[0]
         y = evaluation.label_indices(true0, class_names)
-        report = evaluation.compute_report(y, proba0, class_names)
-        doc = evaluation.report_to_dict(report)
-        _write_json(os.path.join(out, METRICS_FILE), doc)
-        atomic_write_text(os.path.join(out, "metrics.csv"),
-                          _metrics_csv(doc))
-        curves = evaluation.per_class_pr_curves(y, proba0, class_names)
-        atomic_write_text(os.path.join(out, PR_CURVES_FILE),
-                          evaluation.render_pr_curves_csv(curves))
-        artifacts += [METRICS_FILE, "metrics.csv", PR_CURVES_FILE]
+        doc = evaluation.report_to_dict(
+            evaluation.compute_report(y, proba0, class_names))
+        store.write_metrics_csv(os.path.join(out, METRICS_CSV_FILE), doc)
+        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, y, proba0,
+                                                        class_names)
         if len(pred_paths) > 1:
-            names = _prediction_names(list(pred_paths))
             predictions = {}
-            for path, model_name in zip(pred_paths, names):
-                ids_i, true_i, predicted, _, _ = _read_predictions(path)
-                if ids_i != ids0 or true_i != true0:
+            for path, name, (ids, true, predicted, _, _) in zip(
+                    pred_paths, _prediction_names(list(pred_paths)), tables):
+                if ids != ids0 or true != true0:
                     raise DataError(f"{path}: records do not match "
                                     f"{pred_paths[0]}")
-                predictions[model_name] = np.asarray(predicted)
+                predictions[name] = np.asarray(predicted)
             dis = evaluation.ensemble_disagreement(
                 predictions, np.asarray(true0))
-            _write_json(os.path.join(out, "disagreement.json"),
+            _write_json(os.path.join(out, DISAGREEMENT_FILE),
                         evaluation.disagreement_to_dict(dis))
-            artifacts.append("disagreement.json")
+            artifacts.append(DISAGREEMENT_FILE)
 
     if dataset_path:
         if n is None:
             raise UsageError("token tables need --ngrams")
         ds = load_dataset(dataset_path)
-        atomic_write_text(os.path.join(out, "token_frequencies.csv"),
-                          _token_frequency_csv(ds, n, top))
-        artifacts.append("token_frequencies.csv")
+        store.write_token_frequencies_csv(
+            os.path.join(out, TOKEN_FREQUENCIES_FILE),
+            ngram.token_frequencies(ds, n), ds.class_names, top)
+        artifacts.append(TOKEN_FREQUENCIES_FILE)
 
-    _write_manifest(out, "report", effective, artifacts)
-    _log(out, "report")
-    print(f"wrote {len(artifacts)} report artifacts")
-    return 0
+    effective = {"predictions": list(pred_paths), "dataset": dataset_path,
+                 "ngrams": n, "top-tokens": top}
+    return effective, artifacts, f"wrote {len(artifacts)} report artifacts"
 
 
 _COMMANDS = {
@@ -814,17 +694,20 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage())
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        out = _require(_cfg(args, config, "out"), "out")
+        os.makedirs(out, exist_ok=True)
+        effective, artifacts, message = _COMMANDS[args.command](
+            args, config, out)
+        _finish(out, args.command, effective, artifacts)
+        print(message)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, json.JSONDecodeError) as exc:

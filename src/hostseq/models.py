@@ -18,6 +18,9 @@ from .autograd import Tensor
 from .util import derive_seed
 
 
+OPTIMIZERS = ("adam", "sgd")
+
+
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss stops being finite."""
 
@@ -32,7 +35,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")

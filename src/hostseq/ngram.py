@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seqio import DataError, LabeledDataset
+from .seqio import DataError, LabeledDataset, SequenceTooShortError, read_json
 from .util import atomic_write_text
 
 PAD_ID = 0
@@ -19,10 +19,6 @@ OOV_TOKEN = "<oov>"
 
 # Bound on n keeps worst-case vocabulary size manageable (20^n tokens).
 MAX_N = 8
-
-
-class SequenceTooShortError(DataError):
-    pass
 
 
 class SequenceTooLongError(DataError):
@@ -94,56 +90,23 @@ def build_vocab(corpus, n: int | None = None) -> Vocabulary:
     return Vocabulary(n=n, token_to_id=token_to_id)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length id sequence, padded on the left."""
-    ids: np.ndarray
-    true_len: int
-
-    def __post_init__(self):
-        pad = len(self.ids) - self.true_len
-        if pad < 0:
-            raise ValueError("true_len exceeds the padded length")
-        if np.any(self.ids[:pad] != PAD_ID):
-            raise ValueError("leading entries must be padding")
-
-
-def encode_pad(tokens, vocab: Vocabulary, max_len: int) -> TokenSequence:
-    """Map tokens to ids and left-pad to max_len.
-
-    Unknown tokens become OOV. Sequences longer than max_len are
-    rejected rather than truncated.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if len(tokens) > max_len:
-        raise SequenceTooLongError(
-            f"{len(tokens)} tokens exceed max_len {max_len}")
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        ids[max_len - len(tokens) + i] = vocab.id_of(tok)
-    return TokenSequence(ids=ids, true_len=len(tokens))
-
-
-def decode(ts: TokenSequence, vocab: Vocabulary) -> list:
-    """Inverse of encode_pad: strip padding, map ids back to tokens."""
-    out = []
-    for i in ts.ids[len(ts.ids) - ts.true_len:]:
-        out.append(vocab.id_to_token[int(i)])
-    return out
-
-
 def encode_corpus(token_lists, vocab: Vocabulary, max_len: int):
-    """Encode many sequences into one (n, max_len) id matrix.
+    """Encode token lists into one (n, max_len) id matrix.
+
+    Each row is left-padded with PAD_ID and unknown tokens become
+    OOV_ID. A sequence longer than max_len is rejected rather than
+    truncated.
 
     Returns (ids, true_lens).
     """
     ids = np.full((len(token_lists), max_len), PAD_ID, dtype=np.int64)
     true_lens = np.empty(len(token_lists), dtype=np.int64)
     for r, tokens in enumerate(token_lists):
-        ts = encode_pad(tokens, vocab, max_len)
-        ids[r] = ts.ids
-        true_lens[r] = ts.true_len
+        if len(tokens) > max_len:
+            raise SequenceTooLongError(
+                f"{len(tokens)} tokens exceed max_len {max_len}")
+        ids[r, max_len - len(tokens):] = [vocab.id_of(t) for t in tokens]
+        true_lens[r] = len(tokens)
     return ids, true_lens
 
 
@@ -151,8 +114,8 @@ def token_frequencies(ds: LabeledDataset, n: int) -> dict:
     """Per-class n-gram counts (the tabular stand-in for per-class token
     clouds)."""
     out = {name: Counter() for name in ds.class_names}
-    for rec in ds.records:
-        out[ds.label_of(rec)].update(tokenize(rec.residues, n))
+    for rec, label in zip(ds.records, ds.labels):
+        out[label].update(tokenize(rec.residues, n))
     return out
 
 
@@ -164,8 +127,10 @@ def save_vocab(vocab: Vocabulary, max_len: int, path) -> None:
 
 
 def load_vocab(path):
-    """Returns (Vocabulary, max_len)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    token_to_id = {tok: i + 2 for i, tok in enumerate(doc["tokens"])}
-    return Vocabulary(n=doc["n"], token_to_id=token_to_id), doc["max_len"]
+    """Returns (Vocabulary, max_len); a malformed file is a DataError."""
+    doc = read_json(path)
+    try:
+        token_to_id = {tok: i + 2 for i, tok in enumerate(doc["tokens"])}
+        return Vocabulary(n=doc["n"], token_to_id=token_to_id), doc["max_len"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed vocabulary: {exc!r}") from exc

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, VALID_RESIDUES
+from .seqio import DataError, SequenceTooShortError, VALID_RESIDUES
 from .util import derive_seed
 
 # Standard PSI-BLAST log-odds column order.
@@ -28,10 +28,6 @@ for _gi, _members in enumerate(RESIDUE_GROUPS):
 
 
 class PssmFormatError(DataError):
-    pass
-
-
-class SequenceTooShortError(DataError):
     pass
 
 

@@ -3,6 +3,7 @@ deduplication, host labeling at two taxonomic levels."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,6 +23,10 @@ class DataError(ValueError):
 
 class MalformedFastaError(DataError):
     pass
+
+
+class SequenceTooShortError(DataError):
+    """A sequence is shorter than an encoder's window or gap needs."""
 
 
 class UnknownHostError(DataError):
@@ -71,22 +76,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         names = set(self.class_names)
-        for r in self.records:
-            if self.label_of(r) not in names:
+        for r, label in zip(self.records, self.labels):
+            if label not in names:
                 raise DataError(f"record {r.id} has label outside class_names")
-
-    def label_of(self, record: ProteinRecord) -> str:
-        if self.level == "coarse":
-            if record.coarse_label is None:
-                raise DataError(f"record {record.id} has no coarse label")
-            return record.coarse_label.value
-        if record.fine_label is None:
-            raise DataError(f"record {record.id} has no fine label")
-        return record.fine_label
 
     @property
     def labels(self) -> list:
-        return [self.label_of(r) for r in self.records]
+        return [_label_at(r, self.level) for r in self.records]
 
     def __len__(self):
         return len(self.records)
@@ -242,7 +238,13 @@ def _label_at(r: ProteinRecord, level: str) -> str:
         if r.fine_label is None:
             raise DataError(f"record {r.id} has no fine label")
         return r.fine_label
-    raise ValueError(f"level must be 'coarse' or 'fine', got {level!r}")
+    raise DataError(f"level must be 'coarse' or 'fine', got {level!r}")
+
+
+def class_order(labels) -> tuple:
+    """The class names of a label sequence: its distinct labels, sorted.
+    Every dataset and model input orders its classes this way."""
+    return tuple(sorted(set(labels)))
 
 
 def dedup_and_resolve(records, level: str):
@@ -276,56 +278,10 @@ def dedup_and_resolve(records, level: str):
         report.dropped_duplicate += len(group) - 1
     report.kept = len(kept)
 
-    class_names = []
-    for r in kept:
-        lbl = _label_at(r, level)
-        if lbl not in class_names:
-            class_names.append(lbl)
     ds = LabeledDataset(records=tuple(kept), level=level,
-                        class_names=tuple(class_names))
+                        class_names=class_order(_label_at(r, level)
+                                                for r in kept))
     return ds, report
-
-
-def relabel(ds: LabeledDataset, level: str) -> LabeledDataset:
-    """Switch the active taxonomic level.
-
-    Coarse folds every avian sub-host into one class; fine keeps them
-    distinct (human and swine stay singleton classes either way).
-    """
-    if level not in ("coarse", "fine"):
-        raise ValueError(f"level must be 'coarse' or 'fine', got {level!r}")
-    new_records = []
-    for r in ds.records:
-        coarse = r.coarse_label
-        if coarse is None:
-            if r.fine_label is None:
-                raise DataError(f"record {r.id} has no labels to relabel from")
-            coarse = coarse_host(r.fine_label)
-        if level == "fine" and r.fine_label is None:
-            raise DataError(f"record {r.id} has no fine label")
-        new_records.append(ProteinRecord(id=r.id, residues=r.residues,
-                                         coarse_label=coarse,
-                                         fine_label=r.fine_label,
-                                         metadata=r.metadata))
-    class_names = []
-    for r in new_records:
-        lbl = _label_at(r, level)
-        if lbl not in class_names:
-            class_names.append(lbl)
-    return LabeledDataset(records=tuple(new_records), level=level,
-                          class_names=tuple(class_names))
-
-
-def class_distribution(ds: LabeledDataset) -> dict:
-    """Per-label counts and fractions, in class_names order."""
-    counts = {name: 0 for name in ds.class_names}
-    for r in ds.records:
-        counts[ds.label_of(r)] += 1
-    total = len(ds.records)
-    return {
-        name: {"count": c, "fraction": (c / total) if total else 0.0}
-        for name, c in counts.items()
-    }
 
 
 def prepare_corpus(text: str, level: str, host_key: str = "host",
@@ -394,11 +350,38 @@ def dataset_from_dict(d: dict) -> LabeledDataset:
                           class_names=tuple(d["class_names"]))
 
 
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """Opens a UTF-8 text file; bytes read from it that do not decode
+    raise a DataError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_text(path) -> str:
+    with open_text(path) as fh:
+        return fh.read()
+
+
+def read_json(path):
+    """The JSON document in a file; malformed JSON is a DataError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not JSON ({exc})") from exc
+
+
 def save_dataset(ds: LabeledDataset, path) -> None:
     atomic_write_text(path, json.dumps(dataset_to_dict(ds), indent=1,
                                        sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> LabeledDataset:
-    with open(path, encoding="utf-8") as f:
-        return dataset_from_dict(json.load(f))
+    doc = read_json(path)
+    try:
+        return dataset_from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed dataset: {exc!r}") from exc

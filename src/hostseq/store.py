@@ -1,5 +1,5 @@
-"""On-disk artifact formats: the feature table CSV, the token table
-CSV, and the binary model checkpoint.
+"""On-disk artifact formats: the feature, token, prediction, metrics
+and token-frequency CSV tables, and the binary model checkpoint.
 
 The checkpoint is a magic-tagged container: a JSON header describing
 the model and its arrays, followed by the raw little-endian array
@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensemble import Forest, RusBoostModel
 from .models import NeuralClassifier
-from .seqio import DataError
+from .seqio import DataError, open_text
 from .util import atomic_write_bytes, atomic_write_text
 
 
@@ -37,72 +37,116 @@ def write_features_csv(path, ids, labels, scheme: str, matrix) -> None:
     if matrix.ndim != 2 or len(ids) != matrix.shape[0] \
             or len(labels) != matrix.shape[0]:
         raise ValueError("ids, labels and matrix rows must align")
+    _write_table(path, ["id", "label", "scheme"]
+                 + [f"v{i}" for i in range(matrix.shape[1])],
+                 ([rid, label, scheme] + [repr(float(v)) for v in row]
+                  for rid, label, row in zip(ids, labels, matrix)))
+
+
+def _write_table(path, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "label", "scheme"]
-                    + [f"v{i}" for i in range(matrix.shape[1])])
-    for rid, label, row in zip(ids, labels, matrix):
-        writer.writerow([rid, label, scheme] + [repr(float(v)) for v in row])
+    writer.writerow(header)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def _read_table(path, columns, what):
+    """Data rows of a CSV whose header starts with columns; returns
+    (header, rows). Every row must be as wide as the header."""
+    with open_text(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise DataError(f"{path}: no {what} rows")
+    header = rows[0]
+    if header[:len(columns)] != columns:
+        raise DataError(f"{path}: unexpected header {header[:len(columns)]}")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line} has {len(row)} fields, "
+                            f"the header {len(header)}")
+    return header, rows[1:]
+
+
+def _numbers(path, row, kind, fields) -> list:
+    try:
+        return [kind(v) for v in fields]
+    except ValueError as exc:
+        raise DataError(f"{path}: record {row[0]!r}: {exc}") from exc
 
 
 def read_features_csv(path):
     """Returns (ids, labels, scheme, matrix)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise DataError(f"{path}: no feature rows")
-    header = rows[0]
-    if header[:3] != ["id", "label", "scheme"]:
-        raise DataError(f"{path}: unexpected header {header[:3]}")
-    width = len(header) - 3
-    ids, labels, values = [], [], []
-    scheme = None
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(f"{path}: row width mismatch for {row[0]!r}")
-        ids.append(row[0])
-        labels.append(row[1])
-        if scheme is None:
-            scheme = row[2]
-        elif row[2] != scheme:
+    header, rows = _read_table(path, ["id", "label", "scheme"], "feature")
+    scheme = rows[0][2]
+    for row in rows:
+        if row[2] != scheme:
             raise DataError(f"{path}: mixed schemes {scheme!r} and {row[2]!r}")
-        values.append([float(v) for v in row[3:]])
-    return ids, labels, scheme, np.asarray(values, dtype=np.float64).reshape(
-        len(ids), width)
+    values = [_numbers(path, row, float, row[3:]) for row in rows]
+    return ([row[0] for row in rows], [row[1] for row in rows], scheme,
+            np.asarray(values, dtype=np.float64).reshape(
+                len(rows), len(header) - 3))
 
 
 def write_tokens_csv(path, ids, labels, matrix, true_lens) -> None:
     """Rows of id,label,true_len,t0..t{max_len-1} (left-padded ids)."""
     matrix = np.asarray(matrix)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "label", "true_len"]
-                    + [f"t{i}" for i in range(matrix.shape[1])])
-    for rid, label, n, row in zip(ids, labels, true_lens, matrix):
-        writer.writerow([rid, label, int(n)] + [int(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    _write_table(path, ["id", "label", "true_len"]
+                 + [f"t{i}" for i in range(matrix.shape[1])],
+                 ([rid, label, int(n)] + [int(v) for v in row]
+                  for rid, label, n, row in zip(ids, labels, true_lens,
+                                                matrix)))
 
 
 def read_tokens_csv(path):
     """Returns (ids, labels, matrix, true_lens)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise DataError(f"{path}: no token rows")
-    header = rows[0]
-    if header[:3] != ["id", "label", "true_len"]:
-        raise DataError(f"{path}: unexpected header {header[:3]}")
-    ids, labels, lens, values = [], [], [], []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise DataError(f"{path}: row width mismatch for {row[0]!r}")
-        ids.append(row[0])
-        labels.append(row[1])
-        lens.append(int(row[2]))
-        values.append([int(v) for v in row[3:]])
-    return (ids, labels, np.asarray(values, dtype=np.int64),
+    _, rows = _read_table(path, ["id", "label", "true_len"], "token")
+    lens = [_numbers(path, row, int, row[2:3])[0] for row in rows]
+    values = [_numbers(path, row, int, row[3:]) for row in rows]
+    return ([row[0] for row in rows], [row[1] for row in rows],
+            np.asarray(values, dtype=np.int64),
             np.asarray(lens, dtype=np.int64))
+
+
+def write_predictions_csv(path, ids, labels, proba, class_names) -> None:
+    """Rows of id,true,predicted,p_<class>...; floats use repr round-trip."""
+    pred = proba.argmax(axis=1)
+    _write_table(path, ["id", "true", "predicted"]
+                 + [f"p_{name}" for name in class_names],
+                 ([rid, labels[i], class_names[pred[i]]]
+                  + [repr(float(v)) for v in proba[i]]
+                  for i, rid in enumerate(ids)))
+
+
+def read_predictions_csv(path):
+    """Returns (ids, true, predicted, class_names, proba)."""
+    header, rows = _read_table(path, ["id", "true", "predicted"],
+                               "prediction")
+    proba = np.array([_numbers(path, row, float, row[3:]) for row in rows])
+    return ([row[0] for row in rows], [row[1] for row in rows],
+            [row[2] for row in rows], tuple(h[2:] for h in header[3:]), proba)
+
+
+def write_metrics_csv(path, report_dict) -> None:
+    """Rows of scope,class,metric,value from a metrics report dict."""
+    rows = [["per_class", name, metric, repr(value)]
+            for name in report_dict["class_names"]
+            for metric, value in sorted(
+                report_dict["per_class"][name].items())]
+    rows += [["overall", "", metric, repr(value)]
+             for metric, value in sorted(report_dict["overall"].items())]
+    _write_table(path, ["scope", "class", "metric", "value"], rows)
+
+
+def write_token_frequencies_csv(path, frequencies, class_names, top) -> None:
+    """Rows of class,token,count: each class's top tokens by count, ties
+    by token."""
+    rows = []
+    for name in class_names:
+        counter = frequencies.get(name, {})
+        ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+        rows += [[name, token, count] for token, count in ranked[:top]]
+    _write_table(path, ["class", "token", "count"], rows)
 
 
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict) -> None:

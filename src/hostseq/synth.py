@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pssm
-from .seqio import AMINO_ACIDS, VALID_RESIDUES, LabeledDataset, ProteinRecord
+from .seqio import (AMINO_ACIDS, VALID_RESIDUES, LabeledDataset, ProteinRecord,
+                    class_order)
 from .util import derive_seed
 
 
@@ -142,7 +143,7 @@ def generate(spec: SynthSpec) -> LabeledDataset:
                 metadata={"host": class_def.name}))
             index += 1
     return LabeledDataset(records=tuple(records), level="fine",
-                          class_names=tuple(c.name for c in spec.classes))
+                          class_names=class_order(c.name for c in spec.classes))
 
 
 def generate_pssms(ds: LabeledDataset, seed: int) -> dict:

@@ -7,11 +7,22 @@ import os
 import numpy as np
 import pytest
 
-from hostseq import cli, ensemble, seqio, store
+from hostseq import cli, ensemble, evaluation, ngram, pssm, seqio, store, synth
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def seeded_features(tmp_path):
+    """features.csv of 36 seeded rows over three classes."""
+    rng = np.random.default_rng(2022)
+    X = rng.random((36, 6))
+    labels = [("avian", "human", "swine")[i] for i in X[:, :3].argmax(axis=1)]
+    features = tmp_path / "features.csv"
+    store.write_features_csv(features, [f"r{i}" for i in range(36)], labels,
+                             "eg", X)
+    return features
 
 
 def synth_corpus(out, records=30, classes=2, seed=7, with_pssms=False):
@@ -222,17 +233,23 @@ def test_nested_cv_grid_from_file(tmp_path):
                                                     "max_depth": 2}
 
 
-def test_workers_env_cap(tmp_path, monkeypatch):
-    out = tmp_path / "run"
-    dataset = synth_corpus(out, records=20, seed=19)
-    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
-                "--synth-pssms", "--seed", "3", "--out", str(out)]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+def test_workers_capped_at_usable_cores(tmp_path, monkeypatch):
+    features = seeded_features(tmp_path)
+    seen = []
+    real = evaluation.nested_cv
+
+    def spy(*args, workers, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(evaluation, "nested_cv", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     grid = json.dumps({"n_estimators": [2], "max_depth": [2]})
     assert run(["nested-cv", "--model", "rf", "--grid", grid,
-                "--features", str(out / "features.csv"),
+                "--features", str(features),
                 "--k-outer", "2", "--k-inner", "2", "--seed", "1",
-                "--workers", "8", "--out", str(out)]) == 0
+                "--workers", "8", "--out", str(tmp_path / "o")]) == 0
+    assert seen == [1]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -463,12 +480,7 @@ def test_default_grids_build_through_registry():
 def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
     # Pins model.bin for fixed-seed forest and RUSBoost fits; tree fits
     # use no BLAS, so the bytes depend only on the code.
-    rng = np.random.default_rng(2022)
-    X = rng.random((36, 6))
-    labels = [("avian", "human", "swine")[i] for i in X[:, :3].argmax(axis=1)]
-    features = tmp_path / "features.csv"
-    store.write_features_csv(features, [f"r{i}" for i in range(36)], labels,
-                             "eg", X)
+    features = seeded_features(tmp_path)
     golden = {
         "rf": ("9bf8a3983c5b7dfebeec792b50c5e86431bb0f76a8a9adf427546a5be3e7f35d",
                ("--n-estimators", "5", "--max-depth", "3")),
@@ -481,3 +493,157 @@ def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
                     "--seed", "1", "--out", str(out), *extra]) == 0
         blob = (out / "model.bin").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == digest, model
+
+
+def test_cli_artifacts_match_golden_bytes(tmp_path):
+    # Pins the result artifacts of nested-cv, predict, evaluate, report
+    # and n-gram encode on fixed seeds; none of these runs BLAS, so the
+    # bytes depend only on the code.
+    features = str(seeded_features(tmp_path))
+    out = {name: str(tmp_path / name)
+           for name in ("cv", "rf", "rb", "p_rf", "p_rb", "ev", "rep",
+                        "syn", "tok")}
+    commands = [
+        ["nested-cv", "--model", "rf", "--features", features, "--grid",
+         '{"n_estimators": [3], "max_depth": [2, 3]}', "--k-outer", "3",
+         "--k-inner", "2", "--seed", "1", "--out", out["cv"]],
+        ["train", "--model", "rf", "--features", features, "--seed", "1",
+         "--n-estimators", "5", "--max-depth", "3", "--out", out["rf"]],
+        ["train", "--model", "rusboost", "--features", features,
+         "--seed", "1", "--n-estimators", "5", "--base-depth", "2",
+         "--out", out["rb"]],
+        ["predict", "--model-file", os.path.join(out["rf"], "model.bin"),
+         "--features", features, "--out", out["p_rf"]],
+        ["predict", "--model-file", os.path.join(out["rb"], "model.bin"),
+         "--features", features, "--out", out["p_rb"]],
+        ["evaluate", "--model-file", os.path.join(out["rf"], "model.bin"),
+         "--features", features, "--out", out["ev"]],
+        ["report", "--predictions",
+         os.path.join(out["p_rf"], "predictions.csv"),
+         os.path.join(out["p_rb"], "predictions.csv"), "--out", out["rep"]],
+        ["synth", "--records", "12", "--classes", "3", "--seed", "9",
+         "--min-len", "20", "--max-len", "30", "--out", out["syn"]],
+        ["encode", "--dataset", os.path.join(out["syn"], "dataset.json"),
+         "--ngrams", "3", "--out", out["tok"]],
+    ]
+    for argv in commands:
+        assert run(argv) == 0, argv
+    golden = {
+        "cv/cv_plan.json":
+            "788c8e8efa1a9285393f71b552b95270b9e7db98a6b0ab737c54d775fe37549d",
+        "cv/metrics.json":
+            "cd08bac36c8acb5ebc75ef03865cd2ccf74af7d1012b30816bc57d1da29c1b54",
+        "cv/pr_curves.csv":
+            "589aa4b58d3041f6c31da1e1f89004f55d12eae95eef3e9a19bb8f241cf15cd9",
+        "p_rf/predictions.csv":
+            "077d42330d635a230d1f2ecccd31dc077aab384f9af88ee0d2d929f1e4242f8a",
+        "p_rb/predictions.csv":
+            "a2077c832a191db93e9f4cbc138a26c885c4125f850923a5e290b0cca020f271",
+        "ev/metrics.json":
+            "86aceb9d82532394c4d983b8edf88d986532ad6fce09697603e38c68205d75a2",
+        "ev/pr_curves.csv":
+            "bd9d7ce45f75e6e58f1b1c3da8b9bb63efc123d41ab226c51ebad203cee6de69",
+        "rep/metrics.csv":
+            "41472f630fd3d534ed6176bcc57e0bdeec603a6ca2b37b79ead3e8de9cb8d439",
+        "rep/metrics.json":
+            "86aceb9d82532394c4d983b8edf88d986532ad6fce09697603e38c68205d75a2",
+        "rep/disagreement.json":
+            "9add8b9c0d826a97e5a772354a3a54b437d9844b2fd85ba00eaea82e0e65ea9c",
+        "tok/tokens.csv":
+            "594018e81cfeb4593852f20e9ebb8d34c6b194ccab5a52b9c5231072a2af5557",
+        "tok/vocab.json":
+            "dc122bd85a9b5566befc06ea22e5eeaa58a92180bbc8b7a41e43584098888b72",
+    }
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in golden}
+    assert got == golden
+
+
+def malformed_input(tmp_path, case):
+    """argv of a command that reads one malformed input file."""
+    features = tmp_path / "features.csv"
+    features.write_text("id,label,scheme,v0,v1\nr0,a,eg,0.5,0.1\n"
+                        "r1,b,eg,0.25,high\n")
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("id,true,predicted,p_a,p_b\nr0,a,a,0.9,0.1\n"
+                           "r1,b,b,0.2,most\n")
+    vocab = tmp_path / "vocab.json"
+    ngram.save_vocab(ngram.build_vocab([["AA", "AB"]]), 2, vocab)
+    tokens = tmp_path / "tokens.csv"
+    store.write_tokens_csv(tokens, ["r0", "r1"], ["a", "b"],
+                           np.array([[0, 2], [3, 9]]), [1, 2])
+    no_tokens = tmp_path / "no_tokens.json"
+    no_tokens.write_text('{"n": 2, "max_len": 2}')
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{records: [")
+    no_records = tmp_path / "no_records.json"
+    no_records.write_text('{"level": "coarse", "class_names": []}')
+    latin1 = tmp_path / "latin1.fasta"
+    latin1.write_bytes(b">a|host=human|note=caf\xe9\nMKTIIALSYIF\n")
+    out = ["--out", str(tmp_path / "o")]
+    train = ["train", "--model", "mlp", "--seed", "1", "--epochs", "1"] + out
+    return {
+        "features-cell": train + ["--features", str(features)],
+        "predictions-cell": ["report", "--predictions", str(predictions)]
+        + out,
+        "dataset-not-json": ["encode", "--dataset", str(not_json),
+                             "--ngrams", "2"] + out,
+        "dataset-no-records": ["encode", "--dataset", str(no_records),
+                               "--ngrams", "2"] + out,
+        "vocab-no-tokens": train + ["--tokens", str(tokens),
+                                    "--vocab", str(no_tokens)],
+        "fasta-not-utf8": ["prepare", "--fasta", str(latin1),
+                           "--level", "coarse"] + out,
+        "fasta-directory": ["prepare", "--fasta", str(tmp_path),
+                            "--level", "coarse"] + out,
+        "token-id-outside-vocab": train + ["--tokens", str(tokens),
+                                           "--vocab", str(vocab)],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "features-cell", "predictions-cell", "dataset-not-json",
+    "dataset-no-records", "vocab-no-tokens", "fasta-not-utf8",
+    "fasta-directory", "token-id-outside-vocab"])
+def test_malformed_input_file_exit_2(tmp_path, capsys, case):
+    assert run(malformed_input(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+
+
+def test_dataset_and_encoded_features_agree(tmp_path):
+    # prepare orders classes by name, and nested-cv reads the same
+    # order from a dataset as from the features encoded from it
+    ds = synth.generate(synth.SynthSpec(
+        classes=synth.default_classes(3), records=30, min_len=40,
+        max_len=50, seed=3))
+    hosts = {"class0": "human", "class1": "chicken", "class2": "swine"}
+    pssms = tmp_path / "pssms"
+    pssms.mkdir()
+    for r in ds.records:
+        (pssms / f"{r.id}.pssm").write_text(
+            pssm.render_psiblast_pssm(pssm.synth_pssm(r.residues, 1)))
+    fasta = tmp_path / "in.fasta"  # human records come first
+    fasta.write_text(seqio.write_fasta([
+        seqio.ProteinRecord(id=r.id, residues=r.residues,
+                            metadata={"host": hosts[r.fine_label]})
+        for r in ds.records]))
+    assert run(["prepare", "--fasta", str(fasta), "--level", "coarse",
+                "--out", str(tmp_path / "prep")]) == 0
+    dataset = str(tmp_path / "prep" / "dataset.json")
+    assert seqio.load_dataset(dataset).class_names == (
+        "avian", "human", "swine")
+    eg = ["--scheme", "eg", "--pssm-dir", str(pssms)]
+    cv = ["nested-cv", "--model", "rf", "--grid",
+          '{"n_estimators": [3], "max_depth": [2]}', "--k-outer", "3",
+          "--k-inner", "2", "--seed", "1"]
+    assert run(cv + ["--dataset", dataset, *eg,
+                     "--out", str(tmp_path / "a")]) == 0
+    assert run(["encode", "--dataset", dataset, *eg,
+                "--out", str(tmp_path / "enc")]) == 0
+    assert run(cv + ["--features", str(tmp_path / "enc" / "features.csv"),
+                     "--out", str(tmp_path / "b")]) == 0
+    for name in ("cv_plan.json", "metrics.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hostseq import ngram, seqio
+from hostseq import ngram, pssm, seqio
 
 
 def test_tokenize_reference_trigrams():
@@ -25,6 +25,11 @@ def test_tokenize_n_equals_length():
 def test_tokenize_too_short():
     with pytest.raises(ngram.SequenceTooShortError):
         ngram.tokenize("MK", 3)
+
+
+def test_sequence_too_short_is_one_class():
+    assert ngram.SequenceTooShortError is pssm.SequenceTooShortError
+    assert issubclass(ngram.SequenceTooShortError, seqio.DataError)
 
 
 def test_tokenize_n_bounds():
@@ -53,18 +58,17 @@ def test_build_vocab_empty_corpus():
         ngram.build_vocab([])
 
 
-def test_encode_pad_left():
+def test_encode_corpus_pads_left_and_maps_oov():
     vocab = ngram.build_vocab([["AA", "AB", "AC"]])
-    ts = ngram.encode_pad(["AB", "ZZ"], vocab, max_len=5)
-    assert list(ts.ids) == [0, 0, 0, 3, ngram.OOV_ID]
-    assert ts.true_len == 2
-    assert ngram.decode(ts, vocab) == ["AB", ngram.OOV_TOKEN]
+    ids, lens = ngram.encode_corpus([["AB", "ZZ"]], vocab, max_len=5)
+    assert list(ids[0]) == [0, 0, 0, 3, ngram.OOV_ID]
+    assert list(lens) == [2]
 
 
-def test_encode_pad_rejects_overflow():
+def test_encode_corpus_rejects_overflow():
     vocab = ngram.build_vocab([["AA"]])
     with pytest.raises(ngram.SequenceTooLongError):
-        ngram.encode_pad(["AA"] * 4, vocab, max_len=3)
+        ngram.encode_corpus([["AA"], ["AA"] * 4], vocab, max_len=3)
 
 
 def test_encode_corpus_matrix():

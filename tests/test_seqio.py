@@ -107,20 +107,6 @@ def test_dedup_conflict_is_level_dependent():
     assert fine_report.dropped_multilabel == 2
 
 
-def test_relabel_collapses_avian():
-    recs = seqio.assign_host_labels(seqio.parse_fasta(
-        ">a|host=chicken\nMKTI\n"
-        ">b|host=duck\nMKAI\n"
-        ">c|host=human\nMKCI\n"
-    ))
-    fine_ds, _ = seqio.dedup_and_resolve(recs, "fine")
-    coarse_ds = seqio.relabel(fine_ds, "coarse")
-    assert set(coarse_ds.class_names) == {"avian", "human"}
-    assert coarse_ds.labels == ["avian", "avian", "human"]
-    back = seqio.relabel(coarse_ds, "fine")
-    assert back.labels == ["chicken", "duck", "human"]
-
-
 def test_prepare_corpus_counts():
     text = (
         ">a|host=human\nMKTI\n"
@@ -136,20 +122,7 @@ def test_prepare_corpus_counts():
     assert report.dropped_duplicate == 1
     assert report.kept == 2
     assert sorted(ds.labels) == ["avian", "human"]
-
-
-def test_class_distribution():
-    recs = seqio.assign_host_labels(seqio.parse_fasta(
-        ">a|host=human\nMKTI\n"
-        ">b|host=human\nMKAI\n"
-        ">c|host=chicken\nMKCI\n"
-        ">d|host=pig\nMKDI\n"
-    ))
-    ds, _ = seqio.dedup_and_resolve(recs, "coarse")
-    dist = seqio.class_distribution(ds)
-    assert dist["human"] == {"count": 2, "fraction": 0.5}
-    assert dist["avian"]["count"] == 1
-    assert dist["swine"]["fraction"] == 0.25
+    assert ds.class_names == ("avian", "human")  # sorted, not first seen
 
 
 def test_dataset_roundtrip(tmp_path):

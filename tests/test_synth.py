@@ -94,8 +94,8 @@ def test_motif_implanted_exactly_once():
                            max_len=30, seed=3)
     ds = synth.generate(spec)
     motif_of = {c.name: c.motif for c in classes}
-    for rec in ds.records:
-        motif = motif_of[ds.label_of(rec)]
+    for rec, label in zip(ds.records, ds.labels):
+        motif = motif_of[label]
         assert count_overlapping(rec.residues, motif) == 1
 
 
@@ -104,8 +104,9 @@ def test_motif_position_varies():
                            min_len=30, max_len=30, seed=4)
     ds = synth.generate(spec)
     motif = synth.default_classes(2)[0].motif
-    positions = {rec.residues.find(motif) for rec in ds.records
-                 if ds.label_of(rec) == ds.class_names[0]}
+    positions = {rec.residues.find(motif)
+                 for rec, label in zip(ds.records, ds.labels)
+                 if label == ds.class_names[0]}
     assert len(positions) > 3
 
 
