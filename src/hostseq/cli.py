@@ -12,17 +12,15 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
-import itertools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, evaluation, ngram, pssm, store, synth
-from .ensemble import Forest, ForestConfig, RusBoostConfig, RusBoostModel
-from .models import (OPTIMIZERS, ModelSpec, NeuralClassifier, TrainConfig,
-                     TrainingDivergedError)
+from . import __version__, estimators, evaluation, ngram, pssm, store, synth
+from .estimators import UsageError
+from .models import OPTIMIZERS, TrainingDivergedError
 from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
                     read_text, save_dataset, write_fasta)
 from .util import atomic_write_text
@@ -43,62 +41,6 @@ PREDICTIONS_FILE = "predictions.csv"
 DISAGREEMENT_FILE = "disagreement.json"
 TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
 LOG_FILE = "run.log"
-
-NEURAL_KINDS = ("mlp", "cnn", "transformer")
-TREE_KINDS = ("rf", "rusboost")
-
-DEFAULT_GRIDS = {
-    "rf": {"n_estimators": [100, 200, 500, 1000, 1500, 2000],
-           "max_depth": [5, 10, 15, 20]},
-    "rusboost": {"n_estimators": [50, 100, 200, 500, 1000, 1500, 2000],
-                 "learning_rate": [0.001, 0.01, 0.1]},
-    "mlp": {"alpha": [0.001, 0.01, 0.05],
-            "max_iter": [500],
-            "learning_rate_init": [0.001, 0.01, 0.05]},
-    "cnn": {"num_filters": [64, 128, 256],
-            "learning_rate": [0.01, 0.05, 0.001, 0.0001],
-            "batch_size": [128],
-            "epochs": [300],
-            "kernel_size": [3]},
-    # The paper searches 1-5 heads with a per-head width independent of
-    # embed_dim; here heads split embed_dim, so the count must divide it.
-    "transformer": {"embed_dim": [32, 64, 128],
-                    "num_heads": [1, 2, 4],
-                    "batch_size": [128],
-                    "epochs": [300]},
-}
-
-# Config fields that grid points and model flags may set.
-_SETTABLE = {
-    ForestConfig: ("n_estimators", "max_depth"),
-    RusBoostConfig: ("n_estimators", "learning_rate", "max_depth"),
-    ModelSpec: ("hidden", "embed_dim", "filters", "kernel_size", "num_heads"),
-    TrainConfig: ("learning_rate", "batch_size", "epochs", "optimizer",
-                  "alpha"),
-}
-# Other names a field answers to, tried before its own: the paper's
-# scikit-learn and Keras grid names, and the boosted trees' base depth.
-_ALIASES = {
-    (RusBoostConfig, "max_depth"): ("base_depth",),
-    (ModelSpec, "filters"): ("num_filters",),
-    (TrainConfig, "learning_rate"): ("learning_rate_init",),
-    (TrainConfig, "epochs"): ("max_iter",),
-}
-
-
-def _field_types() -> dict:
-    """Model flag name (a field name) -> type of its config default: every
-    settable field, plus base_depth for the boosted trees' max_depth."""
-    types = {}
-    for cls, names in _SETTABLE.items():
-        defaults = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-        for name in names:
-            types.setdefault(name, defaults[name])
-    types["base_depth"] = types["max_depth"]
-    return types
-
-
-_MODEL_FIELDS = _field_types()
 
 # add_argument keywords of each flag, defined once. A model field's flag
 # takes its type from the config dataclass (see build_parser), so only
@@ -127,7 +69,7 @@ _FLAGS = {
     "tokens": {"help": "tokens.csv path"},
     "vocab": {"help": "vocab.json path"},
     "model-file": {"help": "model.bin path"},
-    "optimizer": {"choices": OPTIMIZERS},
+    "optimizer": {"choices": tuple(OPTIMIZERS)},
     "hidden": {"help": "comma-separated dense layer sizes"},
     "base-depth": {"help": "depth of boosted base trees"},
     "k-outer": {"type": int},
@@ -141,7 +83,7 @@ _FLAGS = {
 _DATASET_FLAGS = ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams")
 _DATA_FLAGS = ("features", "tokens", "vocab")
 _MODEL_FLAGS = ("model", "seed") + tuple(
-    name.replace("_", "-") for name in _MODEL_FIELDS)
+    name.replace("_", "-") for name in estimators.FIELDS)
 # subcommand -> (help, its flags besides --config and --out)
 _SUBCOMMANDS = {
     "prepare": ("parse, filter, dedup a FASTA corpus",
@@ -164,10 +106,6 @@ _SUBCOMMANDS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -176,9 +114,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="hostseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    flags = {"model": {"choices": list(MODELS)}}
-    for name, kind in _MODEL_FIELDS.items():
-        # a tuple field is given as text and read by _model_defaults
+    flags = {"model": {"choices": list(estimators.KINDS)}}
+    for name, kind in estimators.FIELDS.items():
+        # a tuple field is given as text and read by _model_factory
         flags[name.replace("_", "-")] = {} if kind is tuple else {
             "type": kind}
     for name, options in _FLAGS.items():
@@ -312,13 +250,6 @@ class _Table:
         self.class_names = class_order(self.labels)
         self.y = evaluation.label_indices(self.labels, self.class_names)
 
-    def model_factory(self, model, defaults):
-        width = self.matrix.shape[1]
-        shape = ({"in_dim": width} if self.vocab is None
-                 else {"vocab_size": self.vocab.size, "max_len": width})
-        return make_model_factory(model, len(self.class_names), defaults,
-                                  **shape)
-
 
 def _dataset_pssms(ds, pssm_dir, synth_pssms, seed):
     if pssm_dir and synth_pssms:
@@ -408,103 +339,34 @@ def cmd_encode(args, config, out):
     return effective, artifacts, message
 
 
-def _model_defaults(args, config) -> dict:
-    """The model flags given, by field name."""
-    given = {name: value for name in _MODEL_FIELDS
+def _model_factory(args, config, model, table) -> estimators.ModelFactory:
+    """The factory of model for table's input; its defaults are the model
+    flags given, by field name."""
+    given = {name: value for name in estimators.FIELDS
              if (value := _cfg(args, config, name.replace("_", "-")))
              is not None}
     hidden = given.get("hidden")
     if isinstance(hidden, str):
         hidden = [v for v in hidden.split(",") if v]
     if hidden is not None:
-        given["hidden"] = _coerce(tuple, "hidden", hidden)
-    return given
-
-
-def _neural(kind):
-    def build(config, seed, n_classes, inputs):
-        spec = config(ModelSpec, kind=kind, n_classes=n_classes, **inputs)
-        return NeuralClassifier(spec, config(TrainConfig, seed=seed))
-    return build
-
-
-# --model -> builder of an unfitted estimator; config(cls, **fixed) makes
-# one config dataclass from the grid point and the flags.
-MODELS = {
-    **{kind: _neural(kind) for kind in NEURAL_KINDS},
-    "rf": lambda config, seed, n_classes, inputs: Forest(
-        config(ForestConfig, seed=seed), n_classes),
-    "rusboost": lambda config, seed, n_classes, inputs: RusBoostModel(
-        config(RusBoostConfig, seed=seed), n_classes),
-}
-
-
-def _coerce(kind, name, value):
-    """value as a config field of type kind; a scalar for a tuple field
-    (the MLP's hidden layer sizes) is one layer of that width."""
-    try:
-        if kind is tuple:
-            return tuple(int(v) for v in (
-                value if isinstance(value, (list, tuple)) else [value]))
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name!r} takes a {kind.__name__}, "
-                         f"not {value!r}") from exc
-
-
-def make_model_factory(model: str, n_classes: int, defaults: dict,
-                       in_dim: int = 0, vocab_size: int = 0,
-                       max_len: int = 0):
-    """Returns factory(params, seed) -> unfitted estimator.
-
-    A settable field takes the first value given under any of its names,
-    grid params before flag defaults, coerced to the type of the config
-    dataclass default (see _coerce), which applies when no name is
-    given. A grid key that no field of the model answers to, or a value
-    that cannot be coerced, is a usage error naming the key.
-    """
-    input_kind = "tokens" if vocab_size else "features"
-    if model in ("cnn", "transformer") and input_kind != "tokens":
-        raise UsageError(f"{model} requires token input (--ngrams/--tokens)")
-    if model in TREE_KINDS and input_kind != "features":
-        raise UsageError(f"{model} requires feature input (--scheme/--features)")
-    inputs = {"input_kind": input_kind, "in_dim": in_dim,
-              "vocab_size": vocab_size, "max_len": max_len}
-
-    def factory(params, seed):
-        read = set()
-
-        def config(cls, **fixed):
-            types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-            for field in _SETTABLE[cls]:
-                names = _ALIASES.get((cls, field), ()) + (field,)
-                read.update(names)
-                given = [(name, source[name]) for source in (params, defaults)
-                         for name in names if source.get(name) is not None]
-                if given:
-                    fixed[field] = _coerce(types[field], *given[0])
-            return cls(**fixed)
-
-        estimator = MODELS[model](config, seed, n_classes, inputs)
-        unknown = sorted(set(params) - read)
-        if unknown:
-            raise UsageError(
-                f"--model {model} reads no grid key {unknown[0]!r}")
-        return estimator
-
-    return factory
+        given["hidden"] = estimators.coerce(tuple, "hidden", hidden)
+    width = table.matrix.shape[1]
+    shape = ({"in_dim": width} if table.vocab is None
+             else {"vocab_size": table.vocab.size, "max_len": width})
+    return estimators.ModelFactory(model, len(table.class_names), given,
+                                   **shape)
 
 
 def cmd_train(args, config, out):
     model_kind = _require(_cfg(args, config, "model"), "model")
     seed = _require(_cfg(args, config, "seed"), "seed")
     table = _load_table(args, config)
-    defaults = _model_defaults(args, config)
-    estimator = table.model_factory(model_kind, defaults)({}, seed)
+    factory = _model_factory(args, config, model_kind, table)
+    estimator = factory({}, seed)
     estimator.fit(table.matrix, table.y)
     store.save_model(os.path.join(out, MODEL_FILE), estimator,
                      table.class_names)
-    effective = {"model": model_kind, "seed": seed, **defaults}
+    effective = {"model": model_kind, "seed": seed, **factory.defaults}
     return (effective, [MODEL_FILE],
             f"trained {model_kind} on {len(table.ids)} records")
 
@@ -543,22 +405,15 @@ def cmd_predict(args, config, out):
 
 
 def _parse_grid(text, model_kind) -> list:
+    """Points of --grid (inline JSON or a file path) or the default grid."""
     if text is None:
-        doc = DEFAULT_GRIDS[model_kind]
+        doc = estimators.DEFAULT_GRIDS[model_kind]
     elif text.lstrip().startswith(("[", "{")):
         doc = json.loads(text)
     else:
         with open(text, encoding="utf-8") as fh:
             doc = json.load(fh)
-    if isinstance(doc, dict):
-        keys = list(doc.keys())
-        values = [doc[k] if isinstance(doc[k], list) else [doc[k]]
-                  for k in keys]
-        return [dict(zip(keys, combo))
-                for combo in itertools.product(*values)]
-    if isinstance(doc, list) and all(isinstance(p, dict) for p in doc):
-        return doc
-    raise UsageError("grid must be a JSON object of lists or list of objects")
+    return estimators.grid_points(doc)
 
 
 def cmd_nested_cv(args, config, out):
@@ -570,8 +425,7 @@ def cmd_nested_cv(args, config, out):
     dataset = _cfg(args, config, "dataset")
     table = (_encode(args, config, seed) if dataset
              else _load_table(args, config))
-    defaults = _model_defaults(args, config)
-    factory = table.model_factory(model_kind, defaults)
+    factory = _model_factory(args, config, model_kind, table)
     grid = _parse_grid(_cfg(args, config, "grid"), model_kind)
     for params in grid:  # a bad grid point fails before any fit runs
         factory(params, seed)
@@ -587,7 +441,7 @@ def cmd_nested_cv(args, config, out):
                  "k-inner": k_inner, "dataset": dataset,
                  "scheme": _cfg(args, config, "scheme"),
                  "ngrams": _cfg(args, config, "ngrams"), "grid": grid,
-                 **defaults}
+                 **factory.defaults}
     pooled = result.pooled_report.overall
     return (effective, artifacts,
             f"pooled mean score {pooled['mean_score']:.4f} "

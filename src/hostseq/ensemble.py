@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .seqio import DataError
 from .util import derive_seed
 
 
@@ -208,6 +209,17 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
                         np.array(counts, dtype=np.float64))
 
 
+def _check_width(X, trees) -> np.ndarray:
+    """X as a float64 matrix with every column that trees split on. A
+    checkpoint records no feature width, so extra columns pass."""
+    X = np.asarray(X, dtype=np.float64)
+    need = max((int(t.feature.max()) + 1 for t in trees), default=0)
+    if X.ndim != 2 or X.shape[1] < need:
+        raise DataError(f"feature input must be (n, >= {need}) for the "
+                        f"trees' splits, not {X.shape}")
+    return X
+
+
 def _tree_arrays(trees) -> dict:
     return {f"t{i}.{key}": arr for i, tree in enumerate(trees)
             for key, arr in tree.to_arrays().items()}
@@ -233,11 +245,9 @@ class Forest:
         return self
 
     def predict_proba(self, X) -> np.ndarray:
+        X = _check_width(X, self.trees)
         dists = [t.leaf_distributions(X) for t in self.trees]
         return np.mean(dists, axis=0)
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
 
     def to_checkpoint(self):
         meta = {"config": asdict(self.config), "n_classes": self.n_classes}
@@ -290,15 +300,12 @@ class RusBoostModel:
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = _check_width(X, self.trees)
         votes = np.zeros((X.shape[0], self.n_classes))
         for tree, alpha in zip(self.trees, self.alphas):
             pred = tree.predict(X)
             votes[np.arange(X.shape[0]), pred] += alpha
         return votes / votes.sum(axis=1, keepdims=True)
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
 
     def to_checkpoint(self):
         meta = {"config": asdict(self.config), "n_classes": self.n_classes}

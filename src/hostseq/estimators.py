@@ -1,0 +1,166 @@
+"""Estimator registry: what each --model kind builds and reads, the
+config fields that grid points and model flags may set, the paper's
+default grids, and a factory of plain values that pickles, so a worker
+process can rebuild any estimator from it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+from collections import namedtuple
+
+from .ensemble import Forest, ForestConfig, RusBoostConfig, RusBoostModel
+from .models import NETS, ModelSpec, NeuralClassifier, TrainConfig
+
+
+class UsageError(Exception):
+    """A model kind, grid or option value that cannot be used."""
+
+
+# What a --model kind builds: its estimator class, the config dataclasses
+# in constructor order, and the inputs it reads ("features", "tokens").
+Kind = namedtuple("Kind", "estimator configs inputs")
+# A net reads the inputs its class lists.
+KINDS = {
+    **{name: Kind(NeuralClassifier, (ModelSpec, TrainConfig), net.INPUTS)
+       for name, net in NETS.items()},
+    "rf": Kind(Forest, (ForestConfig,), ("features",)),
+    "rusboost": Kind(RusBoostModel, (RusBoostConfig,), ("features",)),
+}
+# Checkpoint "model" tag -> estimator class.
+FAMILIES = {kind.estimator.FAMILY: kind.estimator for kind in KINDS.values()}
+_INPUT_FLAGS = {"features": "feature input (--scheme/--features)",
+                "tokens": "token input (--ngrams/--tokens)"}
+
+DEFAULT_GRIDS = {
+    "rf": {"n_estimators": [100, 200, 500, 1000, 1500, 2000],
+           "max_depth": [5, 10, 15, 20]},
+    "rusboost": {"n_estimators": [50, 100, 200, 500, 1000, 1500, 2000],
+                 "learning_rate": [0.001, 0.01, 0.1]},
+    "mlp": {"alpha": [0.001, 0.01, 0.05],
+            "max_iter": [500],
+            "learning_rate_init": [0.001, 0.01, 0.05]},
+    "cnn": {"num_filters": [64, 128, 256],
+            "learning_rate": [0.01, 0.05, 0.001, 0.0001],
+            "batch_size": [128],
+            "epochs": [300],
+            "kernel_size": [3]},
+    # The paper searches 1-5 heads with a per-head width independent of
+    # embed_dim; here heads split embed_dim, so the count must divide it.
+    "transformer": {"embed_dim": [32, 64, 128],
+                    "num_heads": [1, 2, 4],
+                    "batch_size": [128],
+                    "epochs": [300]},
+}
+
+# Config fields that grid points and model flags may set, each with the
+# other names it answers to, tried before its own: the paper's
+# scikit-learn and Keras grid names, and the boosted trees' base depth.
+SETTABLE = {
+    ForestConfig: {"n_estimators": (), "max_depth": ()},
+    RusBoostConfig: {"n_estimators": (), "learning_rate": (),
+                     "max_depth": ("base_depth",)},
+    ModelSpec: {"hidden": (), "embed_dim": (), "filters": ("num_filters",),
+                "kernel_size": (), "num_heads": ()},
+    TrainConfig: {"learning_rate": ("learning_rate_init",),
+                  "batch_size": (), "epochs": ("max_iter",),
+                  "optimizer": (), "alpha": ()},
+}
+
+
+# Model flag name (a field name) -> type of its config default: every
+# settable field, plus base_depth for the boosted trees' max_depth. A
+# name shared by two configs has one default type in both.
+FIELDS = {f.name: type(f.default) for cls, names in SETTABLE.items()
+          for f in dataclasses.fields(cls) if f.name in names}
+FIELDS["base_depth"] = FIELDS["max_depth"]
+
+
+def coerce(kind, name, value):
+    """value as a config field of type kind; a scalar for a tuple field
+    (the MLP's hidden layer sizes) is one layer of that width."""
+    try:
+        if kind is tuple:
+            return tuple(int(v) for v in (
+                value if isinstance(value, (list, tuple)) else [value]))
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{name!r} takes a {kind.__name__}, "
+                         f"not {value!r}") from exc
+
+
+def grid_points(doc) -> list:
+    """The grid points of a JSON grid: a list of objects as it is, or the
+    product of an object's values (a scalar value is a one-value list)."""
+    if isinstance(doc, dict):
+        values = [v if isinstance(v, list) else [v] for v in doc.values()]
+        return [dict(zip(doc, combo)) for combo in itertools.product(*values)]
+    if isinstance(doc, list) and all(isinstance(p, dict) for p in doc):
+        return doc
+    raise UsageError("grid must be a JSON object of lists or list of objects")
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelFactory:
+    """factory(params, seed) -> unfitted estimator of --model kind model.
+
+    A nonzero vocab_size means token input of width max_len, otherwise
+    feature input of width in_dim; defaults holds the model flags given.
+    A settable field takes the first value given under any of its names,
+    grid params before flag defaults, coerced to the type of the config
+    dataclass default (see coerce), which applies when no name is
+    given. A grid key that no field of the model answers to, or a value
+    that cannot be coerced, is a usage error naming the key.
+    """
+
+    model: str
+    n_classes: int
+    defaults: dict
+    in_dim: int = 0
+    vocab_size: int = 0
+    max_len: int = 0
+
+    def __post_init__(self):
+        kind = KINDS.get(self.model)
+        if kind is None:
+            raise UsageError(f"unknown --model {self.model!r}")
+        if self.input_kind not in kind.inputs:
+            raise UsageError(f"{self.model} requires "
+                             f"{_INPUT_FLAGS[kind.inputs[0]]}")
+
+    @property
+    def input_kind(self) -> str:
+        return "tokens" if self.vocab_size else "features"
+
+    def __call__(self, params, seed):
+        kind = KINDS[self.model]
+        # the fields set here, not by name, where a config has them
+        fixed = {"seed": seed, "kind": self.model,
+                 "n_classes": self.n_classes, "input_kind": self.input_kind,
+                 "in_dim": self.in_dim, "vocab_size": self.vocab_size,
+                 "max_len": self.max_len}
+        read = set()
+
+        def config(cls):
+            values = {f.name: fixed[f.name] for f in dataclasses.fields(cls)
+                      if f.name in fixed}
+            for field, aliases in SETTABLE[cls].items():
+                names = aliases + (field,)
+                read.update(names)
+                given = [(name, source[name])
+                         for source in (params, self.defaults)
+                         for name in names if source.get(name) is not None]
+                if given:
+                    values[field] = coerce(FIELDS[field], *given[0])
+            return cls(**values)
+
+        configs = [config(cls) for cls in kind.configs]
+        unknown = sorted(set(params) - read)
+        if unknown:
+            raise UsageError(
+                f"--model {self.model} reads no grid key {unknown[0]!r}")
+        # a net's spec holds the class count; a tree ensemble takes it
+        if ModelSpec not in kind.configs:
+            configs.append(self.n_classes)
+        return kind.estimator(*configs)

@@ -387,22 +387,9 @@ def plan_to_dict(plan: CvPlan) -> dict:
             "inner": [list(a) for a in plan.inner]}
 
 
-def plan_from_dict(doc: dict) -> CvPlan:
-    return CvPlan(k_outer=int(doc["k_outer"]), k_inner=int(doc["k_inner"]),
-                  seed=int(doc["seed"]),
-                  outer=tuple(int(v) for v in doc["outer"]),
-                  inner=tuple(tuple(int(v) for v in a)
-                              for a in doc["inner"]))
-
-
 def save_plan(plan: CvPlan, path) -> None:
     atomic_write_text(path, json.dumps(plan_to_dict(plan), sort_keys=True,
                                        indent=2) + "\n")
-
-
-def load_plan(path) -> CvPlan:
-    with open(path, encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .seqio import DataError
 from .util import derive_seed
-
-
-OPTIMIZERS = ("adam", "sgd")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -47,7 +45,7 @@ class TrainConfig:
 class ModelSpec:
     """Architecture description, sufficient to rebuild the network."""
 
-    kind: str                      # mlp | cnn | transformer
+    kind: str                      # a key of NETS
     n_classes: int
     input_kind: str = "features"   # features | tokens
     in_dim: int = 0                # feature input width
@@ -60,14 +58,13 @@ class ModelSpec:
     num_heads: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("mlp", "cnn", "transformer"):
+        if self.kind not in NETS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_kind not in ("features", "tokens"):
-            raise ValueError(f"unknown input kind {self.input_kind!r}")
         if self.n_classes < 2:
             raise ValueError("need at least 2 classes")
-        if self.kind in ("cnn", "transformer") and self.input_kind != "tokens":
-            raise ValueError(f"{self.kind} requires token input")
+        if self.input_kind not in NETS[self.kind].INPUTS:
+            raise ValueError(f"{self.kind} reads only "
+                             f"{' or '.join(NETS[self.kind].INPUTS)}")
         if self.input_kind == "features" and self.in_dim < 1:
             raise ValueError("feature input requires in_dim")
         if self.input_kind == "tokens":
@@ -109,6 +106,8 @@ def _embedding_table(rng, rows, dim) -> Tensor:
 
 class MlpNet:
     """Dense ReLU stack. Token input is embedded and flattened first."""
+
+    INPUTS = ("features", "tokens")
 
     def __init__(self, spec: ModelSpec, rng):
         self.spec = spec
@@ -154,6 +153,7 @@ class CnnNet:
     is a valid convolution followed by width-2 max pooling.
     """
 
+    INPUTS = ("tokens",)
     HEAD = (64, 32, 16)
 
     def __init__(self, spec: ModelSpec, rng):
@@ -213,6 +213,8 @@ class TransformerNet:
     a dense softmax head.
     """
 
+    INPUTS = ("tokens",)
+
     def __init__(self, spec: ModelSpec, rng):
         self.spec = spec
         e = spec.embed_dim
@@ -270,12 +272,13 @@ class TransformerNet:
                 for n in ("wq", "wk", "wv", "wo", "ff1", "ff2", "out")]
 
 
-_NET_CLASSES = {"mlp": MlpNet, "cnn": CnnNet, "transformer": TransformerNet}
+# Network kind -> class; each class lists the inputs it reads.
+NETS = {"mlp": MlpNet, "cnn": CnnNet, "transformer": TransformerNet}
 
 
 def build_net(spec: ModelSpec, seed: int):
     rng = np.random.default_rng(derive_seed(seed, "init", spec.kind))
-    return _NET_CLASSES[spec.kind](spec, rng)
+    return NETS[spec.kind](spec, rng)
 
 
 class Sgd:
@@ -311,10 +314,8 @@ class Adam:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _make_optimizer(config: TrainConfig, params):
-    if config.optimizer == "sgd":
-        return Sgd(params, config.learning_rate)
-    return Adam(params, config.learning_rate)
+# TrainConfig.optimizer -> optimizer class
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
 @dataclass
@@ -331,7 +332,7 @@ def train(net, inputs, labels, config: TrainConfig) -> FitResult:
         raise ValueError("labels must be one per input row")
     params = [p for _, p in net.named_params()]
     penalized = net.penalized()
-    opt = _make_optimizer(config, params)
+    opt = OPTIMIZERS[config.optimizer](params, config.learning_rate)
     result = FitResult()
     for epoch in range(1, config.epochs + 1):
         perm = np.random.default_rng(
@@ -392,21 +393,15 @@ class NeuralClassifier:
         return predict_proba(self.net, self._check_inputs(inputs),
                              self.config.batch_size)
 
-    def predict(self, inputs) -> np.ndarray:
-        return self.predict_proba(inputs).argmax(axis=1)
-
     def _check_inputs(self, inputs):
-        if self.spec.input_kind == "tokens":
-            inputs = np.asarray(inputs)
-            if inputs.ndim != 2 or inputs.shape[1] != self.spec.max_len:
-                raise ValueError(
-                    f"token input must be (n, {self.spec.max_len})")
-            if not np.issubdtype(inputs.dtype, np.integer):
-                raise ValueError("token input must be integer ids")
-            return inputs
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.spec.in_dim:
-            raise ValueError(f"feature input must be (n, {self.spec.in_dim})")
+        tokens = self.spec.input_kind == "tokens"
+        width = self.spec.max_len if tokens else self.spec.in_dim
+        inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
+        if inputs.ndim != 2 or inputs.shape[1] != width:
+            raise DataError(f"{'token' if tokens else 'feature'} input "
+                            f"must be (n, {width})")
+        if tokens and not np.issubdtype(inputs.dtype, np.integer):
+            raise DataError("token input must be integer ids")
         return inputs
 
     def state_arrays(self) -> dict:

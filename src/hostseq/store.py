@@ -16,8 +16,7 @@ import struct
 
 import numpy as np
 
-from .ensemble import Forest, RusBoostModel
-from .models import NeuralClassifier
+from .estimators import FAMILIES
 from .seqio import DataError, open_text
 from .util import atomic_write_bytes, atomic_write_text
 
@@ -154,12 +153,8 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict) -> None:
     blocks = []
     for name, arr in arrays.items():
         arr = np.asarray(arr)
-        if np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype("<i8")
-            dtype = "<i8"
-        else:
-            arr = arr.astype("<f8")
-            dtype = "<f8"
+        dtype = "<i8" if np.issubdtype(arr.dtype, np.integer) else "<f8"
+        arr = arr.astype(dtype)
         entries.append({"name": name, "dtype": dtype,
                         "shape": list(arr.shape)})
         blocks.append(np.ascontiguousarray(arr).tobytes())
@@ -209,14 +204,10 @@ def load_checkpoint(path):
     return header["kind"], header["meta"], arrays
 
 
-# Checkpoint "model" tag -> estimator class. Each class writes itself
-# with to_checkpoint() and reads itself back with from_checkpoint().
-_FAMILIES = {cls.FAMILY: cls
-             for cls in (NeuralClassifier, Forest, RusBoostModel)}
-
-
 def save_model(path, model, class_names) -> None:
-    if type(model) not in _FAMILIES.values():
+    """Writes an estimator of a class in estimators.FAMILIES through its
+    to_checkpoint(); load_model rebuilds it with from_checkpoint()."""
+    if type(model) not in FAMILIES.values():
         raise TypeError(
             f"cannot serialize model of type {type(model).__name__}")
     kind, meta, arrays = model.to_checkpoint()
@@ -227,7 +218,7 @@ def save_model(path, model, class_names) -> None:
 def load_model(path):
     """Returns (model, class_names)."""
     _, meta, arrays = load_checkpoint(path)
-    cls = _FAMILIES.get(meta.get("model"))
+    cls = FAMILIES.get(meta.get("model"))
     if cls is None:
         raise CheckpointError(
             f"{path}: unknown model family {meta.get('model')!r}")

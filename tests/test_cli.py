@@ -343,16 +343,23 @@ def test_report_token_frequencies(tmp_path):
     assert len(lines) <= 1 + 2 * 5
 
 
-def test_evaluate_wrong_width_features_exit_1(tmp_path):
-    out = train_flow(tmp_path, "mlp", ("--epochs", "2",))
-    other = tmp_path / "other"
-    dataset = synth_corpus(other, records=8, seed=29)
-    assert run(["encode", "--dataset", dataset, "--scheme", "er",
-                "--synth-pssms", "--seed", "1", "--out", str(other)]) == 0
+@pytest.mark.parametrize("model,extra", [
+    ("mlp", ("--epochs", "2")),
+    ("rf", ("--n-estimators", "3", "--max-depth", "3")),
+    ("rusboost", ("--n-estimators", "3", "--base-depth", "2")),
+], ids=["mlp", "rf", "rusboost"])
+def test_evaluate_wrong_width_features_exit_2(tmp_path, capsys, model, extra):
+    out = train_flow(tmp_path, model, extra)
+    ids, labels, _, _ = store.read_features_csv(out / "features.csv")
+    narrow = tmp_path / "narrow.csv"
+    store.write_features_csv(narrow, ids, labels, "eg",
+                             np.random.default_rng(3).random((len(ids), 2)))
+    capsys.readouterr()
     code = run(["evaluate", "--model-file", str(out / "model.bin"),
-                "--features", str(other / "features.csv"),
-                "--out", str(out)])
-    assert code in (1, 2)
+                "--features", str(narrow), "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,table,flag", [
@@ -421,9 +428,6 @@ def test_nested_cv_scalar_hidden_is_one_layer(tmp_path):
                 "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert '"hidden": 8' in json.dumps(metrics)
-    mlp = cli.make_model_factory("mlp", 2, {}, in_dim=3)
-    assert mlp({"hidden": 8}, 0).spec.hidden == (8,)
-    assert mlp({"hidden": [8, 4]}, 0).spec.hidden == (8, 4)
 
 
 @pytest.mark.parametrize("grid, key", [
@@ -444,37 +448,13 @@ def test_nested_cv_uncoercible_grid_value_exit_1(tmp_path, capsys, grid, key):
     assert not (out / "metrics.json").exists()
 
 
-def test_grid_aliases_and_flag_precedence():
-    boost = cli.make_model_factory("rusboost", 2, {"base_depth": 4,
-                                                   "max_depth": 7}, in_dim=3)
-    assert boost({}, 0).config.max_depth == 4
-    assert boost({"max_depth": 2}, 0).config.max_depth == 2
-    assert boost({"max_depth": 2, "base_depth": 1}, 0).config.max_depth == 1
-    mlp = cli.make_model_factory("mlp", 2, {"epochs": 9,
-                                            "learning_rate": 0.5}, in_dim=3)
-    clf = mlp({"max_iter": 3, "epochs": 5, "learning_rate_init": 0.1}, 0)
-    assert (clf.config.epochs, clf.config.learning_rate) == (3, 0.1)
-    clf = mlp({"num_filters": 8.0}, 0)
-    assert (clf.config.epochs, clf.config.learning_rate) == (9, 0.5)
-    assert clf.spec.filters == 8 and isinstance(clf.spec.filters, int)
-    assert clf.config.batch_size == 128  # TrainConfig default
-    rf = cli.make_model_factory("rf", 2, {"base_depth": 4}, in_dim=3)
-    assert rf({}, 0).config.max_depth == 10  # ForestConfig default
-    with pytest.raises(cli.UsageError, match="base_depth"):
-        rf({"base_depth": 4}, 0)
-
-
-def test_default_grids_build_through_registry():
-    shapes = {"mlp": {"in_dim": 10}, "rf": {"in_dim": 10},
-              "rusboost": {"in_dim": 10},
-              "cnn": {"vocab_size": 50, "max_len": 60},
-              "transformer": {"vocab_size": 50, "max_len": 60}}
-    assert set(shapes) == set(cli.DEFAULT_GRIDS)
-    for model, shape in shapes.items():
-        factory = cli.make_model_factory(model, 3, {}, **shape)
-        for params in cli._parse_grid(None, model):
-            factory(params, 0)
-    assert set(cli.MODELS) == set(shapes)
+def test_config_unknown_model_exit_1(tmp_path, capsys):
+    features = seeded_features(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "svm"}))
+    assert run(["train", "--config", str(config), "--seed", "1", "--features",
+                str(features), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown --model 'svm'" in capsys.readouterr().err
 
 
 def test_train_tree_checkpoints_match_golden_bytes(tmp_path):

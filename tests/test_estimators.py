@@ -1,0 +1,114 @@
+"""Estimator registry: the input each kind reads, grid aliases and
+precedence, the default grids, and a factory that survives pickling."""
+
+import pickle
+import re
+
+import numpy as np
+import pytest
+
+from hostseq import cli
+from hostseq.estimators import (DEFAULT_GRIDS, KINDS, ModelFactory,
+                                UsageError, grid_points)
+
+FEATURES = {"in_dim": 5}
+TOKENS = {"vocab_size": 12, "max_len": 30}
+
+
+def test_cli_usage_error_is_the_registry_class():
+    assert cli.UsageError is UsageError
+
+
+@pytest.mark.parametrize("model,shape,message", [
+    ("cnn", FEATURES, "cnn requires token input (--ngrams/--tokens)"),
+    ("transformer", FEATURES, "transformer requires token input"),
+    ("rf", TOKENS, "rf requires feature input (--scheme/--features)"),
+    ("rusboost", TOKENS, "rusboost requires feature input"),
+    ("svm", FEATURES, "unknown --model 'svm'"),
+])
+def test_factory_rejects_input_the_kind_does_not_read(model, shape, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        ModelFactory(model, 2, {}, **shape)
+
+
+def test_mlp_reads_features_and_tokens():
+    assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).spec.in_dim == 5
+    spec = ModelFactory("mlp", 2, {}, **TOKENS)({}, 0).spec
+    assert (spec.input_kind, spec.vocab_size, spec.max_len) == (
+        "tokens", 12, 30)
+
+
+def test_grid_aliases_and_flag_precedence():
+    boost = ModelFactory("rusboost", 2, {"base_depth": 4, "max_depth": 7},
+                         in_dim=3)
+    assert boost({}, 0).config.max_depth == 4
+    assert boost({"max_depth": 2}, 0).config.max_depth == 2
+    assert boost({"max_depth": 2, "base_depth": 1}, 0).config.max_depth == 1
+    mlp = ModelFactory("mlp", 2, {"epochs": 9, "learning_rate": 0.5},
+                       in_dim=3)
+    clf = mlp({"max_iter": 3, "epochs": 5, "learning_rate_init": 0.1}, 0)
+    assert (clf.config.epochs, clf.config.learning_rate) == (3, 0.1)
+    clf = mlp({"num_filters": 8.0}, 0)
+    assert (clf.config.epochs, clf.config.learning_rate) == (9, 0.5)
+    assert clf.spec.filters == 8 and isinstance(clf.spec.filters, int)
+    assert clf.config.batch_size == 128  # TrainConfig default
+    rf = ModelFactory("rf", 2, {"base_depth": 4}, in_dim=3)
+    assert rf({}, 0).config.max_depth == 10  # ForestConfig default
+    with pytest.raises(UsageError, match="base_depth"):
+        rf({"base_depth": 4}, 0)
+
+
+def test_scalar_hidden_is_one_layer():
+    mlp = ModelFactory("mlp", 2, {}, in_dim=3)
+    assert mlp({"hidden": 8}, 0).spec.hidden == (8,)
+    assert mlp({"hidden": [8, 4]}, 0).spec.hidden == (8, 4)
+
+
+def test_default_grids_build_through_registry():
+    shapes = {"mlp": {"in_dim": 10}, "rf": {"in_dim": 10},
+              "rusboost": {"in_dim": 10},
+              "cnn": {"vocab_size": 50, "max_len": 60},
+              "transformer": {"vocab_size": 50, "max_len": 60}}
+    assert set(shapes) == set(DEFAULT_GRIDS)
+    for model, shape in shapes.items():
+        factory = ModelFactory(model, 3, {}, **shape)
+        for params in grid_points(DEFAULT_GRIDS[model]):
+            factory(params, 0)
+    assert set(KINDS) == set(shapes)
+
+
+def test_grid_points_expand_objects_and_keep_lists():
+    assert grid_points({"a": [1, 2], "b": 3}) == [{"a": 1, "b": 3},
+                                                  {"a": 2, "b": 3}]
+    assert grid_points([{"a": 1}]) == [{"a": 1}]
+    with pytest.raises(UsageError, match="grid must be"):
+        grid_points([1, 2])
+
+
+@pytest.mark.parametrize("model,params", [
+    ("rf", {"max_depth": 3}),
+    ("rusboost", {"learning_rate": 0.5}),
+    ("mlp", {"hidden": 4}),
+    ("cnn", {"num_filters": 4, "embed_dim": 4}),
+    ("transformer", {"embed_dim": 8, "num_heads": 2}),
+])
+def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
+    rng = np.random.default_rng(8)
+    tokens = "features" not in KINDS[model].inputs
+    X = (rng.integers(1, TOKENS["vocab_size"], size=(30, TOKENS["max_len"]))
+         if tokens else rng.random((30, FEATURES["in_dim"])))
+    y = np.arange(30) % 2
+    defaults = {"n_estimators": 3, "base_depth": 2, "epochs": 2,
+                "batch_size": 8}
+    factory = ModelFactory(model, 2, defaults, **(TOKENS if tokens
+                                                  else FEATURES))
+    restored = pickle.loads(pickle.dumps(factory))
+    assert restored == factory
+    kind, meta, arrays = factory(params, 5).fit(X, y).to_checkpoint()
+    kind2, meta2, arrays2 = restored(params, 5).fit(X, y).to_checkpoint()
+    assert (kind2, meta2) == (kind, meta)
+    assert list(arrays2) == list(arrays)
+    for name, arr in arrays.items():
+        got = np.asarray(arrays2[name])
+        arr = np.asarray(arr)
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
