@@ -285,7 +285,7 @@ def _encode(args, config, seed) -> _Table:
     token_lists = [ngram.tokenize(r.residues, n) for r in ds.records]
     vocab = ngram.build_vocab(token_lists, n)
     max_len = max(len(tokens) for tokens in token_lists)
-    matrix, _ = ngram.encode_corpus(token_lists, vocab, max_len)
+    matrix = ngram.encode_corpus(token_lists, vocab, max_len)
     return _Table(matrix, ids, ds.labels, vocab)
 
 
@@ -300,7 +300,7 @@ def _load_table(args, config) -> _Table:
         return _Table(matrix, ids, labels)
     vocab_path = _require(_cfg(args, config, "vocab"), "vocab")
     vocab, max_len = ngram.load_vocab(vocab_path)
-    ids, labels, matrix, _ = store.read_tokens_csv(tokens)
+    ids, labels, matrix = store.read_tokens_csv(tokens)
     if matrix.shape[1] != max_len:
         raise DataError(f"{tokens}: width {matrix.shape[1]} does not match "
                         f"vocab max_len {max_len}")
@@ -325,10 +325,8 @@ def cmd_encode(args, config, out):
     else:
         max_len = table.matrix.shape[1]
         ngram.save_vocab(table.vocab, max_len, os.path.join(out, VOCAB_FILE))
-        # every token id is at least 1, so non-pad ids count the tokens
-        true_lens = np.count_nonzero(table.matrix != ngram.PAD_ID, axis=1)
         store.write_tokens_csv(os.path.join(out, TOKENS_FILE), table.ids,
-                               table.labels, table.matrix, true_lens)
+                               table.labels, table.matrix)
         artifacts = [VOCAB_FILE, TOKENS_FILE]
         message = (f"encoded {records} records as {n}-grams "
                    f"(vocab {table.vocab.size}, max_len {max_len})")

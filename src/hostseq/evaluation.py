@@ -8,9 +8,11 @@ degenerate list, so report shapes stay stable across folds.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -410,26 +412,24 @@ class NestedCvResult:
     pooled_proba: np.ndarray
 
 
-def _inner_mean_score(inputs, labels, model_factory, params, plan,
-                      fold, grid_index, class_names) -> float:
-    assignment = np.asarray(plan.inner[fold])
-    scores = []
-    for m in range(plan.k_inner):
-        tr = np.flatnonzero((assignment != -1) & (assignment != m))
-        va = np.flatnonzero(assignment == m)
-        seed = derive_seed(plan.seed, "outer", fold, "grid", grid_index,
-                           "inner", m)
-        try:
-            model = model_factory(params, seed)
-            model.fit(inputs[tr], labels[tr])
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(
-                f"outer fold {fold}, grid point {grid_index}, "
-                f"inner fold {m}: {exc}") from exc
-        report = compute_report(labels[va], model.predict_proba(inputs[va]),
-                                class_names)
-        scores.append(report.overall["mean_score"])
-    return float(np.mean(scores))
+class FitTask(NamedTuple):
+    """One nested-CV fit: the model built from params and seed, fit on
+    train and scoring scored; where names it in a divergence message."""
+    where: str
+    params: dict
+    seed: int
+    train: np.ndarray
+    scored: np.ndarray
+
+
+def _fit_predict(inputs, labels, model_factory, task: FitTask) -> np.ndarray:
+    """Probabilities of task.scored from a model fit on task.train."""
+    try:
+        model = model_factory(task.params, task.seed)
+        model.fit(inputs[task.train], labels[task.train])
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"{task.where}: {exc}") from exc
+    return model.predict_proba(inputs[task.scored])
 
 
 def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
@@ -438,9 +438,11 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     split, evaluate once on each outer test fold.
 
     model_factory(params, seed) must return an object with fit(X, y)
-    and predict_proba(X). Ties on inner mean score go to the earlier
-    grid point. The pooled report covers every record exactly once, and
-    results do not depend on the worker count.
+    and predict_proba(X). Every fit is one task on one pool of workers
+    threads: all inner fits first, then the outer refits. Ties on inner
+    mean score go to the earlier grid point. The pooled report covers
+    every record exactly once, and results do not depend on the worker
+    count.
     """
     inputs = np.asarray(inputs)
     labels = np.asarray(labels)
@@ -450,42 +452,36 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     if len(plan.outer) != labels.shape[0]:
         raise ValueError("plan does not match dataset size")
     class_names = tuple(class_names)
+    fit = functools.partial(_fit_predict, inputs, labels, model_factory)
+    inner = [FitTask(f"outer fold {f}, grid point {j}, inner fold {m}",
+                     params, derive_seed(plan.seed, "outer", f, "grid", j,
+                                         "inner", m),
+                     np.flatnonzero((a != -1) & (a != m)),
+                     np.flatnonzero(a == m))
+             for f, a in enumerate(np.asarray(plan.inner))
+             for j, params in enumerate(grid) for m in range(plan.k_inner)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        scores = [compute_report(labels[task.scored], proba,
+                                 class_names).overall["mean_score"]
+                  for task, proba in zip(inner, pool.map(fit, inner))]
+        score_table = np.mean(np.reshape(
+            scores, (plan.k_outer, len(grid), plan.k_inner)), axis=2)
+        best = [int(np.argmax(row)) for row in score_table]
+        refits = [FitTask(f"outer fold {f}, refit", grid[best[f]],
+                          derive_seed(plan.seed, "outer", f, "refit"),
+                          plan.outer_train_indices(f),
+                          plan.outer_test_indices(f))
+                  for f in range(plan.k_outer)]
+        refit_proba = list(pool.map(fit, refits))
 
-    tasks = [(f, j) for f in range(plan.k_outer) for j in range(len(grid))]
-
-    def run(task):
-        f, j = task
-        return _inner_mean_score(inputs, labels, model_factory, grid[j],
-                                 plan, f, j, class_names)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(run, tasks))
-    else:
-        flat = [run(t) for t in tasks]
-    score_table = np.asarray(flat).reshape(plan.k_outer, len(grid))
-
-    n, c = labels.shape[0], len(class_names)
-    pooled = np.zeros((n, c))
+    pooled = np.zeros((labels.shape[0], len(class_names)))
     outer_results = []
-    for f in range(plan.k_outer):
-        scores = score_table[f]
-        best = int(max(range(len(grid)), key=lambda j: scores[j]))
-        train = plan.outer_train_indices(f)
-        test = plan.outer_test_indices(f)
-        seed = derive_seed(plan.seed, "outer", f, "refit")
-        try:
-            model = model_factory(grid[best], seed)
-            model.fit(inputs[train], labels[train])
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(
-                f"outer fold {f}, refit: {exc}") from exc
-        proba = model.predict_proba(inputs[test])
-        pooled[test] = proba
+    for f, (task, proba) in enumerate(zip(refits, refit_proba)):
+        pooled[task.scored] = proba
         outer_results.append(OuterFoldResult(
-            fold=f, chosen_index=best, chosen_params=dict(grid[best]),
-            inner_mean_scores=tuple(float(s) for s in scores),
-            report=compute_report(labels[test], proba, class_names)))
+            fold=f, chosen_index=best[f], chosen_params=dict(task.params),
+            inner_mean_scores=tuple(float(s) for s in score_table[f]),
+            report=compute_report(labels[task.scored], proba, class_names)))
     pooled_report = compute_report(labels, pooled, class_names)
     return NestedCvResult(plan=plan, outer=tuple(outer_results),
                           pooled_report=pooled_report, y_true=labels,

@@ -90,24 +90,25 @@ def build_vocab(corpus, n: int | None = None) -> Vocabulary:
     return Vocabulary(n=n, token_to_id=token_to_id)
 
 
-def encode_corpus(token_lists, vocab: Vocabulary, max_len: int):
+def encode_corpus(token_lists, vocab: Vocabulary, max_len: int) -> np.ndarray:
     """Encode token lists into one (n, max_len) id matrix.
 
     Each row is left-padded with PAD_ID and unknown tokens become
     OOV_ID. A sequence longer than max_len is rejected rather than
     truncated.
-
-    Returns (ids, true_lens).
     """
     ids = np.full((len(token_lists), max_len), PAD_ID, dtype=np.int64)
-    true_lens = np.empty(len(token_lists), dtype=np.int64)
     for r, tokens in enumerate(token_lists):
         if len(tokens) > max_len:
             raise SequenceTooLongError(
                 f"{len(tokens)} tokens exceed max_len {max_len}")
         ids[r, max_len - len(tokens):] = [vocab.id_of(t) for t in tokens]
-        true_lens[r] = len(tokens)
-    return ids, true_lens
+    return ids
+
+
+def true_lengths(ids) -> np.ndarray:
+    """Tokens per row of an id matrix: its ids other than PAD_ID."""
+    return np.count_nonzero(np.asarray(ids) != PAD_ID, axis=1)
 
 
 def token_frequencies(ds: LabeledDataset, n: int) -> dict:

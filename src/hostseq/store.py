@@ -17,6 +17,7 @@ import struct
 import numpy as np
 
 from .estimators import FAMILIES
+from .ngram import true_lengths
 from .seqio import DataError, open_text
 from .util import atomic_write_bytes, atomic_write_text
 
@@ -87,24 +88,27 @@ def read_features_csv(path):
                 len(rows), len(header) - 3))
 
 
-def write_tokens_csv(path, ids, labels, matrix, true_lens) -> None:
+def write_tokens_csv(path, ids, labels, matrix) -> None:
     """Rows of id,label,true_len,t0..t{max_len-1} (left-padded ids)."""
     matrix = np.asarray(matrix)
     _write_table(path, ["id", "label", "true_len"]
                  + [f"t{i}" for i in range(matrix.shape[1])],
                  ([rid, label, int(n)] + [int(v) for v in row]
-                  for rid, label, n, row in zip(ids, labels, true_lens,
-                                                matrix)))
+                  for rid, label, n, row in zip(ids, labels,
+                                                true_lengths(matrix), matrix)))
 
 
 def read_tokens_csv(path):
-    """Returns (ids, labels, matrix, true_lens)."""
+    """Returns (ids, labels, matrix); a miscounted true_len is a DataError."""
     _, rows = _read_table(path, ["id", "label", "true_len"], "token")
-    lens = [_numbers(path, row, int, row[2:3])[0] for row in rows]
-    values = [_numbers(path, row, int, row[3:]) for row in rows]
-    return ([row[0] for row in rows], [row[1] for row in rows],
-            np.asarray(values, dtype=np.int64),
-            np.asarray(lens, dtype=np.int64))
+    table = np.asarray([_numbers(path, row, int, row[2:]) for row in rows],
+                       dtype=np.int64)
+    matrix = table[:, 1:]
+    for row, stated, counted in zip(rows, table[:, 0], true_lengths(matrix)):
+        if stated != counted:
+            raise DataError(f"{path}: record {row[0]!r}: true_len {stated} "
+                            f"but {counted} non-pad ids")
+    return [row[0] for row in rows], [row[1] for row in rows], matrix
 
 
 def write_predictions_csv(path, ids, labels, proba, class_names) -> None:

@@ -219,7 +219,7 @@ def test_c6_end_to_end_learnability():
     token_lists = [ngram.tokenize(r.residues, 3) for r in ds.records]
     vocab = ngram.build_vocab(token_lists, 3)
     max_len = max(len(t) for t in token_lists)
-    X_tok, _ = ngram.encode_corpus(token_lists, vocab, max_len)
+    X_tok = ngram.encode_corpus(token_lists, vocab, max_len)
 
     def transformer_factory(params, seed):
         spec = ModelSpec(kind="transformer", n_classes=3,

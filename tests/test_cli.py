@@ -179,6 +179,19 @@ def test_train_divergence_exit_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nested_cv_divergence_exit_3_names_inner_fold(tmp_path, capsys):
+    assert run(["nested-cv", "--model", "mlp", "--optimizer", "sgd",
+                "--learning-rate", "1e200", "--epochs", "5",
+                "--grid", '{"hidden": [[8]]}',
+                "--features", str(seeded_features(tmp_path)),
+                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+                "--workers", "2", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "training diverged: outer fold 0, grid point 0, inner fold" in err
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
 def test_train_missing_features_exit_2(tmp_path):
     assert run(["train", "--model", "mlp", "--seed", "1", "--features",
                 str(tmp_path / "missing.csv"),
@@ -551,7 +564,10 @@ def malformed_input(tmp_path, case):
     ngram.save_vocab(ngram.build_vocab([["AA", "AB"]]), 2, vocab)
     tokens = tmp_path / "tokens.csv"
     store.write_tokens_csv(tokens, ["r0", "r1"], ["a", "b"],
-                           np.array([[0, 2], [3, 9]]), [1, 2])
+                           np.array([[0, 2], [3, 9]]))
+    miscounted = tmp_path / "miscounted.csv"
+    miscounted.write_text("id,label,true_len,t0,t1\nr0,a,2,0,2\n"
+                          "r1,b,2,3,3\n")
     no_tokens = tmp_path / "no_tokens.json"
     no_tokens.write_text('{"n": 2, "max_len": 2}')
     not_json = tmp_path / "not_json.json"
@@ -578,13 +594,16 @@ def malformed_input(tmp_path, case):
                             "--level", "coarse"] + out,
         "token-id-outside-vocab": train + ["--tokens", str(tokens),
                                            "--vocab", str(vocab)],
+        "tokens-true-len-miscounted": train + ["--tokens", str(miscounted),
+                                               "--vocab", str(vocab)],
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "features-cell", "predictions-cell", "dataset-not-json",
     "dataset-no-records", "vocab-no-tokens", "fasta-not-utf8",
-    "fasta-directory", "token-id-outside-vocab"])
+    "fasta-directory", "token-id-outside-vocab",
+    "tokens-true-len-miscounted"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err

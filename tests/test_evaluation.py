@@ -2,11 +2,15 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from hostseq import evaluation as ev
+from hostseq.estimators import ModelFactory
+from hostseq.models import TrainingDivergedError
+from hostseq.util import derive_seed
 
 
 # --- oracles coded straight from the metric definitions ---
@@ -455,6 +459,91 @@ def test_nested_cv_to_dict_shape(rng):
     for fold_doc in doc["outer"]:
         assert "chosen_params" in fold_doc
         assert "report" in fold_doc
+
+
+class RecordingModel(CentroidModel):
+    """CentroidModel on columns 1: that logs (seed, trained rows, scored
+    rows); column 0 holds each row's index."""
+
+    def __init__(self, log, seed):
+        super().__init__(sharpness=1.0)
+        self.log, self.seed = log, seed
+
+    def fit(self, X, y):
+        self.trained = frozenset(X[:, 0].astype(int).tolist())
+        return super().fit(X[:, 1:], y)
+
+    def predict_proba(self, X):
+        self.log.append((self.seed, self.trained,
+                         frozenset(X[:, 0].astype(int).tolist())))
+        return super().predict_proba(X[:, 1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nested_cv_fits_get_their_rows_and_seeds(rng, workers):
+    X, y = nested_fixture(rng, n=48)
+    k, m = 3, 2
+    grid = [{"sharpness": 1.0}, {"sharpness": 2.0}]
+    plan = ev.make_cv_plan(y, k_outer=k, k_inner=m, seed=8)
+    log = []
+    ev.nested_cv(np.column_stack([np.arange(len(y)), X]), y,
+                 lambda params, seed: RecordingModel(log, seed), grid, plan,
+                 ("a", "b", "c"), workers=workers)
+    fits = {seed: (trained, scored) for seed, trained, scored in log}
+    assert len(log) == len(fits) == k * len(grid) * m + k
+    for f in range(k):
+        test = frozenset(plan.outer_test_indices(f).tolist())
+        inner = np.asarray(plan.inner[f])
+        for j in range(len(grid)):
+            for i in range(m):
+                trained, scored = fits.pop(derive_seed(
+                    plan.seed, "outer", f, "grid", j, "inner", i))
+                assert scored == frozenset(np.flatnonzero(inner == i).tolist())
+                assert not trained & test and not trained & scored
+        trained, scored = fits.pop(derive_seed(plan.seed, "outer", f, "refit"))
+        assert scored == test
+        assert not trained & test
+    assert not fits
+
+
+def test_fit_task_pickles_to_the_same_probabilities(rng):
+    X, y = nested_fixture(rng, n=40)
+    factory = ModelFactory("rf", 3, {"n_estimators": 3, "max_depth": 3},
+                           in_dim=2)
+    task = ev.FitTask("outer fold 0, refit", {"max_depth": 2}, 11,
+                      np.arange(30), np.arange(30, 40))
+    copy = pickle.loads(pickle.dumps(task))
+    assert copy.where == task.where and copy.seed == task.seed
+    assert ev._fit_predict(X, y, factory, task).tobytes() == \
+        ev._fit_predict(X, y, factory, copy).tobytes()
+
+
+class DivergingModel(CentroidModel):
+    def __init__(self, diverge):
+        super().__init__(sharpness=1.0)
+        self.diverge = diverge
+
+    def fit(self, X, y):
+        if self.diverge:
+            raise TrainingDivergedError("non-finite loss at epoch 1")
+        return super().fit(X, y)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("keys, where", [
+    (("outer", 1, "grid", 0, "inner", 1),
+     "outer fold 1, grid point 0, inner fold 1: "),
+    (("outer", 2, "refit"), "outer fold 2, refit: "),
+])
+def test_nested_cv_divergence_names_its_fit(rng, workers, keys, where):
+    X, y = nested_fixture(rng, n=48)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=9)
+    bad = derive_seed(plan.seed, *keys)
+    with pytest.raises(TrainingDivergedError) as info:
+        ev.nested_cv(X, y, lambda params, seed: DivergingModel(seed == bad),
+                     [{"sharpness": 1.0}, {"sharpness": 2.0}], plan,
+                     ("a", "b", "c"), workers=workers)
+    assert str(info.value) == where + "non-finite loss at epoch 1"
 
 
 # --- ensemble disagreement ---

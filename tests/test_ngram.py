@@ -60,9 +60,9 @@ def test_build_vocab_empty_corpus():
 
 def test_encode_corpus_pads_left_and_maps_oov():
     vocab = ngram.build_vocab([["AA", "AB", "AC"]])
-    ids, lens = ngram.encode_corpus([["AB", "ZZ"]], vocab, max_len=5)
+    ids = ngram.encode_corpus([["AB", "ZZ"]], vocab, max_len=5)
     assert list(ids[0]) == [0, 0, 0, 3, ngram.OOV_ID]
-    assert list(lens) == [2]
+    assert list(ngram.true_lengths(ids)) == [2]
 
 
 def test_encode_corpus_rejects_overflow():
@@ -73,11 +73,11 @@ def test_encode_corpus_rejects_overflow():
 
 def test_encode_corpus_matrix():
     vocab = ngram.build_vocab([["AA", "AB"], ["AB"]])
-    ids, lens = ngram.encode_corpus([["AA", "AB"], ["AB"]], vocab, 3)
+    ids = ngram.encode_corpus([["AA", "AB"], ["AB"]], vocab, 3)
     assert ids.shape == (2, 3)
     assert list(ids[0]) == [0, 2, 3]
     assert list(ids[1]) == [0, 0, 3]
-    assert list(lens) == [2, 1]
+    assert list(ngram.true_lengths(ids)) == [2, 1]
 
 
 def test_token_frequencies_by_class():
@@ -102,6 +102,6 @@ def test_vocab_roundtrip(tmp_path):
     assert max_len == 8
     assert loaded.n == 3
     assert loaded.token_to_id == vocab.token_to_id
-    ids_a, _ = ngram.encode_corpus(corpus, vocab, 8)
-    ids_b, _ = ngram.encode_corpus(corpus, loaded, 8)
+    ids_a = ngram.encode_corpus(corpus, vocab, 8)
+    ids_b = ngram.encode_corpus(corpus, loaded, 8)
     assert np.array_equal(ids_a, ids_b)

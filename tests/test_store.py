@@ -61,13 +61,22 @@ def test_tokens_csv_roundtrip(tmp_path):
     ids = ["r1", "r2"]
     labels = ["a", "b"]
     matrix = np.array([[0, 0, 5, 3], [0, 2, 2, 4]], dtype=np.int64)
-    lens = np.array([2, 3], dtype=np.int64)
-    store.write_tokens_csv(path, ids, labels, matrix, lens)
-    got_ids, got_labels, got, got_lens = store.read_tokens_csv(path)
+    store.write_tokens_csv(path, ids, labels, matrix)
+    assert path.read_text().splitlines()[1:] == ["r1,a,2,0,0,5,3",
+                                                 "r2,b,3,0,2,2,4"]
+    got_ids, got_labels, got = store.read_tokens_csv(path)
     assert got_ids == ids
     assert got_labels == labels
     assert np.array_equal(got, matrix)
-    assert np.array_equal(got_lens, lens)
+
+
+def test_tokens_csv_true_len_disagreeing_with_ids_errors(tmp_path):
+    path = tmp_path / "tokens.csv"
+    path.write_text("id,label,true_len,t0,t1,t2\n"
+                    "r1,a,2,0,5,3\n"
+                    "r2,b,3,0,2,4\n")
+    with pytest.raises(DataError, match="'r2': true_len 3 but 2 non-pad"):
+        store.read_tokens_csv(path)
 
 
 def test_checkpoint_roundtrip(tmp_path):
