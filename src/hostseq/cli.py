@@ -181,12 +181,11 @@ def _write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_scores(out, doc, y, proba, class_names) -> list:
-    """metrics.json holding doc, and the per-class PR curves of proba."""
+def _write_scores(out, doc, report) -> list:
+    """metrics.json holding doc, and the per-class PR curves of report."""
     _write_json(os.path.join(out, METRICS_FILE), doc)
-    curves = evaluation.per_class_pr_curves(y, proba, class_names)
-    atomic_write_text(os.path.join(out, PR_CURVES_FILE),
-                      evaluation.render_pr_curves_csv(curves))
+    store.write_pr_curves_csv(os.path.join(out, PR_CURVES_FILE),
+                              report.pr_curves)
     return [METRICS_FILE, PR_CURVES_FILE]
 
 
@@ -385,10 +384,10 @@ def _predict(args, config):
 
 def cmd_evaluate(args, config, out):
     table, class_names, proba, effective = _predict(args, config)
-    y = evaluation.label_indices(table.labels, class_names)
-    report = evaluation.compute_report(y, proba, class_names)
-    artifacts = _write_scores(out, evaluation.report_to_dict(report), y,
-                              proba, class_names)
+    report = evaluation.compute_report(
+        evaluation.label_indices(table.labels, class_names), proba,
+        class_names)
+    artifacts = _write_scores(out, evaluation.report_to_dict(report), report)
     return (effective, artifacts,
             f"mean score {report.overall['mean_score']:.4f} "
             f"over {len(table.ids)} records")
@@ -433,8 +432,7 @@ def cmd_nested_cv(args, config, out):
     result = evaluation.nested_cv(table.matrix, table.y, factory, grid, plan,
                                   table.class_names, workers=workers)
     artifacts = [PLAN_FILE] + _write_scores(
-        out, evaluation.nested_cv_to_dict(result), result.y_true,
-        result.pooled_proba, table.class_names)
+        out, evaluation.nested_cv_to_dict(result), result.pooled_report)
     effective = {"model": model_kind, "seed": seed, "k-outer": k_outer,
                  "k-inner": k_inner, "dataset": dataset,
                  "scheme": _cfg(args, config, "scheme"),
@@ -493,12 +491,11 @@ def cmd_report(args, config, out):
     if pred_paths:
         tables = [store.read_predictions_csv(path) for path in pred_paths]
         ids0, true0, _, class_names, proba0 = tables[0]
-        y = evaluation.label_indices(true0, class_names)
-        doc = evaluation.report_to_dict(
-            evaluation.compute_report(y, proba0, class_names))
+        report = evaluation.compute_report(
+            evaluation.label_indices(true0, class_names), proba0, class_names)
+        doc = evaluation.report_to_dict(report)
         store.write_metrics_csv(os.path.join(out, METRICS_CSV_FILE), doc)
-        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, y, proba0,
-                                                        class_names)
+        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, report)
         if len(pred_paths) > 1:
             predictions = {}
             for path, name, (ids, true, predicted, _, _) in zip(
@@ -507,10 +504,9 @@ def cmd_report(args, config, out):
                     raise DataError(f"{path}: records do not match "
                                     f"{pred_paths[0]}")
                 predictions[name] = np.asarray(predicted)
-            dis = evaluation.ensemble_disagreement(
-                predictions, np.asarray(true0))
             _write_json(os.path.join(out, DISAGREEMENT_FILE),
-                        evaluation.disagreement_to_dict(dis))
+                        evaluation.ensemble_disagreement(
+                            predictions, np.asarray(true0)))
             artifacts.append(DISAGREEMENT_FILE)
 
     if dataset_path:

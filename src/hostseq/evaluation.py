@@ -40,107 +40,78 @@ class ConfusionMatrix:
         return int(self.array.sum())
 
 
-def label_indices(values, class_names) -> np.ndarray:
-    """Class index per label; a label may be a class name or an integer
-    index. Raises DataError for a label outside class_names."""
+def label_indices(names, class_names) -> np.ndarray:
+    """Class index per label name. Raises DataError for a name outside
+    class_names."""
     index = {name: i for i, name in enumerate(class_names)}
-    c = len(class_names)
-    out = np.empty(len(values), dtype=np.intp)
-    for pos, v in enumerate(values):
-        if v in index:
-            out[pos] = index[v]
-        elif isinstance(v, (int, np.integer)) and 0 <= v < c:
-            out[pos] = int(v)
-        else:
-            raise DataError(f"unknown label {v!r}")
-    return out
+    try:
+        return np.array([index[name] for name in names], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"unknown label {exc.args[0]!r}") from None
 
 
 def confusion(y_true, y_pred, class_names) -> ConfusionMatrix:
-    """Tally counts[i][j] = #(true=i, predicted=j). Labels may be class
-    names or integer indices."""
-    y_true = list(y_true)
-    y_pred = list(y_pred)
-    if len(y_true) != len(y_pred):
+    """Tally counts[i][j] = #(true=i, predicted=j) over class index
+    arrays."""
+    y_true = np.asarray(y_true, dtype=np.intp)
+    y_pred = np.asarray(y_pred, dtype=np.intp)
+    if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred lengths differ")
     class_names = tuple(class_names)
-    ti = label_indices(y_true, class_names)
-    pi = label_indices(y_pred, class_names)
     c = len(class_names)
+    if y_true.size and (min(y_true.min(), y_pred.min()) < 0
+                        or max(y_true.max(), y_pred.max()) >= c):
+        raise ValueError(f"labels must lie in [0, {c})")
     counts = np.zeros((c, c), dtype=np.int64)
-    np.add.at(counts, (ti, pi), 1)
+    np.add.at(counts, (y_true, y_pred), 1)
     return ConfusionMatrix(counts=tuple(tuple(int(v) for v in row)
                                         for row in counts),
                            class_names=class_names)
 
 
-def _binary_stats(cm: ConfusionMatrix):
+def per_class_metrics(cm: ConfusionMatrix) -> dict:
+    """One-vs-all precision, recall, F1 and Matthews correlation per
+    class: metric name -> (values, mask of zero denominators). A metric
+    whose denominator is zero reads 0."""
     m = cm.array.astype(np.float64)
-    s = m.sum()
     tp = np.diag(m)
     fp = m.sum(axis=0) - tp
     fn = m.sum(axis=1) - tp
-    tn = s - tp - fp - fn
-    return tp, fp, fn, tn
+    tn = m.sum() - tp - fp - fn
+    table = {
+        "precision": (tp, tp + fp),
+        "recall": (tp, tp + fn),
+        "f1": (2 * tp, 2 * tp + fp + fn),
+        "mcc": (tp * tn - fp * fn,
+                np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))),
+    }
+    metrics = {}
+    for name, (num, den) in table.items():
+        zero = den == 0
+        metrics[name] = (np.divide(num, den, out=np.zeros_like(num),
+                                   where=~zero), zero)
+    return metrics
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(num, dtype=np.float64)
-    ok = den != 0
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
-def per_class_precision(cm: ConfusionMatrix) -> np.ndarray:
-    tp, fp, _, _ = _binary_stats(cm)
-    return _safe_div(tp, tp + fp)
-
-
-def per_class_recall(cm: ConfusionMatrix) -> np.ndarray:
-    tp, _, fn, _ = _binary_stats(cm)
-    return _safe_div(tp, tp + fn)
-
-
-def per_class_f1(cm: ConfusionMatrix) -> np.ndarray:
-    """One-vs-all F1 per class; zero denominators yield 0."""
-    tp, fp, fn, _ = _binary_stats(cm)
-    return _safe_div(2 * tp, 2 * tp + fp + fn)
-
-
-def per_class_mcc(cm: ConfusionMatrix) -> np.ndarray:
-    """One-vs-all Matthews correlation per class; zero denominators
-    yield 0."""
-    tp, fp, fn, tn = _binary_stats(cm)
-    den = np.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-    return _safe_div(tp * tn - fp * fn, den)
-
-
-def overall_mcc(cm: ConfusionMatrix) -> float:
-    """Multiclass Matthews correlation computed on the whole matrix."""
+def overall_mcc(cm: ConfusionMatrix) -> tuple:
+    """Gorodkin's K-category correlation over the whole matrix, as
+    (value, degenerate). It is degenerate, and reads 0, when all true
+    or all predicted labels fall in one class."""
     m = cm.array.astype(np.float64)
     s = m.sum()
-    if s < 1:
-        raise ValueError("confusion matrix is empty")
-    c = np.trace(m)
     p = m.sum(axis=0)
     t = m.sum(axis=1)
-    num = c * s - (p * t).sum()
     r1 = s * s - (p * p).sum()
     r2 = s * s - (t * t).sum()
     if r1 <= 0 or r2 <= 0:
-        return 0.0
-    return float(num / (np.sqrt(r1) * np.sqrt(r2)))
+        return 0.0, True
+    num = np.trace(m) * s - (p * t).sum()
+    return float(num / (np.sqrt(r1) * np.sqrt(r2))), False
 
 
-@dataclass(frozen=True)
-class PrCurve:
-    points: tuple          # (recall, precision), descending threshold
-    positive_count: int
-
-
-def pr_curve(scores, y) -> PrCurve:
-    """One point per distinct score, descending; tied scores share a
-    point. Needs at least one positive record."""
+def pr_curve(scores, y) -> tuple:
+    """(recall, precision) points, one per distinct score, descending;
+    tied scores share a point. Needs at least one positive record."""
     scores = np.asarray(scores, dtype=np.float64)
     y = np.asarray(y).astype(bool)
     if scores.shape != y.shape or scores.ndim != 1:
@@ -157,15 +128,15 @@ def pr_curve(scores, y) -> PrCurve:
     seen = ends + 1
     precision = tp / seen
     recall = tp / positives
-    points = tuple((float(r), float(p)) for r, p in zip(recall, precision))
-    return PrCurve(points=points, positive_count=positives)
+    return tuple((float(r), float(p)) for r, p in zip(recall, precision))
 
 
-def average_precision(curve: PrCurve) -> float:
-    """Step sum AP = sum_n (R_n - R_{n-1}) * P_n with R_0 = 0."""
+def average_precision(points) -> float:
+    """Step sum AP = sum_n (R_n - R_{n-1}) * P_n with R_0 = 0 over the
+    points of pr_curve."""
     ap = 0.0
     prev = 0.0
-    for recall, precision in curve.points:
+    for recall, precision in points:
         ap += (recall - prev) * precision
         prev = recall
     return float(ap)
@@ -183,22 +154,18 @@ def _check_prob_matrix(prob, n_rows=None) -> np.ndarray:
 
 
 def micro_metrics(prob_matrix, y_true) -> dict:
-    """Pooled one-vs-all F1 (argmax predictions) and pooled AP over the
-    flattened (record, class) binary problem."""
+    """Pooled one-vs-all F1 of argmax predictions, which is accuracy
+    because each miss is one false positive and one false negative, and
+    pooled AP over the flattened (record, class) binary problem."""
     y_true = np.asarray(y_true)
     prob = _check_prob_matrix(prob_matrix, y_true.shape[0])
     n, c = prob.shape
     if y_true.min() < 0 or y_true.max() >= c:
         raise ValueError(f"labels must lie in [0, {c})")
-    pred = prob.argmax(axis=1)
-    tp = float((pred == y_true).sum())
-    fp = n - tp
-    fn = n - tp
-    micro_f1 = 2 * tp / (2 * tp + fp + fn) if n else 0.0
     onehot = np.zeros((n, c), dtype=bool)
     onehot[np.arange(n), y_true] = True
     curve = pr_curve(prob.ravel(), onehot.ravel())
-    return {"micro_f1": float(micro_f1),
+    return {"micro_f1": float((prob.argmax(axis=1) == y_true).mean()),
             "micro_aucpr": average_precision(curve)}
 
 
@@ -209,9 +176,14 @@ class MetricsReport:
     per_class: dict        # name -> {precision, recall, f1, mcc, aucpr, prevalence}
     overall: dict          # micro_f1, micro_aucpr, overall_mcc, mean_score
     degenerate: tuple      # "<metric>:<class>" labels for zeroed cases
+    pr_curves: dict        # name -> pr_curve points, classes with positives
 
 
 def compute_report(y_true, prob_matrix, class_names) -> MetricsReport:
+    """Scores of the argmax predictions of prob_matrix against class
+    indices y_true. A metric with a zero denominator reads 0 and is
+    flagged in degenerate: per class in the order precision, recall,
+    f1, mcc, aucpr, then overall_mcc."""
     class_names = tuple(class_names)
     y_true = np.asarray(y_true)
     if y_true.size == 0:
@@ -219,45 +191,30 @@ def compute_report(y_true, prob_matrix, class_names) -> MetricsReport:
     prob = _check_prob_matrix(prob_matrix, y_true.shape[0])
     if prob.shape[1] != len(class_names):
         raise ValueError("probability columns do not match class_names")
-    pred = prob.argmax(axis=1)
-    cm = confusion(y_true, pred, class_names)
-    tp, fp, fn, tn = _binary_stats(cm)
-    precision = per_class_precision(cm)
-    recall = per_class_recall(cm)
-    f1 = per_class_f1(cm)
-    mcc = per_class_mcc(cm)
-    mcc_den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    s = cm.total
+    cm = confusion(y_true, prob.argmax(axis=1), class_names)
+    stats = per_class_metrics(cm)
     support = cm.array.sum(axis=1)
+    prevalence = support / cm.total
     degenerate = []
     per_class = {}
+    curves = {}
     for i, name in enumerate(class_names):
-        if tp[i] + fp[i] == 0:
-            degenerate.append(f"precision:{name}")
-        if tp[i] + fn[i] == 0:
-            degenerate.append(f"recall:{name}")
-        if 2 * tp[i] + fp[i] + fn[i] == 0:
-            degenerate.append(f"f1:{name}")
-        if mcc_den[i] == 0:
-            degenerate.append(f"mcc:{name}")
+        entry = {}
+        for metric, (values, zero) in stats.items():
+            entry[metric] = float(values[i])
+            if zero[i]:
+                degenerate.append(f"{metric}:{name}")
         if support[i] > 0:
-            aucpr = average_precision(pr_curve(prob[:, i], y_true == i))
+            curves[name] = pr_curve(prob[:, i], y_true == i)
+            entry["aucpr"] = average_precision(curves[name])
         else:
-            aucpr = 0.0
+            entry["aucpr"] = 0.0
             degenerate.append(f"aucpr:{name}")
-        per_class[name] = {
-            "precision": float(precision[i]),
-            "recall": float(recall[i]),
-            "f1": float(f1[i]),
-            "mcc": float(mcc[i]),
-            "aucpr": aucpr,
-            "prevalence": float(support[i] / s),
-        }
-    m = cm.array.astype(np.float64)
-    p_tot, t_tot = m.sum(axis=0), m.sum(axis=1)
-    if s * s - (p_tot * p_tot).sum() <= 0 or s * s - (t_tot * t_tot).sum() <= 0:
+        entry["prevalence"] = float(prevalence[i])
+        per_class[name] = entry
+    omcc, omcc_zero = overall_mcc(cm)
+    if omcc_zero:
         degenerate.append("overall_mcc")
-    omcc = overall_mcc(cm)
     micro = micro_metrics(prob, y_true)
     overall = {
         "micro_f1": micro["micro_f1"],
@@ -267,10 +224,12 @@ def compute_report(y_true, prob_matrix, class_names) -> MetricsReport:
     }
     return MetricsReport(class_names=class_names, confusion=cm,
                          per_class=per_class, overall=overall,
-                         degenerate=tuple(degenerate))
+                         degenerate=tuple(degenerate), pr_curves=curves)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
+    """The metrics.json document of a report; its PR curves go to
+    pr_curves.csv instead."""
     return {
         "class_names": list(report.class_names),
         "confusion": [list(row) for row in report.confusion.counts],
@@ -278,27 +237,6 @@ def report_to_dict(report: MetricsReport) -> dict:
         "overall": dict(report.overall),
         "degenerate": list(report.degenerate),
     }
-
-
-def per_class_pr_curves(y_true, prob_matrix, class_names) -> dict:
-    """PrCurve per class, or None for a class with no positives."""
-    y_true = np.asarray(y_true)
-    prob = _check_prob_matrix(prob_matrix, y_true.shape[0])
-    curves = {}
-    for i, name in enumerate(class_names):
-        mask = y_true == i
-        curves[name] = pr_curve(prob[:, i], mask) if mask.any() else None
-    return curves
-
-
-def render_pr_curves_csv(curves: dict) -> str:
-    lines = ["class,recall,precision"]
-    for name, curve in curves.items():
-        if curve is None:
-            continue
-        for recall, precision in curve.points:
-            lines.append(f"{name},{recall!r},{precision!r}")
-    return "\n".join(lines) + "\n"
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list:
@@ -504,19 +442,12 @@ def nested_cv_to_dict(result: NestedCvResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DisagreementReport:
-    model_names: tuple
-    all_correct: tuple     # record indices every model got right
-    mixed: tuple
-    all_wrong: tuple
-    detail: tuple          # per all-wrong record: index, true, predictions
-
-
-def ensemble_disagreement(predictions: dict, y_true) -> DisagreementReport:
-    """Partition records by how many models predicted them correctly."""
+def ensemble_disagreement(predictions: dict, y_true) -> dict:
+    """The disagreement.json document: record indices that every model
+    (all_correct), some (mixed) or none (all_wrong) predicted correctly,
+    and per all-wrong record its true label and every prediction."""
     y_true = np.asarray(y_true)
-    names = tuple(predictions.keys())
+    names = list(predictions)
     if not names:
         raise ValueError("need at least one model")
     preds = {}
@@ -527,22 +458,17 @@ def ensemble_disagreement(predictions: dict, y_true) -> DisagreementReport:
         preds[name] = p
     correct = np.stack([preds[name] == y_true for name in names])
     n_correct = correct.sum(axis=0)
-    all_correct = tuple(int(i) for i in np.flatnonzero(n_correct == len(names)))
-    all_wrong = tuple(int(i) for i in np.flatnonzero(n_correct == 0))
-    mixed = tuple(int(i) for i in np.flatnonzero(
-        (n_correct > 0) & (n_correct < len(names))))
-    detail = tuple({"index": i,
+    all_wrong = [int(i) for i in np.flatnonzero(n_correct == 0)]
+    return {
+        "model_names": names,
+        "all_correct": [int(i) for i in
+                        np.flatnonzero(n_correct == len(names))],
+        "mixed": [int(i) for i in np.flatnonzero(
+            (n_correct > 0) & (n_correct < len(names)))],
+        "all_wrong": all_wrong,
+        "detail": [{"index": i,
                     "true": y_true[i].item(),
                     "predictions": {name: preds[name][i].item()
                                     for name in names}}
-                   for i in all_wrong)
-    return DisagreementReport(model_names=names, all_correct=all_correct,
-                              mixed=mixed, all_wrong=all_wrong, detail=detail)
-
-
-def disagreement_to_dict(report: DisagreementReport) -> dict:
-    return {"model_names": list(report.model_names),
-            "all_correct": list(report.all_correct),
-            "mixed": list(report.mixed),
-            "all_wrong": list(report.all_wrong),
-            "detail": list(report.detail)}
+                   for i in all_wrong],
+    }

@@ -325,7 +325,8 @@ class FitResult:
 
 def train(net, inputs, labels, config: TrainConfig) -> FitResult:
     """Run the mini-batch loop; raises TrainingDivergedError on a
-    non-finite loss, naming the 1-based epoch."""
+    non-finite loss, naming the 1-based epoch. Floating-point warnings
+    are silenced, since the loss check reports divergence."""
     labels = np.asarray(labels)
     n = inputs.shape[0]
     if labels.shape != (n,):
@@ -334,26 +335,27 @@ def train(net, inputs, labels, config: TrainConfig) -> FitResult:
     penalized = net.penalized()
     opt = OPTIMIZERS[config.optimizer](params, config.learning_rate)
     result = FitResult()
-    for epoch in range(1, config.epochs + 1):
-        perm = np.random.default_rng(
-            derive_seed(config.seed, "shuffle", epoch)).permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            for p in params:
-                p.zero_grad()
-            loss = ag.cross_entropy(net.forward(inputs[idx]), labels[idx])
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}")
-            loss.backward()
-            if config.alpha:
-                for w in penalized:
-                    w.grad = (w.grad if w.grad is not None else 0.0) \
-                        + config.alpha * w.data
-            opt.step()
-            total += float(loss.data) * len(idx)
-        result.epoch_losses.append(total / n)
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            perm = np.random.default_rng(
+                derive_seed(config.seed, "shuffle", epoch)).permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                for p in params:
+                    p.zero_grad()
+                loss = ag.cross_entropy(net.forward(inputs[idx]), labels[idx])
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(
+                        f"loss became non-finite at epoch {epoch}")
+                loss.backward()
+                if config.alpha:
+                    for w in penalized:
+                        w.grad = (w.grad if w.grad is not None else 0.0) \
+                            + config.alpha * w.data
+                opt.step()
+                total += float(loss.data) * len(idx)
+            result.epoch_losses.append(total / n)
     return result
 
 

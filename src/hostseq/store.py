@@ -1,5 +1,6 @@
-"""On-disk artifact formats: the feature, token, prediction, metrics
-and token-frequency CSV tables, and the binary model checkpoint.
+"""On-disk artifact formats: the feature, token, prediction, metrics,
+PR-curve and token-frequency CSV tables, and the binary model
+checkpoint.
 
 The checkpoint is a magic-tagged container: a JSON header describing
 the model and its arrays, followed by the raw little-endian array
@@ -139,6 +140,15 @@ def write_metrics_csv(path, report_dict) -> None:
     rows += [["overall", "", metric, repr(value)]
              for metric, value in sorted(report_dict["overall"].items())]
     _write_table(path, ["scope", "class", "metric", "value"], rows)
+
+
+def write_pr_curves_csv(path, curves) -> None:
+    """Rows of class,recall,precision: every point of each class's PR
+    curve, from a dict of class name -> (recall, precision) points."""
+    _write_table(path, ["class", "recall", "precision"],
+                 ([name, repr(recall), repr(precision)]
+                  for name, points in curves.items()
+                  for recall, precision in points))
 
 
 def write_token_frequencies_csv(path, frequencies, class_names, top) -> None:

@@ -131,11 +131,13 @@ def test_c4_metric_oracles():
         names = tuple(f"c{i}" for i in range(n))
         cm = ev.ConfusionMatrix(counts=tuple(map(tuple, cm_arr.tolist())),
                                 class_names=names)
+        metrics = ev.per_class_metrics(cm)
         for i in range(n):
-            assert abs(ev.per_class_f1(cm)[i] - oracle_f1(cm_arr, i)) <= 1e-12
-            assert abs(ev.per_class_mcc(cm)[i]
+            assert abs(metrics["f1"][0][i] - oracle_f1(cm_arr, i)) <= 1e-12
+            assert abs(metrics["mcc"][0][i]
                        - oracle_binary_mcc(cm_arr, i)) <= 1e-12
-        assert abs(ev.overall_mcc(cm) - oracle_overall_mcc(cm_arr)) <= 1e-12
+        assert abs(ev.overall_mcc(cm)[0]
+                   - oracle_overall_mcc(cm_arr)) <= 1e-12
 
         m = int(rng.integers(3, 30))
         scores = rng.integers(0, 8, size=m) / 7.0
@@ -154,7 +156,7 @@ def test_c4_metric_oracles():
 
     hand_cm = ev.ConfusionMatrix(counts=((2, 1), (1, 2)),
                                  class_names=("a", "b"))
-    assert ev.overall_mcc(hand_cm) == pytest.approx(1 / 3, abs=1e-15)
+    assert ev.overall_mcc(hand_cm)[0] == pytest.approx(1 / 3, abs=1e-15)
     hand_ap = ev.average_precision(
         ev.pr_curve(np.array([0.9, 0.8, 0.7]), np.array([1, 0, 1])))
     assert hand_ap == pytest.approx(5 / 6, abs=1e-15)

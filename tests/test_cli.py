@@ -1,8 +1,11 @@
 """Command-line pipeline: exit codes, artifacts, overrides, determinism."""
 
+import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,17 +182,32 @@ def test_train_divergence_exit_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def diverging_nested_cv(tmp_path):
+    return ["nested-cv", "--model", "mlp", "--optimizer", "sgd",
+            "--learning-rate", "1e200", "--epochs", "5",
+            "--grid", '{"hidden": [[8]]}',
+            "--features", str(seeded_features(tmp_path)),
+            "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+            "--workers", "2", "--out", str(tmp_path / "o")]
+
+
 def test_nested_cv_divergence_exit_3_names_inner_fold(tmp_path, capsys):
-    assert run(["nested-cv", "--model", "mlp", "--optimizer", "sgd",
-                "--learning-rate", "1e200", "--epochs", "5",
-                "--grid", '{"hidden": [[8]]}',
-                "--features", str(seeded_features(tmp_path)),
-                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
-                "--workers", "2", "--out", str(tmp_path / "o")]) == 3
+    assert run(diverging_nested_cv(tmp_path)) == 3
     err = capsys.readouterr().err
     assert "training diverged: outer fold 0, grid point 0, inner fold" in err
     assert not (tmp_path / "o" / "metrics.json").exists()
+
+
+def test_divergence_stderr_is_one_message_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hostseq.cli"] + diverging_nested_cv(tmp_path),
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("training diverged: "), \
+        proc.stderr
 
 
 def test_train_missing_features_exit_2(tmp_path):
@@ -284,6 +302,25 @@ def predictions_fixture(tmp_path):
                 "--features", str(out / "features.csv"),
                 "--out", str(out)]) == 0
     return out
+
+
+def test_pr_curves_csv_quotes_class_names(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.random((20, 4))
+    labels = ["a,b" if x > 0.5 else "c" for x in X[:, 0]]
+    features = tmp_path / "features.csv"
+    store.write_features_csv(features, [f"r{i}" for i in range(20)], labels,
+                             "eg", X)
+    out = tmp_path / "o"
+    assert run(["train", "--model", "rf", "--features", str(features),
+                "--seed", "1", "--n-estimators", "3", "--out", str(out)]) == 0
+    assert run(["evaluate", "--model-file", str(out / "model.bin"),
+                "--features", str(features), "--out", str(out)]) == 0
+    with open(out / "pr_curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["class", "recall", "precision"]
+    assert all(len(row) == 3 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"a,b", "c"}
 
 
 def test_report_single_predictions(tmp_path):

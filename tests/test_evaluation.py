@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hostseq import evaluation as ev
+from hostseq import store
 from hostseq.estimators import ModelFactory
 from hostseq.models import TrainingDivergedError
 from hostseq.util import derive_seed
@@ -100,38 +101,44 @@ def test_confusion_tally(rng):
 
 
 def test_confusion_accepts_names():
-    cm = ev.confusion(["a", "b", "a"], ["a", "a", "a"], ("a", "b"))
+    names = ("a", "b")
+    cm = ev.confusion(ev.label_indices(["a", "b", "a"], names),
+                      ev.label_indices(["a", "a", "a"], names), names)
     assert cm.array.tolist() == [[2, 0], [1, 0]]
 
 
 def test_confusion_unknown_label():
-    with pytest.raises(ValueError, match="unknown label"):
-        ev.confusion(["a", "z"], ["a", "a"], ("a", "b"))
+    with pytest.raises(ValueError, match="unknown label 'z'"):
+        ev.label_indices(["a", "z"], ("a", "b"))
+    with pytest.raises(ValueError, match="labels must lie in"):
+        ev.confusion([0, 2], [0, 0], ("a", "b"))
 
 
 def test_perfect_prediction_is_diagonal():
     y = np.array([0, 1, 2, 1, 0])
     cm = ev.confusion(y, y, ("a", "b", "c"))
     assert np.array_equal(cm.array, np.diag([2, 2, 1]))
-    assert np.all(ev.per_class_f1(cm) == 1.0)
-    assert np.all(ev.per_class_mcc(cm) == 1.0)
-    assert ev.overall_mcc(cm) == 1.0
+    metrics = ev.per_class_metrics(cm)
+    assert np.all(metrics["f1"][0] == 1.0)
+    assert np.all(metrics["mcc"][0] == 1.0)
+    assert ev.overall_mcc(cm) == (1.0, False)
 
 
 def test_f1_hand_case():
     # one-vs-all with TP=2, FP=1, FN=1 for class a
     cm = ev.ConfusionMatrix(counts=((2, 1), (1, 6)), class_names=("a", "b"))
-    assert ev.per_class_f1(cm)[0] == pytest.approx(2 / 3, abs=1e-15)
+    assert ev.per_class_metrics(cm)["f1"][0][0] == pytest.approx(
+        2 / 3, abs=1e-15)
 
 
 def test_overall_mcc_hand_case():
     cm = ev.ConfusionMatrix(counts=((2, 1), (1, 2)), class_names=("a", "b"))
-    assert ev.overall_mcc(cm) == pytest.approx(1 / 3, abs=1e-15)
+    assert ev.overall_mcc(cm)[0] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_degenerate_single_column_mcc_zero():
     cm = ev.ConfusionMatrix(counts=((3, 0), (2, 0)), class_names=("a", "b"))
-    assert ev.overall_mcc(cm) == 0.0
+    assert ev.overall_mcc(cm) == (0.0, True)
 
 
 def test_metrics_match_oracles_on_random_matrices(rng):
@@ -143,16 +150,14 @@ def test_metrics_match_oracles_on_random_matrices(rng):
         names = tuple(f"c{i}" for i in range(n))
         cm = ev.ConfusionMatrix(counts=tuple(map(tuple, cm_arr.tolist())),
                                 class_names=names)
+        metrics = ev.per_class_metrics(cm)
+        oracles = {"precision": oracle_precision, "recall": oracle_recall,
+                   "f1": oracle_f1, "mcc": oracle_binary_mcc}
         for i in range(n):
-            assert ev.per_class_f1(cm)[i] == pytest.approx(
-                oracle_f1(cm_arr, i), abs=1e-12)
-            assert ev.per_class_mcc(cm)[i] == pytest.approx(
-                oracle_binary_mcc(cm_arr, i), abs=1e-12)
-            assert ev.per_class_precision(cm)[i] == pytest.approx(
-                oracle_precision(cm_arr, i), abs=1e-12)
-            assert ev.per_class_recall(cm)[i] == pytest.approx(
-                oracle_recall(cm_arr, i), abs=1e-12)
-        assert ev.overall_mcc(cm) == pytest.approx(
+            for name, oracle in oracles.items():
+                assert metrics[name][0][i] == pytest.approx(
+                    oracle(cm_arr, i), abs=1e-12)
+        assert ev.overall_mcc(cm)[0] == pytest.approx(
             oracle_overall_mcc(cm_arr), abs=1e-12)
 
 
@@ -183,11 +188,10 @@ def test_pr_curve_recall_monotone(rng):
     scores = rng.random(40)
     y = rng.integers(0, 2, size=40)
     y[0] = 1
-    curve = ev.pr_curve(scores, y)
-    recalls = [r for r, _ in curve.points]
+    points = ev.pr_curve(scores, y)
+    recalls = [r for r, _ in points]
     assert recalls == sorted(recalls)
-    assert all(0.0 <= p <= 1.0 for _, p in curve.points)
-    assert curve.positive_count == int(y.sum())
+    assert all(0.0 <= p <= 1.0 for _, p in points)
 
 
 def test_ap_matches_oracle_on_random_sets(rng):
@@ -277,6 +281,61 @@ def test_compute_report_degenerate_flags():
     assert report.per_class["c"]["aucpr"] == 0.0
 
 
+def oracle_degenerate(cm, names):
+    """Degenerate flags from the oracle's zero denominators, in report
+    order: per class precision, recall, f1, mcc, aucpr; then overall."""
+    flags = []
+    for i, name in enumerate(names):
+        tp, fp, fn, tn = oracle_one_vs_all(cm, i)
+        denominators = {"precision": tp + fp, "recall": tp + fn,
+                        "f1": 2 * tp + fp + fn,
+                        "mcc": (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn),
+                        "aucpr": cm[i].sum()}
+        flags += [f"{metric}:{name}"
+                  for metric, den in denominators.items() if den == 0]
+    s = cm.sum()
+    p, t = cm.sum(axis=0), cm.sum(axis=1)
+    if s * s - int(p @ p) <= 0 or s * s - int(t @ t) <= 0:
+        flags.append("overall_mcc")
+    return flags
+
+
+def predictions_tallying_to(rng, cm):
+    """Class indices and a probability matrix whose argmax tallies to cm."""
+    c = cm.shape[0]
+    pairs = [(i, j) for i in range(c) for j in range(c)
+             for _ in range(cm[i, j])]
+    y = np.array([i for i, _ in pairs])
+    prob = rng.random((len(pairs), c)) * 0.5
+    prob[np.arange(len(pairs)), [j for _, j in pairs]] = 1.0
+    return y, prob / prob.sum(axis=1, keepdims=True)
+
+
+def test_degenerate_flags_match_oracle(rng):
+    cases = []
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        cases.append(rng.integers(0, 4, size=(n, n))
+                     * (rng.random((n, n)) < 0.4))
+    absent = random_cm(rng, 3)
+    absent[1] = 0                       # class never true
+    unpredicted = random_cm(rng, 3)
+    unpredicted[:, 2] = 0               # class never predicted
+    single = np.zeros((3, 3), dtype=int)
+    single[:, 0] = [4, 2, 1]            # one predicted class
+    one_cell = np.zeros((4, 4), dtype=int)
+    one_cell[2, 2] = 5
+    cases += [absent, unpredicted, single, one_cell]
+    for cm in cases:
+        if cm.sum() == 0:
+            continue
+        names = tuple(f"c{i}" for i in range(cm.shape[0]))
+        y, prob = predictions_tallying_to(rng, cm)
+        report = ev.compute_report(y, prob, names)
+        assert report.confusion.array.tolist() == cm.tolist()
+        assert list(report.degenerate) == oracle_degenerate(cm, names)
+
+
 def test_report_to_dict_roundtrips_values(rng):
     prob = random_prob_matrix(rng, 20, 3)
     y = rng.integers(0, 3, size=20)
@@ -286,15 +345,18 @@ def test_report_to_dict_roundtrips_values(rng):
     assert doc["confusion"] == [list(r) for r in report.confusion.counts]
 
 
-def test_per_class_pr_curves_and_csv(rng):
+def test_per_class_pr_curves_and_csv(rng, tmp_path):
     prob = random_prob_matrix(rng, 20, 3)
     y = rng.integers(0, 2, size=20)  # class c has no positives
-    curves = ev.per_class_pr_curves(y, prob, ("a", "b", "c"))
-    assert curves["c"] is None
-    csv_text = ev.render_pr_curves_csv(curves)
-    lines = csv_text.strip().splitlines()
+    curves = ev.compute_report(y, prob, ("a", "b", "c")).pr_curves
+    assert list(curves) == ["a", "b"]
+    assert curves["a"] == ev.pr_curve(prob[:, 0], y == 0)
+    path = tmp_path / "pr_curves.csv"
+    store.write_pr_curves_csv(path, curves)
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "class,recall,precision"
     assert all(line.split(",")[0] in ("a", "b") for line in lines[1:])
+    assert len(lines) == 1 + len(curves["a"]) + len(curves["b"])
 
 
 # --- stratified k-fold ---
@@ -558,32 +620,30 @@ def test_disagreement_partition(rng):
     preds["m2"][5] = (y[5] + 1) % 3       # record 5 mixed
     for m in preds.values():
         m[7] = (y[7] + 1) % 3             # record 7 all wrong
-    report = ev.ensemble_disagreement(preds, y)
-    assert 5 in report.mixed
-    assert 7 in report.all_wrong
-    assert 5 not in report.all_correct
-    partition = (set(report.all_correct) | set(report.mixed)
-                 | set(report.all_wrong))
+    doc = ev.ensemble_disagreement(preds, y)
+    assert 5 in doc["mixed"]
+    assert 7 in doc["all_wrong"]
+    assert 5 not in doc["all_correct"]
+    partition = (set(doc["all_correct"]) | set(doc["mixed"])
+                 | set(doc["all_wrong"]))
     assert partition == set(range(30))
-    assert len(report.all_correct) + len(report.mixed) + \
-        len(report.all_wrong) == 30
-    detail_ids = [d["index"] for d in report.detail]
-    assert detail_ids == list(report.all_wrong)
-    assert report.detail[0]["true"] == y[7]
+    assert len(doc["all_correct"]) + len(doc["mixed"]) + \
+        len(doc["all_wrong"]) == 30
+    detail_ids = [d["index"] for d in doc["detail"]]
+    assert detail_ids == doc["all_wrong"]
+    assert doc["detail"][0]["true"] == y[7]
 
 
 def test_disagreement_matches_brute_force(rng):
     y = rng.integers(0, 2, size=25)
     preds = {f"m{i}": rng.integers(0, 2, size=25) for i in range(3)}
-    report = ev.ensemble_disagreement(preds, y)
+    doc = ev.ensemble_disagreement(preds, y)
     for r in range(25):
         oks = [preds[m][r] == y[r] for m in preds]
         if all(oks):
-            assert r in report.all_correct
+            assert r in doc["all_correct"]
         elif not any(oks):
-            assert r in report.all_wrong
+            assert r in doc["all_wrong"]
         else:
-            assert r in report.mixed
-    doc = ev.disagreement_to_dict(report)
-    assert doc["all_correct"] == list(report.all_correct)
+            assert r in doc["mixed"]
     assert doc["model_names"] == ["m0", "m1", "m2"]

@@ -113,7 +113,6 @@ def test_l2_penalty_shrinks_weights():
     assert norm(ridge) < norm(plain)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_epoch():
     X, y = blob_data(7)
     spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(16,))
