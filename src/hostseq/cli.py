@@ -43,9 +43,10 @@ TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
 LOG_FILE = "run.log"
 
 # add_argument keywords of each flag, defined once. A model field's flag
-# takes its type from the config dataclass (see build_parser), so only
+# takes its type from the config dataclass (see _flag_options), so only
 # its choices or help are listed here.
 _FLAGS = {
+    "model": {"choices": list(estimators.KINDS)},
     "config": {"help": "JSON config file; flags override it"},
     "out": {"help": "output directory"},
     "fasta": {"help": "input FASTA path"},
@@ -111,31 +112,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _flag_options(name) -> dict:
+    """add_argument keywords of flag --name: a model field's type (a tuple
+    field is text, read by _model_factory), then its _FLAGS entry."""
+    kind = estimators.FIELDS.get(name.replace("-", "_"), tuple)
+    return {**({} if kind is tuple else {"type": kind}),
+            **_FLAGS.get(name, {})}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hostseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    flags = {"model": {"choices": list(estimators.KINDS)}}
-    for name, kind in estimators.FIELDS.items():
-        # a tuple field is given as text and read by _model_factory
-        flags[name.replace("_", "-")] = {} if kind is tuple else {
-            "type": kind}
-    for name, options in _FLAGS.items():
-        flags[name] = {**flags.get(name, {}), **options}
     for command, (text, names) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=text)
         for name in ("config", "out") + names:
-            p.add_argument("--" + name, **flags[name])
+            p.add_argument("--" + name, **_flag_options(name))
     return parser
 
 
-def _load_config(path):
+def _config_value(name, value, options):
+    """A config value of flag --name read the way the flag's text is. A
+    store-true flag takes true or false; a typed flag converts a string,
+    or the JSON text of another value; a text flag takes a string (or a
+    list of them for --predictions, a JSON list or number for --hidden)."""
+    try:
+        if options.get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise ValueError
+        elif options.get("nargs"):
+            value = [value] if isinstance(value, str) else value
+            if not (isinstance(value, list)
+                    and all(isinstance(v, str) for v in value)):
+                raise ValueError
+        elif "type" in options:
+            value = options["type"](
+                value if isinstance(value, str) else json.dumps(value))
+        elif not isinstance(value, str) and name != "hidden":
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"config --{name} cannot be {value!r}") from None
+    if value not in options.get("choices", (value,)):
+        raise UsageError(f"unknown --{name} {value!r}")
+    return value
+
+
+def _load_config(path, command):
+    """The values of command's flags in the JSON object at path, each read
+    by _config_value; a null value leaves its flag unset."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise UsageError(f"{path}: config must be a JSON object")
-    return doc
+    names = ("out",) + _SUBCOMMANDS[command][1]
+    return {name: _config_value(name, value, _flag_options(name))
+            for name, value in doc.items()
+            if name in names and value is not None}
 
 
 def _cfg(args, config, key, default=None):
@@ -154,7 +187,7 @@ def _require(value, name):
 
 def _workers(args, config) -> int:
     """--workers, capped at the cores this process may run on."""
-    requested = int(_cfg(args, config, "workers", 1))
+    requested = _cfg(args, config, "workers", 1)
     return max(min(requested, len(os.sched_getaffinity(0))), 1)
 
 
@@ -200,11 +233,11 @@ def cmd_prepare(args, config, out):
     ds, report = prepare_corpus(read_text(fasta), level, host_key=host_key,
                                 drop_incomplete=drop_incomplete)
     save_dataset(ds, os.path.join(out, DATASET_FILE))
-    _write_json(os.path.join(out, FILTER_REPORT_FILE), report.to_dict())
+    _write_json(os.path.join(out, FILTER_REPORT_FILE), report)
     effective = {"fasta": fasta, "level": level, "host-key": host_key,
                  "drop-incomplete": drop_incomplete}
     return (effective, [DATASET_FILE, FILTER_REPORT_FILE],
-            f"kept {report.kept} of {report.parsed} records "
+            f"kept {report['kept']} of {report['parsed']} records "
             f"({len(ds.class_names)} classes)")
 
 
@@ -279,7 +312,7 @@ def _encode(args, config, seed) -> _Table:
         rows = np.empty((len(ds.records), pssm.SCHEME_DIMS[scheme]))
         for i, r in enumerate(ds.records):
             rows[i] = pssm.encode_record_features(r.residues, profiles[r.id],
-                                                  scheme).values
+                                                  scheme)
         return _Table(rows, ids, ds.labels)
     token_lists = [ngram.tokenize(r.residues, n) for r in ds.records]
     vocab = ngram.build_vocab(token_lists, n)
@@ -416,8 +449,8 @@ def _parse_grid(text, model_kind) -> list:
 def cmd_nested_cv(args, config, out):
     model_kind = _require(_cfg(args, config, "model"), "model")
     seed = _require(_cfg(args, config, "seed"), "seed")
-    k_outer = int(_cfg(args, config, "k-outer", 5))
-    k_inner = int(_cfg(args, config, "k-inner", 4))
+    k_outer = _cfg(args, config, "k-outer", 5)
+    k_inner = _cfg(args, config, "k-inner", 4)
     workers = _workers(args, config)
     dataset = _cfg(args, config, "dataset")
     table = (_encode(args, config, seed) if dataset
@@ -483,7 +516,7 @@ def cmd_report(args, config, out):
     pred_paths = _cfg(args, config, "predictions") or []
     dataset_path = _cfg(args, config, "dataset")
     n = _cfg(args, config, "ngrams")
-    top = int(_cfg(args, config, "top-tokens", 50))
+    top = _cfg(args, config, "top-tokens", 50)
     if not pred_paths and not dataset_path:
         raise UsageError("report needs --predictions and/or --dataset")
     artifacts = []
@@ -541,7 +574,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        config = _load_config(args.config)
+        config = _load_config(args.config, args.command)
         out = _require(_cfg(args, config, "out"), "out")
         os.makedirs(out, exist_ok=True)
         effective, artifacts, message = _COMMANDS[args.command](

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +14,6 @@ from .util import atomic_write_text
 
 PAD_ID = 0
 OOV_ID = 1
-PAD_TOKEN = "<pad>"
-OOV_TOKEN = "<oov>"
 
 # Bound on n keeps worst-case vocabulary size manageable (20^n tokens).
 MAX_N = 8
@@ -44,19 +42,14 @@ class Vocabulary:
     """Token-to-id table with reserved padding and out-of-vocabulary ids.
 
     Built from the training split only; unseen test tokens map to OOV.
+    The tokens of token_to_id carry ids 2, 3, ... in its order.
     """
     n: int
     token_to_id: dict
-    id_to_token: tuple = field(default=())
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
-        if not self.id_to_token:
-            inverse = [PAD_TOKEN, OOV_TOKEN] + [None] * len(self.token_to_id)
-            for tok, i in self.token_to_id.items():
-                inverse[i] = tok
-            object.__setattr__(self, "id_to_token", tuple(inverse))
 
     @property
     def size(self) -> int:
@@ -66,27 +59,18 @@ class Vocabulary:
         return self.token_to_id.get(token, OOV_ID)
 
 
-def build_vocab(corpus, n: int | None = None) -> Vocabulary:
-    """Assign ids to tokens by first appearance over a token-list corpus.
+def build_vocab(corpus, n: int) -> Vocabulary:
+    """Assign ids to the n-grams of a tokenize corpus by first appearance.
 
     Deterministic for a fixed corpus order. Ids 0 and 1 are reserved.
     """
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
     token_to_id = {}
-    next_id = 2
     for tokens in corpus:
         for tok in tokens:
-            if n is None:
-                n = len(tok)
-            elif len(tok) != n:
-                raise DataError(
-                    f"token {tok!r} has length {len(tok)}, expected {n}")
             if tok not in token_to_id:
-                token_to_id[tok] = next_id
-                next_id += 1
-    if n is None:
-        raise DataError("corpus contains no tokens")
+                token_to_id[tok] = len(token_to_id) + 2
     return Vocabulary(n=n, token_to_id=token_to_id)
 
 
@@ -121,17 +105,20 @@ def token_frequencies(ds: LabeledDataset, n: int) -> dict:
 
 
 def save_vocab(vocab: Vocabulary, max_len: int, path) -> None:
-    tokens = [vocab.id_to_token[i] for i in range(2, vocab.size)]
     doc = {"n": vocab.n, "max_len": max_len, "pad_id": PAD_ID,
-           "oov_id": OOV_ID, "tokens": tokens}
+           "oov_id": OOV_ID, "tokens": list(vocab.token_to_id)}
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_vocab(path):
-    """Returns (Vocabulary, max_len); a malformed file is a DataError."""
+    """Returns (Vocabulary, max_len). A malformed file, a repeated token
+    or a token whose length is not n is a DataError."""
     doc = read_json(path)
     try:
-        token_to_id = {tok: i + 2 for i, tok in enumerate(doc["tokens"])}
-        return Vocabulary(n=doc["n"], token_to_id=token_to_id), doc["max_len"]
+        n, tokens = doc["n"], doc["tokens"]
+        token_to_id = {tok: i + 2 for i, tok in enumerate(tokens)}
+        if len(token_to_id) != len(tokens) or any(len(t) != n for t in tokens):
+            raise ValueError(f"tokens must be distinct and of length {n}")
+        return Vocabulary(n=n, token_to_id=token_to_id), doc["max_len"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed vocabulary: {exc!r}") from exc

@@ -21,10 +21,8 @@ RESIDUE_GROUPS = ("FYW", "ML", "IV", "ATS", "NH", "QED", "RK", "C", "G", "P")
 SCHEME_DIMS = {"eg": 100, "gdpc": 100, "er": 910}
 
 _COL_INDEX = {aa: i for i, aa in enumerate(PSIBLAST_COLUMNS)}
-_GROUP_OF = {}
-for _gi, _members in enumerate(RESIDUE_GROUPS):
-    for _aa in _members:
-        _GROUP_OF[_aa] = _gi
+_GROUP_OF = {aa: gi for gi, members in enumerate(RESIDUE_GROUPS)
+             for aa in members}
 
 
 class PssmFormatError(DataError):
@@ -42,33 +40,6 @@ class RawPssm:
             raise ValueError(
                 f"score shape {self.scores.shape} does not match "
                 f"{len(self.residues)} residues x 20 columns")
-
-
-@dataclass(frozen=True)
-class NormalizedPssm:
-    residues: str
-    values: np.ndarray  # (L, 20) float in [0, 1]
-
-
-@dataclass(frozen=True)
-class Gpssm:
-    residues: str
-    values: np.ndarray  # (L, 10) float
-    group_table: tuple = RESIDUE_GROUPS
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    scheme: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.scheme not in SCHEME_DIMS:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.values.shape != (SCHEME_DIMS[self.scheme],):
-            raise ValueError(
-                f"{self.scheme} feature vector must have length "
-                f"{SCHEME_DIMS[self.scheme]}, got {self.values.shape}")
 
 
 def parse_psiblast_pssm(text: str) -> RawPssm:
@@ -136,101 +107,97 @@ def render_psiblast_pssm(m: RawPssm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sigmoid_normalize(m: RawPssm) -> NormalizedPssm:
-    """Map each log-odds score s to 1 / (1 + e^-s)."""
-    x = m.scores.astype(np.float64)
+def sigmoid_normalize(scores: np.ndarray) -> np.ndarray:
+    """Map each log-odds score s to 1 / (1 + e^-s): (L, 20) floats."""
+    x = scores.astype(np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return NormalizedPssm(residues=m.residues, values=out)
+    return out
 
 
-def group_columns(m: NormalizedPssm) -> Gpssm:
+def group_columns(values: np.ndarray) -> np.ndarray:
     """Average the 20 substitution columns into the 10 residue groups.
 
-    Column j of the output is the mean of the input columns whose
+    Column j of the (L, 10) output is the mean of the input columns whose
     letters belong to group j.
     """
-    vals = np.empty((m.values.shape[0], len(RESIDUE_GROUPS)), dtype=np.float64)
+    vals = np.empty((values.shape[0], len(RESIDUE_GROUPS)), dtype=np.float64)
     for j, members in enumerate(RESIDUE_GROUPS):
         idx = [_COL_INDEX[aa] for aa in members]
-        vals[:, j] = m.values[:, idx].mean(axis=1)
-    return Gpssm(residues=m.residues, values=vals)
+        vals[:, j] = values[:, idx].mean(axis=1)
+    return vals
 
 
-def encode_eg(g: Gpssm) -> FeatureVector:
-    """Grouped row means: E[i][j] averages column j over the positions
-    whose residue lies in group i. Groups absent from the sequence give
-    zero rows. Flattened row by row, left to right."""
-    if len(g.residues) < 1:
+def encode_eg(residues: str, g: np.ndarray) -> np.ndarray:
+    """Grouped row means: E[i][j] averages column j of g over the
+    positions whose residue lies in group i. Groups absent from the
+    sequence give zero rows. Flattened row by row, left to right."""
+    if len(residues) < 1:
         raise SequenceTooShortError("grouped row means need at least 1 position")
     n_groups = len(RESIDUE_GROUPS)
     e = np.zeros((n_groups, n_groups), dtype=np.float64)
-    row_groups = np.array([_GROUP_OF[aa] for aa in g.residues])
+    row_groups = np.array([_GROUP_OF[aa] for aa in residues])
     for i in range(n_groups):
         mask = row_groups == i
         if mask.any():
-            e[i] = g.values[mask].mean(axis=0)
-    return FeatureVector(scheme="eg", values=e.ravel())
+            e[i] = g[mask].mean(axis=0)
+    return e.ravel()
 
 
-def encode_gdpc(g: Gpssm) -> FeatureVector:
+def encode_gdpc(g: np.ndarray) -> np.ndarray:
     """Grouped dipeptide composition:
     D[i][j] = (1/(L-1)) * sum_k g[k,i] * g[k+1,j], flattened row-major."""
-    n = g.values.shape[0]
+    n = g.shape[0]
     if n < 2:
         raise SequenceTooShortError(
             f"dipeptide composition needs at least 2 positions, got {n}")
-    d = g.values[:-1].T @ g.values[1:] / (n - 1)
-    return FeatureVector(scheme="gdpc", values=d.ravel())
+    d = g[:-1].T @ g[1:] / (n - 1)
+    return d.ravel()
 
 
 ER_MAX_GAP = 9
 
 
-def encode_er(g: Gpssm) -> FeatureVector:
+def encode_er(g: np.ndarray) -> np.ndarray:
     """Gapped squared-difference pseudo-composition plus column variances.
 
     M[i][j][t] = (1/(L-t)) * sum_k (g[k,i] - g[k+t,j])^2 / 2 for gaps
     t = 1..9, laid out (i, j, t) row-major with t innermost, followed by
     the per-column variances T[1..10].
     """
-    vals = g.values
-    n, n_groups = vals.shape
+    n, n_groups = g.shape
     if n < ER_MAX_GAP + 1:
         raise SequenceTooShortError(
             f"gapped pseudo-composition needs at least {ER_MAX_GAP + 1} "
             f"positions, got {n}")
     m = np.empty((n_groups, n_groups, ER_MAX_GAP), dtype=np.float64)
     for t in range(1, ER_MAX_GAP + 1):
-        head = vals[:n - t]          # (L-t, 10), index i
-        tail = vals[t:]              # (L-t, 10), index j
+        head = g[:n - t]             # (L-t, 10), index i
+        tail = g[t:]                 # (L-t, 10), index j
         diff = head[:, :, None] - tail[:, None, :]
         m[:, :, t - 1] = 0.5 * (diff ** 2).mean(axis=0)
-    t_var = ((vals - vals.mean(axis=0)) ** 2).mean(axis=0)
-    return FeatureVector(scheme="er", values=np.concatenate([m.ravel(), t_var]))
+    t_var = ((g - g.mean(axis=0)) ** 2).mean(axis=0)
+    return np.concatenate([m.ravel(), t_var])
 
 
-_ENCODERS = {"eg": encode_eg, "gdpc": encode_gdpc, "er": encode_er}
-
-
-def encode_scheme(g: Gpssm, scheme: str) -> FeatureVector:
-    if scheme not in _ENCODERS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
-                         f"{sorted(_ENCODERS)}")
-    return _ENCODERS[scheme](g)
-
-
-def encode_record_features(residues: str, raw: RawPssm, scheme: str) -> FeatureVector:
-    """Normalize, group, then encode a raw profile for one sequence."""
+def encode_record_features(residues: str, raw: RawPssm, scheme: str) -> np.ndarray:
+    """Normalize, group, then encode a raw profile for one sequence; the
+    vector has SCHEME_DIMS[scheme] entries."""
     if raw.residues != residues:
         raise DataError("profile residues do not match the record")
-    return encode_scheme(group_columns(sigmoid_normalize(raw)), scheme)
+    if scheme not in SCHEME_DIMS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of "
+                         f"{sorted(SCHEME_DIMS)}")
+    g = group_columns(sigmoid_normalize(raw.scores))
+    if scheme == "eg":
+        return encode_eg(residues, g)
+    return encode_gdpc(g) if scheme == "gdpc" else encode_er(g)
 
 
-def synth_pssm(record, seed: int) -> RawPssm:
+def synth_pssm(residues: str, seed: int) -> RawPssm:
     """Deterministic stand-in profile for a validated sequence.
 
     Scores are small integers; the column matching each position's own
@@ -238,7 +205,6 @@ def synth_pssm(record, seed: int) -> RawPssm:
     profile encodes the sequence content the way a real search profile
     concentrates mass on the query residue.
     """
-    residues = getattr(record, "residues", record)
     for i, aa in enumerate(residues, start=1):
         if aa not in VALID_RESIDUES:
             raise DataError(f"cannot synthesize profile: invalid residue "

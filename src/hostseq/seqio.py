@@ -6,8 +6,7 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .util import atomic_write_text
 
@@ -33,10 +32,7 @@ class UnknownHostError(DataError):
     pass
 
 
-class HostCoarse(str, Enum):
-    HUMAN = "human"
-    AVIAN = "avian"
-    SWINE = "swine"
+COARSE_HOSTS = ("human", "avian", "swine")
 
 
 # Avian sub-hosts recognised at the fine taxonomic level. The generic
@@ -54,18 +50,14 @@ class ProteinRecord:
     """One labeled amino-acid sequence.
 
     residues is uppercase; validation against the canonical alphabet is a
-    separate step (see validate_record) so that rejects can be counted.
+    separate step of prepare_corpus so that rejects can be counted.
+    coarse_label is one of COARSE_HOSTS.
     """
     id: str
     residues: str
-    coarse_label: Optional[HostCoarse] = None
+    coarse_label: Optional[str] = None
     fine_label: Optional[str] = None
     metadata: dict = field(default_factory=dict)
-
-    def is_incomplete(self) -> bool:
-        """Partial-sequence flag, carried in metadata rather than inferred
-        from length."""
-        return self.metadata.get("incomplete", "").lower() in {"1", "true", "yes"}
 
 
 @dataclass(frozen=True)
@@ -88,58 +80,15 @@ class LabeledDataset:
         return len(self.records)
 
 
-@dataclass
-class FilterReport:
-    """Counts emitted by the prepare pipeline."""
-    parsed: int = 0
-    rejected_alphabet: int = 0
-    dropped_duplicate: int = 0
-    dropped_multilabel: int = 0
-    kept: int = 0
-    dropped_incomplete: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "parsed": self.parsed,
-            "rejected_alphabet": self.rejected_alphabet,
-            "dropped_duplicate": self.dropped_duplicate,
-            "dropped_multilabel": self.dropped_multilabel,
-            "kept": self.kept,
-        }
-        if self.dropped_incomplete is not None:
-            d["dropped_incomplete"] = self.dropped_incomplete
-        return d
-
-
-def default_header_parser(header: str, line_no: int):
-    """Parse an `id|k=v|k=v` header into (id, metadata).
-
-    Other corpora use different header schemas; pass a custom parser to
-    parse_fasta to adapt them.
-    """
-    parts = header.split("|")
-    rec_id = parts[0].strip()
-    if not rec_id:
-        raise MalformedFastaError(f"line {line_no}: header has empty id")
-    metadata = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise MalformedFastaError(
-                f"line {line_no}: header field {part!r} is not key=value")
-        k, v = part.split("=", 1)
-        metadata[k.strip()] = v.strip()
-    return rec_id, metadata
-
-
-def parse_fasta(text: str,
-                header_parser: Callable = default_header_parser) -> list:
-    """Parse FASTA text into ProteinRecords.
+def parse_fasta(text: str) -> list:
+    """Parse FASTA text with `id|k=v|k=v` headers into ProteinRecords.
 
     Sequence lines are concatenated with whitespace stripped and
     uppercased. Record ids must be unique.
 
     Raises:
-        MalformedFastaError: sequence data before any header, an empty
+        MalformedFastaError: an empty header id, a header field that is
+            not key=value, sequence data before any header, an empty
             sequence body, or a duplicate id.
     """
     records = []
@@ -168,7 +117,17 @@ def parse_fasta(text: str,
             continue
         if line.startswith(">"):
             flush()
-            rec_id, metadata = header_parser(line[1:], line_no)
+            rec_id, *fields = line[1:].split("|")
+            rec_id = rec_id.strip()
+            if not rec_id:
+                raise MalformedFastaError(f"line {line_no}: header has empty id")
+            metadata = {}
+            for part in fields:
+                if "=" not in part:
+                    raise MalformedFastaError(
+                        f"line {line_no}: header field {part!r} is not key=value")
+                k, v = part.split("=", 1)
+                metadata[k.strip()] = v.strip()
             header_line = line_no
             chunks = []
         else:
@@ -192,23 +151,13 @@ def write_fasta(records) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def validate_record(r: ProteinRecord) -> Optional[str]:
-    """Return None if the record passes the alphabet filter, else a reason
-    naming the first offending character and its 1-based position."""
-    for i, ch in enumerate(r.residues, start=1):
-        if ch not in VALID_RESIDUES:
-            return f"{ch} at position {i}"
-    return None
-
-
-def coarse_host(host: str) -> HostCoarse:
+def coarse_host(host: str) -> str:
+    """The coarse class, one of COARSE_HOSTS, of a host name."""
     h = host.strip().lower()
-    if h == "human":
-        return HostCoarse.HUMAN
-    if h in ("swine", "pig"):
-        return HostCoarse.SWINE
+    if h in ("human", "swine", "pig"):
+        return "swine" if h == "pig" else h
     if h in AVIAN_HOSTS:
-        return HostCoarse.AVIAN
+        return "avian"
     raise UnknownHostError(f"unknown host {host!r}")
 
 
@@ -233,7 +182,7 @@ def _label_at(r: ProteinRecord, level: str) -> str:
     if level == "coarse":
         if r.coarse_label is None:
             raise DataError(f"record {r.id} has no coarse label")
-        return r.coarse_label.value
+        return r.coarse_label
     if level == "fine":
         if r.fine_label is None:
             raise DataError(f"record {r.id} has no fine label")
@@ -255,64 +204,54 @@ def dedup_and_resolve(records, level: str):
     ambiguous isolated host is useless as ground truth.
 
     Returns:
-        (LabeledDataset, FilterReport) with duplicate/multilabel counts
-        filled in.
+        (LabeledDataset, counts) where counts maps dropped_duplicate,
+        dropped_multilabel and kept to record counts.
     """
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # residues -> records, in first-appearance order
     for r in records:
-        if r.residues not in groups:
-            groups[r.residues] = []
-            order.append(r.residues)
-        groups[r.residues].append(r)
+        groups.setdefault(r.residues, []).append(r)
 
     kept = []
-    report = FilterReport(parsed=len(records))
-    for residues in order:
-        group = groups[residues]
+    counts = {"dropped_duplicate": 0, "dropped_multilabel": 0}
+    for group in groups.values():
         labels = {_label_at(r, level) for r in group}
         if len(labels) > 1:
-            report.dropped_multilabel += len(group)
+            counts["dropped_multilabel"] += len(group)
             continue
         kept.append(group[0])
-        report.dropped_duplicate += len(group) - 1
-    report.kept = len(kept)
+        counts["dropped_duplicate"] += len(group) - 1
+    counts["kept"] = len(kept)
 
     ds = LabeledDataset(records=tuple(kept), level=level,
                         class_names=class_order(_label_at(r, level)
                                                 for r in kept))
-    return ds, report
+    return ds, counts
 
 
 def prepare_corpus(text: str, level: str, host_key: str = "host",
-                   drop_incomplete: bool = False,
-                   header_parser: Callable = default_header_parser):
+                   drop_incomplete: bool = False):
     """Full ingestion pipeline: parse, validate, label, dedup.
 
-    Returns (LabeledDataset, FilterReport).
+    Returns the LabeledDataset and the filter_report.json document: the
+    records parsed, rejected by the alphabet filter, dropped as
+    incomplete (a key present only under drop_incomplete), dropped as
+    duplicates or as label conflicts, and kept.
     """
-    records = parse_fasta(text, header_parser=header_parser)
-    n_parsed = len(records)
-
-    valid = []
-    n_rejected = 0
-    for r in records:
-        if validate_record(r) is None:
-            valid.append(r)
-        else:
-            n_rejected += 1
-
-    n_incomplete = None
+    records = parse_fasta(text)
+    valid = [r for r in records if VALID_RESIDUES.issuperset(r.residues)]
+    report = {"parsed": len(records),
+              "rejected_alphabet": len(records) - len(valid)}
     if drop_incomplete:
-        complete = [r for r in valid if not r.is_incomplete()]
-        n_incomplete = len(valid) - len(complete)
+        # The partial-sequence flag is carried in metadata rather than
+        # inferred from length.
+        complete = [r for r in valid if r.metadata.get("incomplete", "")
+                    .lower() not in {"1", "true", "yes"}]
+        report["dropped_incomplete"] = len(valid) - len(complete)
         valid = complete
 
-    labeled = assign_host_labels(valid, key=host_key)
-    ds, report = dedup_and_resolve(labeled, level)
-    report.parsed = n_parsed
-    report.rejected_alphabet = n_rejected
-    report.dropped_incomplete = n_incomplete
+    ds, counts = dedup_and_resolve(assign_host_labels(valid, key=host_key),
+                                   level)
+    report.update(counts)
     return ds, report
 
 
@@ -327,7 +266,7 @@ def dataset_to_dict(ds: LabeledDataset) -> dict:
             {
                 "id": r.id,
                 "residues": r.residues,
-                "coarse": r.coarse_label.value if r.coarse_label else None,
+                "coarse": r.coarse_label,
                 "fine": r.fine_label,
                 "metadata": r.metadata,
             }
@@ -337,16 +276,17 @@ def dataset_to_dict(ds: LabeledDataset) -> dict:
 
 
 def dataset_from_dict(d: dict) -> LabeledDataset:
-    records = tuple(
-        ProteinRecord(
-            id=rec["id"], residues=rec["residues"],
-            coarse_label=HostCoarse(rec["coarse"]) if rec.get("coarse") else None,
-            fine_label=rec.get("fine"),
-            metadata=rec.get("metadata", {}),
-        )
-        for rec in d["records"]
-    )
-    return LabeledDataset(records=records, level=d["level"],
+    """The dataset of a dataset_to_dict document; a coarse label outside
+    COARSE_HOSTS is a ValueError."""
+    records = []
+    for rec in d["records"]:
+        coarse = rec.get("coarse") or None
+        if coarse is not None and coarse not in COARSE_HOSTS:
+            raise ValueError(f"{coarse!r} is not a coarse host")
+        records.append(ProteinRecord(
+            id=rec["id"], residues=rec["residues"], coarse_label=coarse,
+            fine_label=rec.get("fine"), metadata=rec.get("metadata", {})))
+    return LabeledDataset(records=tuple(records), level=d["level"],
                           class_names=tuple(d["class_names"]))
 
 

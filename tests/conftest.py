@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from hostseq import pssm
-
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -54,10 +52,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def random_gpssm(rng, length):
-    """Gpssm with uniform values in (0,1), residues drawn per group membership."""
+    """(residues, grouped profile): uniform residues and an (L, 10) array
+    of uniform values in (0,1)."""
     letters = "".join(rng.choice(list("ARNDCQEGHILKMFPSTWYV"), size=length))
     values = rng.random((length, 10))
-    return pssm.Gpssm(residues=letters, values=values, group_table=pssm.RESIDUE_GROUPS)
+    return letters, values
 
 
 @pytest.fixture

@@ -34,16 +34,16 @@ def test_c1_encoder_oracles():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     for _ in range(100):
-        g = random_gpssm(rng, int(rng.integers(10, 41)))
-        eg = pssm.encode_eg(g).values
-        gdpc = pssm.encode_gdpc(g).values
-        er = pssm.encode_er(g).values
+        residues, g = random_gpssm(rng, int(rng.integers(10, 41)))
+        eg = pssm.encode_eg(residues, g)
+        gdpc = pssm.encode_gdpc(g)
+        er = pssm.encode_er(g)
         assert eg.shape == (100,)
         assert gdpc.shape == (100,)
         assert er.shape == (910,)
-        assert rel_err(eg, oracle_eg(g.residues, g.values)) <= 1e-12
-        assert rel_err(gdpc, oracle_gdpc(g.values)) <= 1e-12
-        assert rel_err(er, oracle_er(g.values)) <= 1e-12
+        assert rel_err(eg, oracle_eg(residues, g)) <= 1e-12
+        assert rel_err(gdpc, oracle_gdpc(g)) <= 1e-12
+        assert rel_err(er, oracle_er(g)) <= 1e-12
     assert time.perf_counter() - start < 10.0
 
 
@@ -51,18 +51,16 @@ def test_c1_encoder_oracles():
                            "reference trigrams")
 def test_c2_closed_forms():
     # constant 0.5 is dyadic, so both identities hold bit-exactly
-    g = pssm.Gpssm(residues="ACDEFGHIKLMN"[:12],
-                   values=np.full((12, 10), 0.5))
-    assert np.all(pssm.encode_gdpc(g).values == 0.25)
-    assert np.all(pssm.encode_er(g).values == 0.0)
+    g = np.full((12, 10), 0.5)
+    assert np.all(pssm.encode_gdpc(g) == 0.25)
+    assert np.all(pssm.encode_er(g) == 0.0)
     # non-dyadic constant: identical up to the square of one rounding error
-    g2 = pssm.Gpssm(residues="ACDEFGHIKLMN"[:12],
-                    values=np.full((12, 10), 0.37))
-    assert np.allclose(pssm.encode_gdpc(g2).values, 0.37 ** 2, atol=1e-15)
-    assert np.all(np.abs(pssm.encode_er(g2).values) < 1e-30)
+    g2 = np.full((12, 10), 0.37)
+    assert np.allclose(pssm.encode_gdpc(g2), 0.37 ** 2, atol=1e-15)
+    assert np.all(np.abs(pssm.encode_er(g2)) < 1e-30)
 
-    zero = pssm.RawPssm(residues="A", scores=np.zeros((1, 20), dtype=int))
-    assert np.all(pssm.sigmoid_normalize(zero).values == 0.5)
+    zero = np.zeros((1, 20), dtype=int)
+    assert np.all(pssm.sigmoid_normalize(zero) == 0.5)
 
     assert ngram.tokenize("MLSITILFL", 3) == [
         "MLS", "LSI", "SIT", "ITI", "TIL", "ILF", "LFL"]
@@ -238,7 +236,7 @@ def test_c6_end_to_end_learnability():
 
     profiles = synth.generate_pssms(ds, seed=11)
     X_er = np.stack([
-        pssm.encode_record_features(r.residues, profiles[r.id], "er").values
+        pssm.encode_record_features(r.residues, profiles[r.id], "er")
         for r in ds.records])
 
     forest_factory = lambda params, seed: Forest(

@@ -507,6 +507,55 @@ def test_config_unknown_model_exit_1(tmp_path, capsys):
     assert "unknown --model 'svm'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, flag_text", [
+    ("scheme", "xyz", None),
+    ("ngrams", "3", "3"),
+    ("records", "12", "12"),
+    ("seed", "1", "1"),
+    ("drop-incomplete", "false", None),
+    ("grid", {"n_estimators": [3]}, None),
+])
+def test_config_value_read_like_its_flag(tmp_path, capsys, key, value,
+                                         flag_text):
+    # A config value goes through its flag's type and choices: one that
+    # converts writes the bytes the flag writes, one that does not exits
+    # 1 naming the flag.
+    dataset = synth_corpus(tmp_path / "syn", records=12, classes=3, seed=9)
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(INGEST_FASTA)
+    argv = {
+        "scheme": ["encode", "--dataset", dataset, "--synth-pssms",
+                   "--seed", "1"],
+        "ngrams": ["encode", "--dataset", dataset],
+        "records": ["synth", "--classes", "3", "--seed", "9",
+                    "--min-len", "20", "--max-len", "30"],
+        "seed": ["encode", "--dataset", dataset, "--scheme", "eg",
+                 "--synth-pssms"],
+        "drop-incomplete": ["prepare", "--fasta", str(fasta),
+                            "--level", "coarse"],
+        "grid": ["nested-cv", "--model", "rf", "--features",
+                 str(seeded_features(tmp_path)), "--seed", "1",
+                 "--k-outer", "2", "--k-inner", "2"],
+    }[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    code = run(argv + ["--config", str(config),
+                       "--out", str(tmp_path / "cfg")])
+    if flag_text is None:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--{key}" in err
+        assert "Traceback" not in err
+        return
+    assert code == 0
+    assert run(argv + [f"--{key}", flag_text,
+                       "--out", str(tmp_path / "flag")]) == 0
+    names = sorted(set(os.listdir(tmp_path / "flag")) - {"run.log"})
+    for name in names:
+        assert (tmp_path / "cfg" / name).read_bytes() == \
+            (tmp_path / "flag" / name).read_bytes(), name
+
+
 def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
     # Pins model.bin for fixed-seed forest and RUSBoost fits; tree fits
     # use no BLAS, so the bytes depend only on the code.
@@ -589,6 +638,72 @@ def test_cli_artifacts_match_golden_bytes(tmp_path):
     assert got == golden
 
 
+INGEST_FASTA = (
+    ">a|host=Human\nMKTIIALSYIFCLVFA\n"
+    ">b|host=human\nMKTIIALSYIFCLVFA\n"                  # duplicate of a
+    ">c|host=chicken\nMKAILVVLLYTFATAN\n"
+    ">d|host=pig\nMKAILVVLLYTFATAN\n"                    # conflicts with c
+    ">e|host=duck\nMKXILVVLLYTFATAN\n"                   # non-canonical X
+    ">f|host=pig|incomplete=true\nMKTIIALSYIWCLV\n"
+    ">g|host=swine\nMEKIVLLLAIVSLVKS\n"
+    ">h|host=mallard\nMNTQILVFALIAIIPT\n"
+    ">i|host=human\nMKAIIVLLMVVTSNA\n"
+)
+
+
+def test_ingest_artifacts_match_golden_bytes(tmp_path):
+    # Pins what prepare, synth --with-pssms and the eg and er encoders
+    # write on fixed inputs. GDPC is left out: its product runs through
+    # BLAS, whose last bits depend on the machine.
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(INGEST_FASTA)
+    syn = tmp_path / "syn"
+    dataset = str(syn / "dataset.json")
+    commands = {
+        "coarse": ["prepare", "--fasta", str(fasta), "--level", "coarse",
+                   "--drop-incomplete"],
+        "fine": ["prepare", "--fasta", str(fasta), "--level", "fine"],
+        "syn": ["synth", "--records", "12", "--classes", "3", "--seed", "9",
+                "--min-len", "20", "--max-len", "30", "--with-pssms"],
+    }
+    for scheme in ("eg", "er"):
+        commands[f"{scheme}_dir"] = ["encode", "--dataset", dataset,
+                                     "--scheme", scheme, "--pssm-dir",
+                                     str(syn / "pssms")]
+        commands[f"{scheme}_synth"] = ["encode", "--dataset", dataset,
+                                       "--scheme", scheme, "--synth-pssms",
+                                       "--seed", "4"]
+    for name, argv in commands.items():
+        assert run(argv + ["--out", str(tmp_path / name)]) == 0, argv
+    golden = {
+        "coarse/dataset.json":
+            "16b296e604a3841c7c4f606c9205b23702e18b8547aa171ad560a3337a6f02e3",
+        "coarse/filter_report.json":
+            "2fd32fe470bce24f44f1806c98dc6e5abb855ece258e51d210fa6affdd6d5f1a",
+        "fine/dataset.json":
+            "febb7b24c7175e6238ac8e080ea3df573c8d3f390a1d316fab52f70a06610860",
+        "fine/filter_report.json":
+            "d7c949dc3d8f7cfee982ecfbaa5562ca6219b11f9889ecba9aac8265e669071c",
+        "syn/dataset.json":
+            "9781340e0a54273456261cbe9f026b5ee7cfba826e4e512f1548fc83d2454f72",
+        "syn/corpus.fasta":
+            "64cb32d2bfe3358f2a8797cb4a07a1900598366e4fe7b4a6b54c35f51ef5eb9f",
+        "syn/pssms/synth-03.pssm":
+            "9f631d10ad0f7a609a998c3c02ef5328d916d4c66f38608f425629823a1a49ad",
+        "eg_dir/features.csv":
+            "ed7ca341ba4ed976dfda618c0488d721754a8beb905b411cd76b9db4e68e506f",
+        "eg_synth/features.csv":
+            "6b2011301c11e54828090d3640c56bae21280a8e48b390ca5f9abad2a9cd3c12",
+        "er_dir/features.csv":
+            "708f63c1a020bbb1680fc5cf97fbfcade40fd216aa044d7cfbdce99253dc7b1b",
+        "er_synth/features.csv":
+            "0657d12a9e0a65e638cd79b0e53e9c234c63f87f1d6903bbb1676f9ceba275f2",
+    }
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in golden}
+    assert got == golden
+
+
 def malformed_input(tmp_path, case):
     """argv of a command that reads one malformed input file."""
     features = tmp_path / "features.csv"
@@ -598,7 +713,7 @@ def malformed_input(tmp_path, case):
     predictions.write_text("id,true,predicted,p_a,p_b\nr0,a,a,0.9,0.1\n"
                            "r1,b,b,0.2,most\n")
     vocab = tmp_path / "vocab.json"
-    ngram.save_vocab(ngram.build_vocab([["AA", "AB"]]), 2, vocab)
+    ngram.save_vocab(ngram.build_vocab([["AA", "AB"]], 2), 2, vocab)
     tokens = tmp_path / "tokens.csv"
     store.write_tokens_csv(tokens, ["r0", "r1"], ["a", "b"],
                            np.array([[0, 2], [3, 9]]))
@@ -607,6 +722,17 @@ def malformed_input(tmp_path, case):
                           "r1,b,2,3,3\n")
     no_tokens = tmp_path / "no_tokens.json"
     no_tokens.write_text('{"n": 2, "max_len": 2}')
+    in_range = tmp_path / "in_range.csv"
+    store.write_tokens_csv(in_range, ["r0", "r1"], ["a", "b"],
+                           np.array([[0, 2], [3, 2]]))
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"n": 2, "max_len": 2, "tokens": ["AA", "AA"]}')
+    wrong_length = tmp_path / "wrong_length.json"
+    wrong_length.write_text('{"n": 2, "max_len": 2, "tokens": ["AA", "ABC"]}')
+    unknown_coarse = tmp_path / "unknown_coarse.json"
+    unknown_coarse.write_text(json.dumps({
+        "level": "coarse", "class_names": ["ferret"],
+        "records": [{"id": "a", "residues": "MKTI", "coarse": "ferret"}]}))
     not_json = tmp_path / "not_json.json"
     not_json.write_text("{records: [")
     no_records = tmp_path / "no_records.json"
@@ -623,8 +749,15 @@ def malformed_input(tmp_path, case):
                              "--ngrams", "2"] + out,
         "dataset-no-records": ["encode", "--dataset", str(no_records),
                                "--ngrams", "2"] + out,
+        "dataset-unknown-coarse": ["encode", "--dataset",
+                                   str(unknown_coarse), "--ngrams", "2"]
+        + out,
         "vocab-no-tokens": train + ["--tokens", str(tokens),
                                     "--vocab", str(no_tokens)],
+        "vocab-repeated-token": train + ["--tokens", str(in_range),
+                                         "--vocab", str(repeated)],
+        "vocab-wrong-length-token": train + ["--tokens", str(in_range),
+                                             "--vocab", str(wrong_length)],
         "fasta-not-utf8": ["prepare", "--fasta", str(latin1),
                            "--level", "coarse"] + out,
         "fasta-directory": ["prepare", "--fasta", str(tmp_path),
@@ -638,7 +771,8 @@ def malformed_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "features-cell", "predictions-cell", "dataset-not-json",
-    "dataset-no-records", "vocab-no-tokens", "fasta-not-utf8",
+    "dataset-no-records", "dataset-unknown-coarse", "vocab-no-tokens",
+    "vocab-repeated-token", "vocab-wrong-length-token", "fasta-not-utf8",
     "fasta-directory", "token-id-outside-vocab",
     "tokens-true-len-miscounted"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):

@@ -40,39 +40,33 @@ def test_tokenize_n_bounds():
 
 
 def test_build_vocab_first_appearance_order():
-    vocab = ngram.build_vocab([["AA", "AB"], ["AB", "AC"]])
+    vocab = ngram.build_vocab([["AA", "AB"], ["AB", "AC"]], 2)
     assert vocab.token_to_id == {"AA": 2, "AB": 3, "AC": 4}
     assert vocab.size == 5
-    assert vocab.id_to_token[:2] == (ngram.PAD_TOKEN, ngram.OOV_TOKEN)
     assert vocab.id_of("AA") == 2
     assert vocab.id_of("ZZ") == ngram.OOV_ID
 
 
-def test_build_vocab_rejects_mixed_lengths():
-    with pytest.raises(seqio.DataError, match="length"):
-        ngram.build_vocab([["AA", "ABC"]])
-
-
 def test_build_vocab_empty_corpus():
     with pytest.raises(seqio.DataError):
-        ngram.build_vocab([])
+        ngram.build_vocab([], 2)
 
 
 def test_encode_corpus_pads_left_and_maps_oov():
-    vocab = ngram.build_vocab([["AA", "AB", "AC"]])
+    vocab = ngram.build_vocab([["AA", "AB", "AC"]], 2)
     ids = ngram.encode_corpus([["AB", "ZZ"]], vocab, max_len=5)
     assert list(ids[0]) == [0, 0, 0, 3, ngram.OOV_ID]
     assert list(ngram.true_lengths(ids)) == [2]
 
 
 def test_encode_corpus_rejects_overflow():
-    vocab = ngram.build_vocab([["AA"]])
+    vocab = ngram.build_vocab([["AA"]], 2)
     with pytest.raises(ngram.SequenceTooLongError):
         ngram.encode_corpus([["AA"], ["AA"] * 4], vocab, max_len=3)
 
 
 def test_encode_corpus_matrix():
-    vocab = ngram.build_vocab([["AA", "AB"], ["AB"]])
+    vocab = ngram.build_vocab([["AA", "AB"], ["AB"]], 2)
     ids = ngram.encode_corpus([["AA", "AB"], ["AB"]], vocab, 3)
     assert ids.shape == (2, 3)
     assert list(ids[0]) == [0, 2, 3]

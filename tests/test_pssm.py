@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hostseq import pssm
-from hostseq.seqio import ProteinRecord
 
 from conftest import random_gpssm
 
@@ -143,24 +142,21 @@ def test_parse_bad_residue_errors(rng):
 # --- normalization and grouping ---
 
 def test_sigmoid_fixed_points():
-    raw = pssm.RawPssm(residues="AC",
-                       scores=np.array([[0] * 20, [20] * 20]))
-    norm = pssm.sigmoid_normalize(raw)
-    assert np.all(norm.values[0] == 0.5)
-    assert np.all(np.abs(norm.values[1] - 1.0) < 1e-8)
+    norm = pssm.sigmoid_normalize(np.array([[0] * 20, [20] * 20]))
+    assert np.all(norm[0] == 0.5)
+    assert np.all(np.abs(norm[1] - 1.0) < 1e-8)
 
 
 def test_sigmoid_matches_oracle(rng):
     raw = make_raw(rng, 2)
-    norm = pssm.sigmoid_normalize(raw)
-    assert rel_err(norm.values, oracle_sigmoid(raw.scores)) < 1e-15
+    norm = pssm.sigmoid_normalize(raw.scores)
+    assert rel_err(norm, oracle_sigmoid(raw.scores)) < 1e-15
 
 
 def test_group_columns_constant():
-    vals = np.full((4, 20), 0.37)
-    g = pssm.group_columns(pssm.NormalizedPssm(residues="ACDE", values=vals))
-    assert g.values.shape == (4, 10)
-    assert np.allclose(g.values, 0.37, atol=0)
+    g = pssm.group_columns(np.full((4, 20), 0.37))
+    assert g.shape == (4, 10)
+    assert np.allclose(g, 0.37, atol=0)
 
 
 def test_group_columns_hand_case():
@@ -168,35 +164,34 @@ def test_group_columns_hand_case():
     row[COLS.index("F")] = 0.9
     row[COLS.index("Y")] = 0.6
     row[COLS.index("W")] = 0.3
-    g = pssm.group_columns(pssm.NormalizedPssm(residues="A",
-                                               values=row[None, :]))
-    assert g.values[0, 0] == pytest.approx(0.6, abs=1e-15)
-    assert np.all(g.values[0, 7:] == 0.0)
+    g = pssm.group_columns(row[None, :])
+    assert g[0, 0] == pytest.approx(0.6, abs=1e-15)
+    assert np.all(g[0, 7:] == 0.0)
 
 
 def test_group_single_member_is_identity(rng):
     raw = make_raw(rng, 5)
-    norm = pssm.sigmoid_normalize(raw)
+    norm = pssm.sigmoid_normalize(raw.scores)
     g = pssm.group_columns(norm)
-    assert np.array_equal(g.values[:, 7], norm.values[:, COLS.index("C")])
-    assert np.array_equal(g.values[:, 9], norm.values[:, COLS.index("P")])
+    assert np.array_equal(g[:, 7], norm[:, COLS.index("C")])
+    assert np.array_equal(g[:, 9], norm[:, COLS.index("P")])
 
 
 def test_group_matches_oracle(rng):
     raw = make_raw(rng, 6)
-    norm = pssm.sigmoid_normalize(raw)
+    norm = pssm.sigmoid_normalize(raw.scores)
     g = pssm.group_columns(norm)
-    assert rel_err(g.values, oracle_group(norm.values)) < 1e-15
+    assert rel_err(g, oracle_group(norm)) < 1e-15
 
 
 # --- encoders ---
 
 def test_eg_dimensions_and_absent_groups(rng):
-    g = pssm.Gpssm(residues="GG", values=rng.random((2, 10)))
-    vec = pssm.encode_eg(g)
-    assert vec.values.shape == (100,)
-    block = vec.values.reshape(10, 10)
-    assert np.allclose(block[8], g.values.mean(axis=0))
+    g = rng.random((2, 10))
+    vec = pssm.encode_eg("GG", g)
+    assert vec.shape == (100,)
+    block = vec.reshape(10, 10)
+    assert np.allclose(block[8], g.mean(axis=0))
     occupied = {8}
     for gi in range(10):
         if gi not in occupied:
@@ -205,37 +200,31 @@ def test_eg_dimensions_and_absent_groups(rng):
 
 def test_eg_single_row():
     vals = np.arange(10, dtype=float)[None, :] / 10
-    g = pssm.Gpssm(residues="C", values=vals)
-    block = pssm.encode_eg(g).values.reshape(10, 10)
+    block = pssm.encode_eg("C", vals).reshape(10, 10)
     assert np.array_equal(block[7], vals[0])
 
 
 def test_gdpc_constant_closed_form():
-    g = pssm.Gpssm(residues="ACDEF", values=np.full((5, 10), 0.3))
-    vec = pssm.encode_gdpc(g)
-    assert np.allclose(vec.values, 0.09, atol=1e-15)
+    vec = pssm.encode_gdpc(np.full((5, 10), 0.3))
+    assert np.allclose(vec, 0.09, atol=1e-15)
 
 
 def test_gdpc_requires_two_rows():
-    g = pssm.Gpssm(residues="A", values=np.zeros((1, 10)))
     with pytest.raises(pssm.SequenceTooShortError):
-        pssm.encode_gdpc(g)
+        pssm.encode_gdpc(np.zeros((1, 10)))
 
 
 def test_er_constant_closed_form():
     # difference terms cancel exactly; the variance block only to within
     # the square of one rounding error in the column mean
-    g = pssm.Gpssm(residues="ACDEFGHIKL", values=np.full((10, 10), 0.42))
-    vec = pssm.encode_er(g).values
+    vec = pssm.encode_er(np.full((10, 10), 0.42))
     assert np.all(vec[:900] == 0.0)
     assert np.all(np.abs(vec[900:]) < 1e-30)
 
 
 def test_er_constant_columns_closed_form():
     cols = np.linspace(0.1, 0.9, 10)
-    g = pssm.Gpssm(residues="ACDEFGHIKLM",
-                   values=np.tile(cols, (11, 1)))
-    vec = pssm.encode_er(g).values
+    vec = pssm.encode_er(np.tile(cols, (11, 1)))
     m = vec[:900].reshape(10, 10, 9)
     for i in range(10):
         for j in range(10):
@@ -245,30 +234,27 @@ def test_er_constant_columns_closed_form():
 
 
 def test_er_requires_ten_rows(rng):
-    g = pssm.Gpssm(residues="ACDEFGHIK", values=rng.random((9, 10)))
     with pytest.raises(pssm.SequenceTooShortError, match="10"):
-        pssm.encode_er(g)
+        pssm.encode_er(rng.random((9, 10)))
 
 
 def test_encoders_match_oracles(rng):
     for _ in range(20):
         length = int(rng.integers(10, 41))
-        g = random_gpssm(rng, length)
-        assert rel_err(pssm.encode_eg(g).values,
-                       oracle_eg(g.residues, g.values)) < 1e-12
-        assert rel_err(pssm.encode_gdpc(g).values,
-                       oracle_gdpc(g.values)) < 1e-12
-        assert rel_err(pssm.encode_er(g).values,
-                       oracle_er(g.values)) < 1e-12
+        residues, g = random_gpssm(rng, length)
+        assert rel_err(pssm.encode_eg(residues, g),
+                       oracle_eg(residues, g)) < 1e-12
+        assert rel_err(pssm.encode_gdpc(g), oracle_gdpc(g)) < 1e-12
+        assert rel_err(pssm.encode_er(g), oracle_er(g)) < 1e-12
 
 
-def test_encode_scheme_dispatch(rng):
-    g = random_gpssm(rng, 12)
-    assert pssm.encode_scheme(g, "eg").values.shape == (100,)
-    assert pssm.encode_scheme(g, "gdpc").values.shape == (100,)
-    assert pssm.encode_scheme(g, "er").values.shape == (910,)
+def test_encode_record_features_dispatch(rng):
+    raw = make_raw(rng, 12)
+    for scheme, dim in (("eg", 100), ("gdpc", 100), ("er", 910)):
+        vec = pssm.encode_record_features(raw.residues, raw, scheme)
+        assert vec.shape == (dim,)
     with pytest.raises(ValueError, match="scheme"):
-        pssm.encode_scheme(g, "pca")
+        pssm.encode_record_features(raw.residues, raw, "pca")
 
 
 def test_encode_record_features_pipeline(rng):
@@ -276,7 +262,7 @@ def test_encode_record_features_pipeline(rng):
     vec = pssm.encode_record_features(raw.residues, raw, "er")
     norm = oracle_sigmoid(raw.scores)
     g = oracle_group(norm)
-    assert rel_err(vec.values, oracle_er(g)) < 1e-12
+    assert rel_err(vec, oracle_er(g)) < 1e-12
 
 
 def test_encode_record_features_residue_mismatch(rng):
@@ -288,14 +274,14 @@ def test_encode_record_features_residue_mismatch(rng):
 # --- synthetic profiles ---
 
 def test_synth_pssm_deterministic_and_peaked():
-    rec = ProteinRecord(id="x", residues="MKTIIALSYILCLVFA")
-    a = pssm.synth_pssm(rec, seed=5)
-    b = pssm.synth_pssm(rec, seed=5)
-    c = pssm.synth_pssm(rec, seed=6)
+    residues = "MKTIIALSYILCLVFA"
+    a = pssm.synth_pssm(residues, seed=5)
+    b = pssm.synth_pssm(residues, seed=5)
+    c = pssm.synth_pssm(residues, seed=6)
     assert np.array_equal(a.scores, b.scores)
     assert not np.array_equal(a.scores, c.scores)
     # the column matching each position's own residue is the row argmax
-    for k, aa in enumerate(rec.residues):
+    for k, aa in enumerate(residues):
         own = COLS.index(aa)
         assert a.scores[k].argmax() == own
         row = np.delete(a.scores[k], own)
