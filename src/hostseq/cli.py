@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads an optional JSON config (flags win over config
-values), writes its artifacts under --out with fixed file names, and
-finishes with a manifest sufficient to reproduce the run. Exit codes:
-0 success, 1 usage or config error, 2 data error, 3 diverged training.
+Every subcommand resolves each of its flags once: the command-line
+value, else the value in the optional JSON --config, else the flag's
+default. It writes its artifacts under --out with fixed file names and
+finishes with a manifest whose config holds every flag but --config and
+--out with its resolved value (null for unset), so that config replays
+the run as --config. Exit codes: 0 success, 1 usage or config error,
+2 data error, 3 diverged training.
 """
 
 from __future__ import annotations
@@ -42,28 +45,28 @@ DISAGREEMENT_FILE = "disagreement.json"
 TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
 LOG_FILE = "run.log"
 
-# add_argument keywords of each flag, defined once. A model field's flag
-# takes its type from the config dataclass (see _flag_options), so only
-# its choices or help are listed here.
+# add_argument keywords of each flag and its default, defined once. A
+# model field's flag takes its type from the config dataclass (see
+# _flag_options), so only its choices or help are listed here.
 _FLAGS = {
     "model": {"choices": list(estimators.KINDS)},
     "config": {"help": "JSON config file; flags override it"},
     "out": {"help": "output directory"},
     "fasta": {"help": "input FASTA path"},
     "level": {"choices": ["coarse", "fine"]},
-    "host-key": {"help": "metadata key holding the host"},
-    "drop-incomplete": {"action": "store_true", "default": None},
+    "host-key": {"help": "metadata key holding the host", "default": "host"},
+    "drop-incomplete": {"action": "store_true", "default": False},
     "records": {"type": int},
-    "classes": {"type": int},
+    "classes": {"type": int, "default": 3},
     "seed": {"type": int},
-    "min-len": {"type": int},
-    "max-len": {"type": int},
-    "with-pssms": {"action": "store_true", "default": None,
+    "min-len": {"type": int, "default": 40},
+    "max-len": {"type": int, "default": 60},
+    "with-pssms": {"action": "store_true", "default": False,
                    "help": "also write synthetic profiles under pssms/"},
     "dataset": {"help": "dataset.json path"},
     "scheme": {"choices": sorted(pssm.SCHEME_DIMS)},
     "pssm-dir": {"help": "directory of <record id>.pssm files"},
-    "synth-pssms": {"action": "store_true", "default": None,
+    "synth-pssms": {"action": "store_true", "default": False,
                     "help": "derive profiles synthetically from --seed"},
     "ngrams": {"type": int, "help": "token window size"},
     "features": {"help": "features.csv path"},
@@ -73,13 +76,13 @@ _FLAGS = {
     "optimizer": {"choices": tuple(OPTIMIZERS)},
     "hidden": {"help": "comma-separated dense layer sizes"},
     "base-depth": {"help": "depth of boosted base trees"},
-    "k-outer": {"type": int},
-    "k-inner": {"type": int},
+    "k-outer": {"type": int, "default": 5},
+    "k-inner": {"type": int, "default": 4},
     "grid": {"help": "JSON grid: file path or inline text"},
-    "workers": {"type": int},
-    "predictions": {"nargs": "+",
+    "workers": {"type": int, "default": 1},
+    "predictions": {"nargs": "+", "default": [],
                     "help": "prediction CSVs; first defines the metrics"},
-    "top-tokens": {"type": int},
+    "top-tokens": {"type": int, "default": 50},
 }
 _DATASET_FLAGS = ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams")
 _DATA_FLAGS = ("features", "tokens", "vocab")
@@ -126,7 +129,9 @@ def build_parser() -> _Parser:
     for command, (text, names) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=text)
         for name in ("config", "out") + names:
-            p.add_argument("--" + name, **_flag_options(name))
+            # unset stays None, so _options can fall back to --config
+            p.add_argument("--" + name,
+                           **{**_flag_options(name), "default": None})
     return parser
 
 
@@ -156,27 +161,32 @@ def _config_value(name, value, options):
     return value
 
 
-def _load_config(path, command):
-    """The values of command's flags in the JSON object at path, each read
-    by _config_value; a null value leaves its flag unset."""
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
-    names = ("out",) + _SUBCOMMANDS[command][1]
-    return {name: _config_value(name, value, _flag_options(name))
-            for name, value in doc.items()
-            if name in names and value is not None}
-
-
-def _cfg(args, config, key, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def _options(args) -> dict:
+    """Each flag of args.command but --config, by name: its command-line
+    value, else its --config value, else its default. Every config value
+    of the command's flags is read by _config_value, and null leaves its
+    flag unset. A config key that is no subcommand's flag is a usage
+    error; another subcommand's flag is ignored, so one config can drive
+    a whole pipeline."""
+    config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(config).difference(
+            _FLAGS, *(names for _, names in _SUBCOMMANDS.values())))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config key "
+                             f"{unknown[0]!r}")
+    opts = {}
+    for name in ("out",) + _SUBCOMMANDS[args.command][1]:
+        flag = _flag_options(name)
+        if config.get(name) is not None:  # stands in for the default
+            flag["default"] = _config_value(name, config[name], flag)
+        given = getattr(args, name.replace("-", "_"))
+        opts[name] = flag.get("default") if given is None else given
+    return opts
 
 
 def _require(value, name):
@@ -185,20 +195,14 @@ def _require(value, name):
     return value
 
 
-def _workers(args, config) -> int:
-    """--workers, capped at the cores this process may run on."""
-    requested = _cfg(args, config, "workers", 1)
-    return max(min(requested, len(os.sched_getaffinity(0))), 1)
-
-
-def _finish(out, command, effective, artifacts) -> None:
+def _finish(out, command, config, artifacts) -> None:
     """Writes the manifest and appends a run.log line."""
-    canonical = json.dumps(effective, sort_keys=True)
+    canonical = json.dumps(config, sort_keys=True)
     doc = {
         "command": command,
-        "config": effective,
+        "config": config,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": effective.get("seed"),
+        "seed": config.get("seed"),
         "versions": {"hostseq": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__},
@@ -222,51 +226,41 @@ def _write_scores(out, doc, report) -> list:
     return [METRICS_FILE, PR_CURVES_FILE]
 
 
-# Each command returns (effective config, artifacts written, message);
-# main writes the manifest and prints the message.
+# Each command takes its resolved options (see _options) and --out, and
+# returns (artifacts written, message); main writes the manifest, whose
+# config is those options, and prints the message.
 
-def cmd_prepare(args, config, out):
-    fasta = _require(_cfg(args, config, "fasta"), "fasta")
-    level = _require(_cfg(args, config, "level"), "level")
-    host_key = _cfg(args, config, "host-key", "host")
-    drop_incomplete = bool(_cfg(args, config, "drop-incomplete", False))
-    ds, report = prepare_corpus(read_text(fasta), level, host_key=host_key,
-                                drop_incomplete=drop_incomplete)
+def cmd_prepare(opts, out):
+    fasta = _require(opts["fasta"], "fasta")
+    level = _require(opts["level"], "level")
+    ds, report = prepare_corpus(read_text(fasta), level,
+                                host_key=opts["host-key"],
+                                drop_incomplete=opts["drop-incomplete"])
     save_dataset(ds, os.path.join(out, DATASET_FILE))
     _write_json(os.path.join(out, FILTER_REPORT_FILE), report)
-    effective = {"fasta": fasta, "level": level, "host-key": host_key,
-                 "drop-incomplete": drop_incomplete}
-    return (effective, [DATASET_FILE, FILTER_REPORT_FILE],
+    return ([DATASET_FILE, FILTER_REPORT_FILE],
             f"kept {report['kept']} of {report['parsed']} records "
             f"({len(ds.class_names)} classes)")
 
 
-def cmd_synth(args, config, out):
-    records = _require(_cfg(args, config, "records"), "records")
-    classes = _cfg(args, config, "classes", 3)
-    seed = _require(_cfg(args, config, "seed"), "seed")
-    min_len = _cfg(args, config, "min-len", 40)
-    max_len = _cfg(args, config, "max-len", 60)
-    with_pssms = bool(_cfg(args, config, "with-pssms", False))
-    spec = synth.SynthSpec(classes=synth.default_classes(classes),
-                           records=records, min_len=min_len,
-                           max_len=max_len, seed=seed)
+def cmd_synth(opts, out):
+    records = _require(opts["records"], "records")
+    seed = _require(opts["seed"], "seed")
+    spec = synth.SynthSpec(classes=synth.default_classes(opts["classes"]),
+                           records=records, min_len=opts["min-len"],
+                           max_len=opts["max-len"], seed=seed)
     ds = synth.generate(spec)
     save_dataset(ds, os.path.join(out, DATASET_FILE))
     atomic_write_text(os.path.join(out, FASTA_FILE), write_fasta(ds.records))
     artifacts = [DATASET_FILE, FASTA_FILE]
-    if with_pssms:
+    if opts["with-pssms"]:
         pssm_dir = os.path.join(out, "pssms")
         os.makedirs(pssm_dir, exist_ok=True)
         for rid, raw in synth.generate_pssms(ds, seed).items():
             atomic_write_text(os.path.join(pssm_dir, f"{rid}.pssm"),
                               pssm.render_psiblast_pssm(raw))
         artifacts.append("pssms/")
-    effective = {"records": records, "classes": classes, "seed": seed,
-                 "min-len": min_len, "max-len": max_len,
-                 "with-pssms": with_pssms}
-    return (effective, artifacts,
-            f"wrote {len(ds)} records over {classes} classes")
+    return artifacts, f"wrote {len(ds)} records over {opts['classes']} classes"
 
 
 @dataclasses.dataclass
@@ -283,13 +277,14 @@ class _Table:
         self.y = evaluation.label_indices(self.labels, self.class_names)
 
 
-def _dataset_pssms(ds, pssm_dir, synth_pssms, seed):
-    if pssm_dir and synth_pssms:
+def _dataset_pssms(ds, opts):
+    pssm_dir = opts["pssm-dir"]
+    if pssm_dir and opts["synth-pssms"]:
         raise UsageError("--pssm-dir and --synth-pssms are exclusive")
-    if synth_pssms:
-        if seed is None:
+    if opts["synth-pssms"]:
+        if opts["seed"] is None:
             raise UsageError("--synth-pssms requires --seed")
-        return synth.generate_pssms(ds, seed)
+        return synth.generate_pssms(ds, opts["seed"])
     if not pssm_dir:
         raise UsageError("scheme encoding needs --pssm-dir or --synth-pssms")
     return {r.id: pssm.parse_psiblast_pssm(
@@ -297,18 +292,15 @@ def _dataset_pssms(ds, pssm_dir, synth_pssms, seed):
             for r in ds.records}
 
 
-def _encode(args, config, seed) -> _Table:
+def _encode(opts) -> _Table:
     """--dataset featurized by --scheme, or tokenized by --ngrams."""
-    ds = load_dataset(_require(_cfg(args, config, "dataset"), "dataset"))
-    scheme = _cfg(args, config, "scheme")
-    n = _cfg(args, config, "ngrams")
+    ds = load_dataset(_require(opts["dataset"], "dataset"))
+    scheme, n = opts["scheme"], opts["ngrams"]
     if (scheme is None) == (n is None):
         raise UsageError("pass exactly one of --scheme or --ngrams")
     ids = [r.id for r in ds.records]
     if scheme:
-        profiles = _dataset_pssms(ds, _cfg(args, config, "pssm-dir"),
-                                  bool(_cfg(args, config, "synth-pssms")),
-                                  seed)
+        profiles = _dataset_pssms(ds, opts)
         rows = np.empty((len(ds.records), pssm.SCHEME_DIMS[scheme]))
         for i, r in enumerate(ds.records):
             rows[i] = pssm.encode_record_features(r.residues, profiles[r.id],
@@ -321,16 +313,15 @@ def _encode(args, config, seed) -> _Table:
     return _Table(matrix, ids, ds.labels, vocab)
 
 
-def _load_table(args, config) -> _Table:
+def _load_table(opts) -> _Table:
     """The --features file, or the --tokens file with its --vocab."""
-    features = _cfg(args, config, "features")
-    tokens = _cfg(args, config, "tokens")
+    features, tokens = opts["features"], opts["tokens"]
     if (features is None) == (tokens is None):
         raise UsageError("pass exactly one of --features or --tokens")
     if features:
         ids, labels, _, matrix = store.read_features_csv(features)
         return _Table(matrix, ids, labels)
-    vocab_path = _require(_cfg(args, config, "vocab"), "vocab")
+    vocab_path = _require(opts["vocab"], "vocab")
     vocab, max_len = ngram.load_vocab(vocab_path)
     ids, labels, matrix = store.read_tokens_csv(tokens)
     if matrix.shape[1] != max_len:
@@ -342,17 +333,14 @@ def _load_table(args, config) -> _Table:
     return _Table(matrix, ids, labels, vocab)
 
 
-def cmd_encode(args, config, out):
-    seed = _cfg(args, config, "seed")
-    table = _encode(args, config, seed)
-    scheme = _cfg(args, config, "scheme")
-    n = _cfg(args, config, "ngrams")
+def cmd_encode(opts, out):
+    table = _encode(opts)
     records = len(table.ids)
     if table.vocab is None:
-        store.write_features_csv(os.path.join(out, FEATURES_FILE),
-                                 table.ids, table.labels, scheme, table.matrix)
+        store.write_features_csv(os.path.join(out, FEATURES_FILE), table.ids,
+                                 table.labels, opts["scheme"], table.matrix)
         artifacts = [FEATURES_FILE]
-        message = (f"encoded {records} records as {scheme} "
+        message = (f"encoded {records} records as {opts['scheme']} "
                    f"({table.matrix.shape[1]} features)")
     else:
         max_len = table.matrix.shape[1]
@@ -360,21 +348,16 @@ def cmd_encode(args, config, out):
         store.write_tokens_csv(os.path.join(out, TOKENS_FILE), table.ids,
                                table.labels, table.matrix)
         artifacts = [VOCAB_FILE, TOKENS_FILE]
-        message = (f"encoded {records} records as {n}-grams "
+        message = (f"encoded {records} records as {opts['ngrams']}-grams "
                    f"(vocab {table.vocab.size}, max_len {max_len})")
-    effective = {"dataset": _cfg(args, config, "dataset"), "scheme": scheme,
-                 "ngrams": n, "seed": seed,
-                 "pssm-dir": _cfg(args, config, "pssm-dir"),
-                 "synth-pssms": bool(_cfg(args, config, "synth-pssms"))}
-    return effective, artifacts, message
+    return artifacts, message
 
 
-def _model_factory(args, config, model, table) -> estimators.ModelFactory:
+def _model_factory(opts, model, table) -> estimators.ModelFactory:
     """The factory of model for table's input; its defaults are the model
     flags given, by field name."""
     given = {name: value for name in estimators.FIELDS
-             if (value := _cfg(args, config, name.replace("_", "-")))
-             is not None}
+             if (value := opts[name.replace("_", "-")]) is not None}
     hidden = given.get("hidden")
     if isinstance(hidden, str):
         hidden = [v for v in hidden.split(",") if v]
@@ -387,50 +370,44 @@ def _model_factory(args, config, model, table) -> estimators.ModelFactory:
                                    **shape)
 
 
-def cmd_train(args, config, out):
-    model_kind = _require(_cfg(args, config, "model"), "model")
-    seed = _require(_cfg(args, config, "seed"), "seed")
-    table = _load_table(args, config)
-    factory = _model_factory(args, config, model_kind, table)
-    estimator = factory({}, seed)
+def cmd_train(opts, out):
+    model_kind = _require(opts["model"], "model")
+    seed = _require(opts["seed"], "seed")
+    table = _load_table(opts)
+    estimator = _model_factory(opts, model_kind, table)({}, seed)
     estimator.fit(table.matrix, table.y)
     store.save_model(os.path.join(out, MODEL_FILE), estimator,
                      table.class_names)
-    effective = {"model": model_kind, "seed": seed, **factory.defaults}
-    return (effective, [MODEL_FILE],
-            f"trained {model_kind} on {len(table.ids)} records")
+    return [MODEL_FILE], f"trained {model_kind} on {len(table.ids)} records"
 
 
-def _predict(args, config):
+def _predict(opts):
     """Scores the data file with --model-file; returns (table, the
-    model's class names, probabilities, effective config)."""
-    model_path = _require(_cfg(args, config, "model-file"), "model-file")
-    model, class_names = store.load_model(model_path)
-    table = _load_table(args, config)
+    model's class names, probabilities)."""
+    model, class_names = store.load_model(
+        _require(opts["model-file"], "model-file"))
+    table = _load_table(opts)
     proba = model.predict_proba(table.matrix)
     if proba.shape[1] != len(class_names):
         raise DataError("model class count does not match data")
-    effective = {key: _cfg(args, config, key)
-                 for key in ("model-file", "features", "tokens")}
-    return table, class_names, proba, effective
+    return table, class_names, proba
 
 
-def cmd_evaluate(args, config, out):
-    table, class_names, proba, effective = _predict(args, config)
+def cmd_evaluate(opts, out):
+    table, class_names, proba = _predict(opts)
     report = evaluation.compute_report(
         evaluation.label_indices(table.labels, class_names), proba,
         class_names)
     artifacts = _write_scores(out, evaluation.report_to_dict(report), report)
-    return (effective, artifacts,
-            f"mean score {report.overall['mean_score']:.4f} "
+    return (artifacts, f"mean score {report.overall['mean_score']:.4f} "
             f"over {len(table.ids)} records")
 
 
-def cmd_predict(args, config, out):
-    table, class_names, proba, effective = _predict(args, config)
+def cmd_predict(opts, out):
+    table, class_names, proba = _predict(opts)
     store.write_predictions_csv(os.path.join(out, PREDICTIONS_FILE),
                                 table.ids, table.labels, proba, class_names)
-    return (effective, [PREDICTIONS_FILE],
+    return ([PREDICTIONS_FILE],
             f"wrote predictions for {len(table.ids)} records")
 
 
@@ -446,33 +423,26 @@ def _parse_grid(text, model_kind) -> list:
     return estimators.grid_points(doc)
 
 
-def cmd_nested_cv(args, config, out):
-    model_kind = _require(_cfg(args, config, "model"), "model")
-    seed = _require(_cfg(args, config, "seed"), "seed")
-    k_outer = _cfg(args, config, "k-outer", 5)
-    k_inner = _cfg(args, config, "k-inner", 4)
-    workers = _workers(args, config)
-    dataset = _cfg(args, config, "dataset")
-    table = (_encode(args, config, seed) if dataset
-             else _load_table(args, config))
-    factory = _model_factory(args, config, model_kind, table)
-    grid = _parse_grid(_cfg(args, config, "grid"), model_kind)
+def cmd_nested_cv(opts, out):
+    model_kind = _require(opts["model"], "model")
+    seed = _require(opts["seed"], "seed")
+    table = _encode(opts) if opts["dataset"] else _load_table(opts)
+    factory = _model_factory(opts, model_kind, table)
+    grid = _parse_grid(opts["grid"], model_kind)
     for params in grid:  # a bad grid point fails before any fit runs
         factory(params, seed)
 
-    plan = evaluation.make_cv_plan(table.y, k_outer, k_inner, seed)
+    plan = evaluation.make_cv_plan(table.y, opts["k-outer"], opts["k-inner"],
+                                   seed)
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
+    # --workers, capped at the cores this process may run on
+    workers = max(min(opts["workers"], len(os.sched_getaffinity(0))), 1)
     result = evaluation.nested_cv(table.matrix, table.y, factory, grid, plan,
                                   table.class_names, workers=workers)
     artifacts = [PLAN_FILE] + _write_scores(
         out, evaluation.nested_cv_to_dict(result), result.pooled_report)
-    effective = {"model": model_kind, "seed": seed, "k-outer": k_outer,
-                 "k-inner": k_inner, "dataset": dataset,
-                 "scheme": _cfg(args, config, "scheme"),
-                 "ngrams": _cfg(args, config, "ngrams"), "grid": grid,
-                 **factory.defaults}
     pooled = result.pooled_report.overall
-    return (effective, artifacts,
+    return (artifacts,
             f"pooled mean score {pooled['mean_score']:.4f} "
             f"(micro F1 {pooled['micro_f1']:.4f}, "
             f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
@@ -512,11 +482,8 @@ def _prediction_names(paths) -> list:
     return [name(i) for i in range(len(paths))]
 
 
-def cmd_report(args, config, out):
-    pred_paths = _cfg(args, config, "predictions") or []
-    dataset_path = _cfg(args, config, "dataset")
-    n = _cfg(args, config, "ngrams")
-    top = _cfg(args, config, "top-tokens", 50)
+def cmd_report(opts, out):
+    pred_paths, dataset_path = opts["predictions"], opts["dataset"]
     if not pred_paths and not dataset_path:
         raise UsageError("report needs --predictions and/or --dataset")
     artifacts = []
@@ -543,17 +510,15 @@ def cmd_report(args, config, out):
             artifacts.append(DISAGREEMENT_FILE)
 
     if dataset_path:
-        if n is None:
+        if opts["ngrams"] is None:
             raise UsageError("token tables need --ngrams")
         ds = load_dataset(dataset_path)
         store.write_token_frequencies_csv(
             os.path.join(out, TOKEN_FREQUENCIES_FILE),
-            ngram.token_frequencies(ds, n), ds.class_names, top)
+            ngram.token_frequencies(ds, opts["ngrams"]), ds.class_names,
+            opts["top-tokens"])
         artifacts.append(TOKEN_FREQUENCIES_FILE)
-
-    effective = {"predictions": list(pred_paths), "dataset": dataset_path,
-                 "ngrams": n, "top-tokens": top}
-    return effective, artifacts, f"wrote {len(artifacts)} report artifacts"
+    return artifacts, f"wrote {len(artifacts)} report artifacts"
 
 
 _COMMANDS = {
@@ -574,12 +539,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        config = _load_config(args.config, args.command)
-        out = _require(_cfg(args, config, "out"), "out")
+        opts = _options(args)
+        out = _require(opts.pop("out"), "out")
         os.makedirs(out, exist_ok=True)
-        effective, artifacts, message = _COMMANDS[args.command](
-            args, config, out)
-        _finish(out, args.command, effective, artifacts)
+        artifacts, message = _COMMANDS[args.command](opts, out)
+        _finish(out, args.command, opts, artifacts)
         print(message)
         return 0
     except UsageError as exc:

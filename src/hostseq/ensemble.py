@@ -339,7 +339,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     subsample carrying the current instance weights, then scores it on
     the full set. Rounds with error >= 1 - 1/C are discarded and drawn
     again, at most 10 times; if a round exhausts its retries, boosting
-    stops early with the rounds completed so far.
+    stops early with the rounds completed so far (a DataError if none).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -375,8 +375,8 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
             # Weights no longer admit a better-than-chance subsample tree;
             # keep what was built rather than fail on hard data.
             if not trees:
-                raise RuntimeError(
-                    "first boosting round exceeded 10 resample retries")
+                raise DataError("no first boosting round beats chance "
+                                "in 10 resample retries")
             break
         tree, miss, eps = fitted
         eps = max(eps, 1e-10)

@@ -514,12 +514,13 @@ def test_config_unknown_model_exit_1(tmp_path, capsys):
     ("seed", "1", "1"),
     ("drop-incomplete", "false", None),
     ("grid", {"n_estimators": [3]}, None),
+    ("seed", "abc", None),
 ])
 def test_config_value_read_like_its_flag(tmp_path, capsys, key, value,
                                          flag_text):
     # A config value goes through its flag's type and choices: one that
     # converts writes the bytes the flag writes, one that does not exits
-    # 1 naming the flag.
+    # 1 naming the flag, also when the flag is given.
     dataset = synth_corpus(tmp_path / "syn", records=12, classes=3, seed=9)
     fasta = tmp_path / "in.fasta"
     fasta.write_text(INGEST_FASTA)
@@ -542,9 +543,14 @@ def test_config_value_read_like_its_flag(tmp_path, capsys, key, value,
     code = run(argv + ["--config", str(config),
                        "--out", str(tmp_path / "cfg")])
     if flag_text is None:
+        given = {"scheme": ["--scheme", "eg"], "seed": ["--seed", "1"],
+                 "drop-incomplete": ["--drop-incomplete"],
+                 "grid": ["--grid", '{"n_estimators": [3]}']}[key]
         assert code == 1
+        assert run(argv + given + ["--config", str(config),
+                                   "--out", str(tmp_path / "cfg")]) == 1
         err = capsys.readouterr().err
-        assert f"--{key}" in err
+        assert err.count(f"--{key}") == 2
         assert "Traceback" not in err
         return
     assert code == 0
@@ -554,6 +560,71 @@ def test_config_value_read_like_its_flag(tmp_path, capsys, key, value,
     for name in names:
         assert (tmp_path / "cfg" / name).read_bytes() == \
             (tmp_path / "flag" / name).read_bytes(), name
+
+
+def test_config_key_of_no_subcommand_exit_1(tmp_path, capsys):
+    # A key of another subcommand's flag is ignored, so one config can
+    # drive a pipeline; a key that is no flag at all is named.
+    config = tmp_path / "config.json"
+    doc = {"records": 12, "seed": 1, "model": "rf", "k-outer": 2,
+           "out": str(tmp_path / "a")}
+    config.write_text(json.dumps(doc))
+    assert run(["synth", "--config", str(config)]) == 0
+    config.write_text(json.dumps({**doc, "n_estimators": 5}))
+    assert run(["synth", "--config", str(config),
+                "--out", str(tmp_path / "b")]) == 1
+    assert "unknown config key 'n_estimators'" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_config_replays(tmp_path, command):
+    # A manifest's config fed back as --config, with only a new --out,
+    # writes the same artifacts and manifest byte for byte.
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(INGEST_FASTA)
+    features = str(seeded_features(tmp_path))
+    syn = tmp_path / "syn"
+    dataset = str(syn / "dataset.json")
+    model = str(tmp_path / "rf" / "model.bin")
+    argv = {
+        "synth": ["synth", "--records", "18", "--classes", "3", "--seed", "9",
+                  "--min-len", "20", "--max-len", "30", "--with-pssms"],
+        "train": ["train", "--model", "rf", "--n-estimators", "7",
+                  "--max-depth", "3", "--features", features, "--seed", "1"],
+        "predict": ["predict", "--model-file", model, "--features", features],
+        "prepare": ["prepare", "--fasta", str(fasta), "--level", "fine"],
+        "encode": ["encode", "--dataset", dataset, "--scheme", "eg",
+                   "--pssm-dir", str(syn / "pssms")],
+        "evaluate": ["evaluate", "--model-file", model, "--features",
+                     features],
+        "nested-cv": ["nested-cv", "--model", "rf", "--dataset", dataset,
+                      "--scheme", "eg", "--synth-pssms", "--grid",
+                      '{"n_estimators": [3], "max_depth": [2]}',
+                      "--k-outer", "2", "--k-inner", "2", "--seed", "3"],
+        "report": ["report", "--predictions",
+                   str(tmp_path / "p" / "predictions.csv"), "--dataset",
+                   dataset, "--ngrams", "2", "--top-tokens", "5"],
+    }
+    for name, out in (("synth", syn), ("train", tmp_path / "rf"),
+                      ("predict", tmp_path / "p")):
+        assert run(argv[name] + ["--out", str(out)]) == 0
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(argv[command] + ["--out", str(first)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        json.loads((first / "manifest.json").read_text())["config"]))
+    assert run([command, "--config", str(config),
+                "--out", str(second)]) == 0
+
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names} - {"run.log"}
+
+    assert files(first) == files(second)
+    for name in files(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), \
+            name
 
 
 def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
@@ -739,6 +810,11 @@ def malformed_input(tmp_path, case):
     no_records.write_text('{"level": "coarse", "class_names": []}')
     latin1 = tmp_path / "latin1.fasta"
     latin1.write_bytes(b">a|host=human|note=caf\xe9\nMKTIIALSYIF\n")
+    # constant columns: no boosting round can beat chance on them
+    unboostable = tmp_path / "unboostable.csv"
+    store.write_features_csv(unboostable, [f"r{i}" for i in range(30)],
+                             ["a"] * 3 + ["b"] * 13 + ["c"] * 14, "eg",
+                             np.ones((30, 2)))
     out = ["--out", str(tmp_path / "o")]
     train = ["train", "--model", "mlp", "--seed", "1", "--epochs", "1"] + out
     return {
@@ -766,6 +842,9 @@ def malformed_input(tmp_path, case):
                                            "--vocab", str(vocab)],
         "tokens-true-len-miscounted": train + ["--tokens", str(miscounted),
                                                "--vocab", str(vocab)],
+        "rusboost-no-first-round": ["train", "--model", "rusboost",
+                                    "--seed", "1", "--features",
+                                    str(unboostable)] + out,
     }[case]
 
 
@@ -774,11 +853,11 @@ def malformed_input(tmp_path, case):
     "dataset-no-records", "dataset-unknown-coarse", "vocab-no-tokens",
     "vocab-repeated-token", "vocab-wrong-length-token", "fasta-not-utf8",
     "fasta-directory", "token-id-outside-vocab",
-    "tokens-true-len-miscounted"])
+    "tokens-true-len-miscounted", "rusboost-no-first-round"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
-    assert "data error" in err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 
