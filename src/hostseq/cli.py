@@ -86,6 +86,12 @@ _FLAGS = {
 }
 _DATASET_FLAGS = ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams")
 _DATA_FLAGS = ("features", "tokens", "vocab")
+# Flag pairs where one flag would be silently ignored: an _EXCLUSIVE pair
+# given together, or a _NEEDS pair's first flag without its second.
+_EXCLUSIVE = (("dataset", "features"), ("dataset", "tokens"),
+              ("dataset", "vocab"), ("pssm-dir", "synth-pssms"))
+_NEEDS = (("pssm-dir", "scheme"), ("synth-pssms", "scheme"),
+          ("scheme", "dataset"), ("ngrams", "dataset"), ("vocab", "tokens"))
 _MODEL_FLAGS = ("model", "seed") + tuple(
     name.replace("_", "-") for name in estimators.FIELDS)
 # subcommand -> (help, its flags besides --config and --out)
@@ -167,7 +173,8 @@ def _options(args) -> dict:
     of the command's flags is read by _config_value, and null leaves its
     flag unset. A config key that is no subcommand's flag is a usage
     error; another subcommand's flag is ignored, so one config can drive
-    a whole pipeline."""
+    a whole pipeline. Resolved flags that _EXCLUSIVE or _NEEDS rule out
+    are a usage error; a null or false value counts as not given."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -186,6 +193,14 @@ def _options(args) -> dict:
             flag["default"] = _config_value(name, config[name], flag)
         given = getattr(args, name.replace("-", "_"))
         opts[name] = flag.get("default") if given is None else given
+    given = {name for name, value in opts.items()
+             if value is not None and value is not False}
+    for name, other in _EXCLUSIVE:
+        if name in given and other in given:
+            raise UsageError(f"--{name} and --{other} are exclusive")
+    for name, needed in _NEEDS:
+        if name in given and needed not in given:
+            raise UsageError(f"--{name} needs --{needed}")
     return opts
 
 
@@ -218,11 +233,10 @@ def _write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_scores(out, doc, report) -> list:
-    """metrics.json holding doc, and the per-class PR curves of report."""
+def _write_scores(out, doc, curves) -> list:
+    """metrics.json holding doc, and pr_curves.csv holding curves."""
     _write_json(os.path.join(out, METRICS_FILE), doc)
-    store.write_pr_curves_csv(os.path.join(out, PR_CURVES_FILE),
-                              report.pr_curves)
+    store.write_pr_curves_csv(os.path.join(out, PR_CURVES_FILE), curves)
     return [METRICS_FILE, PR_CURVES_FILE]
 
 
@@ -279,8 +293,6 @@ class _Table:
 
 def _dataset_pssms(ds, opts):
     pssm_dir = opts["pssm-dir"]
-    if pssm_dir and opts["synth-pssms"]:
-        raise UsageError("--pssm-dir and --synth-pssms are exclusive")
     if opts["synth-pssms"]:
         if opts["seed"] is None:
             raise UsageError("--synth-pssms requires --seed")
@@ -395,11 +407,11 @@ def _predict(opts):
 
 def cmd_evaluate(opts, out):
     table, class_names, proba = _predict(opts)
-    report = evaluation.compute_report(
+    doc, curves = evaluation.compute_report(
         evaluation.label_indices(table.labels, class_names), proba,
         class_names)
-    artifacts = _write_scores(out, evaluation.report_to_dict(report), report)
-    return (artifacts, f"mean score {report.overall['mean_score']:.4f} "
+    artifacts = _write_scores(out, doc, curves)
+    return (artifacts, f"mean score {doc['overall']['mean_score']:.4f} "
             f"over {len(table.ids)} records")
 
 
@@ -437,11 +449,11 @@ def cmd_nested_cv(opts, out):
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
     # --workers, capped at the cores this process may run on
     workers = max(min(opts["workers"], len(os.sched_getaffinity(0))), 1)
-    result = evaluation.nested_cv(table.matrix, table.y, factory, grid, plan,
-                                  table.class_names, workers=workers)
-    artifacts = [PLAN_FILE] + _write_scores(
-        out, evaluation.nested_cv_to_dict(result), result.pooled_report)
-    pooled = result.pooled_report.overall
+    doc, curves = evaluation.nested_cv(table.matrix, table.y, factory, grid,
+                                       plan, table.class_names,
+                                       workers=workers)
+    artifacts = [PLAN_FILE] + _write_scores(out, doc, curves)
+    pooled = doc["pooled"]["overall"]
     return (artifacts,
             f"pooled mean score {pooled['mean_score']:.4f} "
             f"(micro F1 {pooled['micro_f1']:.4f}, "
@@ -486,16 +498,17 @@ def cmd_report(opts, out):
     pred_paths, dataset_path = opts["predictions"], opts["dataset"]
     if not pred_paths and not dataset_path:
         raise UsageError("report needs --predictions and/or --dataset")
+    if opts["top-tokens"] < 1:
+        raise UsageError("--top-tokens must be at least 1")
     artifacts = []
 
     if pred_paths:
         tables = [store.read_predictions_csv(path) for path in pred_paths]
         ids0, true0, _, class_names, proba0 = tables[0]
-        report = evaluation.compute_report(
+        doc, curves = evaluation.compute_report(
             evaluation.label_indices(true0, class_names), proba0, class_names)
-        doc = evaluation.report_to_dict(report)
         store.write_metrics_csv(os.path.join(out, METRICS_CSV_FILE), doc)
-        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, report)
+        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, curves)
         if len(pred_paths) > 1:
             predictions = {}
             for path, name, (ids, true, predicted, _, _) in zip(

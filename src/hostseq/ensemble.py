@@ -340,6 +340,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     the full set. Rounds with error >= 1 - 1/C are discarded and drawn
     again, at most 10 times; if a round exhausts its retries, boosting
     stops early with the rounds completed so far (a DataError if none).
+    A class of n_classes without samples in y is a DataError.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -352,7 +353,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     counts = np.bincount(y, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"class {missing} has no samples")
+        raise DataError(f"class {missing} has no samples")
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     limit = 1.0 - 1.0 / n_classes

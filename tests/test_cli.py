@@ -375,6 +375,14 @@ def test_report_duplicate_prediction_path_exit_1(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_report_top_tokens_below_one_exit_1(tmp_path, capsys, top):
+    dataset = synth_corpus(tmp_path / "run", records=12, seed=23)
+    assert run(["report", "--dataset", dataset, "--ngrams", "2",
+                "--top-tokens", top, "--out", str(tmp_path / "rep")]) == 1
+    assert "--top-tokens" in capsys.readouterr().err
+
+
 def test_prediction_names_grow_until_distinct():
     names = cli._prediction_names(
         ["a/b/predictions.csv", "x/b/predictions.csv", "lone.csv"])
@@ -896,3 +904,71 @@ def test_dataset_and_encoded_features_agree(tmp_path):
     for name in ("cv_plan.json", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("case, flags", [
+    ("dataset-features", ("--dataset", "--features")),
+    ("dataset-tokens", ("--dataset", "--tokens")),
+    ("dataset-vocab", ("--dataset", "--vocab")),
+    ("ngrams-pssm-dir", ("--pssm-dir", "--scheme")),
+    ("ngrams-synth-pssms", ("--synth-pssms", "--scheme")),
+    ("features-synth-pssms", ("--synth-pssms", "--scheme")),
+    ("config-dataset-features", ("--dataset", "--features")),
+    ("features-scheme", ("--scheme", "--dataset")),
+    ("report-ngrams", ("--ngrams", "--dataset")),
+    ("features-vocab", ("--vocab", "--tokens")),
+])
+def test_flag_that_would_be_ignored_exit_1(tmp_path, capsys, case, flags):
+    # Each case once exited 0, ignoring one of the two flags. The check
+    # reads resolved values, so a --config key counts.
+    syn = tmp_path / "syn"
+    dataset = synth_corpus(syn, records=18, classes=3, seed=5)
+    features = str(seeded_features(tmp_path))
+    cv = ["nested-cv", "--model", "rf", "--seed", "1", "--grid",
+          '{"n_estimators": [2], "max_depth": [2]}', "--k-outer", "2",
+          "--k-inner", "2"]
+    eg = ["--dataset", dataset, "--scheme", "eg", "--synth-pssms"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": dataset, "features": features}))
+    predictions = tmp_path / "predictions.csv"
+    store.write_predictions_csv(predictions, ["r0", "r1"], ["a", "b"],
+                                np.array([[0.7, 0.3], [0.2, 0.8]]), ("a", "b"))
+    argv = {
+        "dataset-features": cv + eg + ["--features", features],
+        "dataset-tokens": cv + eg + ["--tokens", features],
+        "dataset-vocab": cv + eg + ["--vocab", features],
+        "ngrams-pssm-dir": ["encode", "--dataset", dataset, "--ngrams", "2",
+                            "--pssm-dir", "nowhere"],
+        "ngrams-synth-pssms": ["encode", "--dataset", dataset, "--ngrams",
+                               "2", "--synth-pssms", "--seed", "1"],
+        "features-synth-pssms": cv + ["--features", features,
+                                      "--synth-pssms"],
+        "config-dataset-features": cv + ["--scheme", "eg", "--synth-pssms",
+                                         "--config", str(config)],
+        "features-scheme": cv + ["--features", features, "--scheme", "gdpc"],
+        "report-ngrams": ["report", "--predictions", str(predictions),
+                          "--ngrams", "3"],
+        "features-vocab": ["train", "--model", "rf", "--seed", "1",
+                           "--features", features, "--vocab", "nowhere"],
+    }[case]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(flag in err for flag in flags), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rusboost_fold_missing_a_class_exit_2(tmp_path, capsys):
+    # One swine record: the outer fold that holds it out trains on two
+    # classes, which boosting over three cannot fit.
+    rng = np.random.default_rng(7)
+    labels = ["avian"] * 14 + ["human"] * 14 + ["swine"]
+    features = tmp_path / "features.csv"
+    store.write_features_csv(features, [f"r{i}" for i in range(29)], labels,
+                             "eg", rng.random((29, 4)))
+    assert run(["nested-cv", "--model", "rusboost", "--features",
+                str(features), "--grid", '{"n_estimators": [2]}',
+                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: outer fold ") and err.count("\n") == 1
+    assert err.endswith(": class 2 has no samples\n"), err

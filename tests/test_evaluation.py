@@ -11,6 +11,7 @@ from hostseq import evaluation as ev
 from hostseq import store
 from hostseq.estimators import ModelFactory
 from hostseq.models import TrainingDivergedError
+from hostseq.seqio import DataError
 from hostseq.util import derive_seed
 
 
@@ -95,29 +96,30 @@ def test_confusion_tally(rng):
     names = ("a", "b", "c")
     y_true = rng.integers(0, 3, size=50)
     y_pred = rng.integers(0, 3, size=50)
-    cm = ev.confusion(y_true, y_pred, names)
-    assert np.array_equal(cm.array, oracle_confusion(y_true, y_pred, 3))
-    assert cm.total == 50
+    cm = ev.confusion(y_true, y_pred, len(names))
+    assert cm.dtype == np.int64 and cm.shape == (3, 3)
+    assert np.array_equal(cm, oracle_confusion(y_true, y_pred, 3))
+    assert cm.sum() == 50
 
 
 def test_confusion_accepts_names():
     names = ("a", "b")
     cm = ev.confusion(ev.label_indices(["a", "b", "a"], names),
-                      ev.label_indices(["a", "a", "a"], names), names)
-    assert cm.array.tolist() == [[2, 0], [1, 0]]
+                      ev.label_indices(["a", "a", "a"], names), len(names))
+    assert cm.tolist() == [[2, 0], [1, 0]]
 
 
 def test_confusion_unknown_label():
     with pytest.raises(ValueError, match="unknown label 'z'"):
         ev.label_indices(["a", "z"], ("a", "b"))
     with pytest.raises(ValueError, match="labels must lie in"):
-        ev.confusion([0, 2], [0, 0], ("a", "b"))
+        ev.confusion([0, 2], [0, 0], 2)
 
 
 def test_perfect_prediction_is_diagonal():
     y = np.array([0, 1, 2, 1, 0])
-    cm = ev.confusion(y, y, ("a", "b", "c"))
-    assert np.array_equal(cm.array, np.diag([2, 2, 1]))
+    cm = ev.confusion(y, y, 3)
+    assert np.array_equal(cm, np.diag([2, 2, 1]))
     metrics = ev.per_class_metrics(cm)
     assert np.all(metrics["f1"][0] == 1.0)
     assert np.all(metrics["mcc"][0] == 1.0)
@@ -126,18 +128,18 @@ def test_perfect_prediction_is_diagonal():
 
 def test_f1_hand_case():
     # one-vs-all with TP=2, FP=1, FN=1 for class a
-    cm = ev.ConfusionMatrix(counts=((2, 1), (1, 6)), class_names=("a", "b"))
+    cm = np.array([[2, 1], [1, 6]])
     assert ev.per_class_metrics(cm)["f1"][0][0] == pytest.approx(
         2 / 3, abs=1e-15)
 
 
 def test_overall_mcc_hand_case():
-    cm = ev.ConfusionMatrix(counts=((2, 1), (1, 2)), class_names=("a", "b"))
+    cm = np.array([[2, 1], [1, 2]])
     assert ev.overall_mcc(cm)[0] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_degenerate_single_column_mcc_zero():
-    cm = ev.ConfusionMatrix(counts=((3, 0), (2, 0)), class_names=("a", "b"))
+    cm = np.array([[3, 0], [2, 0]])
     assert ev.overall_mcc(cm) == (0.0, True)
 
 
@@ -147,17 +149,14 @@ def test_metrics_match_oracles_on_random_matrices(rng):
         cm_arr = random_cm(rng, n)
         if cm_arr.sum() == 0:
             continue
-        names = tuple(f"c{i}" for i in range(n))
-        cm = ev.ConfusionMatrix(counts=tuple(map(tuple, cm_arr.tolist())),
-                                class_names=names)
-        metrics = ev.per_class_metrics(cm)
+        metrics = ev.per_class_metrics(cm_arr)
         oracles = {"precision": oracle_precision, "recall": oracle_recall,
                    "f1": oracle_f1, "mcc": oracle_binary_mcc}
         for i in range(n):
             for name, oracle in oracles.items():
                 assert metrics[name][0][i] == pytest.approx(
                     oracle(cm_arr, i), abs=1e-12)
-        assert ev.overall_mcc(cm)[0] == pytest.approx(
+        assert ev.overall_mcc(cm_arr)[0] == pytest.approx(
             oracle_overall_mcc(cm_arr), abs=1e-12)
 
 
@@ -234,9 +233,10 @@ def test_micro_aucpr_matches_pooled_oracle(rng):
         assert micro["micro_aucpr"] == pytest.approx(want, abs=1e-12)
 
 
-def test_micro_metrics_validates_rows():
-    with pytest.raises(ValueError):
-        ev.micro_metrics(np.array([[0.9, 0.4], [0.5, 0.5]]), np.array([0, 1]))
+def test_compute_report_validates_rows():
+    with pytest.raises(ValueError, match="sum to 1"):
+        ev.compute_report(np.array([0, 1]),
+                          np.array([[0.9, 0.4], [0.5, 0.5]]), ("a", "b"))
 
 
 def test_perfect_probabilities_micro_aucpr_one():
@@ -252,16 +252,16 @@ def test_compute_report_fields(rng):
     names = ("a", "b", "c")
     prob = random_prob_matrix(rng, 60, 3)
     y = rng.integers(0, 3, size=60)
-    report = ev.compute_report(y, prob, names)
-    assert set(report.per_class) == set(names)
+    doc, _ = ev.compute_report(y, prob, names)
+    assert set(doc["per_class"]) == set(names)
     for i, name in enumerate(names):
-        entry = report.per_class[name]
+        entry = doc["per_class"][name]
         assert set(entry) == {"precision", "recall", "f1", "mcc", "aucpr",
                               "prevalence"}
         assert entry["prevalence"] == pytest.approx((y == i).mean())
         want_ap = oracle_average_precision(prob[:, i], (y == i).astype(int))
         assert entry["aucpr"] == pytest.approx(want_ap, abs=1e-12)
-    overall = report.overall
+    overall = doc["overall"]
     mean = (overall["micro_f1"] + overall["micro_aucpr"]
             + overall["overall_mcc"]) / 3
     assert overall["mean_score"] == pytest.approx(mean, abs=1e-12)
@@ -275,10 +275,10 @@ def test_compute_report_degenerate_flags():
                      [0.7, 0.2, 0.1],
                      [0.2, 0.7, 0.1],
                      [0.3, 0.6, 0.1]])
-    report = ev.compute_report(y, prob, names)
-    assert report.per_class["c"]["f1"] == 0.0
-    assert any(flag.startswith("aucpr") for flag in report.degenerate)
-    assert report.per_class["c"]["aucpr"] == 0.0
+    doc, _ = ev.compute_report(y, prob, names)
+    assert doc["per_class"]["c"]["f1"] == 0.0
+    assert any(flag.startswith("aucpr") for flag in doc["degenerate"])
+    assert doc["per_class"]["c"]["aucpr"] == 0.0
 
 
 def oracle_degenerate(cm, names):
@@ -331,24 +331,28 @@ def test_degenerate_flags_match_oracle(rng):
             continue
         names = tuple(f"c{i}" for i in range(cm.shape[0]))
         y, prob = predictions_tallying_to(rng, cm)
-        report = ev.compute_report(y, prob, names)
-        assert report.confusion.array.tolist() == cm.tolist()
-        assert list(report.degenerate) == oracle_degenerate(cm, names)
+        doc, _ = ev.compute_report(y, prob, names)
+        assert doc["confusion"] == cm.tolist()
+        assert doc["degenerate"] == oracle_degenerate(cm, names)
 
 
-def test_report_to_dict_roundtrips_values(rng):
+def test_report_doc_roundtrips_json(rng):
+    # the document is plain JSON data: it reads back equal, every float
+    # bit for bit
     prob = random_prob_matrix(rng, 20, 3)
     y = rng.integers(0, 3, size=20)
-    report = ev.compute_report(y, prob, ("a", "b", "c"))
-    doc = ev.report_to_dict(report)
-    assert doc["overall"]["mean_score"] == report.overall["mean_score"]
-    assert doc["confusion"] == [list(r) for r in report.confusion.counts]
+    doc, _ = ev.compute_report(y, prob, ("a", "b", "c"))
+    assert set(doc) == {"class_names", "confusion", "per_class", "overall",
+                        "degenerate"}
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["class_names"] == ["a", "b", "c"]
+    assert sum(map(sum, doc["confusion"])) == 20
 
 
 def test_per_class_pr_curves_and_csv(rng, tmp_path):
     prob = random_prob_matrix(rng, 20, 3)
     y = rng.integers(0, 2, size=20)  # class c has no positives
-    curves = ev.compute_report(y, prob, ("a", "b", "c")).pr_curves
+    _, curves = ev.compute_report(y, prob, ("a", "b", "c"))
     assert list(curves) == ["a", "b"]
     assert curves["a"] == ev.pr_curve(prob[:, 0], y == 0)
     path = tmp_path / "pr_curves.csv"
@@ -409,11 +413,11 @@ def test_kfold_hand_sizes():
 def test_make_cv_plan_invariants(rng):
     labels = rng.integers(0, 3, size=60)
     plan = ev.make_cv_plan(labels, k_outer=5, k_inner=4, seed=2)
-    outer = np.array(plan.outer)
-    assert outer.shape == (60,)
+    outer = plan.outer
+    assert outer.shape == (60,) and plan.inner.shape == (5, 60)
     assert set(outer.tolist()) == set(range(5))
     for f in range(5):
-        inner = np.array(plan.inner[f])
+        inner = plan.inner[f]
         held = outer == f
         assert np.all(inner[held] == -1)
         assert set(inner[~held].tolist()) == set(range(4))
@@ -424,16 +428,12 @@ def test_plan_roundtrip(tmp_path, rng):
     plan = ev.make_cv_plan(labels, k_outer=3, k_inner=2, seed=7)
     path = tmp_path / "cv_plan.json"
     ev.save_plan(plan, path)
-    assert json.loads(path.read_text()) == ev.plan_to_dict(plan)
+    assert json.loads(path.read_text()) == {
+        "k_outer": 3, "k_inner": 2, "seed": 7,
+        "outer": plan.outer.tolist(), "inner": plan.inner.tolist()}
     text_a = path.read_bytes()
     ev.save_plan(plan, path)
     assert path.read_bytes() == text_a
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        ev.CvPlan(k_outer=2, k_inner=2, seed=0, outer=(0, 1),
-                  inner=((0, -1), (-1, 0)))
 
 
 # --- nested CV ---
@@ -474,16 +474,15 @@ def test_nested_cv_structure(rng):
     plan = ev.make_cv_plan(y, k_outer=4, k_inner=3, seed=1)
     grid = [{"sharpness": 1.0}, {"sharpness": 2.0}]
     factory = lambda params, seed: CentroidModel(**params)
-    result = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"))
-    assert len(result.outer) == 4
-    for fold in result.outer:
-        assert fold.chosen_params == grid[fold.chosen_index]
-        assert len(fold.inner_mean_scores) == 2
-    assert result.pooled_proba.shape == (len(y), 3)
-    assert np.array_equal(result.y_true, y)
+    doc, curves = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"))
+    assert len(doc["outer"]) == 4
+    for fold in doc["outer"]:
+        assert fold["chosen_params"] == grid[fold["chosen_index"]]
+        assert len(fold["inner_mean_scores"]) == 2
     # every record scored by the fold that held it out
-    assert result.pooled_report.confusion.total == len(y)
-    assert result.pooled_report.overall["mean_score"] > 0.8
+    assert sum(map(sum, doc["pooled"]["confusion"])) == len(y)
+    assert doc["pooled"]["overall"]["mean_score"] > 0.8
+    assert list(curves) == ["a", "b", "c"]
 
 
 def test_nested_cv_tie_takes_first_grid_point(rng):
@@ -491,9 +490,9 @@ def test_nested_cv_tie_takes_first_grid_point(rng):
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=4)
     grid = [{"sharpness": 5.0}, {"sharpness": 5.0}]
     factory = lambda params, seed: CentroidModel(**params)
-    result = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"))
-    for fold in result.outer:
-        assert fold.chosen_index == 0
+    doc, _ = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"))
+    for fold in doc["outer"]:
+        assert fold["chosen_index"] == 0
 
 
 def test_nested_cv_workers_equivalent(rng):
@@ -505,22 +504,21 @@ def test_nested_cv_workers_equivalent(rng):
                           workers=1)
     parallel = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"),
                             workers=4)
-    assert np.array_equal(serial.pooled_proba, parallel.pooled_proba)
-    assert ev.nested_cv_to_dict(serial) == ev.nested_cv_to_dict(parallel)
+    assert serial == parallel
 
 
 def test_nested_cv_to_dict_shape(rng):
     X, y = nested_fixture(rng, n=40)
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=6)
     factory = lambda params, seed: CentroidModel(**params)
-    doc = ev.nested_cv_to_dict(
-        ev.nested_cv(X, y, factory, [{"sharpness": 1.0}], plan,
-                     ("a", "b", "c")))
-    assert set(doc) >= {"k_outer", "k_inner", "seed", "outer", "pooled"}
+    doc, _ = ev.nested_cv(X, y, factory, [{"sharpness": 1.0}], plan,
+                          ("a", "b", "c"))
+    assert set(doc) == {"k_outer", "k_inner", "seed", "outer", "pooled"}
+    assert (doc["k_outer"], doc["k_inner"], doc["seed"]) == (3, 2, 6)
     assert len(doc["outer"]) == 3
     for fold_doc in doc["outer"]:
-        assert "chosen_params" in fold_doc
-        assert "report" in fold_doc
+        assert set(fold_doc) == {"fold", "chosen_index", "chosen_params",
+                                 "inner_mean_scores", "report"}
 
 
 class RecordingModel(CentroidModel):
@@ -554,8 +552,8 @@ def test_nested_cv_fits_get_their_rows_and_seeds(rng, workers):
     fits = {seed: (trained, scored) for seed, trained, scored in log}
     assert len(log) == len(fits) == k * len(grid) * m + k
     for f in range(k):
-        test = frozenset(plan.outer_test_indices(f).tolist())
-        inner = np.asarray(plan.inner[f])
+        test = frozenset(np.flatnonzero(plan.outer == f).tolist())
+        inner = plan.inner[f]
         for j in range(len(grid)):
             for i in range(m):
                 trained, scored = fits.pop(derive_seed(
@@ -580,14 +578,16 @@ def test_fit_task_pickles_to_the_same_probabilities(rng):
         ev._fit_predict(X, y, factory, copy).tobytes()
 
 
-class DivergingModel(CentroidModel):
-    def __init__(self, diverge):
+class FailingModel(CentroidModel):
+    """CentroidModel whose fit raises error, unless error is None."""
+
+    def __init__(self, error):
         super().__init__(sharpness=1.0)
-        self.diverge = diverge
+        self.error = error
 
     def fit(self, X, y):
-        if self.diverge:
-            raise TrainingDivergedError("non-finite loss at epoch 1")
+        if self.error is not None:
+            raise self.error
         return super().fit(X, y)
 
 
@@ -602,10 +602,24 @@ def test_nested_cv_divergence_names_its_fit(rng, workers, keys, where):
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=9)
     bad = derive_seed(plan.seed, *keys)
     with pytest.raises(TrainingDivergedError) as info:
-        ev.nested_cv(X, y, lambda params, seed: DivergingModel(seed == bad),
+        ev.nested_cv(X, y, lambda params, seed: FailingModel(
+                         TrainingDivergedError("non-finite loss at epoch 1")
+                         if seed == bad else None),
                      [{"sharpness": 1.0}, {"sharpness": 2.0}], plan,
                      ("a", "b", "c"), workers=workers)
     assert str(info.value) == where + "non-finite loss at epoch 1"
+
+
+def test_nested_cv_data_error_names_its_fit(rng):
+    X, y = nested_fixture(rng, n=48)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=9)
+    bad = derive_seed(plan.seed, "outer", 1, "refit")
+    with pytest.raises(DataError) as info:
+        ev.nested_cv(X, y, lambda params, seed: FailingModel(
+                         DataError("class 2 has no samples")
+                         if seed == bad else None),
+                     [{"sharpness": 1.0}], plan, ("a", "b", "c"))
+    assert str(info.value) == "outer fold 1, refit: class 2 has no samples"
 
 
 # --- ensemble disagreement ---
