@@ -6,7 +6,8 @@ default. It writes its artifacts under --out with fixed file names and
 finishes with a manifest whose config holds every flag but --config and
 --out with its resolved value (null for unset), so that config replays
 the run as --config. Exit codes: 0 success, 1 usage or config error,
-2 data error, 3 diverged training.
+2 data error, 3 diverged training. A failed command removes the --out
+directory if it created it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import datetime
 import hashlib
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -546,6 +548,14 @@ _COMMANDS = {
 }
 
 
+def _outermost_missing(path):
+    """The outermost directory on path that does not exist yet, or None."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.lexists(path):
+        path, missing = os.path.dirname(path), path
+    return missing
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -554,9 +564,15 @@ def main(argv=None) -> int:
             raise UsageError(parser.format_usage())
         opts = _options(args)
         out = _require(opts.pop("out"), "out")
-        os.makedirs(out, exist_ok=True)
-        artifacts, message = _COMMANDS[args.command](opts, out)
-        _finish(out, args.command, opts, artifacts)
+        created = _outermost_missing(out)
+        try:
+            os.makedirs(out, exist_ok=True)
+            artifacts, message = _COMMANDS[args.command](opts, out)
+            _finish(out, args.command, opts, artifacts)
+        except BaseException:
+            if created is not None:
+                shutil.rmtree(created, ignore_errors=True)
+            raise
         print(message)
         return 0
     except UsageError as exc:

@@ -94,6 +94,17 @@ class DecisionTree:
                     a.shape != nodes for a in (tree.feature, tree.threshold,
                                                tree.left, tree.right)):
             raise ValueError("tree arrays disagree on the node count")
+        # fit_tree numbers nodes in preorder: children after their node,
+        # so every walk from the root ends at a leaf
+        inner, at = tree.feature >= 0, np.arange(nodes[0])
+        if not all(((child > at) & (child < nodes[0]))[inner].all()
+                   for child in (tree.left, tree.right)):
+            raise ValueError("a tree node's child does not follow it")
+        leaves = tree.counts[~inner]
+        if (tree.feature < -1).any() or not np.isfinite(leaves).all() \
+                or (leaves < 0).any() or not (leaves.sum(axis=1) > 0).all():
+            raise ValueError("tree leaves need feature -1 and finite, "
+                             "non-negative counts with a positive sum")
         return tree
 
 
@@ -317,6 +328,9 @@ class RusBoostModel:
     def from_checkpoint(cls, meta, arrays) -> "RusBoostModel":
         config = RusBoostConfig(**meta["config"])
         alphas = arrays["alphas"]
+        if not (len(alphas) and np.isfinite(alphas).all()
+                and (alphas > 0).all()):
+            raise ValueError("RUSBoost alphas must be finite and positive")
         trees = _trees_from_arrays(arrays, len(alphas))
         return cls(config, int(meta["n_classes"]), trees,
                    [float(a) for a in alphas])

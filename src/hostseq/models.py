@@ -76,77 +76,74 @@ class ModelSpec:
                 f"num_heads {self.num_heads}")
 
 
-def xavier_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+class _Net:
+    """Base of the nets. self.params is the net's one table of parameters:
+    an insertion-ordered dict from name (h0.w, conv1.b, ln2.gamma, ...)
+    to Tensor, filled as each layer is built from rng. train updates them
+    in this order and decays every one named <layer>.w; checkpoints store
+    them in this order."""
+
+    def __init__(self, spec: ModelSpec, rng):
+        self.spec = spec
+        self.rng = rng
+        self.params = {}
+
+    def _add(self, name, data):
+        self.params[name] = Tensor(data, requires_grad=True)
+
+    def _embedding(self, name, rows):
+        self._add(name, self.rng.normal(0.0, 0.05,
+                                        size=(rows, self.spec.embed_dim)))
+
+    def _weights(self, name, fan_in, fan_out, shape=None):
+        """<name>.w, Xavier uniform of shape (default (fan_in, fan_out)),
+        and <name>.b, zeros over its last axis."""
+        shape = shape or (fan_in, fan_out)
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        self._add(f"{name}.w", self.rng.uniform(-limit, limit, size=shape))
+        self._add(f"{name}.b", np.zeros(shape[-1]))
+
+    def _layer_norm(self, name):
+        self._add(f"{name}.gamma", np.ones(self.spec.embed_dim))
+        self._add(f"{name}.beta", np.zeros(self.spec.embed_dim))
+
+    def _dense(self, name, x) -> Tensor:
+        return ag.dense(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
+
+    def _norm(self, name, x) -> Tensor:
+        return ag.layer_norm(x, self.params[f"{name}.gamma"],
+                             self.params[f"{name}.beta"])
 
 
-class _Linear:
-    def __init__(self, rng, fan_in, fan_out):
-        self.w = Tensor(xavier_uniform(rng, fan_in, fan_out, (fan_in, fan_out)),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(fan_out), requires_grad=True)
-
-    def __call__(self, x):
-        return ag.dense(x, self.w, self.b)
-
-
-class _LayerNorm:
-    def __init__(self, dim):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-
-    def __call__(self, x):
-        return ag.layer_norm(x, self.gamma, self.beta)
-
-
-def _embedding_table(rng, rows, dim) -> Tensor:
-    return Tensor(rng.normal(0.0, 0.05, size=(rows, dim)), requires_grad=True)
-
-
-class MlpNet:
+class MlpNet(_Net):
     """Dense ReLU stack. Token input is embedded and flattened first."""
 
     INPUTS = ("features", "tokens")
 
     def __init__(self, spec: ModelSpec, rng):
-        self.spec = spec
-        self.embed = None
+        super().__init__(spec, rng)
         if spec.input_kind == "tokens":
-            self.embed = _embedding_table(rng, spec.vocab_size, spec.embed_dim)
+            self._embedding("embed", spec.vocab_size)
             width = spec.max_len * spec.embed_dim
         else:
             width = spec.in_dim
-        self.layers = []
-        for h in spec.hidden:
-            self.layers.append(_Linear(rng, width, h))
+        for i, h in enumerate(spec.hidden):
+            self._weights(f"h{i}", width, h)
             width = h
-        self.out = _Linear(rng, width, spec.n_classes)
+        self._weights("out", width, spec.n_classes)
 
     def forward(self, inputs) -> Tensor:
-        if self.embed is not None:
-            x = ag.embedding(self.embed, inputs)
+        if "embed" in self.params:
+            x = ag.embedding(self.params["embed"], inputs)
             x = ag.reshape(x, (inputs.shape[0], -1))
         else:
             x = Tensor(inputs)
-        for layer in self.layers:
-            x = ag.relu(layer(x))
-        return self.out(x)
-
-    def named_params(self):
-        out = []
-        if self.embed is not None:
-            out.append(("embed", self.embed))
-        for i, layer in enumerate(self.layers):
-            out += [(f"h{i}.w", layer.w), (f"h{i}.b", layer.b)]
-        out += [("out.w", self.out.w), ("out.b", self.out.b)]
-        return out
-
-    def penalized(self):
-        return [layer.w for layer in self.layers] + [self.out.w]
+        for i in range(len(self.spec.hidden)):
+            x = ag.relu(self._dense(f"h{i}", x))
+        return self._dense("out", x)
 
 
-class CnnNet:
+class CnnNet(_Net):
     """Embedded tokens through three conv+pool stages, then a dense head.
 
     Conv channels shrink as (filters, filters/2, filters/4); each stage
@@ -157,54 +154,37 @@ class CnnNet:
     HEAD = (64, 32, 16)
 
     def __init__(self, spec: ModelSpec, rng):
-        self.spec = spec
-        self.embed = _embedding_table(rng, spec.vocab_size, spec.embed_dim)
+        super().__init__(spec, rng)
+        self._embedding("embed", spec.vocab_size)
         channels = [spec.embed_dim, spec.filters,
                     max(spec.filters // 2, 1), max(spec.filters // 4, 1)]
         k = spec.kernel_size
-        self.convs = []
         length = spec.max_len
-        for c_in, c_out in zip(channels, channels[1:]):
-            fan_in, fan_out = k * c_in, k * c_out
-            w = Tensor(xavier_uniform(rng, fan_in, fan_out, (k, c_in, c_out)),
-                       requires_grad=True)
-            b = Tensor(np.zeros(c_out), requires_grad=True)
-            self.convs.append((w, b))
+        for i, (c_in, c_out) in enumerate(zip(channels, channels[1:])):
+            self._weights(f"conv{i}", k * c_in, k * c_out, (k, c_in, c_out))
             length = (length - k + 1) // 2
             if length < 1:
                 raise ValueError(
                     f"max_len {spec.max_len} too short for 3 conv/pool stages")
         width = length * channels[-1]
-        self.head = []
-        for h in self.HEAD:
-            self.head.append(_Linear(rng, width, h))
+        for i, h in enumerate(self.HEAD):
+            self._weights(f"head{i}", width, h)
             width = h
-        self.out = _Linear(rng, width, spec.n_classes)
+        self._weights("out", width, spec.n_classes)
 
     def forward(self, inputs) -> Tensor:
-        x = ag.embedding(self.embed, inputs)
-        for w, b in self.convs:
-            x = ag.maxpool1d(ag.relu(ag.conv1d(x, w, b)), 2)
+        p = self.params
+        x = ag.embedding(p["embed"], inputs)
+        for i in range(3):
+            x = ag.maxpool1d(ag.relu(
+                ag.conv1d(x, p[f"conv{i}.w"], p[f"conv{i}.b"])), 2)
         x = ag.reshape(x, (inputs.shape[0], -1))
-        for layer in self.head:
-            x = ag.relu(layer(x))
-        return self.out(x)
-
-    def named_params(self):
-        out = [("embed", self.embed)]
-        for i, (w, b) in enumerate(self.convs):
-            out += [(f"conv{i}.w", w), (f"conv{i}.b", b)]
-        for i, layer in enumerate(self.head):
-            out += [(f"head{i}.w", layer.w), (f"head{i}.b", layer.b)]
-        out += [("out.w", self.out.w), ("out.b", self.out.b)]
-        return out
-
-    def penalized(self):
-        return ([w for w, _ in self.convs]
-                + [layer.w for layer in self.head] + [self.out.w])
+        for i in range(len(self.HEAD)):
+            x = ag.relu(self._dense(f"head{i}", x))
+        return self._dense("out", x)
 
 
-class TransformerNet:
+class TransformerNet(_Net):
     """Single post-norm encoder block over embedded tokens.
 
     Token and learned position embeddings are summed, pass through
@@ -216,32 +196,32 @@ class TransformerNet:
     INPUTS = ("tokens",)
 
     def __init__(self, spec: ModelSpec, rng):
-        self.spec = spec
+        super().__init__(spec, rng)
         e = spec.embed_dim
-        self.embed = _embedding_table(rng, spec.vocab_size, e)
-        self.pos = _embedding_table(rng, spec.max_len, e)
-        self.wq = _Linear(rng, e, e)
-        self.wk = _Linear(rng, e, e)
-        self.wv = _Linear(rng, e, e)
-        self.wo = _Linear(rng, e, e)
-        self.ln1 = _LayerNorm(e)
-        self.ff1 = _Linear(rng, e, 2 * e)
-        self.ff2 = _Linear(rng, 2 * e, e)
-        self.ln2 = _LayerNorm(e)
-        self.out = _Linear(rng, e, spec.n_classes)
+        self._embedding("embed", spec.vocab_size)
+        self._embedding("pos", spec.max_len)
+        for name in ("wq", "wk", "wv", "wo"):
+            self._weights(name, e, e)
+        self._weights("ff1", e, 2 * e)
+        self._weights("ff2", 2 * e, e)
+        self._weights("out", e, spec.n_classes)
+        # the layer norms draw no random numbers; checkpoints list them last
+        self._layer_norm("ln1")
+        self._layer_norm("ln2")
 
     def _attention(self, x: Tensor, batch: int, length: int) -> Tensor:
         e, h = self.spec.embed_dim, self.spec.num_heads
         dh = e // h
 
-        def split(t):
-            return ag.transpose(ag.reshape(t, (batch, length, h, dh)),
+        def split(name):
+            return ag.transpose(ag.reshape(self._dense(name, x),
+                                           (batch, length, h, dh)),
                                 (0, 2, 1, 3))
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        ctx, _ = ag.scaled_dot_product_attention(q, k, v)
+        ctx, _ = ag.scaled_dot_product_attention(
+            split("wq"), split("wk"), split("wv"))
         merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)),
                             (batch, length, e))
-        return self.wo(merged)
+        return self._dense("wo", merged)
 
     def forward(self, inputs) -> Tensor:
         batch, length = inputs.shape
@@ -249,27 +229,13 @@ class TransformerNet:
             raise ValueError(
                 f"sequence length {length} exceeds max_len {self.spec.max_len}")
         pos_ids = np.tile(np.arange(length), (batch, 1))
-        x = ag.add(ag.embedding(self.embed, inputs),
-                   ag.embedding(self.pos, pos_ids))
-        x = self.ln1(ag.add(x, self._attention(x, batch, length)))
-        ff = self.ff2(ag.relu(self.ff1(x)))
-        x = self.ln2(ag.add(x, ff))
+        x = ag.add(ag.embedding(self.params["embed"], inputs),
+                   ag.embedding(self.params["pos"], pos_ids))
+        x = self._norm("ln1", ag.add(x, self._attention(x, batch, length)))
+        ff = self._dense("ff2", ag.relu(self._dense("ff1", x)))
+        x = self._norm("ln2", ag.add(x, ff))
         pooled = ag.mean(x, axis=1)
-        return self.out(pooled)
-
-    def named_params(self):
-        out = [("embed", self.embed), ("pos", self.pos)]
-        for name in ("wq", "wk", "wv", "wo", "ff1", "ff2", "out"):
-            layer = getattr(self, name)
-            out += [(f"{name}.w", layer.w), (f"{name}.b", layer.b)]
-        for name in ("ln1", "ln2"):
-            layer = getattr(self, name)
-            out += [(f"{name}.gamma", layer.gamma), (f"{name}.beta", layer.beta)]
-        return out
-
-    def penalized(self):
-        return [getattr(self, n).w
-                for n in ("wq", "wk", "wv", "wo", "ff1", "ff2", "out")]
+        return self._dense("out", pooled)
 
 
 # Network kind -> class; each class lists the inputs it reads.
@@ -324,15 +290,16 @@ class FitResult:
 
 
 def train(net, inputs, labels, config: TrainConfig) -> FitResult:
-    """Run the mini-batch loop; raises TrainingDivergedError on a
-    non-finite loss, naming the 1-based epoch. Floating-point warnings
-    are silenced, since the loss check reports divergence."""
+    """Run the mini-batch loop over net.params, adding alpha * w to the
+    gradient of each weight named <layer>.w; raises TrainingDivergedError
+    on a non-finite loss, naming the 1-based epoch. Floating-point
+    warnings are silenced, since the loss check reports divergence."""
     labels = np.asarray(labels)
     n = inputs.shape[0]
     if labels.shape != (n,):
         raise ValueError("labels must be one per input row")
-    params = [p for _, p in net.named_params()]
-    penalized = net.penalized()
+    params = list(net.params.values())
+    decayed = [p for name, p in net.params.items() if name.endswith(".w")]
     opt = OPTIMIZERS[config.optimizer](params, config.learning_rate)
     result = FitResult()
     with np.errstate(all="ignore"):
@@ -350,7 +317,7 @@ def train(net, inputs, labels, config: TrainConfig) -> FitResult:
                         f"loss became non-finite at epoch {epoch}")
                 loss.backward()
                 if config.alpha:
-                    for w in penalized:
+                    for w in decayed:
                         w.grad = (w.grad if w.grad is not None else 0.0) \
                             + config.alpha * w.data
                 opt.step()
@@ -406,35 +373,29 @@ class NeuralClassifier:
             raise DataError("token input must be integer ids")
         return inputs
 
-    def state_arrays(self) -> dict:
+    def to_checkpoint(self):
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        return {name: p.data for name, p in self.net.named_params()}
-
-    def load_state_arrays(self, arrays: dict):
-        self.net = build_net(self.spec, self.config.seed)
-        named = dict(self.net.named_params())
-        missing = set(named) - set(arrays)
-        extra = set(arrays) - set(named)
-        if missing or extra:
-            raise ValueError(
-                f"parameter mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}")
-        for name, p in named.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr
-        return self
-
-    def to_checkpoint(self):
         meta = {"spec": asdict(self.spec), "config": asdict(self.config)}
-        return self.spec.kind, meta, self.state_arrays()
+        return self.spec.kind, meta, {name: p.data
+                                      for name, p in self.net.params.items()}
 
     @classmethod
     def from_checkpoint(cls, meta, arrays) -> "NeuralClassifier":
         spec = ModelSpec(**{**meta["spec"],
                             "hidden": tuple(meta["spec"]["hidden"])})
-        return cls(spec, TrainConfig(**meta["config"])).load_state_arrays(
-            arrays)
+        clf = cls(spec, TrainConfig(**meta["config"]))
+        clf.net = build_net(spec, clf.config.seed)
+        params = clf.net.params
+        missing, extra = set(params) - set(arrays), set(arrays) - set(params)
+        if missing or extra:
+            raise ValueError(
+                f"parameter mismatch: missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}")
+        for name, p in params.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != p.data.shape:
+                raise ValueError(
+                    f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+            p.data = arr
+        return clf

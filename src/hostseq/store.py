@@ -123,10 +123,16 @@ def write_predictions_csv(path, ids, labels, proba, class_names) -> None:
 
 
 def read_predictions_csv(path):
-    """Returns (ids, true, predicted, class_names, proba)."""
+    """Returns (ids, true, predicted, class_names, proba); a row whose
+    probabilities do not sum to 1 (within 1e-6) is a DataError."""
     header, rows = _read_table(path, ["id", "true", "predicted"],
                                "prediction")
     proba = np.array([_numbers(path, row, float, row[3:]) for row in rows])
+    sums = proba.sum(axis=1)
+    bad = np.flatnonzero(~np.isclose(sums, 1.0, atol=1e-6))
+    if bad.size:
+        raise DataError(f"{path}: record {rows[bad[0]][0]!r}: probabilities "
+                        f"sum to {float(sums[bad[0]])!r}, not 1")
     return ([row[0] for row in rows], [row[1] for row in rows],
             [row[2] for row in rows], tuple(h[2:] for h in header[3:]), proba)
 

@@ -1,5 +1,7 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,17 @@ def random_gpssm(rng, length):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def deadline():
+    """arm(seconds): fail the test once seconds of wall time pass, so a
+    hang ends in seconds. SIGALRM raises pytest's Failed, which no
+    `except Exception` in the code under test can swallow."""
+    def expire(signum, frame):
+        pytest.fail("deadline passed: the code under test hangs")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

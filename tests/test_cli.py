@@ -455,6 +455,68 @@ def test_inconsistent_checkpoint_exit_2(tmp_path, capsys, model, extra,
     assert "do not match" in capsys.readouterr().err
 
 
+def corrupt_tree_checkpoint(arrays, case):
+    """Edits the first tree (t0) or the alphas of a checkpoint's arrays."""
+    feature, left, right = (arrays[f"t0.{k}"] for k in
+                            ("feature", "left", "right"))
+    if case == "child-out-of-range":
+        left[0] = feature.size
+    elif case == "child-back-to-ancestor":
+        # the second internal node, which fit rows reach, points to root
+        node = np.flatnonzero(feature >= 0)[1]
+        left[node] = right[node] = 0
+    elif case == "feature-below-minus-one":
+        feature[0] = -2  # the root reads as a leaf with zero counts
+    elif case == "leaf-counts-zero":
+        arrays["t0.counts"][:] = 0.0
+    elif case == "alpha-zero":
+        arrays["alphas"][:] = 0.0
+
+
+@pytest.mark.parametrize("model,case", [
+    ("rf", "child-out-of-range"),
+    ("rf", "child-back-to-ancestor"),
+    ("rf", "feature-below-minus-one"),
+    ("rf", "leaf-counts-zero"),
+    ("rusboost", "alpha-zero"),
+])
+def test_corrupt_tree_checkpoint_exit_2(tmp_path, capsys, deadline, model,
+                                        case):
+    # each edit must fail the load: left to predict, they raise an
+    # IndexError, loop forever or give nan rows with exit 0
+    extra = {"rf": ("--n-estimators", "3", "--max-depth", "3"),
+             "rusboost": ("--n-estimators", "3", "--base-depth", "2")}[model]
+    out = train_flow(tmp_path, model, extra)
+    path = out / "model.bin"
+    kind, meta, arrays = store.load_checkpoint(path)
+    corrupt_tree_checkpoint(arrays, case)
+    store.save_checkpoint(path, kind, meta, arrays)
+    capsys.readouterr()
+    deadline(10)
+    code = run(["predict", "--model-file", str(path),
+                "--features", str(out / "features.csv"),
+                "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+
+def test_failed_command_removes_out_it_created(tmp_path):
+    out = tmp_path / "new" / "f4"
+    assert run(["nested-cv", "--features", str(seeded_features(tmp_path)),
+                "--out", str(out)]) == 1
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_command_keeps_out_that_existed(tmp_path):
+    out = tmp_path / "kept"
+    out.mkdir()
+    (out / "note.txt").write_text("mine")
+    assert run(["nested-cv", "--features", str(seeded_features(tmp_path)),
+                "--out", str(out)]) == 1
+    assert os.listdir(out) == ["note.txt"]
+
+
 def test_nested_cv_unknown_grid_key_exit_1_before_fitting(tmp_path, capsys,
                                                          monkeypatch):
     out = tmp_path / "run"
@@ -791,6 +853,9 @@ def malformed_input(tmp_path, case):
     predictions = tmp_path / "predictions.csv"
     predictions.write_text("id,true,predicted,p_a,p_b\nr0,a,a,0.9,0.1\n"
                            "r1,b,b,0.2,most\n")
+    row_sum = tmp_path / "row_sum.csv"
+    row_sum.write_text("id,true,predicted,p_a,p_b\nr0,a,a,0.9,0.1\n"
+                       "r1,b,b,0.2,0.7\n")
     vocab = tmp_path / "vocab.json"
     ngram.save_vocab(ngram.build_vocab([["AA", "AB"]], 2), 2, vocab)
     tokens = tmp_path / "tokens.csv"
@@ -829,6 +894,8 @@ def malformed_input(tmp_path, case):
         "features-cell": train + ["--features", str(features)],
         "predictions-cell": ["report", "--predictions", str(predictions)]
         + out,
+        "predictions-row-sum": ["report", "--predictions", str(row_sum)]
+        + out,
         "dataset-not-json": ["encode", "--dataset", str(not_json),
                              "--ngrams", "2"] + out,
         "dataset-no-records": ["encode", "--dataset", str(no_records),
@@ -857,10 +924,10 @@ def malformed_input(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", [
-    "features-cell", "predictions-cell", "dataset-not-json",
-    "dataset-no-records", "dataset-unknown-coarse", "vocab-no-tokens",
-    "vocab-repeated-token", "vocab-wrong-length-token", "fasta-not-utf8",
-    "fasta-directory", "token-id-outside-vocab",
+    "features-cell", "predictions-cell", "predictions-row-sum",
+    "dataset-not-json", "dataset-no-records", "dataset-unknown-coarse",
+    "vocab-no-tokens", "vocab-repeated-token", "vocab-wrong-length-token",
+    "fasta-not-utf8", "fasta-directory", "token-id-outside-vocab",
     "tokens-true-len-miscounted", "rusboost-no-first-round"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2

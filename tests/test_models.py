@@ -1,5 +1,6 @@
-"""Neural nets on the autograd kernel: config validation, determinism,
-learning on separable data, divergence reporting, state roundtrips."""
+"""Neural nets on the autograd kernel: config validation, parameter
+tables, determinism, learning on separable data, divergence reporting,
+checkpoint roundtrips."""
 
 import numpy as np
 import pytest
@@ -65,11 +66,62 @@ def test_build_net_deterministic():
     a = build_net(spec, seed=7)
     b = build_net(spec, seed=7)
     c = build_net(spec, seed=8)
-    for (name_a, pa), (_, pb) in zip(a.named_params(), b.named_params()):
+    for (name_a, pa), (_, pb) in zip(a.params.items(), b.params.items()):
         assert np.array_equal(pa.data, pb.data), name_a
     diff = [not np.array_equal(pa.data, pc.data)
-            for (_, pa), (_, pc) in zip(a.named_params(), c.named_params())]
+            for pa, pc in zip(a.params.values(), c.params.values())]
     assert any(diff)
+
+
+_TOKENS = dict(input_kind="tokens", vocab_size=12, embed_dim=4)
+
+
+@pytest.mark.parametrize("spec,table", [
+    (ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=(16, 4)),
+     [("h0.w", (8, 16)), ("h0.b", (16,)), ("h1.w", (16, 4)), ("h1.b", (4,)),
+      ("out.w", (4, 3)), ("out.b", (3,))]),
+    (ModelSpec(kind="mlp", n_classes=2, max_len=6, hidden=(5,), **_TOKENS),
+     [("embed", (12, 4)), ("h0.w", (24, 5)), ("h0.b", (5,)),
+      ("out.w", (5, 2)), ("out.b", (2,))]),
+    (ModelSpec(kind="cnn", n_classes=2, max_len=32, filters=8, **_TOKENS),
+     [("embed", (12, 4)), ("conv0.w", (3, 4, 8)), ("conv0.b", (8,)),
+      ("conv1.w", (3, 8, 4)), ("conv1.b", (4,)), ("conv2.w", (3, 4, 2)),
+      ("conv2.b", (2,)), ("head0.w", (4, 64)), ("head0.b", (64,)),
+      ("head1.w", (64, 32)), ("head1.b", (32,)), ("head2.w", (32, 16)),
+      ("head2.b", (16,)), ("out.w", (16, 2)), ("out.b", (2,))]),
+    (ModelSpec(kind="transformer", n_classes=3, max_len=6, num_heads=2,
+               **_TOKENS),
+     [("embed", (12, 4)), ("pos", (6, 4)),
+      *[(f"{n}.{p}", (4, 4) if p == "w" else (4,))
+        for n in ("wq", "wk", "wv", "wo") for p in "wb"],
+      ("ff1.w", (4, 8)), ("ff1.b", (8,)), ("ff2.w", (8, 4)), ("ff2.b", (4,)),
+      ("out.w", (4, 3)), ("out.b", (3,)), ("ln1.gamma", (4,)),
+      ("ln1.beta", (4,)), ("ln2.gamma", (4,)), ("ln2.beta", (4,))]),
+], ids=["mlp-features", "mlp-tokens", "cnn", "transformer"])
+def test_param_table_names_order_shapes_and_decay(spec, table):
+    # the table's order is the checkpoint's array order
+    net = build_net(spec, seed=0)
+    assert [(name, p.data.shape) for name, p in net.params.items()] == table
+    # one SGD step with and without decay, from parameters shifted off
+    # zero: exactly the <layer>.w weights move apart
+    rng = np.random.default_rng(1)
+    if spec.input_kind == "tokens":
+        inputs = rng.integers(0, spec.vocab_size, size=(6, spec.max_len))
+    else:
+        inputs = rng.random((6, spec.in_dim))
+    labels = np.arange(6) % spec.n_classes
+    stepped = {}
+    for alpha in (0.0, 0.5):
+        net = build_net(spec, seed=0)
+        for p in net.params.values():
+            p.data += 0.25
+        train(net, inputs, labels, TrainConfig(
+            learning_rate=0.1, batch_size=6, epochs=1, optimizer="sgd",
+            alpha=alpha))
+        stepped[alpha] = {name: p.data for name, p in net.params.items()}
+    decayed = {name for name, _ in table
+               if not np.array_equal(stepped[0.0][name], stepped[0.5][name])}
+    assert decayed == {name for name, _ in table if name.endswith(".w")}
 
 
 def test_mlp_learns_blobs():
@@ -109,7 +161,7 @@ def test_l2_penalty_shrinks_weights():
     ridge = NeuralClassifier(
         spec, TrainConfig(epochs=40, seed=2, alpha=1.0)).fit(X, y)
     norm = lambda c: sum(float((p.data ** 2).sum())
-                         for _, p in c.net.named_params())
+                         for p in c.net.params.values())
     assert norm(ridge) < norm(plain)
 
 
@@ -190,9 +242,8 @@ def test_state_roundtrip():
     spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(8,))
     cfg = TrainConfig(epochs=5, seed=4)
     clf = NeuralClassifier(spec, cfg).fit(X, y)
-    arrays = clf.state_arrays()
-    fresh = NeuralClassifier(spec, cfg)
-    fresh.load_state_arrays(arrays)
+    _, meta, arrays = clf.to_checkpoint()
+    fresh = NeuralClassifier.from_checkpoint(meta, arrays)
     assert np.array_equal(clf.predict_proba(X), fresh.predict_proba(X))
 
 
