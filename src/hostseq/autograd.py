@@ -235,6 +235,14 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x: (batch, length, in_ch); w: (kernel, in_ch, out_ch); b: (out_ch,).
     Output length is length - kernel + 1.
+
+    Forward and input gradient add one batched product per kernel tap.
+    Tap i's weight gradient is one (in_ch, l_out) @ (l_out, out_ch)
+    product per sample, summed over the batch. It is deliberately not one
+    GEMM over batch * l_out rows: OpenBLAS runs a product that large on
+    all its threads, which spin against the other nested-CV worker on a
+    2-core machine and left whole fits no faster, while the per-sample
+    products stay single-threaded.
     """
     k = w.data.shape[0]
     length = x.data.shape[1]
@@ -255,7 +263,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             gw = np.empty_like(w.data)
             for i in range(k):
-                gw[i] = np.einsum("blc,bld->cd", x.data[:, i:i + l_out, :], g)
+                gw[i] = (np.swapaxes(x.data[:, i:i + l_out, :], 1, 2)
+                         @ g).sum(axis=0)
             _accumulate(w, gw)
         _accumulate(b, g.sum(axis=(0, 1)))
     out._backward = backward

@@ -236,10 +236,15 @@ def _tree_arrays(trees) -> dict:
             for key, arr in tree.to_arrays().items()}
 
 
-def _trees_from_arrays(arrays, count: int) -> list:
+def _trees_from_arrays(arrays, count: int, n_classes: int) -> list:
+    """The count trees t0, t1, ... of a checkpoint; each leaf's counts
+    must have one column per class."""
     keys = ("feature", "threshold", "left", "right", "counts")
-    return [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys})
-            for i in range(count)]
+    trees = [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys})
+             for i in range(count)]
+    if any(tree.counts.shape[1] != n_classes for tree in trees):
+        raise ValueError(f"tree counts must have {n_classes} class columns")
+    return trees
 
 
 @dataclass
@@ -267,8 +272,9 @@ class Forest:
     @classmethod
     def from_checkpoint(cls, meta, arrays) -> "Forest":
         config = ForestConfig(**meta["config"])
-        return cls(config, int(meta["n_classes"]),
-                   _trees_from_arrays(arrays, config.n_estimators))
+        n_classes = int(meta["n_classes"])
+        return cls(config, n_classes,
+                   _trees_from_arrays(arrays, config.n_estimators, n_classes))
 
 
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
@@ -331,8 +337,9 @@ class RusBoostModel:
         if not (len(alphas) and np.isfinite(alphas).all()
                 and (alphas > 0).all()):
             raise ValueError("RUSBoost alphas must be finite and positive")
-        trees = _trees_from_arrays(arrays, len(alphas))
-        return cls(config, int(meta["n_classes"]), trees,
+        n_classes = int(meta["n_classes"])
+        trees = _trees_from_arrays(arrays, len(alphas), n_classes)
+        return cls(config, n_classes, trees,
                    [float(a) for a in alphas])
 
 

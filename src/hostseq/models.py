@@ -259,6 +259,16 @@ class Sgd:
 
 
 class Adam:
+    """Adam (Kingma & Ba, ICLR 2015) with bias-corrected moments.
+
+    step updates m and v in place and builds each parameter's step in two
+    scratch arrays allocated here, so it allocates nothing per step. It
+    applies the operations of the textbook update
+    p -= lr * m_hat / (sqrt(v_hat) + eps) in the same order, so the
+    parameters stay byte-identical to it. A parameter whose grad is None
+    is skipped; grad arrays are only read.
+    """
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
@@ -266,18 +276,28 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        self.scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                        for p in params]
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, (s, u) in zip(self.params, self.m, self.v,
+                                   self.scratch):
             if p.grad is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * p.grad
-            self.v[i] = b2 * self.v[i] + (1 - b2) * p.grad ** 2
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1                            # m = b1 m + (1 - b1) g
+            m += np.multiply(p.grad, 1 - b1, out=s)
+            v *= b2                            # v = b2 v + (1 - b2) g^2
+            np.square(p.grad, out=s)
+            v += np.multiply(s, 1 - b2, out=s)
+            np.divide(m, c1, out=s)            # lr * m_hat
+            s *= self.lr
+            np.divide(v, c2, out=u)            # sqrt(v_hat) + eps
+            np.sqrt(u, out=u)
+            u += self.eps
+            p.data -= np.divide(s, u, out=s)
 
 
 # TrainConfig.optimizer -> optimizer class

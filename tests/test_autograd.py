@@ -209,6 +209,22 @@ def test_conv1d_output_length(rng):
     assert ag.conv1d(x, w, b).shape == (1, 6, 3)
 
 
+@pytest.mark.parametrize("length,c_in,c_out",
+                         [(28, 32, 64), (13, 64, 32), (5, 32, 16)])
+def test_conv1d_weight_grad_matches_einsum(rng, length, c_in, c_out):
+    # the token-cv CNN's three stages at batch 32; the per-sample products
+    # sum in another order than the einsum, so equal within 1e-12 relative
+    k, batch = 3, 32
+    l_out = length - k + 1
+    x = rng.normal(size=(batch, length, c_in))
+    g = rng.normal(size=(batch, l_out, c_out))
+    w = ag.Tensor(rng.normal(size=(k, c_in, c_out)), requires_grad=True)
+    ag.conv1d(ag.Tensor(x), w, ag.Tensor(np.zeros(c_out))).backward(g)
+    want = np.stack([np.einsum("blc,bld->cd", x[:, i:i + l_out, :], g)
+                     for i in range(k)])
+    assert np.abs(w.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_maxpool_drops_remainder(rng):
     x = ag.Tensor(rng.normal(size=(1, 7, 2)))
     out = ag.maxpool1d(x, width=2)

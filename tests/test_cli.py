@@ -471,6 +471,11 @@ def corrupt_tree_checkpoint(arrays, case):
         arrays["t0.counts"][:] = 0.0
     elif case == "alpha-zero":
         arrays["alphas"][:] = 0.0
+    elif case == "counts-wider":
+        # one class column more than the model has, outvoting the others
+        counts = arrays["t0.counts"]
+        arrays["t0.counts"] = np.hstack(
+            [counts, counts.sum(axis=1, keepdims=True) + 1.0])
 
 
 @pytest.mark.parametrize("model,case", [
@@ -479,11 +484,13 @@ def corrupt_tree_checkpoint(arrays, case):
     ("rf", "feature-below-minus-one"),
     ("rf", "leaf-counts-zero"),
     ("rusboost", "alpha-zero"),
+    ("rf", "counts-wider"),
+    ("rusboost", "counts-wider"),
 ])
 def test_corrupt_tree_checkpoint_exit_2(tmp_path, capsys, deadline, model,
                                         case):
     # each edit must fail the load: left to predict, they raise an
-    # IndexError, loop forever or give nan rows with exit 0
+    # IndexError, loop forever, give nan rows with exit 0 or exit 1
     extra = {"rf": ("--n-estimators", "3", "--max-depth", "3"),
              "rusboost": ("--n-estimators", "3", "--base-depth", "2")}[model]
     out = train_flow(tmp_path, model, extra)

@@ -256,3 +256,32 @@ def test_optimizers_step():
         make([t]).step()
         assert t.data[0] < before[0]
         assert t.data[1] > before[1]
+
+
+def test_adam_in_place_matches_reference():
+    from hostseq.autograd import Tensor
+    rng = np.random.default_rng(5)
+    shapes = [(7, 4), (3, 4, 5), (5,), (2,)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr)
+    for t in range(1, 13):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                 for s in shapes[:-1]] + [None]  # the last has no grad
+        for p, g in zip(params, grads):
+            p.grad = g
+        kept = [g.copy() for g in grads[:-1]]
+        opt.step()
+        for i, g in enumerate(grads[:-1]):
+            assert np.array_equal(g, kept[i])  # step only reads grad
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g ** 2
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            want[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.data, w)
+    assert not opt.m[-1].any() and not opt.v[-1].any()
