@@ -2,12 +2,14 @@
 undersampling for imbalanced data.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds.
-The split search is exact and vectorized: a node sorts its candidate
-columns a block at a time and scores every cut point of the block in
-one pass over class-weight prefix sums. Split ties break toward the
-lowest threshold, then the lowest feature index, so fits are
-reproducible. A fitted tree is a set of flat numpy arrays. All
-randomness flows through generators seeded with util.derive_seed.
+The split search is exact and vectorized over a column-major copy of
+the training matrix, one feature per contiguous row: a node gathers a
+block of candidate features as (columns, rows), sorts each along its
+contiguous axis, and scores every cut point of the block from one 2-D
+prefix-sum array per class. Split ties break toward the lowest
+threshold, then the lowest feature index, so fits are reproducible. A
+fitted tree is a set of flat numpy arrays. All randomness flows
+through generators seeded with util.derive_seed.
 """
 
 from __future__ import annotations
@@ -112,34 +114,52 @@ def _gini(weighted_counts: np.ndarray, total: float) -> float:
     return 1.0 - float(((weighted_counts / total) ** 2).sum())
 
 
-# Candidate columns scored per numpy pass: bounds the (rows, columns,
-# classes) temporaries when a node scans all 910 ER features.
+# Candidate columns scored per numpy pass: bounds the (columns, rows)
+# temporaries when a node scans all 910 ER features.
 _BLOCK = 64
 
 
-def _best_split(X, idx, candidates, weights, parent_total, parent_gini):
+def _class_sum(parts):
+    """parts[0] + parts[1] + ... added in class order, which is the order
+    in which numpy reduces a trailing class axis."""
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
+    return total
+
+
+def _split_gini(parts, total):
+    """Gini impurity at every cut point from each class's weight on one
+    side of the cut (parts) and that side's total weight."""
+    return 1.0 - _class_sum([(part / total) ** 2 for part in parts])
+
+
+def _best_split(XT, idx, candidates, weights, parent_total, parent_gini):
     """(feature, threshold) of the best split of rows idx over the sorted
-    candidates, or None; fit_tree states the rule. A column's cut is its
-    first minimum in sorted order, i.e. its lowest threshold."""
+    candidates, or None; fit_tree states the rule. XT is the column-major
+    (d, n) matrix and weights the (rows, classes) class weights of idx.
+    A column's cut is its first minimum in sorted order, i.e. its lowest
+    threshold."""
     impurity, thresholds = [], []
     for s in range(0, candidates.size, _BLOCK):
-        values = X[idx[:, None], candidates[s:s + _BLOCK]]
-        order = np.argsort(values, axis=0, kind="stable")
-        v = np.take_along_axis(values, order, axis=0)
-        prefix = np.cumsum(weights[order], axis=0)
-        total = prefix[-1]
-        left = prefix[:-1]
-        right = total - left
-        wl = left.sum(axis=2)
-        wr = right.sum(axis=2)
-        gini_l = 1.0 - ((left / wl[:, :, None]) ** 2).sum(axis=2)
-        gini_r = 1.0 - ((right / wr[:, :, None]) ** 2).sum(axis=2)
-        weighted = (wl * gini_l + wr * gini_r) / parent_total
-        weighted = np.where(v[:-1] < v[1:], weighted, np.inf)
-        cut = weighted.argmin(axis=0)
-        cols = np.arange(v.shape[1])
-        impurity.append(weighted[cut, cols])
-        thresholds.append((v[cut, cols] + v[cut + 1, cols]) / 2.0)
+        values = XT[candidates[s:s + _BLOCK, None], idx]
+        order = np.argsort(values, axis=1, kind="stable")
+        cols = np.arange(values.shape[0])
+        v = values[cols[:, None], order]
+        lefts, rights = [], []
+        for class_weight in weights.T:
+            prefix = class_weight[order].cumsum(axis=1)
+            left = prefix[:, :-1]
+            lefts.append(left)
+            rights.append(prefix[:, -1:] - left)
+        wl = _class_sum(lefts)
+        wr = _class_sum(rights)
+        weighted = (wl * _split_gini(lefts, wl)
+                    + wr * _split_gini(rights, wr)) / parent_total
+        weighted = np.where(v[:, :-1] < v[:, 1:], weighted, np.inf)
+        cut = weighted.argmin(axis=1)
+        impurity.append(weighted[cols, cut])
+        thresholds.append((v[cols, cut] + v[cols, cut + 1]) / 2.0)
     impurity = np.concatenate(impurity)
     thresholds = np.concatenate(thresholds)
     ok = impurity <= parent_gini
@@ -155,15 +175,21 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
              ) -> DecisionTree:
     """Greedy CART fit on weighted Gini impurity.
 
-    Candidate features are all columns, or features_per_split of them
-    drawn without replacement at every split. A node scores its sorted
-    candidates _BLOCK columns at a time: one stable sort of the block,
-    class-weight prefix sums, and the weighted child impurity of every
-    cut point between distinct values at once. It keeps the split with
-    the lowest impurity, then the lowest threshold, then the lowest
-    feature index, and never one with more impurity than the node; with
-    no such split the node is a leaf. Nodes are numbered depth-first,
-    left child first, in lists frozen into a DecisionTree at the end.
+    The fit works on one contiguous (d, n) copy of X, made once per
+    tree; it costs nothing when X is already the transpose of a
+    contiguous array, as fit_forest and fit_rusboost pass it. Candidate
+    features are all columns, or features_per_split of them drawn
+    without replacement at every split. A node scores its sorted
+    candidates _BLOCK columns at a time: it gathers the block as
+    (columns, rows), sorts each column with one stable argsort along
+    the rows, keeps each class's weight prefix sums as a (columns, rows)
+    array, and scores the weighted child impurity of every cut point
+    between distinct values at once, adding the classes in class order.
+    It keeps the split with the lowest impurity, then the lowest
+    threshold, then the lowest feature index, and never one with more
+    impurity than the node; with no such split the node is a leaf.
+    Nodes are numbered depth-first, left child first, in lists frozen
+    into a DecisionTree at the end.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -183,6 +209,7 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
             raise ValueError(f"features_per_split must lie in [1, {d}]")
         if rng is None:
             raise ValueError("features_per_split requires an rng")
+    XT = np.ascontiguousarray(X.T)
     onehot = np.zeros((X.shape[0], n_classes))
     onehot[np.arange(X.shape[0]), y] = 1.0
     class_weights = onehot * sample_weight[:, None]
@@ -202,11 +229,11 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
         else:
             candidates = np.sort(rng.choice(d, size=features_per_split,
                                             replace=False))
-        split = _best_split(X, idx, candidates, weights, total, parent_gini)
+        split = _best_split(XT, idx, candidates, weights, total, parent_gini)
         if split is None:
             return node
         f, thr = split
-        go_left = X[idx, f] <= thr
+        go_left = XT[f, idx] <= thr
         nodes[node] = [f, thr, grow(idx[go_left], depth + 1),
                        grow(idx[~go_left], depth + 1), np.zeros(n_classes)]
         return node
@@ -218,6 +245,13 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
                         np.array(left, dtype=np.int64),
                         np.array(right, dtype=np.int64),
                         np.array(counts, dtype=np.float64))
+
+
+def _rows(XT, idx) -> np.ndarray:
+    """Rows idx of the matrix whose column-major copy is XT, gathered
+    along XT's contiguous rows. The (len(idx), d) result is the transpose
+    of a contiguous array, so fit_tree's column-major copy of it is free."""
+    return XT[:, idx].T
 
 
 def _check_width(X, trees) -> np.ndarray:
@@ -291,11 +325,12 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
     per_split = cfg.features_per_split
     if per_split is None:
         per_split = int(np.ceil(np.sqrt(d)))
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
         idx = rng.integers(0, n, size=n)
-        trees.append(fit_tree(X[idx], y[idx], cfg.max_depth,
+        trees.append(fit_tree(_rows(XT, idx), y[idx], cfg.max_depth,
                               features_per_split=per_split, rng=rng,
                               n_classes=n_classes))
     return Forest(cfg, n_classes, trees)
@@ -378,6 +413,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     limit = 1.0 - 1.0 / n_classes
+    XT = np.ascontiguousarray(X.T)
     trees, alphas = [], []
     for r in range(cfg.n_estimators):
         fitted = None
@@ -385,7 +421,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
             rng = np.random.default_rng(
                 derive_seed(cfg.seed, "round", r, "attempt", attempt))
             sub = _balanced_subsample(rng, y, n_classes)
-            tree = fit_tree(X[sub], y[sub], cfg.max_depth,
+            tree = fit_tree(_rows(XT, sub), y[sub], cfg.max_depth,
                             sample_weight=w[sub], n_classes=n_classes)
             pred = tree.predict(X)
             miss = pred != y

@@ -51,10 +51,12 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
 
     Raises:
         PssmFormatError: no matrix rows, a row with the wrong field
-            count, or a residue outside the canonical alphabet.
+            count, a residue outside the canonical alphabet, or a score
+            that is not an integer or lies outside the int64 range.
     """
     residues = []
     rows = []
+    line_nos = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if len(tokens) < 2 or not tokens[0].isdigit() or len(tokens[1]) != 1 \
@@ -69,16 +71,27 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
             raise PssmFormatError(
                 f"line {line_no}: residue {tokens[1]!r} outside the "
                 f"20-letter alphabet")
-        try:
-            scores = [int(t) for t in tokens[2:22]]
-        except ValueError as e:
-            raise PssmFormatError(f"line {line_no}: non-integer score ({e})")
         residues.append(aa)
-        rows.append(scores)
+        rows.append(tokens[2:22])
+        line_nos.append(line_no)
     if not rows:
         raise PssmFormatError("no matrix rows found")
-    return RawPssm(residues="".join(residues),
-                   scores=np.array(rows, dtype=np.int64))
+    try:
+        # numpy parses each field with int(), so it accepts and rejects
+        # the same texts as int(), in one call per file
+        scores = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for line_no, row in zip(line_nos, rows):
+            try:
+                np.array(row, dtype=np.int64)
+            except ValueError as e:
+                raise PssmFormatError(
+                    f"line {line_no}: non-integer score ({e})") from None
+            except OverflowError:
+                raise PssmFormatError(
+                    f"line {line_no}: score outside the int64 range") from None
+        raise
+    return RawPssm(residues="".join(residues), scores=scores)
 
 
 def render_psiblast_pssm(m: RawPssm) -> str:

@@ -69,11 +69,17 @@ def _read_table(path, columns, what):
     return header, rows[1:]
 
 
-def _numbers(path, row, kind, fields) -> list:
+def _numbers(path, row, dtype, fields) -> np.ndarray:
+    """fields of record row as a dtype vector. numpy parses each field
+    with int() or float(); a field that does not parse, or an integer
+    outside dtype's range, is a DataError naming the record."""
     try:
-        return [kind(v) for v in fields]
+        return np.array(fields, dtype=dtype)
     except ValueError as exc:
         raise DataError(f"{path}: record {row[0]!r}: {exc}") from exc
+    except OverflowError:
+        raise DataError(f"{path}: record {row[0]!r}: a value outside the "
+                        f"{np.dtype(dtype)} range") from None
 
 
 def read_features_csv(path):
@@ -83,7 +89,7 @@ def read_features_csv(path):
     for row in rows:
         if row[2] != scheme:
             raise DataError(f"{path}: mixed schemes {scheme!r} and {row[2]!r}")
-    values = [_numbers(path, row, float, row[3:]) for row in rows]
+    values = [_numbers(path, row, np.float64, row[3:]) for row in rows]
     return ([row[0] for row in rows], [row[1] for row in rows], scheme,
             np.asarray(values, dtype=np.float64).reshape(
                 len(rows), len(header) - 3))
@@ -102,8 +108,8 @@ def write_tokens_csv(path, ids, labels, matrix) -> None:
 def read_tokens_csv(path):
     """Returns (ids, labels, matrix); a miscounted true_len is a DataError."""
     _, rows = _read_table(path, ["id", "label", "true_len"], "token")
-    table = np.asarray([_numbers(path, row, int, row[2:]) for row in rows],
-                       dtype=np.int64)
+    table = np.array([_numbers(path, row, np.int64, row[2:])
+                      for row in rows])
     matrix = table[:, 1:]
     for row, stated, counted in zip(rows, table[:, 0], true_lengths(matrix)):
         if stated != counted:
@@ -127,7 +133,8 @@ def read_predictions_csv(path):
     probabilities do not sum to 1 (within 1e-6) is a DataError."""
     header, rows = _read_table(path, ["id", "true", "predicted"],
                                "prediction")
-    proba = np.array([_numbers(path, row, float, row[3:]) for row in rows])
+    proba = np.array([_numbers(path, row, np.float64, row[3:])
+                      for row in rows])
     sums = proba.sum(axis=1)
     bad = np.flatnonzero(~np.isclose(sums, 1.0, atol=1e-6))
     if bad.size:

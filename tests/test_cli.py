@@ -890,6 +890,22 @@ def malformed_input(tmp_path, case):
     no_records.write_text('{"level": "coarse", "class_names": []}')
     latin1 = tmp_path / "latin1.fasta"
     latin1.write_bytes(b">a|host=human|note=caf\xe9\nMKTIIALSYIF\n")
+    overflow_id = tmp_path / "overflow_id.csv"
+    overflow_id.write_text("id,label,true_len,t0,t1\nr0,a,2,0,2\n"
+                           "r1,b,2,3,99999999999999999999\n")
+    one_record = tmp_path / "one_record.json"
+    one_record.write_text(json.dumps({
+        "level": "coarse", "class_names": ["avian"],
+        "records": [{"id": "a", "residues": "MKTI", "coarse": "avian"}]}))
+    pssms = tmp_path / "pssms"
+    pssms.mkdir()
+    lines = pssm.render_psiblast_pssm(pssm.synth_pssm("MKTI", 1)).splitlines()
+    row = next(i for i, line in enumerate(lines)
+               if line.split() and line.split()[0].isdigit()) + 2
+    fields = lines[row].split()
+    fields[5] = "99999999999999999999"
+    lines[row] = " ".join(fields)
+    (pssms / "a.pssm").write_text("\n".join(lines) + "\n")
     # constant columns: no boosting round can beat chance on them
     unboostable = tmp_path / "unboostable.csv"
     store.write_features_csv(unboostable, [f"r{i}" for i in range(30)],
@@ -924,6 +940,11 @@ def malformed_input(tmp_path, case):
                                            "--vocab", str(vocab)],
         "tokens-true-len-miscounted": train + ["--tokens", str(miscounted),
                                                "--vocab", str(vocab)],
+        "tokens-id-overflow": train + ["--tokens", str(overflow_id),
+                                       "--vocab", str(vocab)],
+        "pssm-score-overflow": ["encode", "--dataset", str(one_record),
+                                "--scheme", "er", "--pssm-dir", str(pssms)]
+        + out,
         "rusboost-no-first-round": ["train", "--model", "rusboost",
                                     "--seed", "1", "--features",
                                     str(unboostable)] + out,
@@ -935,7 +956,8 @@ def malformed_input(tmp_path, case):
     "dataset-not-json", "dataset-no-records", "dataset-unknown-coarse",
     "vocab-no-tokens", "vocab-repeated-token", "vocab-wrong-length-token",
     "fasta-not-utf8", "fasta-directory", "token-id-outside-vocab",
-    "tokens-true-len-miscounted", "rusboost-no-first-round"])
+    "tokens-true-len-miscounted", "tokens-id-overflow", "pssm-score-overflow",
+    "rusboost-no-first-round"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err

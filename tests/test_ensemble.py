@@ -211,12 +211,14 @@ def test_rusboost_missing_class_errors():
         fit_rusboost(X, y, RusBoostConfig(n_estimators=2))
 
 
-def _reference_split(X, idx, candidates, weights, parent_total, parent_gini):
+def _reference_split(XT, idx, candidates, weights, parent_total,
+                     parent_gini):
     """One scalar scan per candidate feature, kept here as the reference
-    the vectorized split search must match bit for bit."""
+    the vectorized split search must match bit for bit. XT is the
+    column-major (d, n) matrix that fit_tree passes."""
     best = None
     for f in candidates:
-        values = X[idx, f]
+        values = XT[f, idx]
         order = np.argsort(values, kind="stable")
         v, cw = values[order], weights[order]
         boundaries = np.flatnonzero(v[:-1] < v[1:])
@@ -293,5 +295,40 @@ def test_split_search_ties_across_features_and_thresholds():
                   [20.0, 2.0, 2.0], [30.0, 3.0, 3.0]])
     weights = np.eye(2)[[0, 1, 1, 1]]
     idx = np.arange(4)
-    args = (X, idx, idx[:3], weights, 4.0, 0.375)
+    args = (X.T, idx, idx[:3], weights, 4.0, 0.375)
     assert ensemble._best_split(*args) == _reference_split(*args) == (1, 0.5)
+
+
+@pytest.mark.parametrize("n_classes", [2, 4, 5])
+def test_split_search_matches_reference_at_other_class_counts(monkeypatch,
+                                                              n_classes):
+    # the search adds the classes one at a time, the reference reduces
+    # a class axis
+    X, _, _ = _split_case(n_classes, 12, False)
+    rng = np.random.default_rng(n_classes)
+    y = rng.integers(0, n_classes, size=90)
+    w = rng.random(90)
+    vectorized = ensemble._best_split
+    fits = []
+    for search in (vectorized, _reference_split):
+        monkeypatch.setattr(ensemble, "_best_split", search)
+        tree = fit_tree(X, y, 6, sample_weight=w, n_classes=n_classes)
+        fits.append({key: arr.tobytes()
+                     for key, arr in tree.to_arrays().items()})
+    assert (tree.feature >= 0).sum() > 5
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_split_search_does_not_depend_on_block_width(monkeypatch, weighted):
+    # 150 columns: one column per pass, uneven passes, the default, and
+    # every column in one pass must all grow the same tree
+    X, y, w = _split_case(11, 150, weighted)
+    fits = []
+    for block in (1, 7, 64, 150, 1000):
+        monkeypatch.setattr(ensemble, "_BLOCK", block)
+        tree = fit_tree(X, y, 6, sample_weight=w, n_classes=3)
+        fits.append({key: arr.tobytes()
+                     for key, arr in tree.to_arrays().items()})
+    assert tree.feature.max() >= 64   # a split found past the first pass
+    assert all(fit == fits[0] for fit in fits[1:])

@@ -127,6 +127,23 @@ def test_parse_truncated_row_names_line(rng):
         pssm.parse_psiblast_pssm("\n".join(lines))
 
 
+@pytest.mark.parametrize("score, message", [
+    ("1.5", "non-integer score"),
+    ("99999999999999999999", "score outside the int64 range"),
+    ("-99999999999999999999", "score outside the int64 range")])
+def test_parse_bad_score_names_line(rng, score, message):
+    raw = make_raw(rng, 3)
+    lines = pssm.render_psiblast_pssm(raw).splitlines()
+    row_idx = [i for i, l in enumerate(lines)
+               if l.split() and l.split()[0].isdigit()][2]
+    tokens = lines[row_idx].split()
+    tokens[7] = score
+    lines[row_idx] = " ".join(tokens)
+    with pytest.raises(pssm.PssmFormatError,
+                       match=f"line {row_idx + 1}: {message}"):
+        pssm.parse_psiblast_pssm("\n".join(lines))
+
+
 def test_parse_bad_residue_errors(rng):
     raw = make_raw(rng, 2)
     lines = pssm.render_psiblast_pssm(raw).splitlines()
