@@ -5,9 +5,12 @@ value, else the value in the optional JSON --config, else the flag's
 default. It writes its artifacts under --out with fixed file names and
 finishes with a manifest whose config holds every flag but --config and
 --out with its resolved value (null for unset), so that config replays
-the run as --config. Exit codes: 0 success, 1 usage or config error,
-2 data error, 3 diverged training. A failed command removes the --out
-directory if it created it.
+the run as --config. A failed command removes the --out directory if
+it created it. Exit codes: 0 success, 1 usage or config error, 2 data
+error, 3 diverged training. Each error code has one exception type, with
+no subclasses: estimators.UsageError, seqio.DataError and
+models.TrainingDivergedError; a caller that knows the file, record or
+fold a data error arose in prefixes it with util.located.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .estimators import UsageError
 from .models import OPTIMIZERS, TrainingDivergedError
 from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
                     read_text, save_dataset, write_fasta)
-from .util import atomic_write_text
+from .util import atomic_write_text, located
 
 DATASET_FILE = "dataset.json"
 FEATURES_FILE = "features.csv"
@@ -249,9 +252,12 @@ def _write_scores(out, doc, curves) -> list:
 def cmd_prepare(opts, out):
     fasta = _require(opts["fasta"], "fasta")
     level = _require(opts["level"], "level")
-    ds, report = prepare_corpus(read_text(fasta), level,
-                                host_key=opts["host-key"],
-                                drop_incomplete=opts["drop-incomplete"])
+    text = read_text(fasta)
+    try:
+        ds, report = prepare_corpus(text, level, host_key=opts["host-key"],
+                                    drop_incomplete=opts["drop-incomplete"])
+    except DataError as exc:
+        raise located(exc, fasta) from exc
     save_dataset(ds, os.path.join(out, DATASET_FILE))
     _write_json(os.path.join(out, FILTER_REPORT_FILE), report)
     return ([DATASET_FILE, FILTER_REPORT_FILE],
@@ -301,29 +307,40 @@ def _dataset_pssms(ds, opts):
         return synth.generate_pssms(ds, opts["seed"])
     if not pssm_dir:
         raise UsageError("scheme encoding needs --pssm-dir or --synth-pssms")
-    return {r.id: pssm.parse_psiblast_pssm(
-                read_text(os.path.join(pssm_dir, f"{r.id}.pssm")))
-            for r in ds.records}
+    profiles = {}
+    for r in ds.records:
+        path = os.path.join(pssm_dir, f"{r.id}.pssm")
+        text = read_text(path)  # a read error names the path itself
+        try:
+            profiles[r.id] = pssm.parse_psiblast_pssm(text)
+        except DataError as exc:
+            raise located(exc, path) from exc
+    return profiles
 
 
 def _encode(opts) -> _Table:
-    """--dataset featurized by --scheme, or tokenized by --ngrams."""
+    """--dataset featurized by --scheme, or tokenized by --ngrams; a data
+    error in one record names it."""
     ds = load_dataset(_require(opts["dataset"], "dataset"))
     scheme, n = opts["scheme"], opts["ngrams"]
     if (scheme is None) == (n is None):
         raise UsageError("pass exactly one of --scheme or --ngrams")
     ids = [r.id for r in ds.records]
+    profiles = _dataset_pssms(ds, opts) if scheme else None
+    rows = []
+    try:
+        for r in ds.records:
+            rows.append(pssm.encode_record_features(
+                r.residues, profiles[r.id], scheme) if scheme
+                else ngram.tokenize(r.residues, n))
+    except DataError as exc:
+        raise located(exc, f"record {r.id}") from exc
     if scheme:
-        profiles = _dataset_pssms(ds, opts)
-        rows = np.empty((len(ds.records), pssm.SCHEME_DIMS[scheme]))
-        for i, r in enumerate(ds.records):
-            rows[i] = pssm.encode_record_features(r.residues, profiles[r.id],
-                                                  scheme)
-        return _Table(rows, ids, ds.labels)
-    token_lists = [ngram.tokenize(r.residues, n) for r in ds.records]
-    vocab = ngram.build_vocab(token_lists, n)
-    max_len = max(len(tokens) for tokens in token_lists)
-    matrix = ngram.encode_corpus(token_lists, vocab, max_len)
+        matrix = np.array(rows).reshape(len(rows), pssm.SCHEME_DIMS[scheme])
+        return _Table(matrix, ids, ds.labels)
+    vocab = ngram.build_vocab(rows, n)
+    max_len = max(len(tokens) for tokens in rows)
+    matrix = ngram.encode_corpus(rows, vocab, max_len)
     return _Table(matrix, ids, ds.labels, vocab)
 
 
@@ -369,9 +386,14 @@ def cmd_encode(opts, out):
 
 def _model_factory(opts, model, table) -> estimators.ModelFactory:
     """The factory of model for table's input; its defaults are the model
-    flags given, by field name."""
+    flags given, by field name. A flag that model does not read is a
+    usage error."""
     given = {name: value for name in estimators.FIELDS
              if (value := opts[name.replace("_", "-")]) is not None}
+    unread = sorted(set(given) - estimators.READS[model])
+    if unread:
+        raise UsageError(
+            f"--model {model} reads no --{unread[0].replace('_', '-')}")
     hidden = given.get("hidden")
     if isinstance(hidden, str):
         hidden = [v for v in hidden.split(",") if v]
@@ -584,7 +606,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -405,7 +405,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     if n_classes is None:
         n_classes = int(y.max()) + 1
     if n_classes < 2:
-        raise ValueError("need at least 2 classes")
+        raise DataError("need at least 2 classes")
     counts = np.bincount(y, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])

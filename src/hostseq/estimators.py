@@ -76,6 +76,13 @@ FIELDS = {f.name: type(f.default) for cls, names in SETTABLE.items()
           for f in dataclasses.fields(cls) if f.name in names}
 FIELDS["base_depth"] = FIELDS["max_depth"]
 
+# --model kind -> the names it reads as grid keys and model flags: the
+# settable fields of its configs and their other names.
+READS = {model: frozenset(name for cls in kind.configs
+                          for field, aliases in SETTABLE[cls].items()
+                          for name in aliases + (field,))
+         for model, kind in KINDS.items()}
+
 
 def coerce(kind, name, value):
     """value as a config field of type kind; a scalar for a tuple field
@@ -85,7 +92,7 @@ def coerce(kind, name, value):
             return tuple(int(v) for v in (
                 value if isinstance(value, (list, tuple)) else [value]))
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{name!r} takes a {kind.__name__}, "
                          f"not {value!r}") from exc
 
@@ -140,14 +147,12 @@ class ModelFactory:
                  "n_classes": self.n_classes, "input_kind": self.input_kind,
                  "in_dim": self.in_dim, "vocab_size": self.vocab_size,
                  "max_len": self.max_len}
-        read = set()
 
         def config(cls):
             values = {f.name: fixed[f.name] for f in dataclasses.fields(cls)
                       if f.name in fixed}
             for field, aliases in SETTABLE[cls].items():
                 names = aliases + (field,)
-                read.update(names)
                 given = [(name, source[name])
                          for source in (params, self.defaults)
                          for name in names if source.get(name) is not None]
@@ -156,7 +161,7 @@ class ModelFactory:
             return cls(**values)
 
         configs = [config(cls) for cls in kind.configs]
-        unknown = sorted(set(params) - read)
+        unknown = sorted(set(params) - READS[self.model])
         if unknown:
             raise UsageError(
                 f"--model {self.model} reads no grid key {unknown[0]!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .models import TrainingDivergedError
 from .seqio import DataError
-from .util import atomic_write_text, derive_seed
+from .util import atomic_write_text, derive_seed, located
 
 
 def label_indices(names, class_names) -> np.ndarray:
@@ -275,7 +275,7 @@ def _fit_predict(inputs, labels, model_factory, task: FitTask) -> np.ndarray:
         model = model_factory(task.params, task.seed)
         model.fit(inputs[task.train], labels[task.train])
     except (TrainingDivergedError, DataError) as exc:
-        raise type(exc)(f"{task.where}: {exc}") from exc
+        raise located(exc, task.where) from exc
     return model.predict_proba(inputs[task.scored])
 
 

@@ -60,8 +60,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in NETS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+        if self.n_classes < 2:  # the class count of the training data
+            raise DataError("need at least 2 classes")
         if self.input_kind not in NETS[self.kind].INPUTS:
             raise ValueError(f"{self.kind} reads only "
                              f"{' or '.join(NETS[self.kind].INPUTS)}")
@@ -347,11 +347,13 @@ def train(net, inputs, labels, config: TrainConfig) -> FitResult:
 
 
 def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
-    """Class probabilities, rows summing to 1."""
+    """Class probabilities, rows summing to 1 unless the net overflows;
+    floating-point warnings are silenced."""
     chunks = []
-    for start in range(0, inputs.shape[0], batch_size):
-        logits = net.forward(inputs[start:start + batch_size])
-        chunks.append(ag.softmax(logits, axis=-1).data)
+    with np.errstate(all="ignore"):
+        for start in range(0, inputs.shape[0], batch_size):
+            logits = net.forward(inputs[start:start + batch_size])
+            chunks.append(ag.softmax(logits, axis=-1).data)
     return np.concatenate(chunks, axis=0)
 
 
@@ -379,8 +381,12 @@ class NeuralClassifier:
     def predict_proba(self, inputs) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        return predict_proba(self.net, self._check_inputs(inputs),
-                             self.config.batch_size)
+        proba = predict_proba(self.net, self._check_inputs(inputs),
+                              self.config.batch_size)
+        if not np.isfinite(proba).all():
+            raise DataError("probabilities are not finite: the weights "
+                            "overflow on this input")
+        return proba
 
     def _check_inputs(self, inputs):
         tokens = self.spec.input_kind == "tokens"
@@ -389,8 +395,13 @@ class NeuralClassifier:
         if inputs.ndim != 2 or inputs.shape[1] != width:
             raise DataError(f"{'token' if tokens else 'feature'} input "
                             f"must be (n, {width})")
-        if tokens and not np.issubdtype(inputs.dtype, np.integer):
-            raise DataError("token input must be integer ids")
+        if tokens:
+            if not np.issubdtype(inputs.dtype, np.integer):
+                raise DataError("token input must be integer ids")
+            size = self.spec.vocab_size
+            if inputs.size and not 0 <= inputs.min() <= inputs.max() < size:
+                raise DataError(f"token ids outside [0, {size}): the "
+                                f"model's vocabulary has {size} ids")
         return inputs
 
     def to_checkpoint(self):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, LabeledDataset, SequenceTooShortError, read_json
+from .seqio import DataError, LabeledDataset, read_json
 from .util import atomic_write_text
 
 PAD_ID = 0
@@ -19,20 +19,16 @@ OOV_ID = 1
 MAX_N = 8
 
 
-class SequenceTooLongError(DataError):
-    pass
-
-
 def tokenize(residues: str, n: int) -> list:
     """Split a sequence into its len-n+1 overlapping n-gram "words".
 
     Raises:
-        SequenceTooShortError: n exceeds the sequence length.
+        DataError: n exceeds the sequence length.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
     if n > len(residues):
-        raise SequenceTooShortError(
+        raise DataError(
             f"cannot take {n}-grams of a length-{len(residues)} sequence")
     return [residues[i:i + n] for i in range(len(residues) - n + 1)]
 
@@ -84,8 +80,7 @@ def encode_corpus(token_lists, vocab: Vocabulary, max_len: int) -> np.ndarray:
     ids = np.full((len(token_lists), max_len), PAD_ID, dtype=np.int64)
     for r, tokens in enumerate(token_lists):
         if len(tokens) > max_len:
-            raise SequenceTooLongError(
-                f"{len(tokens)} tokens exceed max_len {max_len}")
+            raise DataError(f"{len(tokens)} tokens exceed max_len {max_len}")
         ids[r, max_len - len(tokens):] = [vocab.id_of(t) for t in tokens]
     return ids
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, SequenceTooShortError, VALID_RESIDUES
+from .seqio import DataError, VALID_RESIDUES
 from .util import derive_seed
 
 # Standard PSI-BLAST log-odds column order.
@@ -23,10 +23,6 @@ SCHEME_DIMS = {"eg": 100, "gdpc": 100, "er": 910}
 _COL_INDEX = {aa: i for i, aa in enumerate(PSIBLAST_COLUMNS)}
 _GROUP_OF = {aa: gi for gi, members in enumerate(RESIDUE_GROUPS)
              for aa in members}
-
-
-class PssmFormatError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
     residue and the log-odds block are kept.
 
     Raises:
-        PssmFormatError: no matrix rows, a row with the wrong field
+        DataError: no matrix rows, a row with the wrong field
             count, a residue outside the canonical alphabet, or a score
             that is not an integer or lies outside the int64 range.
     """
@@ -63,19 +59,19 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
                 or not tokens[1].isalpha():
             continue  # header, separator or footer line
         if len(tokens) != 44:
-            raise PssmFormatError(
+            raise DataError(
                 f"line {line_no}: expected 42 data fields after position "
                 f"and residue, got {len(tokens) - 2}")
         aa = tokens[1].upper()
         if aa not in VALID_RESIDUES:
-            raise PssmFormatError(
+            raise DataError(
                 f"line {line_no}: residue {tokens[1]!r} outside the "
                 f"20-letter alphabet")
         residues.append(aa)
         rows.append(tokens[2:22])
         line_nos.append(line_no)
     if not rows:
-        raise PssmFormatError("no matrix rows found")
+        raise DataError("no matrix rows found")
     try:
         # numpy parses each field with int(), so it accepts and rejects
         # the same texts as int(), in one call per file
@@ -85,10 +81,10 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
             try:
                 np.array(row, dtype=np.int64)
             except ValueError as e:
-                raise PssmFormatError(
+                raise DataError(
                     f"line {line_no}: non-integer score ({e})") from None
             except OverflowError:
-                raise PssmFormatError(
+                raise DataError(
                     f"line {line_no}: score outside the int64 range") from None
         raise
     return RawPssm(residues="".join(residues), scores=scores)
@@ -149,7 +145,7 @@ def encode_eg(residues: str, g: np.ndarray) -> np.ndarray:
     positions whose residue lies in group i. Groups absent from the
     sequence give zero rows. Flattened row by row, left to right."""
     if len(residues) < 1:
-        raise SequenceTooShortError("grouped row means need at least 1 position")
+        raise DataError("grouped row means need at least 1 position")
     n_groups = len(RESIDUE_GROUPS)
     e = np.zeros((n_groups, n_groups), dtype=np.float64)
     row_groups = np.array([_GROUP_OF[aa] for aa in residues])
@@ -165,7 +161,7 @@ def encode_gdpc(g: np.ndarray) -> np.ndarray:
     D[i][j] = (1/(L-1)) * sum_k g[k,i] * g[k+1,j], flattened row-major."""
     n = g.shape[0]
     if n < 2:
-        raise SequenceTooShortError(
+        raise DataError(
             f"dipeptide composition needs at least 2 positions, got {n}")
     d = g[:-1].T @ g[1:] / (n - 1)
     return d.ravel()
@@ -183,7 +179,7 @@ def encode_er(g: np.ndarray) -> np.ndarray:
     """
     n, n_groups = g.shape
     if n < ER_MAX_GAP + 1:
-        raise SequenceTooShortError(
+        raise DataError(
             f"gapped pseudo-composition needs at least {ER_MAX_GAP + 1} "
             f"positions, got {n}")
     m = np.empty((n_groups, n_groups, ER_MAX_GAP), dtype=np.float64)

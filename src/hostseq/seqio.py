@@ -17,19 +17,8 @@ VALID_RESIDUES = frozenset(AMINO_ACIDS)
 
 
 class DataError(ValueError):
-    """Base class for malformed or inconsistent input data."""
-
-
-class MalformedFastaError(DataError):
-    pass
-
-
-class SequenceTooShortError(DataError):
-    """A sequence is shorter than an encoder's window or gap needs."""
-
-
-class UnknownHostError(DataError):
-    pass
+    """Malformed or inconsistent input data: a file, record or value the
+    command was given (exit 2)."""
 
 
 COARSE_HOSTS = ("human", "avian", "swine")
@@ -87,7 +76,7 @@ def parse_fasta(text: str) -> list:
     uppercased. Record ids must be unique.
 
     Raises:
-        MalformedFastaError: an empty header id, a header field that is
+        DataError: an empty header id, a header field that is
             not key=value, sequence data before any header, an empty
             sequence body, or a duplicate id.
     """
@@ -103,10 +92,10 @@ def parse_fasta(text: str) -> list:
             return
         residues = "".join(chunks)
         if not residues:
-            raise MalformedFastaError(
+            raise DataError(
                 f"record {rec_id!r} (line {header_line}) has an empty sequence body")
         if rec_id in seen_ids:
-            raise MalformedFastaError(f"duplicate record id {rec_id!r}")
+            raise DataError(f"duplicate record id {rec_id!r}")
         seen_ids.add(rec_id)
         records.append(ProteinRecord(id=rec_id, residues=residues,
                                      metadata=metadata))
@@ -120,11 +109,11 @@ def parse_fasta(text: str) -> list:
             rec_id, *fields = line[1:].split("|")
             rec_id = rec_id.strip()
             if not rec_id:
-                raise MalformedFastaError(f"line {line_no}: header has empty id")
+                raise DataError(f"line {line_no}: header has empty id")
             metadata = {}
             for part in fields:
                 if "=" not in part:
-                    raise MalformedFastaError(
+                    raise DataError(
                         f"line {line_no}: header field {part!r} is not key=value")
                 k, v = part.split("=", 1)
                 metadata[k.strip()] = v.strip()
@@ -132,7 +121,7 @@ def parse_fasta(text: str) -> list:
             chunks = []
         else:
             if rec_id is None:
-                raise MalformedFastaError(
+                raise DataError(
                     f"line {line_no}: sequence data before any header")
             chunks.append("".join(line.split()).upper())
     flush()
@@ -158,7 +147,7 @@ def coarse_host(host: str) -> str:
         return "swine" if h == "pig" else h
     if h in AVIAN_HOSTS:
         return "avian"
-    raise UnknownHostError(f"unknown host {host!r}")
+    raise DataError(f"unknown host {host!r}")
 
 
 def assign_host_labels(records, key: str = "host") -> list:
@@ -170,7 +159,7 @@ def assign_host_labels(records, key: str = "host") -> list:
     out = []
     for r in records:
         if key not in r.metadata:
-            raise UnknownHostError(f"record {r.id} has no {key!r} metadata")
+            raise DataError(f"record {r.id} has no {key!r} metadata")
         fine = r.metadata[key].strip().lower()
         out.append(ProteinRecord(id=r.id, residues=r.residues,
                                  coarse_label=coarse_host(fine),

@@ -23,10 +23,6 @@ from .seqio import DataError, open_text
 from .util import atomic_write_bytes, atomic_write_text
 
 
-class CheckpointError(DataError):
-    """Raised for unreadable or mismatched checkpoint files."""
-
-
 MAGIC = b"HSEQCKPT"
 VERSION = 1
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
@@ -197,19 +193,19 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 12 or blob[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
+        raise DataError(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version}")
     start = len(MAGIC) + 12
     try:
         header = json.loads(blob[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header") from exc
+        raise DataError(f"{path}: corrupt header") from exc
     if not isinstance(header, dict) or not isinstance(
             header.get("arrays"), list) or "kind" not in header \
             or not isinstance(header.get("meta"), dict):
-        raise CheckpointError(f"{path}: header lacks kind, meta or arrays")
+        raise DataError(f"{path}: header lacks kind, meta or arrays")
     offset = start + header_len
     arrays = {}
     for entry in header["arrays"]:
@@ -217,17 +213,20 @@ def load_checkpoint(path):
             name, dtype = entry["name"], _DTYPES.get(entry["dtype"])
             shape = tuple(int(n) for n in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
+            raise DataError(
                 f"{path}: malformed array entry {entry!r}") from exc
         if dtype is None:
-            raise CheckpointError(f"{path}: unknown dtype {entry['dtype']!r}")
+            raise DataError(f"{path}: unknown dtype {entry['dtype']!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated array block")
+            raise DataError(f"{path}: truncated array block")
         arrays[name] = np.frombuffer(
             blob, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
             offset=offset).reshape(shape).copy()
         offset += nbytes
+    if offset != len(blob):
+        raise DataError(f"{path}: {len(blob) - offset} bytes more than "
+                        f"its header describes")
     return header["kind"], header["meta"], arrays
 
 
@@ -247,10 +246,9 @@ def load_model(path):
     _, meta, arrays = load_checkpoint(path)
     cls = FAMILIES.get(meta.get("model"))
     if cls is None:
-        raise CheckpointError(
-            f"{path}: unknown model family {meta.get('model')!r}")
+        raise DataError(f"{path}: unknown model family {meta.get('model')!r}")
     try:
         return cls.from_checkpoint(meta, arrays), tuple(meta["class_names"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
+        raise DataError(
             f"{path}: arrays or header do not match: {exc}") from exc

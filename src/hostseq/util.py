@@ -1,4 +1,5 @@
-"""Shared helpers: seed derivation and atomic file writes."""
+"""Shared helpers: seed derivation, error locations and atomic file
+writes."""
 
 import os
 import tempfile
@@ -22,6 +23,12 @@ def derive_seed(*keys) -> int:
                 raise ValueError(f"seed keys must be non-negative, got {k}")
             entropy.append(k)
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+
+
+def located(exc, where):
+    """An exception of exc's type whose message is exc's, prefixed with
+    where: the file, record or fold it arose in."""
+    return type(exc)(f"{where}: {exc}")
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -508,6 +508,32 @@ def test_corrupt_tree_checkpoint_exit_2(tmp_path, capsys, deadline, model,
     assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("case", ["weights-overflow", "bytes-inserted"])
+def test_corrupt_neural_checkpoint_exit_2(tmp_path, capsys, case):
+    # found by tests/test_fuzz.py: left to predict, either edit printed
+    # numpy warnings or wrote wrong or non-finite probabilities, exit 0
+    out = train_flow(tmp_path, "mlp", ("--epochs", "2"))
+    path = out / "model.bin"
+    if case == "weights-overflow":
+        kind, meta, arrays = store.load_checkpoint(path)
+        for name in arrays:
+            if name.endswith(".w"):
+                arrays[name][:] = 1e300
+        store.save_checkpoint(path, kind, meta, arrays)
+    else:
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-64] + bytes(8) + blob[-64:])
+    capsys.readouterr()
+    code = run(["predict", "--model-file", str(path),
+                "--features", str(out / "features.csv"),
+                "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert "not finite" in err if case == "weights-overflow" else \
+        err.startswith(f"data error: {path}: 8 bytes more than"), err
+
+
 def test_failed_command_removes_out_it_created(tmp_path):
     out = tmp_path / "new" / "f4"
     assert run(["nested-cv", "--features", str(seeded_features(tmp_path)),
@@ -561,6 +587,8 @@ def test_nested_cv_scalar_hidden_is_one_layer(tmp_path):
     ('{"hidden": [[8, "wide"]]}', "'hidden'"),
     ('{"max_iter": ["many"]}', "'max_iter'"),
     ('{"learning_rate_init": [[0.1]]}', "'learning_rate_init'"),
+    # found by tests/test_fuzz.py: an OverflowError traceback
+    ('{"max_iter": [1e999]}', "'max_iter'"),
 ])
 def test_nested_cv_uncoercible_grid_value_exit_1(tmp_path, capsys, grid, key):
     out = tmp_path / "run"
@@ -906,6 +934,18 @@ def malformed_input(tmp_path, case):
     fields[5] = "99999999999999999999"
     lines[row] = " ".join(fields)
     (pssms / "a.pssm").write_text("\n".join(lines) + "\n")
+    empty_id = tmp_path / "empty_id.fasta"
+    empty_id.write_text(">a|host=human\nMKTIIALSYIF\n>|host=avian\nMKAIL\n")
+    short_record = tmp_path / "short_record.json"
+    short_record.write_text(json.dumps({
+        "level": "coarse", "class_names": ["avian", "human"],
+        "records": [{"id": "long", "residues": "MKTIIALSYIF",
+                     "coarse": "human"},
+                    {"id": "short", "residues": "MKAILVVLL",
+                     "coarse": "avian"}]}))
+    one_class = tmp_path / "one_class.csv"
+    store.write_features_csv(one_class, ["r0", "r1"], ["a", "a"], "eg",
+                             np.eye(2))
     # constant columns: no boosting round can beat chance on them
     unboostable = tmp_path / "unboostable.csv"
     store.write_features_csv(unboostable, [f"r{i}" for i in range(30)],
@@ -948,6 +988,16 @@ def malformed_input(tmp_path, case):
         "rusboost-no-first-round": ["train", "--model", "rusboost",
                                     "--seed", "1", "--features",
                                     str(unboostable)] + out,
+        # found by tests/test_fuzz.py: both once exited 1
+        "features-one-class-mlp": train + ["--features", str(one_class)],
+        "features-one-class-rusboost": ["train", "--model", "rusboost",
+                                        "--seed", "1", "--features",
+                                        str(one_class)] + out,
+        "fasta-empty-id": ["prepare", "--fasta", str(empty_id),
+                           "--level", "coarse"] + out,
+        "encode-record-too-short": ["encode", "--dataset", str(short_record),
+                                    "--scheme", "er", "--synth-pssms",
+                                    "--seed", "1"] + out,
     }[case]
 
 
@@ -957,12 +1007,23 @@ def malformed_input(tmp_path, case):
     "vocab-no-tokens", "vocab-repeated-token", "vocab-wrong-length-token",
     "fasta-not-utf8", "fasta-directory", "token-id-outside-vocab",
     "tokens-true-len-miscounted", "tokens-id-overflow", "pssm-score-overflow",
-    "rusboost-no-first-round"])
+    "rusboost-no-first-round", "features-one-class-mlp",
+    "features-one-class-rusboost", "fasta-empty-id",
+    "encode-record-too-short"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    # a parse error names the file or record it is in
+    where = {
+        "pssm-score-overflow": f"{tmp_path / 'pssms' / 'a.pssm'}: line ",
+        "fasta-empty-id": f"{tmp_path / 'empty_id.fasta'}: line 3: header "
+                          f"has empty id",
+        "encode-record-too-short": "record short: gapped pseudo-composition "
+                                   "needs at least 10 positions, got 9",
+    }.get(case)
+    assert where is None or err.startswith(f"data error: {where}"), err
 
 
 def test_dataset_and_encoded_features_agree(tmp_path):
@@ -1050,6 +1111,68 @@ def test_flag_that_would_be_ignored_exit_1(tmp_path, capsys, case, flags):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and all(flag in err for flag in flags), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model", ["mlp", "cnn", "transformer"])
+def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
+                                                              model):
+    # the tokens agree with their own vocabulary file, but that is larger
+    # than the one the model was trained on
+    def tokens(name, records):
+        out = tmp_path / name
+        assert run(["synth", "--records", str(records), "--seed", "3",
+                    "--min-len", "60", "--max-len", "60",
+                    "--out", str(out)]) == 0
+        assert run(["encode", "--dataset", str(out / "dataset.json"),
+                    "--ngrams", "3", "--out", str(out)]) == 0
+        vocab, _ = ngram.load_vocab(out / "vocab.json")
+        return vocab.size, ["--tokens", str(out / "tokens.csv"),
+                            "--vocab", str(out / "vocab.json")]
+
+    small, train_data = tokens("small", 10)
+    large, predict_data = tokens("large", 60)
+    assert large > small
+    model_dir = tmp_path / "model"
+    assert run(["train", "--model", model, "--epochs", "1", "--seed", "1",
+                *train_data, "--out", str(model_dir)]) == 0
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(model_dir / "model.bin"),
+                *predict_data, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"data error: token ids outside [0, {small}): the "
+                   f"model's vocabulary has {small} ids\n"), err
+
+
+@pytest.mark.parametrize("model, flag, value", [
+    ("rf", "--base-depth", "2"),
+    ("rf", "--hidden", "5"),
+    ("rf", "--epochs", "3"),
+    ("rf", "--embed-dim", "8"),
+    ("rf", "--learning-rate", "0.5"),
+    ("rf", "--optimizer", "sgd"),
+    ("mlp", "--n-estimators", "7"),
+    ("mlp", "--max-depth", "2"),
+    ("rusboost", "--alpha", "0.1"),
+])
+@pytest.mark.parametrize("command", ["train", "nested-cv", "config"])
+def test_model_flag_the_model_does_not_read_exit_1(tmp_path, capsys, model,
+                                                   flag, value, command):
+    # each once exited 0 with a model byte-identical to the run without it
+    argv = ["train", "--model", model, "--seed", "1",
+            "--features", str(seeded_features(tmp_path))]
+    if command == "nested-cv":
+        argv[0] = command
+        argv += ["--grid", "{}", "--k-outer", "2", "--k-inner", "2"]
+    if command == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {flag[2:]: json.loads(value) if value[0].isdigit() else value}))
+        argv += ["--config", str(config)]
+    else:
+        argv += [flag, value]
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"--model {model} reads no {flag}\n"
     assert not (tmp_path / "o").exists()
 
 

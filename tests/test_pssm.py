@@ -109,9 +109,9 @@ def test_parse_fixture_dimensions(rng):
 
 
 def test_parse_empty_text_errors():
-    with pytest.raises(pssm.PssmFormatError, match="no matrix rows"):
+    with pytest.raises(pssm.DataError, match="no matrix rows"):
         pssm.parse_psiblast_pssm("")
-    with pytest.raises(pssm.PssmFormatError, match="no matrix rows"):
+    with pytest.raises(pssm.DataError, match="no matrix rows"):
         pssm.parse_psiblast_pssm("Last position-specific scoring matrix\n\n")
 
 
@@ -122,7 +122,7 @@ def test_parse_truncated_row_names_line(rng):
     row_idx = [i for i, l in enumerate(lines)
                if l.split() and l.split()[0].isdigit()][1]
     lines[row_idx] = " ".join(lines[row_idx].split()[:30])
-    with pytest.raises(pssm.PssmFormatError,
+    with pytest.raises(pssm.DataError,
                        match=f"line {row_idx + 1}"):
         pssm.parse_psiblast_pssm("\n".join(lines))
 
@@ -139,7 +139,7 @@ def test_parse_bad_score_names_line(rng, score, message):
     tokens = lines[row_idx].split()
     tokens[7] = score
     lines[row_idx] = " ".join(tokens)
-    with pytest.raises(pssm.PssmFormatError,
+    with pytest.raises(pssm.DataError,
                        match=f"line {row_idx + 1}: {message}"):
         pssm.parse_psiblast_pssm("\n".join(lines))
 
@@ -152,7 +152,7 @@ def test_parse_bad_residue_errors(rng):
     tokens = lines[row_idx].split()
     tokens[1] = "X"
     lines[row_idx] = " ".join(tokens)
-    with pytest.raises(pssm.PssmFormatError, match="outside"):
+    with pytest.raises(pssm.DataError, match="outside"):
         pssm.parse_psiblast_pssm("\n".join(lines))
 
 
@@ -227,7 +227,8 @@ def test_gdpc_constant_closed_form():
 
 
 def test_gdpc_requires_two_rows():
-    with pytest.raises(pssm.SequenceTooShortError):
+    with pytest.raises(pssm.DataError,
+                       match="needs at least 2 positions, got 1"):
         pssm.encode_gdpc(np.zeros((1, 10)))
 
 
@@ -251,7 +252,7 @@ def test_er_constant_columns_closed_form():
 
 
 def test_er_requires_ten_rows(rng):
-    with pytest.raises(pssm.SequenceTooShortError, match="10"):
+    with pytest.raises(pssm.DataError, match="10"):
         pssm.encode_er(rng.random((9, 10)))
 
 

@@ -27,23 +27,23 @@ def test_parse_fasta_multiline_and_case():
 
 
 def test_parse_fasta_rejects_data_before_header():
-    with pytest.raises(seqio.MalformedFastaError, match="before any header"):
+    with pytest.raises(seqio.DataError, match="before any header"):
         seqio.parse_fasta("MKTI\n>a|host=human\nMKTI\n")
 
 
 def test_parse_fasta_rejects_empty_body():
-    with pytest.raises(seqio.MalformedFastaError, match="empty sequence body"):
+    with pytest.raises(seqio.DataError, match="empty sequence body"):
         seqio.parse_fasta(">a|host=human\n>b|host=human\nMKTI\n")
 
 
 def test_parse_fasta_rejects_duplicate_id():
     text = ">a|host=human\nMK\n>a|host=human\nMI\n"
-    with pytest.raises(seqio.MalformedFastaError, match="duplicate record id"):
+    with pytest.raises(seqio.DataError, match="duplicate record id"):
         seqio.parse_fasta(text)
 
 
 def test_header_parser_errors_name_line():
-    with pytest.raises(seqio.MalformedFastaError, match="line 1"):
+    with pytest.raises(seqio.DataError, match="line 1"):
         seqio.parse_fasta(">a|hostless\nMK\n")
 
 
@@ -60,7 +60,7 @@ def test_coarse_host_mapping():
     assert seqio.coarse_host("swine") == "swine"
     for h in ("chicken", "duck", "mallard", "avian"):
         assert seqio.coarse_host(h) == "avian"
-    with pytest.raises(seqio.UnknownHostError):
+    with pytest.raises(seqio.DataError, match="unknown host 'ferret'"):
         seqio.coarse_host("ferret")
 
 

@@ -1,6 +1,7 @@
 """Artifact persistence: CSV tables, binary checkpoints, model files."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(store.CheckpointError, match="not a checkpoint"):
+    with pytest.raises(store.DataError, match="not a checkpoint"):
         store.load_checkpoint(path)
 
 
@@ -110,7 +111,7 @@ def test_checkpoint_truncated(tmp_path):
     store.save_checkpoint(path, "unit", {}, {"w": np.ones((8, 8))})
     data = path.read_bytes()
     path.write_bytes(data[:-16])
-    with pytest.raises(store.CheckpointError, match="truncated"):
+    with pytest.raises(store.DataError, match="truncated"):
         store.load_checkpoint(path)
 
 
@@ -192,7 +193,7 @@ def test_load_model_missing_tree_block_is_checkpoint_error(tmp_path):
     forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2))
     store.save_model(path, forest, ("a", "b"))
     _rewrite_without(path, "t2.counts")
-    with pytest.raises(store.CheckpointError, match="t2.counts"):
+    with pytest.raises(store.DataError, match="t2.counts"):
         store.load_model(path)
 
 
@@ -228,7 +229,7 @@ def test_load_model_malformed_header_is_checkpoint_error(tmp_path, edit):
                                                          max_depth=2)),
                      ("a", "b"))
     _rewrite_header(path, edit)
-    with pytest.raises(store.CheckpointError):
+    with pytest.raises(store.DataError, match="^" + re.escape(f"{path}: ")):
         store.load_model(path)
 
 
@@ -241,7 +242,7 @@ def test_load_model_parameter_mismatch_is_checkpoint_error(tmp_path):
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("a", "b"))
     _rewrite_without(path, "out.b")
-    with pytest.raises(store.CheckpointError, match="parameter mismatch"):
+    with pytest.raises(store.DataError, match="parameter mismatch"):
         store.load_model(path)
 
 
