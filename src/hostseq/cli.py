@@ -89,36 +89,48 @@ _FLAGS = {
                     "help": "prediction CSVs; first defines the metrics"},
     "top-tokens": {"type": int, "default": 50},
 }
-_DATASET_FLAGS = ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams")
 _DATA_FLAGS = ("features", "tokens", "vocab")
-# Flag pairs where one flag would be silently ignored: an _EXCLUSIVE pair
-# given together, or a _NEEDS pair's first flag without its second.
-_EXCLUSIVE = (("dataset", "features"), ("dataset", "tokens"),
-              ("dataset", "vocab"), ("pssm-dir", "synth-pssms"))
-_NEEDS = (("pssm-dir", "scheme"), ("synth-pssms", "scheme"),
-          ("scheme", "dataset"), ("ngrams", "dataset"), ("vocab", "tokens"))
 _MODEL_FLAGS = ("model", "seed") + tuple(
     name.replace("_", "-") for name in estimators.FIELDS)
-# subcommand -> (help, its flags besides --config and --out)
+# subcommand -> (help, its flags besides --config and --out, the groups
+# it requires besides --out)
 _SUBCOMMANDS = {
     "prepare": ("parse, filter, dedup a FASTA corpus",
-                ("fasta", "level", "host-key", "drop-incomplete")),
+                ("fasta", "level", "host-key", "drop-incomplete"),
+                ("fasta", "level")),
     "synth": ("generate a synthetic motif corpus",
               ("records", "classes", "seed", "min-len", "max-len",
-               "with-pssms")),
-    "encode": ("featurize a dataset", _DATASET_FLAGS + ("seed",)),
+               "with-pssms"), ("records", "seed")),
+    "encode": ("featurize a dataset",
+               ("dataset", "scheme", "pssm-dir", "synth-pssms", "ngrams",
+                "seed"), ("dataset",)),
     "train": ("fit one model on a full feature file",
-              _MODEL_FLAGS + _DATA_FLAGS),
+              _MODEL_FLAGS + _DATA_FLAGS,
+              ("model", "seed", "features|tokens")),
     "evaluate": ("score a saved model on a data file",
-                 ("model-file",) + _DATA_FLAGS),
+                 ("model-file",) + _DATA_FLAGS,
+                 ("model-file", "features|tokens")),
     "predict": ("write per-record predictions",
-                ("model-file",) + _DATA_FLAGS),
+                ("model-file",) + _DATA_FLAGS,
+                ("model-file", "features|tokens")),
     "nested-cv": ("nested cross-validation run",
-                  _MODEL_FLAGS + _DATASET_FLAGS + _DATA_FLAGS
-                  + ("k-outer", "k-inner", "grid", "workers")),
+                  _MODEL_FLAGS + _DATA_FLAGS
+                  + ("k-outer", "k-inner", "grid", "workers"),
+                  ("model", "seed", "features|tokens")),
     "report": ("derive tables from prediction files",
-               ("predictions", "dataset", "ngrams", "top-tokens")),
+               ("predictions", "dataset", "ngrams", "top-tokens"),
+               ("predictions|dataset",)),
 }
+# The flag-presence rules besides the required groups, each applied to a
+# command only among its own flags; "a|b" means --a or --b. An _EXCLUSIVE
+# pair may not be given together. A _NEEDS flag, given, needs one of its
+# alternatives that the command has; a command with none has no rule.
+_EXCLUSIVE = (("scheme", "ngrams"), ("pssm-dir", "synth-pssms"),
+              ("features", "tokens"))
+_NEEDS = (("pssm-dir", "scheme"), ("synth-pssms", "scheme"),
+          ("scheme", "pssm-dir|synth-pssms"), ("synth-pssms", "seed"),
+          ("seed", "synth-pssms"), ("dataset", "scheme|ngrams"),
+          ("ngrams", "dataset"), ("tokens", "vocab"), ("vocab", "tokens"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +149,7 @@ def _flag_options(name) -> dict:
 def build_parser() -> _Parser:
     parser = _Parser(prog="hostseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for command, (text, names) in _SUBCOMMANDS.items():
+    for command, (text, names, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=text)
         for name in ("config", "out") + names:
             # unset stays None, so _options can fall back to --config
@@ -178,8 +190,9 @@ def _options(args) -> dict:
     of the command's flags is read by _config_value, and null leaves its
     flag unset. A config key that is no subcommand's flag is a usage
     error; another subcommand's flag is ignored, so one config can drive
-    a whole pipeline. Resolved flags that _EXCLUSIVE or _NEEDS rule out
-    are a usage error; a null or false value counts as not given."""
+    a whole pipeline. Resolved flags that break a required group (--out
+    and the command's), _EXCLUSIVE or _NEEDS are a usage error; a null,
+    false or empty value counts as not given."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -187,32 +200,35 @@ def _options(args) -> dict:
         if not isinstance(config, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(config).difference(
-            _FLAGS, *(names for _, names in _SUBCOMMANDS.values())))
+            _FLAGS, *(names for _, names, _ in _SUBCOMMANDS.values())))
         if unknown:
             raise UsageError(f"{args.config}: unknown config key "
                              f"{unknown[0]!r}")
+    _, names, required = _SUBCOMMANDS[args.command]
     opts = {}
-    for name in ("out",) + _SUBCOMMANDS[args.command][1]:
+    for name in ("out",) + names:
         flag = _flag_options(name)
         if config.get(name) is not None:  # stands in for the default
             flag["default"] = _config_value(name, config[name], flag)
         given = getattr(args, name.replace("-", "_"))
         opts[name] = flag.get("default") if given is None else given
     given = {name for name, value in opts.items()
-             if value is not None and value is not False}
+             if value is not None and value is not False and value != []}
+
+    def flags(group):  # the flags of group that the command has
+        return " or ".join(f"--{n}" for n in group.split("|") if n in opts)
+
+    for group in ("out",) + required:
+        if given.isdisjoint(group.split("|")):
+            raise UsageError(f"{args.command} needs {flags(group)}")
     for name, other in _EXCLUSIVE:
         if name in given and other in given:
             raise UsageError(f"--{name} and --{other} are exclusive")
-    for name, needed in _NEEDS:
-        if name in given and needed not in given:
-            raise UsageError(f"--{name} needs --{needed}")
+    for name, group in _NEEDS:
+        if name in given and flags(group) and given.isdisjoint(
+                group.split("|")):
+            raise UsageError(f"--{name} needs {flags(group)}")
     return opts
-
-
-def _require(value, name):
-    if value is None:
-        raise UsageError(f"missing required option --{name}")
-    return value
 
 
 def _finish(out, command, config, artifacts) -> None:
@@ -250,8 +266,7 @@ def _write_scores(out, doc, curves) -> list:
 # config is those options, and prints the message.
 
 def cmd_prepare(opts, out):
-    fasta = _require(opts["fasta"], "fasta")
-    level = _require(opts["level"], "level")
+    fasta, level = opts["fasta"], opts["level"]
     text = read_text(fasta)
     try:
         ds, report = prepare_corpus(text, level, host_key=opts["host-key"],
@@ -266,10 +281,9 @@ def cmd_prepare(opts, out):
 
 
 def cmd_synth(opts, out):
-    records = _require(opts["records"], "records")
-    seed = _require(opts["seed"], "seed")
+    seed = opts["seed"]
     spec = synth.SynthSpec(classes=synth.default_classes(opts["classes"]),
-                           records=records, min_len=opts["min-len"],
+                           records=opts["records"], min_len=opts["min-len"],
                            max_len=opts["max-len"], seed=seed)
     ds = synth.generate(spec)
     save_dataset(ds, os.path.join(out, DATASET_FILE))
@@ -300,14 +314,11 @@ class _Table:
 
 
 def _dataset_pssms(ds, opts):
-    pssm_dir = opts["pssm-dir"]
+    """Profile per record id: synthetic from --seed, or read from
+    --pssm-dir, where a parse error names its file."""
     if opts["synth-pssms"]:
-        if opts["seed"] is None:
-            raise UsageError("--synth-pssms requires --seed")
         return synth.generate_pssms(ds, opts["seed"])
-    if not pssm_dir:
-        raise UsageError("scheme encoding needs --pssm-dir or --synth-pssms")
-    profiles = {}
+    pssm_dir, profiles = opts["pssm-dir"], {}
     for r in ds.records:
         path = os.path.join(pssm_dir, f"{r.id}.pssm")
         text = read_text(path)  # a read error names the path itself
@@ -318,41 +329,12 @@ def _dataset_pssms(ds, opts):
     return profiles
 
 
-def _encode(opts) -> _Table:
-    """--dataset featurized by --scheme, or tokenized by --ngrams; a data
-    error in one record names it."""
-    ds = load_dataset(_require(opts["dataset"], "dataset"))
-    scheme, n = opts["scheme"], opts["ngrams"]
-    if (scheme is None) == (n is None):
-        raise UsageError("pass exactly one of --scheme or --ngrams")
-    ids = [r.id for r in ds.records]
-    profiles = _dataset_pssms(ds, opts) if scheme else None
-    rows = []
-    try:
-        for r in ds.records:
-            rows.append(pssm.encode_record_features(
-                r.residues, profiles[r.id], scheme) if scheme
-                else ngram.tokenize(r.residues, n))
-    except DataError as exc:
-        raise located(exc, f"record {r.id}") from exc
-    if scheme:
-        matrix = np.array(rows).reshape(len(rows), pssm.SCHEME_DIMS[scheme])
-        return _Table(matrix, ids, ds.labels)
-    vocab = ngram.build_vocab(rows, n)
-    max_len = max(len(tokens) for tokens in rows)
-    matrix = ngram.encode_corpus(rows, vocab, max_len)
-    return _Table(matrix, ids, ds.labels, vocab)
-
-
 def _load_table(opts) -> _Table:
     """The --features file, or the --tokens file with its --vocab."""
-    features, tokens = opts["features"], opts["tokens"]
-    if (features is None) == (tokens is None):
-        raise UsageError("pass exactly one of --features or --tokens")
-    if features:
-        ids, labels, _, matrix = store.read_features_csv(features)
+    if opts["features"]:
+        ids, labels, _, matrix = store.read_features_csv(opts["features"])
         return _Table(matrix, ids, labels)
-    vocab_path = _require(opts["vocab"], "vocab")
+    tokens, vocab_path = opts["tokens"], opts["vocab"]
     vocab, max_len = ngram.load_vocab(vocab_path)
     ids, labels, matrix = store.read_tokens_csv(tokens)
     if matrix.shape[1] != max_len:
@@ -364,24 +346,37 @@ def _load_table(opts) -> _Table:
     return _Table(matrix, ids, labels, vocab)
 
 
+def _each_record(ds, encode) -> list:
+    """encode of each record of ds; a data error names the record."""
+    rows = []
+    for r in ds.records:
+        try:
+            rows.append(encode(r))
+        except DataError as exc:
+            raise located(exc, f"record {r.id}") from exc
+    return rows
+
+
 def cmd_encode(opts, out):
-    table = _encode(opts)
-    records = len(table.ids)
-    if table.vocab is None:
-        store.write_features_csv(os.path.join(out, FEATURES_FILE), table.ids,
-                                 table.labels, opts["scheme"], table.matrix)
-        artifacts = [FEATURES_FILE]
-        message = (f"encoded {records} records as {opts['scheme']} "
-                   f"({table.matrix.shape[1]} features)")
-    else:
-        max_len = table.matrix.shape[1]
-        ngram.save_vocab(table.vocab, max_len, os.path.join(out, VOCAB_FILE))
-        store.write_tokens_csv(os.path.join(out, TOKENS_FILE), table.ids,
-                               table.labels, table.matrix)
-        artifacts = [VOCAB_FILE, TOKENS_FILE]
-        message = (f"encoded {records} records as {opts['ngrams']}-grams "
-                   f"(vocab {table.vocab.size}, max_len {max_len})")
-    return artifacts, message
+    ds = load_dataset(opts["dataset"])
+    ids, scheme, n = [r.id for r in ds.records], opts["scheme"], opts["ngrams"]
+    if scheme:
+        profiles = _dataset_pssms(ds, opts)
+        rows = _each_record(ds, lambda r: pssm.encode_record_features(
+            r.residues, profiles[r.id], scheme))
+        matrix = np.array(rows).reshape(len(rows), pssm.SCHEME_DIMS[scheme])
+        store.write_features_csv(os.path.join(out, FEATURES_FILE), ids,
+                                 ds.labels, scheme, matrix)
+        return ([FEATURES_FILE], f"encoded {len(ids)} records as {scheme} "
+                f"({matrix.shape[1]} features)")
+    rows = _each_record(ds, lambda r: ngram.tokenize(r.residues, n))
+    vocab = ngram.build_vocab(rows, n)
+    max_len = max(len(tokens) for tokens in rows)
+    ngram.save_vocab(vocab, max_len, os.path.join(out, VOCAB_FILE))
+    store.write_tokens_csv(os.path.join(out, TOKENS_FILE), ids, ds.labels,
+                           ngram.encode_corpus(rows, vocab, max_len))
+    return ([VOCAB_FILE, TOKENS_FILE], f"encoded {len(ids)} records as "
+            f"{n}-grams (vocab {vocab.size}, max_len {max_len})")
 
 
 def _model_factory(opts, model, table) -> estimators.ModelFactory:
@@ -407,8 +402,7 @@ def _model_factory(opts, model, table) -> estimators.ModelFactory:
 
 
 def cmd_train(opts, out):
-    model_kind = _require(opts["model"], "model")
-    seed = _require(opts["seed"], "seed")
+    model_kind, seed = opts["model"], opts["seed"]
     table = _load_table(opts)
     estimator = _model_factory(opts, model_kind, table)({}, seed)
     estimator.fit(table.matrix, table.y)
@@ -420,8 +414,7 @@ def cmd_train(opts, out):
 def _predict(opts):
     """Scores the data file with --model-file; returns (table, the
     model's class names, probabilities)."""
-    model, class_names = store.load_model(
-        _require(opts["model-file"], "model-file"))
+    model, class_names = store.load_model(opts["model-file"])
     table = _load_table(opts)
     proba = model.predict_proba(table.matrix)
     if proba.shape[1] != len(class_names):
@@ -460,9 +453,8 @@ def _parse_grid(text, model_kind) -> list:
 
 
 def cmd_nested_cv(opts, out):
-    model_kind = _require(opts["model"], "model")
-    seed = _require(opts["seed"], "seed")
-    table = _encode(opts) if opts["dataset"] else _load_table(opts)
+    model_kind, seed = opts["model"], opts["seed"]
+    table = _load_table(opts)
     factory = _model_factory(opts, model_kind, table)
     grid = _parse_grid(opts["grid"], model_kind)
     for params in grid:  # a bad grid point fails before any fit runs
@@ -486,47 +478,27 @@ def cmd_nested_cv(opts, out):
 
 
 def _prediction_names(paths) -> list:
-    """Shortest distinct path suffix per file.
-
-    Prediction artifacts all share one fixed basename, so names must
-    grow leftward until they differ; two identical paths cannot.
-    """
-    parts = [os.path.normpath(p).split(os.sep) for p in paths]
-    depth = [1] * len(paths)
-
-    def name(i):
-        return os.sep.join(parts[i][-depth[i]:])
-
-    changed = True
-    while changed:
-        changed = False
-        groups = {}
-        for i in range(len(paths)):
-            groups.setdefault(name(i), []).append(i)
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            grew = False
-            for i in group:
-                if depth[i] < len(parts[i]):
-                    depth[i] += 1
-                    grew = True
-            if not grew:
-                raise UsageError(
-                    f"duplicate prediction file: {paths[group[0]]}")
-            changed = True
-    return [name(i) for i in range(len(paths))]
+    """Each path relative to the deepest directory that holds them all:
+    prediction files share one basename, so their names keep the
+    directories that tell them apart. Two paths to one file are a usage
+    error."""
+    absolute = [os.path.abspath(p) for p in paths]
+    root = os.path.commonpath([os.path.dirname(p) for p in absolute])
+    names = [os.path.relpath(p, root) for p in absolute]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"duplicate prediction file: {paths[i]}")
+    return names
 
 
 def cmd_report(opts, out):
     pred_paths, dataset_path = opts["predictions"], opts["dataset"]
-    if not pred_paths and not dataset_path:
-        raise UsageError("report needs --predictions and/or --dataset")
     if opts["top-tokens"] < 1:
         raise UsageError("--top-tokens must be at least 1")
     artifacts = []
 
     if pred_paths:
+        names = _prediction_names(pred_paths)
         tables = [store.read_predictions_csv(path) for path in pred_paths]
         ids0, true0, _, class_names, proba0 = tables[0]
         doc, curves = evaluation.compute_report(
@@ -536,7 +508,7 @@ def cmd_report(opts, out):
         if len(pred_paths) > 1:
             predictions = {}
             for path, name, (ids, true, predicted, _, _) in zip(
-                    pred_paths, _prediction_names(list(pred_paths)), tables):
+                    pred_paths, names, tables):
                 if ids != ids0 or true != true0:
                     raise DataError(f"{path}: records do not match "
                                     f"{pred_paths[0]}")
@@ -547,8 +519,6 @@ def cmd_report(opts, out):
             artifacts.append(DISAGREEMENT_FILE)
 
     if dataset_path:
-        if opts["ngrams"] is None:
-            raise UsageError("token tables need --ngrams")
         ds = load_dataset(dataset_path)
         store.write_token_frequencies_csv(
             os.path.join(out, TOKEN_FREQUENCIES_FILE),
@@ -585,7 +555,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage())
         opts = _options(args)
-        out = _require(opts.pop("out"), "out")
+        out = opts.pop("out")
         created = _outermost_missing(out)
         try:
             os.makedirs(out, exist_ok=True)

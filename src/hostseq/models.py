@@ -163,9 +163,9 @@ class CnnNet(_Net):
         for i, (c_in, c_out) in enumerate(zip(channels, channels[1:])):
             self._weights(f"conv{i}", k * c_in, k * c_out, (k, c_in, c_out))
             length = (length - k + 1) // 2
-            if length < 1:
-                raise ValueError(
-                    f"max_len {spec.max_len} too short for 3 conv/pool stages")
+            if length < 1:  # max_len is the width of the token file
+                raise DataError(f"max_len {spec.max_len} too short for 3 "
+                                f"conv/pool stages of kernel size {k}")
         width = length * channels[-1]
         for i, h in enumerate(self.HEAD):
             self._weights(f"head{i}", width, h)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqio import DataError, LabeledDataset, read_json
-from .util import atomic_write_text
+from .util import atomic_write_text, located
 
 PAD_ID = 0
 OOV_ID = 1
@@ -92,10 +92,13 @@ def true_lengths(ids) -> np.ndarray:
 
 def token_frequencies(ds: LabeledDataset, n: int) -> dict:
     """Per-class n-gram counts (the tabular stand-in for per-class token
-    clouds)."""
+    clouds); a data error names its record."""
     out = {name: Counter() for name in ds.class_names}
     for rec, label in zip(ds.records, ds.labels):
-        out[label].update(tokenize(rec.residues, n))
+        try:
+            out[label].update(tokenize(rec.residues, n))
+        except DataError as exc:
+            raise located(exc, f"record {rec.id}") from exc
     return out
 
 

@@ -221,7 +221,10 @@ def test_nested_cv_transformer_tokens(tmp_path):
     dataset = synth_corpus(out, records=24, seed=11)
     grid = json.dumps([{"embed_dim": 8, "num_heads": 1,
                         "learning_rate": 0.01, "epochs": 3}])
-    assert run(["nested-cv", "--dataset", dataset, "--ngrams", "3",
+    assert run(["encode", "--dataset", dataset, "--ngrams", "3",
+                "--out", str(out)]) == 0
+    assert run(["nested-cv", "--tokens", str(out / "tokens.csv"),
+                "--vocab", str(out / "vocab.json"),
                 "--model", "transformer", "--grid", grid,
                 "--k-outer", "2", "--k-inner", "2", "--seed", "2",
                 "--out", str(out)]) == 0
@@ -703,16 +706,16 @@ def test_manifest_config_replays(tmp_path, command):
                    "--pssm-dir", str(syn / "pssms")],
         "evaluate": ["evaluate", "--model-file", model, "--features",
                      features],
-        "nested-cv": ["nested-cv", "--model", "rf", "--dataset", dataset,
-                      "--scheme", "eg", "--synth-pssms", "--grid",
+        "nested-cv": ["nested-cv", "--model", "rf", "--features",
+                      str(tmp_path / "enc" / "features.csv"), "--grid",
                       '{"n_estimators": [3], "max_depth": [2]}',
                       "--k-outer", "2", "--k-inner", "2", "--seed", "3"],
         "report": ["report", "--predictions",
                    str(tmp_path / "p" / "predictions.csv"), "--dataset",
                    dataset, "--ngrams", "2", "--top-tokens", "5"],
     }
-    for name, out in (("synth", syn), ("train", tmp_path / "rf"),
-                      ("predict", tmp_path / "p")):
+    for name, out in (("synth", syn), ("encode", tmp_path / "enc"),
+                      ("train", tmp_path / "rf"), ("predict", tmp_path / "p")):
         assert run(argv[name] + ["--out", str(out)]) == 0
     first, second = tmp_path / "first", tmp_path / "second"
     assert run(argv[command] + ["--out", str(first)]) == 0
@@ -943,6 +946,15 @@ def malformed_input(tmp_path, case):
                      "coarse": "human"},
                     {"id": "short", "residues": "MKAILVVLL",
                      "coarse": "avian"}]}))
+    # 18 bigrams per row, too few for the CNN's three conv/pool stages
+    bigrams = [ngram.tokenize(s, 2) for s in ("MKTIIALSYIFCLVFAMLG",
+                                             "MKAILVVLLYTFATANMLG")]
+    narrow_vocab = tmp_path / "narrow_vocab.json"
+    ngram.save_vocab(ngram.build_vocab(bigrams, 2), 18, narrow_vocab)
+    narrow_tokens = tmp_path / "narrow_tokens.csv"
+    store.write_tokens_csv(narrow_tokens, ["r0", "r1"], ["a", "b"],
+                           ngram.encode_corpus(
+                               bigrams, ngram.build_vocab(bigrams, 2), 18))
     one_class = tmp_path / "one_class.csv"
     store.write_features_csv(one_class, ["r0", "r1"], ["a", "a"], "eg",
                              np.eye(2))
@@ -998,6 +1010,12 @@ def malformed_input(tmp_path, case):
         "encode-record-too-short": ["encode", "--dataset", str(short_record),
                                     "--scheme", "er", "--synth-pssms",
                                     "--seed", "1"] + out,
+        "report-record-too-short": ["report", "--dataset", str(one_record),
+                                    "--ngrams", "5"] + out,
+        "tokens-too-narrow-for-cnn": ["train", "--model", "cnn", "--seed",
+                                      "1", "--epochs", "1", "--tokens",
+                                      str(narrow_tokens), "--vocab",
+                                      str(narrow_vocab)] + out,
     }[case]
 
 
@@ -1009,7 +1027,8 @@ def malformed_input(tmp_path, case):
     "tokens-true-len-miscounted", "tokens-id-overflow", "pssm-score-overflow",
     "rusboost-no-first-round", "features-one-class-mlp",
     "features-one-class-rusboost", "fasta-empty-id",
-    "encode-record-too-short"])
+    "encode-record-too-short", "report-record-too-short",
+    "tokens-too-narrow-for-cnn"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
@@ -1022,13 +1041,18 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, case):
                           f"has empty id",
         "encode-record-too-short": "record short: gapped pseudo-composition "
                                    "needs at least 10 positions, got 9",
+        "report-record-too-short": "record a: cannot take 5-grams of a "
+                                   "length-4 sequence",
+        # the token width comes from the data file, not from a flag
+        "tokens-too-narrow-for-cnn": "max_len 18 too short for 3 conv/pool "
+                                     "stages",
     }.get(case)
     assert where is None or err.startswith(f"data error: {where}"), err
 
 
 def test_dataset_and_encoded_features_agree(tmp_path):
-    # prepare orders classes by name, and nested-cv reads the same
-    # order from a dataset as from the features encoded from it
+    # prepare orders classes by name, and nested-cv on the features
+    # encoded from that dataset reports them in the same order
     ds = synth.generate(synth.SynthSpec(
         classes=synth.default_classes(3), records=30, min_len=40,
         max_len=50, seed=3))
@@ -1046,72 +1070,128 @@ def test_dataset_and_encoded_features_agree(tmp_path):
     assert run(["prepare", "--fasta", str(fasta), "--level", "coarse",
                 "--out", str(tmp_path / "prep")]) == 0
     dataset = str(tmp_path / "prep" / "dataset.json")
-    assert seqio.load_dataset(dataset).class_names == (
-        "avian", "human", "swine")
-    eg = ["--scheme", "eg", "--pssm-dir", str(pssms)]
-    cv = ["nested-cv", "--model", "rf", "--grid",
-          '{"n_estimators": [3], "max_depth": [2]}', "--k-outer", "3",
-          "--k-inner", "2", "--seed", "1"]
-    assert run(cv + ["--dataset", dataset, *eg,
-                     "--out", str(tmp_path / "a")]) == 0
-    assert run(["encode", "--dataset", dataset, *eg,
-                "--out", str(tmp_path / "enc")]) == 0
-    assert run(cv + ["--features", str(tmp_path / "enc" / "features.csv"),
-                     "--out", str(tmp_path / "b")]) == 0
-    for name in ("cv_plan.json", "metrics.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes(), name
+    class_names = seqio.load_dataset(dataset).class_names
+    assert class_names == ("avian", "human", "swine")
+    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
+                "--pssm-dir", str(pssms), "--out", str(tmp_path / "enc")]) == 0
+    assert run(["nested-cv", "--model", "rf", "--grid",
+                '{"n_estimators": [3], "max_depth": [2]}', "--k-outer", "3",
+                "--k-inner", "2", "--seed", "1",
+                "--features", str(tmp_path / "enc" / "features.csv"),
+                "--out", str(tmp_path / "cv")]) == 0
+    metrics = json.loads((tmp_path / "cv" / "metrics.json").read_text())
+    assert tuple(metrics["pooled"]["class_names"]) == class_names
 
 
+# Test ids number the cases by their place here: append new ones.
 @pytest.mark.parametrize("case, flags", [
-    ("dataset-features", ("--dataset", "--features")),
-    ("dataset-tokens", ("--dataset", "--tokens")),
-    ("dataset-vocab", ("--dataset", "--vocab")),
+    ("scheme-ngrams", ("--scheme", "--ngrams")),
+    ("scheme-no-profiles", ("--scheme", "--pssm-dir", "--synth-pssms")),
+    ("synth-pssms-seed", ("--synth-pssms", "--seed")),
     ("ngrams-pssm-dir", ("--pssm-dir", "--scheme")),
     ("ngrams-synth-pssms", ("--synth-pssms", "--scheme")),
-    ("features-synth-pssms", ("--synth-pssms", "--scheme")),
-    ("config-dataset-features", ("--dataset", "--features")),
-    ("features-scheme", ("--scheme", "--dataset")),
+    ("ngrams-seed", ("--seed", "--synth-pssms")),
+    ("config-features-tokens", ("--features", "--tokens")),
+    ("encode-dataset-alone", ("--dataset", "--scheme", "--ngrams")),
     ("report-ngrams", ("--ngrams", "--dataset")),
     ("features-vocab", ("--vocab", "--tokens")),
+    ("report-dataset", ("--dataset", "--ngrams")),
+    ("tokens-vocab", ("--tokens", "--vocab")),
 ])
 def test_flag_that_would_be_ignored_exit_1(tmp_path, capsys, case, flags):
-    # Each case once exited 0, ignoring one of the two flags. The check
-    # reads resolved values, so a --config key counts.
+    # Each flag-presence rule of cli._EXCLUSIVE and cli._NEEDS; most cases
+    # once exited 0, ignoring one of the flags. The check reads resolved
+    # values, so a --config key counts.
     syn = tmp_path / "syn"
     dataset = synth_corpus(syn, records=18, classes=3, seed=5)
     features = str(seeded_features(tmp_path))
     cv = ["nested-cv", "--model", "rf", "--seed", "1", "--grid",
           '{"n_estimators": [2], "max_depth": [2]}', "--k-outer", "2",
           "--k-inner", "2"]
-    eg = ["--dataset", dataset, "--scheme", "eg", "--synth-pssms"]
+    encode = ["encode", "--dataset", dataset]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dataset": dataset, "features": features}))
+    config.write_text(json.dumps({"features": features, "tokens": features}))
     predictions = tmp_path / "predictions.csv"
     store.write_predictions_csv(predictions, ["r0", "r1"], ["a", "b"],
                                 np.array([[0.7, 0.3], [0.2, 0.8]]), ("a", "b"))
     argv = {
-        "dataset-features": cv + eg + ["--features", features],
-        "dataset-tokens": cv + eg + ["--tokens", features],
-        "dataset-vocab": cv + eg + ["--vocab", features],
-        "ngrams-pssm-dir": ["encode", "--dataset", dataset, "--ngrams", "2",
-                            "--pssm-dir", "nowhere"],
-        "ngrams-synth-pssms": ["encode", "--dataset", dataset, "--ngrams",
-                               "2", "--synth-pssms", "--seed", "1"],
-        "features-synth-pssms": cv + ["--features", features,
-                                      "--synth-pssms"],
-        "config-dataset-features": cv + ["--scheme", "eg", "--synth-pssms",
-                                         "--config", str(config)],
-        "features-scheme": cv + ["--features", features, "--scheme", "gdpc"],
+        "scheme-ngrams": encode + ["--scheme", "eg", "--synth-pssms",
+                                   "--seed", "1", "--ngrams", "3"],
+        "scheme-no-profiles": encode + ["--scheme", "eg"],
+        "synth-pssms-seed": encode + ["--scheme", "eg", "--synth-pssms"],
+        "ngrams-pssm-dir": encode + ["--ngrams", "2", "--pssm-dir",
+                                     "nowhere"],
+        "ngrams-synth-pssms": encode + ["--ngrams", "2", "--synth-pssms",
+                                        "--seed", "1"],
+        # exited 0 with the tokens of the run without --seed, and the
+        # manifest recorded seed 7
+        "ngrams-seed": encode + ["--ngrams", "3", "--seed", "7"],
+        "config-features-tokens": cv + ["--config", str(config)],
+        "encode-dataset-alone": encode,
         "report-ngrams": ["report", "--predictions", str(predictions),
                           "--ngrams", "3"],
         "features-vocab": ["train", "--model", "rf", "--seed", "1",
                            "--features", features, "--vocab", "nowhere"],
+        "report-dataset": ["report", "--dataset", dataset],
+        "tokens-vocab": ["train", "--model", "mlp", "--seed", "1",
+                         "--tokens", features],
     }[case]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and all(flag in err for flag in flags), err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, group", [
+    ("prepare", "fasta"), ("prepare", "level"), ("synth", "records"),
+    ("synth", "seed"), ("synth", "out"), ("encode", "dataset"),
+    ("train", "model"), ("train", "seed"), ("train", "features|tokens"),
+    ("evaluate", "model-file"), ("predict", "features|tokens"),
+    ("nested-cv", "model"), ("nested-cv", "features|tokens"),
+    ("report", "predictions|dataset"),
+])
+def test_missing_required_flag_exit_1(tmp_path, capsys, command, group):
+    # Every input path is missing: the command exits 1 for the missing
+    # group before it reads a file, and 2 once the group is given.
+    missing = str(tmp_path / "missing")
+    flags = {
+        "prepare": {"fasta": missing, "level": "coarse"},
+        "synth": {"records": "10", "seed": "1"},
+        "encode": {"dataset": missing, "ngrams": "2"},
+        "train": {"model": "rf", "seed": "1", "features": missing},
+        "evaluate": {"model-file": missing, "features": missing},
+        "predict": {"model-file": missing, "features": missing},
+        "nested-cv": {"model": "rf", "seed": "1", "features": missing},
+        "report": {"predictions": missing},
+    }[command]
+    flags["out"] = str(tmp_path / "o")
+    names = group.split("|")
+
+    def argv(given):
+        return [command] + [a for name in given
+                            for a in ("--" + name, flags[name])]
+
+    assert run(argv([name for name in flags if name not in names])) == 1
+    assert capsys.readouterr().err == (
+        f"{command} needs {' or '.join('--' + n for n in names)}\n")
+    assert not (tmp_path / "o").exists()
+    assert run(argv(flags)) == (0 if command == "synth" else 2)
+
+
+def test_flag_rules_name_flags_of_the_commands_they_apply_to():
+    # a rule whose names no command has together would never fire
+    flags = {command: {"out", *names}
+             for command, (_, names, _) in cli._SUBCOMMANDS.items()}
+    for command, (_, _, required) in cli._SUBCOMMANDS.items():
+        for group in required:
+            assert set(group.split("|")) <= flags[command], (command, group)
+    for pair in cli._EXCLUSIVE:
+        assert any(set(pair) <= names for names in flags.values()), pair
+    for name, group in cli._NEEDS:
+        others = set(group.split("|"))
+        applies = [names for names in flags.values()
+                   if name in names and others & names]
+        assert applies and others <= set().union(*applies), (name, group)
 
 
 @pytest.mark.parametrize("model", ["mlp", "cnn", "transformer"])
