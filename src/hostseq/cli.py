@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, estimators, evaluation, ngram, pssm, store, synth
 from .estimators import UsageError
-from .models import OPTIMIZERS, TrainingDivergedError
+from .models import TrainingDivergedError
 from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
                     read_text, save_dataset, write_fasta)
 from .util import atomic_write_text, located
@@ -78,8 +78,7 @@ _FLAGS = {
     "tokens": {"help": "tokens.csv path"},
     "vocab": {"help": "vocab.json path"},
     "model-file": {"help": "model.bin path"},
-    "optimizer": {"choices": tuple(OPTIMIZERS)},
-    "hidden": {"help": "comma-separated dense layer sizes"},
+    "hidden": {"help": "width of the MLP's hidden layer"},
     "base-depth": {"help": "depth of boosted base trees"},
     "k-outer": {"type": int, "default": 5},
     "k-inner": {"type": int, "default": 4},
@@ -131,6 +130,9 @@ _NEEDS = (("pssm-dir", "scheme"), ("synth-pssms", "scheme"),
           ("scheme", "pssm-dir|synth-pssms"), ("synth-pssms", "seed"),
           ("seed", "synth-pssms"), ("dataset", "scheme|ngrams"),
           ("ngrams", "dataset"), ("tokens", "vocab"), ("vocab", "tokens"))
+# Flags whose value must lie in [low, high]; a high of None is no bound.
+_RANGES = {"ngrams": (1, ngram.MAX_N), "workers": (1, None),
+           "top-tokens": (1, None)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,11 +141,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flag_options(name) -> dict:
-    """add_argument keywords of flag --name: a model field's type (a tuple
-    field is text, read by _model_factory), then its _FLAGS entry."""
-    kind = estimators.FIELDS.get(name.replace("-", "_"), tuple)
-    return {**({} if kind is tuple else {"type": kind}),
-            **_FLAGS.get(name, {})}
+    """add_argument keywords of flag --name: a model field's type, then
+    its _FLAGS entry."""
+    kind = estimators.FIELDS.get(name.replace("-", "_"))
+    return {**({"type": kind} if kind else {}), **_FLAGS.get(name, {})}
 
 
 def build_parser() -> _Parser:
@@ -162,7 +163,7 @@ def _config_value(name, value, options):
     """A config value of flag --name read the way the flag's text is. A
     store-true flag takes true or false; a typed flag converts a string,
     or the JSON text of another value; a text flag takes a string (or a
-    list of them for --predictions, a JSON list or number for --hidden)."""
+    list of them for --predictions)."""
     try:
         if options.get("action") == "store_true":
             if not isinstance(value, bool):
@@ -175,7 +176,7 @@ def _config_value(name, value, options):
         elif "type" in options:
             value = options["type"](
                 value if isinstance(value, str) else json.dumps(value))
-        elif not isinstance(value, str) and name != "hidden":
+        elif not isinstance(value, str):
             raise ValueError
     except ValueError:
         raise UsageError(f"config --{name} cannot be {value!r}") from None
@@ -191,8 +192,8 @@ def _options(args) -> dict:
     flag unset. A config key that is no subcommand's flag is a usage
     error; another subcommand's flag is ignored, so one config can drive
     a whole pipeline. Resolved flags that break a required group (--out
-    and the command's), _EXCLUSIVE or _NEEDS are a usage error; a null,
-    false or empty value counts as not given."""
+    and the command's), _EXCLUSIVE, _NEEDS or _RANGES are a usage error;
+    a null, false or empty value counts as not given."""
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -228,6 +229,11 @@ def _options(args) -> dict:
         if name in given and flags(group) and given.isdisjoint(
                 group.split("|")):
             raise UsageError(f"--{name} needs {flags(group)}")
+    for name, (low, high) in _RANGES.items():
+        value = opts.get(name)
+        if value is not None and not low <= value <= (high or value):
+            span = f"in [{low}, {high}]" if high else f"at least {low}"
+            raise UsageError(f"--{name} must be {span}, got {value}")
     return opts
 
 
@@ -389,11 +395,6 @@ def _model_factory(opts, model, table) -> estimators.ModelFactory:
     if unread:
         raise UsageError(
             f"--model {model} reads no --{unread[0].replace('_', '-')}")
-    hidden = given.get("hidden")
-    if isinstance(hidden, str):
-        hidden = [v for v in hidden.split(",") if v]
-    if hidden is not None:
-        given["hidden"] = estimators.coerce(tuple, "hidden", hidden)
     width = table.matrix.shape[1]
     shape = ({"in_dim": width} if table.vocab is None
              else {"vocab_size": table.vocab.size, "max_len": width})
@@ -416,10 +417,7 @@ def _predict(opts):
     model's class names, probabilities)."""
     model, class_names = store.load_model(opts["model-file"])
     table = _load_table(opts)
-    proba = model.predict_proba(table.matrix)
-    if proba.shape[1] != len(class_names):
-        raise DataError("model class count does not match data")
-    return table, class_names, proba
+    return table, class_names, model.predict_proba(table.matrix)
 
 
 def cmd_evaluate(opts, out):
@@ -464,7 +462,7 @@ def cmd_nested_cv(opts, out):
                                    seed)
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
     # --workers, capped at the cores this process may run on
-    workers = max(min(opts["workers"], len(os.sched_getaffinity(0))), 1)
+    workers = min(opts["workers"], len(os.sched_getaffinity(0)))
     doc, curves = evaluation.nested_cv(table.matrix, table.y, factory, grid,
                                        plan, table.class_names,
                                        workers=workers)
@@ -493,8 +491,6 @@ def _prediction_names(paths) -> list:
 
 def cmd_report(opts, out):
     pred_paths, dataset_path = opts["predictions"], opts["dataset"]
-    if opts["top-tokens"] < 1:
-        raise UsageError("--top-tokens must be at least 1")
     artifacts = []
 
     if pred_paths:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .seqio import DataError
-from .util import derive_seed
+from .util import check_signs, derive_seed
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        check_signs(self, positive=("n_estimators", "max_depth"))
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,8 @@ class RusBoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_signs(self, positive=("n_estimators", "learning_rate",
+                                    "max_depth"))
 
 
 @dataclass(eq=False)

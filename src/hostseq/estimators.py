@@ -30,8 +30,8 @@ KINDS = {
 }
 # Checkpoint "model" tag -> estimator class.
 FAMILIES = {kind.estimator.FAMILY: kind.estimator for kind in KINDS.values()}
-_INPUT_FLAGS = {"features": "feature input (--scheme/--features)",
-                "tokens": "token input (--ngrams/--tokens)"}
+_INPUT_FLAGS = {"features": "feature input (--features)",
+                "tokens": "token input (--tokens with --vocab)"}
 
 DEFAULT_GRIDS = {
     "rf": {"n_estimators": [100, 200, 500, 1000, 1500, 2000],
@@ -64,8 +64,7 @@ SETTABLE = {
     ModelSpec: {"hidden": (), "embed_dim": (), "filters": ("num_filters",),
                 "kernel_size": (), "num_heads": ()},
     TrainConfig: {"learning_rate": ("learning_rate_init",),
-                  "batch_size": (), "epochs": ("max_iter",),
-                  "optimizer": (), "alpha": ()},
+                  "batch_size": (), "epochs": ("max_iter",), "alpha": ()},
 }
 
 
@@ -85,12 +84,8 @@ READS = {model: frozenset(name for cls in kind.configs
 
 
 def coerce(kind, name, value):
-    """value as a config field of type kind; a scalar for a tuple field
-    (the MLP's hidden layer sizes) is one layer of that width."""
+    """value as a config field of type kind."""
     try:
-        if kind is tuple:
-            return tuple(int(v) for v in (
-                value if isinstance(value, (list, tuple)) else [value]))
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{name!r} takes a {kind.__name__}, "
@@ -144,9 +139,8 @@ class ModelFactory:
         kind = KINDS[self.model]
         # the fields set here, not by name, where a config has them
         fixed = {"seed": seed, "kind": self.model,
-                 "n_classes": self.n_classes, "input_kind": self.input_kind,
-                 "in_dim": self.in_dim, "vocab_size": self.vocab_size,
-                 "max_len": self.max_len}
+                 "n_classes": self.n_classes, "in_dim": self.in_dim,
+                 "vocab_size": self.vocab_size, "max_len": self.max_len}
 
         def config(cls):
             values = {f.name: fixed[f.name] for f in dataclasses.fields(cls)

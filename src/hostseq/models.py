@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .seqio import DataError
-from .util import derive_seed
+from .util import check_signs, derive_seed
 
 
 class TrainingDivergedError(RuntimeError):
@@ -28,28 +28,23 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 300
-    optimizer: str = "adam"
-    alpha: float = 0.0
+    alpha: float = 0.0             # L2 weight decay
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_signs(self, positive=("learning_rate", "batch_size", "epochs"),
+                    non_negative=("alpha",))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description, sufficient to rebuild the network."""
+    """Architecture description, sufficient to rebuild the network. A
+    nonzero vocab_size means token input (see input_kind)."""
 
     kind: str                      # a key of NETS
     n_classes: int
-    input_kind: str = "features"   # features | tokens
     in_dim: int = 0                # feature input width
-    hidden: tuple = (100,)         # mlp hidden layer sizes
+    hidden: int = 100              # width of the mlp's one hidden layer
     vocab_size: int = 0            # token inputs
     max_len: int = 0
     embed_dim: int = 32
@@ -62,18 +57,24 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_classes < 2:  # the class count of the training data
             raise DataError("need at least 2 classes")
-        if self.input_kind not in NETS[self.kind].INPUTS:
-            raise ValueError(f"{self.kind} reads only "
-                             f"{' or '.join(NETS[self.kind].INPUTS)}")
-        if self.input_kind == "features" and self.in_dim < 1:
-            raise ValueError("feature input requires in_dim")
+        check_signs(self, positive=("hidden", "embed_dim", "filters",
+                                    "kernel_size", "num_heads"))
         if self.input_kind == "tokens":
             if self.vocab_size < 2 or self.max_len < 1:
                 raise ValueError("token input requires vocab_size and max_len")
+        elif "features" not in NETS[self.kind].INPUTS:
+            raise ValueError(f"{self.kind} reads only token input, which "
+                             f"requires vocab_size and max_len")
+        elif self.in_dim < 1:
+            raise ValueError("feature input requires in_dim")
         if self.kind == "transformer" and self.embed_dim % self.num_heads:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"num_heads {self.num_heads}")
+
+    @property
+    def input_kind(self) -> str:
+        return "tokens" if self.vocab_size else "features"
 
 
 class _Net:
@@ -116,7 +117,8 @@ class _Net:
 
 
 class MlpNet(_Net):
-    """Dense ReLU stack. Token input is embedded and flattened first."""
+    """One dense ReLU hidden layer of width hidden, then the output
+    layer. Token input is embedded and flattened first."""
 
     INPUTS = ("features", "tokens")
 
@@ -127,10 +129,8 @@ class MlpNet(_Net):
             width = spec.max_len * spec.embed_dim
         else:
             width = spec.in_dim
-        for i, h in enumerate(spec.hidden):
-            self._weights(f"h{i}", width, h)
-            width = h
-        self._weights("out", width, spec.n_classes)
+        self._weights("h0", width, spec.hidden)
+        self._weights("out", spec.hidden, spec.n_classes)
 
     def forward(self, inputs) -> Tensor:
         if "embed" in self.params:
@@ -138,9 +138,7 @@ class MlpNet(_Net):
             x = ag.reshape(x, (inputs.shape[0], -1))
         else:
             x = Tensor(inputs)
-        for i in range(len(self.spec.hidden)):
-            x = ag.relu(self._dense(f"h{i}", x))
-        return self._dense("out", x)
+        return self._dense("out", ag.relu(self._dense("h0", x)))
 
 
 class CnnNet(_Net):
@@ -247,17 +245,6 @@ def build_net(spec: ModelSpec, seed: int):
     return NETS[spec.kind](spec, rng)
 
 
-class Sgd:
-    def __init__(self, params, lr):
-        self.params = params
-        self.lr = lr
-
-    def step(self):
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
-
-
 class Adam:
     """Adam (Kingma & Ba, ICLR 2015) with bias-corrected moments.
 
@@ -300,18 +287,14 @@ class Adam:
             p.data -= np.divide(s, u, out=s)
 
 
-# TrainConfig.optimizer -> optimizer class
-OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
-
-
 @dataclass
 class FitResult:
     epoch_losses: list = field(default_factory=list)
 
 
 def train(net, inputs, labels, config: TrainConfig) -> FitResult:
-    """Run the mini-batch loop over net.params, adding alpha * w to the
-    gradient of each weight named <layer>.w; raises TrainingDivergedError
+    """Run the mini-batch Adam loop over net.params, adding alpha * w to
+    the gradient of each weight named <layer>.w; raises TrainingDivergedError
     on a non-finite loss, naming the 1-based epoch. Floating-point
     warnings are silenced, since the loss check reports divergence."""
     labels = np.asarray(labels)
@@ -320,7 +303,7 @@ def train(net, inputs, labels, config: TrainConfig) -> FitResult:
         raise ValueError("labels must be one per input row")
     params = list(net.params.values())
     decayed = [p for name, p in net.params.items() if name.endswith(".w")]
-    opt = OPTIMIZERS[config.optimizer](params, config.learning_rate)
+    opt = Adam(params, config.learning_rate)
     result = FitResult()
     with np.errstate(all="ignore"):
         for epoch in range(1, config.epochs + 1):
@@ -368,6 +351,10 @@ class NeuralClassifier:
         self.net = None
         self.history = None
 
+    @property
+    def n_classes(self) -> int:
+        return self.spec.n_classes
+
     def fit(self, inputs, labels):
         inputs = self._check_inputs(inputs)
         labels = np.asarray(labels)
@@ -413,8 +400,7 @@ class NeuralClassifier:
 
     @classmethod
     def from_checkpoint(cls, meta, arrays) -> "NeuralClassifier":
-        spec = ModelSpec(**{**meta["spec"],
-                            "hidden": tuple(meta["spec"]["hidden"])})
+        spec = ModelSpec(**meta["spec"])
         clf = cls(spec, TrainConfig(**meta["config"]))
         clf.net = build_net(spec, clf.config.seed)
         params = clf.net.params

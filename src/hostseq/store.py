@@ -242,13 +242,18 @@ def save_model(path, model, class_names) -> None:
 
 
 def load_model(path):
-    """Returns (model, class_names)."""
+    """Returns (model, class_names), one class name per model class."""
     _, meta, arrays = load_checkpoint(path)
     cls = FAMILIES.get(meta.get("model"))
     if cls is None:
         raise DataError(f"{path}: unknown model family {meta.get('model')!r}")
     try:
-        return cls.from_checkpoint(meta, arrays), tuple(meta["class_names"])
+        model, class_names = (cls.from_checkpoint(meta, arrays),
+                              tuple(meta["class_names"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(
             f"{path}: arrays or header do not match: {exc}") from exc
+    if len(class_names) != model.n_classes:
+        raise DataError(f"{path}: {len(class_names)} class names for a "
+                        f"model of {model.n_classes} classes")
+    return model, class_names

@@ -25,6 +25,18 @@ def derive_seed(*keys) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
+def check_signs(config, positive=(), non_negative=()) -> None:
+    """The range rule of the config dataclasses: a ValueError naming the
+    first field of config listed in positive that is not above 0, or in
+    non_negative that is not at least 0 (nan fails both)."""
+    for names, bound in ((positive, "positive"),
+                         (non_negative, "non-negative")):
+        for name in names:
+            value = getattr(config, name)
+            if not (value > 0 if bound == "positive" else value >= 0):
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 def located(exc, where):
     """An exception of exc's type whose message is exc's, prefixed with
     where: the file, record or fold it arose in."""

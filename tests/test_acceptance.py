@@ -220,10 +220,10 @@ def test_c6_end_to_end_learnability():
 
     def transformer_factory(params, seed):
         spec = ModelSpec(kind="transformer", n_classes=3,
-                         input_kind="tokens", vocab_size=vocab.size,
+                         vocab_size=vocab.size,
                          max_len=max_len, embed_dim=32, num_heads=1)
         cfg = TrainConfig(learning_rate=0.001, batch_size=128, epochs=30,
-                          optimizer="adam", seed=seed)
+                          seed=seed)
         return NeuralClassifier(spec, cfg)
 
     plan = ev.make_cv_plan(labels, k_outer=5, k_inner=4, seed=6)

@@ -176,16 +176,16 @@ def test_train_divergence_exit_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = run(["train", "--model", "mlp", "--features",
                     str(out / "features.csv"), "--out", str(out),
-                    "--optimizer", "sgd", "--learning-rate", "1e200",
+                    "--learning-rate", "1e200",
                     "--epochs", "5", "--seed", "1"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err.lower()
 
 
 def diverging_nested_cv(tmp_path):
-    return ["nested-cv", "--model", "mlp", "--optimizer", "sgd",
+    return ["nested-cv", "--model", "mlp",
             "--learning-rate", "1e200", "--epochs", "5",
-            "--grid", '{"hidden": [[8]]}',
+            "--grid", '{"hidden": [8]}',
             "--features", str(seeded_features(tmp_path)),
             "--k-outer", "2", "--k-inner", "2", "--seed", "1",
             "--workers", "2", "--out", str(tmp_path / "o")]
@@ -963,6 +963,11 @@ def malformed_input(tmp_path, case):
     store.write_features_csv(unboostable, [f"r{i}" for i in range(30)],
                              ["a"] * 3 + ["b"] * 13 + ["c"] * 14, "eg",
                              np.ones((30, 2)))
+    # a 3-class forest whose checkpoint lists 2 class names
+    few_names = tmp_path / "few_names.bin"
+    store.save_model(few_names, ensemble.fit_forest(
+        np.eye(3)[:, :2], np.arange(3), ensemble.ForestConfig(
+            n_estimators=2, max_depth=2)), ("a", "b"))
     out = ["--out", str(tmp_path / "o")]
     train = ["train", "--model", "mlp", "--seed", "1", "--epochs", "1"] + out
     return {
@@ -1016,6 +1021,10 @@ def malformed_input(tmp_path, case):
                                       "1", "--epochs", "1", "--tokens",
                                       str(narrow_tokens), "--vocab",
                                       str(narrow_vocab)] + out,
+        # once blamed the data: "model class count does not match data"
+        "model-too-few-class-names": ["predict", "--model-file",
+                                      str(few_names), "--features",
+                                      str(one_class)] + out,
     }[case]
 
 
@@ -1028,7 +1037,7 @@ def malformed_input(tmp_path, case):
     "rusboost-no-first-round", "features-one-class-mlp",
     "features-one-class-rusboost", "fasta-empty-id",
     "encode-record-too-short", "report-record-too-short",
-    "tokens-too-narrow-for-cnn"])
+    "tokens-too-narrow-for-cnn", "model-too-few-class-names"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, case):
     assert run(malformed_input(tmp_path, case)) == 2
     err = capsys.readouterr().err
@@ -1046,6 +1055,8 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, case):
         # the token width comes from the data file, not from a flag
         "tokens-too-narrow-for-cnn": "max_len 18 too short for 3 conv/pool "
                                      "stages",
+        "model-too-few-class-names": f"{tmp_path / 'few_names.bin'}: 2 class "
+                                     f"names for a model of 3 classes",
     }.get(case)
     assert where is None or err.startswith(f"data error: {where}"), err
 
@@ -1097,11 +1108,17 @@ def test_dataset_and_encoded_features_agree(tmp_path):
     ("features-vocab", ("--vocab", "--tokens")),
     ("report-dataset", ("--dataset", "--ngrams")),
     ("tokens-vocab", ("--tokens", "--vocab")),
+    ("ngrams-range-missing-dataset", ("--ngrams", "[1, 8]", "got 10")),
+    ("ngrams-zero", ("--ngrams", "[1, 8]", "got 0")),
+    ("workers-negative", ("--workers", "at least 1", "got -3")),
+    ("top-tokens-missing-dataset", ("--top-tokens", "at least 1", "got 0")),
 ])
 def test_flag_that_would_be_ignored_exit_1(tmp_path, capsys, case, flags):
-    # Each flag-presence rule of cli._EXCLUSIVE and cli._NEEDS; most cases
-    # once exited 0, ignoring one of the flags. The check reads resolved
-    # values, so a --config key counts.
+    # Each flag-presence rule of cli._EXCLUSIVE and cli._NEEDS, and each
+    # range of cli._RANGES; most cases once exited 0, ignoring one of the
+    # flags or, for --workers -3, running one worker. The check reads
+    # resolved values, so a --config key counts, and it comes before any
+    # file is read: --ngrams 10 once exited 2 on a missing dataset.
     syn = tmp_path / "syn"
     dataset = synth_corpus(syn, records=18, classes=3, seed=5)
     features = str(seeded_features(tmp_path))
@@ -1135,6 +1152,12 @@ def test_flag_that_would_be_ignored_exit_1(tmp_path, capsys, case, flags):
         "report-dataset": ["report", "--dataset", dataset],
         "tokens-vocab": ["train", "--model", "mlp", "--seed", "1",
                          "--tokens", features],
+        "ngrams-range-missing-dataset": ["encode", "--dataset", "missing",
+                                         "--ngrams", "10"],
+        "ngrams-zero": encode + ["--ngrams", "0"],
+        "workers-negative": cv + ["--features", features, "--workers", "-3"],
+        "top-tokens-missing-dataset": ["report", "--dataset", "missing",
+                                       "--ngrams", "2", "--top-tokens", "0"],
     }[case]
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -1192,6 +1215,8 @@ def test_flag_rules_name_flags_of_the_commands_they_apply_to():
         applies = [names for names in flags.values()
                    if name in names and others & names]
         assert applies and others <= set().union(*applies), (name, group)
+    for name in cli._RANGES:
+        assert any(name in names for names in flags.values()), name
 
 
 @pytest.mark.parametrize("model", ["mlp", "cnn", "transformer"])
@@ -1230,7 +1255,7 @@ def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
     ("rf", "--epochs", "3"),
     ("rf", "--embed-dim", "8"),
     ("rf", "--learning-rate", "0.5"),
-    ("rf", "--optimizer", "sgd"),
+    ("rf", "--batch-size", "8"),
     ("mlp", "--n-estimators", "7"),
     ("mlp", "--max-depth", "2"),
     ("rusboost", "--alpha", "0.1"),
@@ -1271,3 +1296,84 @@ def test_rusboost_fold_missing_a_class_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: outer fold ") and err.count("\n") == 1
     assert err.endswith(": class 2 has no samples\n"), err
+
+
+def seeded_tokens(tmp_path):
+    """--tokens and --vocab of 30 synthetic records as trigrams."""
+    out = tmp_path / "tok"
+    dataset = synth_corpus(out, records=30, classes=3, seed=3)
+    assert run(["encode", "--dataset", dataset, "--ngrams", "3",
+                "--out", str(out)]) == 0
+    return ["--tokens", str(out / "tokens.csv"),
+            "--vocab", str(out / "vocab.json")]
+
+
+def transformer_checkpoint(tmp_path, edit):
+    """A small transformer model.bin whose header spec edit(spec) changed,
+    and the token flags to predict with it."""
+    tokens = seeded_tokens(tmp_path)
+    out = tmp_path / "model"
+    assert run(["train", "--model", "transformer", "--embed-dim", "8",
+                "--num-heads", "2", "--epochs", "1", "--seed", "1", *tokens,
+                "--out", str(out)]) == 0
+    path = out / "model.bin"
+    kind, meta, arrays = store.load_checkpoint(path)
+    edit(meta["spec"])
+    store.save_checkpoint(path, kind, meta, arrays)
+    return path, tokens
+
+
+@pytest.mark.parametrize("model, setting, message", [
+    ("transformer", ("--num-heads", "0"), "num_heads must be positive, got 0"),
+    ("transformer", ("--num-heads", "-2"),
+     "num_heads must be positive, got -2"),
+    ("transformer", ("--embed-dim", "0"), "embed_dim must be positive, got 0"),
+    ("cnn", ("--embed-dim", "0"), "embed_dim must be positive, got 0"),
+    ("cnn", ("--kernel-size", "0"), "kernel_size must be positive, got 0"),
+    ("cnn", ("--filters", "0"), "filters must be positive, got 0"),
+    ("rusboost", ("--base-depth", "0"), "max_depth must be positive, got 0"),
+    ("mlp", ("--hidden", "0"), "hidden must be positive, got 0"),
+    ("mlp", ("--alpha", "-1"), "alpha must be non-negative, got -1.0"),
+    ("transformer", ("--grid", '{"num_heads": [0]}'),
+     "num_heads must be positive, got 0"),
+    ("transformer", ("checkpoint",), "num_heads must be positive, got 0"),
+])
+def test_out_of_range_model_setting_exit_1_or_2(tmp_path, capsys, model,
+                                                setting, message):
+    # Each once raised ZeroDivisionError, exited 1 with numpy's reshape
+    # text, or exited 0 with a degenerate model. A flag or grid value is
+    # a usage error before --out is made; a checkpoint is a data error
+    # naming its file.
+    if setting == ("checkpoint",):
+        path, tokens = transformer_checkpoint(
+            tmp_path, lambda spec: spec.update(num_heads=0))
+        capsys.readouterr()
+        assert run(["predict", "--model-file", str(path), *tokens,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") \
+            and err.endswith(f": {message}\n") and err.count("\n") == 1, err
+        return
+    data = (seeded_tokens(tmp_path) if model in ("cnn", "transformer")
+            else ["--features", str(seeded_features(tmp_path))])
+    argv = ["train", "--model", model, "--seed", "1", *data, *setting]
+    if setting[0] == "--grid":
+        argv[0] = "nested-cv"
+        argv += ["--k-outer", "2", "--k-inner", "2"]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoint_with_the_old_input_kind_key_exit_2(tmp_path, capsys):
+    # ModelSpec derives input_kind from vocab_size, so a model.bin written
+    # while it was a field no longer loads
+    path, tokens = transformer_checkpoint(
+        tmp_path, lambda spec: spec.update(input_kind="tokens"))
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(path), *tokens,
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+    assert "'input_kind'" in err, err

@@ -10,6 +10,7 @@ import pytest
 from hostseq import cli
 from hostseq.estimators import (DEFAULT_GRIDS, KINDS, ModelFactory,
                                 UsageError, grid_points)
+from hostseq.models import build_net
 
 FEATURES = {"in_dim": 5}
 TOKENS = {"vocab_size": 12, "max_len": 30}
@@ -20,9 +21,9 @@ def test_cli_usage_error_is_the_registry_class():
 
 
 @pytest.mark.parametrize("model,shape,message", [
-    ("cnn", FEATURES, "cnn requires token input (--ngrams/--tokens)"),
+    ("cnn", FEATURES, "cnn requires token input (--tokens with --vocab)"),
     ("transformer", FEATURES, "transformer requires token input"),
-    ("rf", TOKENS, "rf requires feature input (--scheme/--features)"),
+    ("rf", TOKENS, "rf requires feature input (--features)"),
     ("rusboost", TOKENS, "rusboost requires feature input"),
     ("svm", FEATURES, "unknown --model 'svm'"),
 ])
@@ -60,8 +61,11 @@ def test_grid_aliases_and_flag_precedence():
 
 def test_scalar_hidden_is_one_layer():
     mlp = ModelFactory("mlp", 2, {}, in_dim=3)
-    assert mlp({"hidden": 8}, 0).spec.hidden == (8,)
-    assert mlp({"hidden": [8, 4]}, 0).spec.hidden == (8, 4)
+    net = build_net(mlp({"hidden": 8}, 0).spec, 0)
+    assert [(name, p.data.shape) for name, p in net.params.items()] == [
+        ("h0.w", (3, 8)), ("h0.b", (8,)), ("out.w", (8, 2)), ("out.b", (2,))]
+    with pytest.raises(UsageError, match="'hidden'"):
+        mlp({"hidden": [8, 4]}, 0)
 
 
 def test_default_grids_build_through_registry():

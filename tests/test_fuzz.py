@@ -17,7 +17,7 @@ import numpy as np
 
 from hostseq import cli
 
-SEEDS = (1, 2)
+SEEDS = (1, 2, 3)  # seed 3 is the first to edit a grid's num_heads to 0
 MUTANTS = 16  # per kind and seed
 # bytes an inserted-token edit puts in: signs, numbers, JSON and CSV
 # punctuation, and non-finite float text
@@ -89,8 +89,13 @@ def base_inputs(root):
     rf = ["--model", "rf", "--n-estimators", "2", "--max-depth", "3",
           "--seed", "1"]
     mlp = ["--model", "mlp", "--hidden", "4", "--epochs", "1", "--seed", "1"]
+    # heads split embed_dim, so an edit can reach the division by num_heads
+    transformer = ["--model", "transformer", "--embed-dim", "8",
+                   "--num-heads", "2", "--epochs", "1", "--seed", "1"]
     run(["train", *rf, "--features", features, "--out", str(root / "rf")])
     run(["train", *mlp, *tokens, "--out", str(root / "mlp")])
+    run(["train", *transformer, *tokens,
+         "--out", str(root / "transformer")])
     run(["predict", "--model-file", str(root / "rf" / "model.bin"),
          "--features", features, "--out", str(root / "pred")])
     config = root / "config.json"
@@ -98,6 +103,8 @@ def base_inputs(root):
                                   "n-estimators": 2, "max-depth": 3}))
     grid = root / "grid.json"
     grid.write_text('{"n_estimators": [2], "max_depth": [2, 3]}')
+    heads = root / "heads.json"
+    heads.write_text('{"embed_dim": [8], "num_heads": [2]}')
     pssm = syn / "pssms" / "synth-03.pssm"
     data = (0, 2)
     usage = (0, 1)
@@ -118,6 +125,8 @@ def base_inputs(root):
             "predict", "--model-file", p, "--features", features], data),
         "mlp-model": (root / "mlp" / "model.bin", lambda p: [
             "predict", "--model-file", p, *tokens], data),
+        "transformer-model": (root / "transformer" / "model.bin", lambda p: [
+            "predict", "--model-file", p, *tokens], data),
         "predictions": (root / "pred" / "predictions.csv", lambda p: [
             "report", "--predictions", p], data),
         "config": (config, lambda p: [
@@ -125,6 +134,10 @@ def base_inputs(root):
         "grid": (grid, lambda p: [
             "nested-cv", "--model", "rf", "--features", features,
             "--grid", p, "--k-outer", "2", "--k-inner", "2",
+            "--seed", "1"], usage),
+        "transformer-grid": (heads, lambda p: [
+            "nested-cv", "--model", "transformer", *tokens, "--grid", p,
+            "--epochs", "1", "--k-outer", "2", "--k-inner", "2",
             "--seed", "1"], usage),
     }
 

@@ -9,7 +9,6 @@ from hostseq.models import (
     Adam,
     ModelSpec,
     NeuralClassifier,
-    Sgd,
     TrainConfig,
     TrainingDivergedError,
     build_net,
@@ -37,8 +36,6 @@ def token_data(seed, n=40, vocab=12, max_len=16, classes=2):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="optimizer"):
-        TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError, match="positive"):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
@@ -51,18 +48,18 @@ def test_model_spec_validation():
     with pytest.raises(ValueError, match="classes"):
         ModelSpec(kind="mlp", n_classes=1, in_dim=4)
     with pytest.raises(ValueError, match="token"):
-        ModelSpec(kind="cnn", n_classes=2, input_kind="features", in_dim=4)
+        ModelSpec(kind="cnn", n_classes=2, in_dim=4)
     with pytest.raises(ValueError, match="in_dim"):
         ModelSpec(kind="mlp", n_classes=2)
     with pytest.raises(ValueError, match="vocab_size"):
-        ModelSpec(kind="transformer", n_classes=2, input_kind="tokens")
+        ModelSpec(kind="transformer", n_classes=2)
     with pytest.raises(ValueError, match="num_heads"):
-        ModelSpec(kind="transformer", n_classes=2, input_kind="tokens",
+        ModelSpec(kind="transformer", n_classes=2,
                   vocab_size=10, max_len=8, embed_dim=32, num_heads=5)
 
 
 def test_build_net_deterministic():
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=(16,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=16)
     a = build_net(spec, seed=7)
     b = build_net(spec, seed=7)
     c = build_net(spec, seed=8)
@@ -73,14 +70,14 @@ def test_build_net_deterministic():
     assert any(diff)
 
 
-_TOKENS = dict(input_kind="tokens", vocab_size=12, embed_dim=4)
+_TOKENS = dict(vocab_size=12, embed_dim=4)
 
 
 @pytest.mark.parametrize("spec,table", [
-    (ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=(16, 4)),
-     [("h0.w", (8, 16)), ("h0.b", (16,)), ("h1.w", (16, 4)), ("h1.b", (4,)),
-      ("out.w", (4, 3)), ("out.b", (3,))]),
-    (ModelSpec(kind="mlp", n_classes=2, max_len=6, hidden=(5,), **_TOKENS),
+    (ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=16),
+     [("h0.w", (8, 16)), ("h0.b", (16,)), ("out.w", (16, 3)),
+      ("out.b", (3,))]),
+    (ModelSpec(kind="mlp", n_classes=2, max_len=6, hidden=5, **_TOKENS),
      [("embed", (12, 4)), ("h0.w", (24, 5)), ("h0.b", (5,)),
       ("out.w", (5, 2)), ("out.b", (2,))]),
     (ModelSpec(kind="cnn", n_classes=2, max_len=32, filters=8, **_TOKENS),
@@ -102,7 +99,7 @@ def test_param_table_names_order_shapes_and_decay(spec, table):
     # the table's order is the checkpoint's array order
     net = build_net(spec, seed=0)
     assert [(name, p.data.shape) for name, p in net.params.items()] == table
-    # one SGD step with and without decay, from parameters shifted off
+    # one Adam step with and without decay, from parameters shifted off
     # zero: exactly the <layer>.w weights move apart
     rng = np.random.default_rng(1)
     if spec.input_kind == "tokens":
@@ -116,8 +113,7 @@ def test_param_table_names_order_shapes_and_decay(spec, table):
         for p in net.params.values():
             p.data += 0.25
         train(net, inputs, labels, TrainConfig(
-            learning_rate=0.1, batch_size=6, epochs=1, optimizer="sgd",
-            alpha=alpha))
+            learning_rate=0.1, batch_size=6, epochs=1, alpha=alpha))
         stepped[alpha] = {name: p.data for name, p in net.params.items()}
     decayed = {name for name, _ in table
                if not np.array_equal(stepped[0.0][name], stepped[0.5][name])}
@@ -126,7 +122,7 @@ def test_param_table_names_order_shapes_and_decay(spec, table):
 
 def test_mlp_learns_blobs():
     X, y = blob_data(3)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(32,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=32)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=60, seed=1)
     clf = NeuralClassifier(spec, cfg).fit(X, y)
     assert (clf.predict_proba(X).argmax(axis=1) == y).mean() >= 0.95
@@ -137,7 +133,7 @@ def test_mlp_learns_blobs():
 
 def test_training_is_deterministic():
     X, y = blob_data(4)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(16,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=10, seed=5)
     a = NeuralClassifier(spec, cfg).fit(X, y)
     b = NeuralClassifier(spec, cfg).fit(X, y)
@@ -147,7 +143,7 @@ def test_training_is_deterministic():
 
 def test_seed_changes_trajectory():
     X, y = blob_data(4)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(16,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
     a = NeuralClassifier(spec, TrainConfig(epochs=5, seed=1)).fit(X, y)
     b = NeuralClassifier(spec, TrainConfig(epochs=5, seed=2)).fit(X, y)
     assert a.history.epoch_losses != b.history.epoch_losses
@@ -155,7 +151,7 @@ def test_seed_changes_trajectory():
 
 def test_l2_penalty_shrinks_weights():
     X, y = blob_data(6)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(16,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
     plain = NeuralClassifier(
         spec, TrainConfig(epochs=40, seed=2, alpha=0.0)).fit(X, y)
     ridge = NeuralClassifier(
@@ -167,16 +163,15 @@ def test_l2_penalty_shrinks_weights():
 
 def test_divergence_raises_with_epoch():
     X, y = blob_data(7)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(16,))
-    cfg = TrainConfig(learning_rate=1e12, optimizer="sgd", epochs=8,
-                      batch_size=16, seed=0)
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
+    cfg = TrainConfig(learning_rate=1e200, epochs=8, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError, match="epoch"):
         NeuralClassifier(spec, cfg).fit(X * 1e3, y)
 
 
 def test_predict_proba_batching_consistent():
     X, y = blob_data(8, n=70)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(8,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
     net = build_net(spec, seed=0)
     full = predict_proba(net, X, batch_size=1000)
     chunked = predict_proba(net, X, batch_size=7)
@@ -186,8 +181,8 @@ def test_predict_proba_batching_consistent():
 
 def test_cnn_learns_tokens():
     X, y = token_data(1, max_len=32)
-    spec = ModelSpec(kind="cnn", n_classes=2, input_kind="tokens",
-                     vocab_size=12, max_len=X.shape[1], embed_dim=8,
+    spec = ModelSpec(kind="cnn", n_classes=2, vocab_size=12,
+                     max_len=X.shape[1], embed_dim=8,
                      filters=16, kernel_size=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=30, seed=3)
     clf = NeuralClassifier(spec, cfg).fit(X, y)
@@ -195,17 +190,16 @@ def test_cnn_learns_tokens():
 
 
 def test_cnn_rejects_short_max_len():
-    spec = ModelSpec(kind="cnn", n_classes=2, input_kind="tokens",
-                     vocab_size=12, max_len=4, embed_dim=8,
-                     filters=16, kernel_size=3)
+    spec = ModelSpec(kind="cnn", n_classes=2, vocab_size=12, max_len=4,
+                     embed_dim=8, filters=16, kernel_size=3)
     with pytest.raises(ValueError, match="max_len|short"):
         build_net(spec, seed=0)
 
 
 def test_transformer_learns_tokens():
     X, y = token_data(2)
-    spec = ModelSpec(kind="transformer", n_classes=2, input_kind="tokens",
-                     vocab_size=12, max_len=X.shape[1], embed_dim=8,
+    spec = ModelSpec(kind="transformer", n_classes=2, vocab_size=12,
+                     max_len=X.shape[1], embed_dim=8,
                      num_heads=2)
     cfg = TrainConfig(learning_rate=0.005, batch_size=8, epochs=30, seed=3)
     clf = NeuralClassifier(spec, cfg).fit(X, y)
@@ -214,15 +208,15 @@ def test_transformer_learns_tokens():
 
 def test_input_validation():
     X, y = blob_data(9)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(8,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
     clf = NeuralClassifier(spec, TrainConfig(epochs=1))
     with pytest.raises(RuntimeError, match="not fitted"):
         clf.predict_proba(X)
     clf.fit(X, y)
     with pytest.raises(ValueError):
         clf.predict_proba(X[:, :3])
-    tok_spec = ModelSpec(kind="transformer", n_classes=2, input_kind="tokens",
-                         vocab_size=10, max_len=6, embed_dim=4, num_heads=1)
+    tok_spec = ModelSpec(kind="transformer", n_classes=2, vocab_size=10,
+                         max_len=6, embed_dim=4, num_heads=1)
     tok = NeuralClassifier(tok_spec, TrainConfig(epochs=1, batch_size=4))
     with pytest.raises(ValueError, match="integer"):
         tok.fit(np.zeros((4, 6), dtype=float), np.array([0, 1, 0, 1]))
@@ -230,7 +224,7 @@ def test_input_validation():
 
 def test_label_bounds_checked():
     X, y = blob_data(10)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(8,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
     bad = y.copy()
     bad[0] = 7
     with pytest.raises(ValueError):
@@ -239,7 +233,7 @@ def test_label_bounds_checked():
 
 def test_state_roundtrip():
     X, y = blob_data(11)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=(8,))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
     cfg = TrainConfig(epochs=5, seed=4)
     clf = NeuralClassifier(spec, cfg).fit(X, y)
     _, meta, arrays = clf.to_checkpoint()
@@ -249,13 +243,12 @@ def test_state_roundtrip():
 
 def test_optimizers_step():
     from hostseq.autograd import Tensor
-    for make in (lambda p: Sgd(p, lr=0.1), lambda p: Adam(p, lr=0.1)):
-        t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        t.grad = np.array([0.5, -0.5])
-        before = t.data.copy()
-        make([t]).step()
-        assert t.data[0] < before[0]
-        assert t.data[1] > before[1]
+    t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    t.grad = np.array([0.5, -0.5])
+    before = t.data.copy()
+    Adam([t], lr=0.1).step()
+    assert t.data[0] < before[0]
+    assert t.data[1] > before[1]
 
 
 def test_adam_in_place_matches_reference():

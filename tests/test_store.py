@@ -119,7 +119,7 @@ def test_neural_model_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, size=30)
-    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=4, hidden=(8,))
+    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=4, hidden=8)
     clf = NeuralClassifier(spec, TrainConfig(epochs=3, seed=1)).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("neg", "pos"))
@@ -164,7 +164,7 @@ def test_save_model_rejects_unknown(tmp_path):
     lambda: Forest(ForestConfig(n_estimators=3, max_depth=2, seed=1), 2),
     lambda: RusBoostModel(RusBoostConfig(n_estimators=3, seed=1), 2),
     lambda: NeuralClassifier(ModelSpec(kind="mlp", n_classes=2, in_dim=3,
-                                       hidden=(4,)),
+                                       hidden=4),
                              TrainConfig(epochs=2, seed=1)),
 ], ids=["forest", "rusboost", "neural"])
 def test_estimator_protocol_checkpoint_roundtrip(make):
@@ -237,7 +237,7 @@ def test_load_model_parameter_mismatch_is_checkpoint_error(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 2, size=20)
-    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=3, hidden=(4,))
+    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=3, hidden=4)
     clf = NeuralClassifier(spec, TrainConfig(epochs=1)).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("a", "b"))
@@ -250,7 +250,7 @@ def test_neural_checkpoint_save_load_save_identical(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 3, size=20)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=3, hidden=(5, 4))
+    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=3, hidden=5)
     clf = NeuralClassifier(spec, TrainConfig(epochs=2, alpha=0.01,
                                              seed=4)).fit(X, y)
     first, second = tmp_path / "a.bin", tmp_path / "b.bin"
