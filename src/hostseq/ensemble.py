@@ -14,7 +14,7 @@ through generators seeded with util.derive_seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -245,8 +245,10 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
 def _rows(XT, idx) -> np.ndarray:
     """Rows idx of the matrix whose column-major copy is XT, gathered
     along XT's contiguous rows. The (len(idx), d) result is the transpose
-    of a contiguous array, so fit_tree's column-major copy of it is free."""
-    return XT[:, idx].T
+    of a contiguous array, so fit_tree's column-major copy of it is free.
+    np.take keeps the gather C-ordered, where XT[:, idx] comes back
+    F-ordered."""
+    return np.take(XT, idx, axis=1).T
 
 
 def _check_width(X, trees) -> np.ndarray:
@@ -295,15 +297,12 @@ class Forest:
         return np.mean(dists, axis=0)
 
     def to_checkpoint(self):
-        meta = {"config": asdict(self.config), "n_classes": self.n_classes}
-        return "forest", meta, _tree_arrays(self.trees)
+        return "forest", _tree_arrays(self.trees)
 
-    @classmethod
-    def from_checkpoint(cls, meta, arrays) -> "Forest":
-        config = ForestConfig(**meta["config"])
-        n_classes = int(meta["n_classes"])
-        return cls(config, n_classes,
-                   _trees_from_arrays(arrays, config.n_estimators, n_classes))
+    def load_arrays(self, arrays) -> "Forest":
+        self.trees = _trees_from_arrays(arrays, self.config.n_estimators,
+                                        self.n_classes)
+        return self
 
 
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
@@ -355,22 +354,17 @@ class RusBoostModel:
         return votes / votes.sum(axis=1, keepdims=True)
 
     def to_checkpoint(self):
-        meta = {"config": asdict(self.config), "n_classes": self.n_classes}
         alphas = np.asarray(self.alphas, dtype=np.float64)
-        return "rusboost", meta, {"alphas": alphas,
-                                  **_tree_arrays(self.trees)}
+        return "rusboost", {"alphas": alphas, **_tree_arrays(self.trees)}
 
-    @classmethod
-    def from_checkpoint(cls, meta, arrays) -> "RusBoostModel":
-        config = RusBoostConfig(**meta["config"])
+    def load_arrays(self, arrays) -> "RusBoostModel":
         alphas = arrays["alphas"]
         if not (len(alphas) and np.isfinite(alphas).all()
                 and (alphas > 0).all()):
             raise ValueError("RUSBoost alphas must be finite and positive")
-        n_classes = int(meta["n_classes"])
-        trees = _trees_from_arrays(arrays, len(alphas), n_classes)
-        return cls(config, n_classes, trees,
-                   [float(a) for a in alphas])
+        self.trees = _trees_from_arrays(arrays, len(alphas), self.n_classes)
+        self.alphas = [float(a) for a in alphas]
+        return self
 
 
 def _balanced_subsample(rng, y, n_classes: int) -> np.ndarray:

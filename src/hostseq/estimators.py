@@ -11,25 +11,26 @@ import itertools
 from collections import namedtuple
 
 from .ensemble import Forest, ForestConfig, RusBoostConfig, RusBoostModel
-from .models import NETS, ModelSpec, NeuralClassifier, TrainConfig
+from .models import NETS, NetConfig, NeuralClassifier
 
 
 class UsageError(Exception):
     """A model kind, grid or option value that cannot be used."""
 
 
-# What a --model kind builds: its estimator class, the config dataclasses
-# in constructor order, and the inputs it reads ("features", "tokens").
-Kind = namedtuple("Kind", "estimator configs inputs")
+# What a --model kind builds, as estimator(config(...), n_classes): its
+# estimator class, its config dataclass, and the inputs it reads
+# ("features", "tokens").
+Kind = namedtuple("Kind", "estimator config inputs")
 # A net reads the inputs its class lists.
 KINDS = {
-    **{name: Kind(NeuralClassifier, (ModelSpec, TrainConfig), net.INPUTS)
+    **{name: Kind(NeuralClassifier, NetConfig, net.INPUTS)
        for name, net in NETS.items()},
-    "rf": Kind(Forest, (ForestConfig,), ("features",)),
-    "rusboost": Kind(RusBoostModel, (RusBoostConfig,), ("features",)),
+    "rf": Kind(Forest, ForestConfig, ("features",)),
+    "rusboost": Kind(RusBoostModel, RusBoostConfig, ("features",)),
 }
-# Checkpoint "model" tag -> estimator class.
-FAMILIES = {kind.estimator.FAMILY: kind.estimator for kind in KINDS.values()}
+# Checkpoint "model" tag -> the Kind of its estimator family.
+FAMILIES = {kind.estimator.FAMILY: kind for kind in KINDS.values()}
 _INPUT_FLAGS = {"features": "feature input (--features)",
                 "tokens": "token input (--tokens with --vocab)"}
 
@@ -54,38 +55,44 @@ DEFAULT_GRIDS = {
                     "epochs": [300]},
 }
 
-# Config fields that grid points and model flags may set, each with the
-# other names it answers to, tried before its own: the paper's
-# scikit-learn and Keras grid names, and the boosted trees' base depth.
+# --model kind -> the config fields that its grid points and model flags
+# may set, each with the other names it answers to, tried before its own:
+# the paper's scikit-learn and Keras grid names, and the boosted trees'
+# base depth. A net reads only the fields its architecture uses.
+_TRAINING = {"learning_rate": ("learning_rate_init",), "batch_size": (),
+             "epochs": ("max_iter",), "alpha": ()}
 SETTABLE = {
-    ForestConfig: {"n_estimators": (), "max_depth": ()},
-    RusBoostConfig: {"n_estimators": (), "learning_rate": (),
-                     "max_depth": ("base_depth",)},
-    ModelSpec: {"hidden": (), "embed_dim": (), "filters": ("num_filters",),
-                "kernel_size": (), "num_heads": ()},
-    TrainConfig: {"learning_rate": ("learning_rate_init",),
-                  "batch_size": (), "epochs": ("max_iter",), "alpha": ()},
+    "rf": {"n_estimators": (), "max_depth": ()},
+    "rusboost": {"n_estimators": (), "learning_rate": (),
+                 "max_depth": ("base_depth",)},
+    "mlp": {"hidden": (), "embed_dim": (), **_TRAINING},
+    "cnn": {"embed_dim": (), "filters": ("num_filters",), "kernel_size": (),
+            **_TRAINING},
+    "transformer": {"embed_dim": (), "num_heads": (), **_TRAINING},
 }
 
 
 # Model flag name (a field name) -> type of its config default: every
 # settable field, plus base_depth for the boosted trees' max_depth. A
 # name shared by two configs has one default type in both.
-FIELDS = {f.name: type(f.default) for cls, names in SETTABLE.items()
-          for f in dataclasses.fields(cls) if f.name in names}
+FIELDS = {f.name: type(f.default) for model, names in SETTABLE.items()
+          for f in dataclasses.fields(KINDS[model].config) if f.name in names}
 FIELDS["base_depth"] = FIELDS["max_depth"]
 
-# --model kind -> the names it reads as grid keys and model flags: the
-# settable fields of its configs and their other names.
-READS = {model: frozenset(name for cls in kind.configs
-                          for field, aliases in SETTABLE[cls].items()
+# --model kind -> the names it reads as grid keys and model flags: its
+# settable fields and their other names.
+READS = {model: frozenset(name for field, aliases in names.items()
                           for name in aliases + (field,))
-         for model, kind in KINDS.items()}
+         for model, names in SETTABLE.items()}
 
 
 def coerce(kind, name, value):
-    """value as a config field of type kind."""
+    """value as a config field of type kind. A bool, or a number with a
+    fraction for an int field, is a usage error rather than a truncation."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(
+                value, float) and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{name!r} takes a {kind.__name__}, "
@@ -137,29 +144,20 @@ class ModelFactory:
 
     def __call__(self, params, seed):
         kind = KINDS[self.model]
-        # the fields set here, not by name, where a config has them
-        fixed = {"seed": seed, "kind": self.model,
-                 "n_classes": self.n_classes, "in_dim": self.in_dim,
+        # the fields set here, not by name, where the config has them
+        fixed = {"seed": seed, "kind": self.model, "in_dim": self.in_dim,
                  "vocab_size": self.vocab_size, "max_len": self.max_len}
-
-        def config(cls):
-            values = {f.name: fixed[f.name] for f in dataclasses.fields(cls)
-                      if f.name in fixed}
-            for field, aliases in SETTABLE[cls].items():
-                names = aliases + (field,)
-                given = [(name, source[name])
-                         for source in (params, self.defaults)
-                         for name in names if source.get(name) is not None]
-                if given:
-                    values[field] = coerce(FIELDS[field], *given[0])
-            return cls(**values)
-
-        configs = [config(cls) for cls in kind.configs]
+        values = {f.name: fixed[f.name]
+                  for f in dataclasses.fields(kind.config) if f.name in fixed}
+        for field, aliases in SETTABLE[self.model].items():
+            names = aliases + (field,)
+            given = [(name, source[name])
+                     for source in (params, self.defaults)
+                     for name in names if source.get(name) is not None]
+            if given:
+                values[field] = coerce(FIELDS[field], *given[0])
         unknown = sorted(set(params) - READS[self.model])
         if unknown:
             raise UsageError(
                 f"--model {self.model} reads no grid key {unknown[0]!r}")
-        # a net's spec holds the class count; a tree ensemble takes it
-        if ModelSpec not in kind.configs:
-            configs.append(self.n_classes)
-        return kind.estimator(*configs)
+        return kind.estimator(kind.config(**values), self.n_classes)

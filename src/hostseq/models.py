@@ -9,7 +9,7 @@ with util.derive_seed, so repeated fits are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,25 +24,12 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    epochs: int = 300
-    alpha: float = 0.0             # L2 weight decay
-    seed: int = 0
-
-    def __post_init__(self):
-        check_signs(self, positive=("learning_rate", "batch_size", "epochs"),
-                    non_negative=("alpha",))
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Architecture description, sufficient to rebuild the network. A
+class NetConfig:
+    """Every setting of a neural classifier: the architecture, which with
+    the class count rebuilds the network, and the training loop. A
     nonzero vocab_size means token input (see input_kind)."""
 
     kind: str                      # a key of NETS
-    n_classes: int
     in_dim: int = 0                # feature input width
     hidden: int = 100              # width of the mlp's one hidden layer
     vocab_size: int = 0            # token inputs
@@ -51,14 +38,19 @@ class ModelSpec:
     filters: int = 64              # cnn first conv channels
     kernel_size: int = 3
     num_heads: int = 1
+    learning_rate: float = 0.001
+    batch_size: int = 128
+    epochs: int = 300
+    alpha: float = 0.0             # L2 weight decay
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in NETS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_classes < 2:  # the class count of the training data
-            raise DataError("need at least 2 classes")
         check_signs(self, positive=("hidden", "embed_dim", "filters",
-                                    "kernel_size", "num_heads"))
+                                    "kernel_size", "num_heads",
+                                    "learning_rate", "batch_size", "epochs"),
+                    non_negative=("alpha",))
         if self.input_kind == "tokens":
             if self.vocab_size < 2 or self.max_len < 1:
                 raise ValueError("token input requires vocab_size and max_len")
@@ -84,8 +76,8 @@ class _Net:
     in this order and decays every one named <layer>.w; checkpoints store
     them in this order."""
 
-    def __init__(self, spec: ModelSpec, rng):
-        self.spec = spec
+    def __init__(self, config: NetConfig, rng):
+        self.config = config
         self.rng = rng
         self.params = {}
 
@@ -94,7 +86,7 @@ class _Net:
 
     def _embedding(self, name, rows):
         self._add(name, self.rng.normal(0.0, 0.05,
-                                        size=(rows, self.spec.embed_dim)))
+                                        size=(rows, self.config.embed_dim)))
 
     def _weights(self, name, fan_in, fan_out, shape=None):
         """<name>.w, Xavier uniform of shape (default (fan_in, fan_out)),
@@ -105,8 +97,8 @@ class _Net:
         self._add(f"{name}.b", np.zeros(shape[-1]))
 
     def _layer_norm(self, name):
-        self._add(f"{name}.gamma", np.ones(self.spec.embed_dim))
-        self._add(f"{name}.beta", np.zeros(self.spec.embed_dim))
+        self._add(f"{name}.gamma", np.ones(self.config.embed_dim))
+        self._add(f"{name}.beta", np.zeros(self.config.embed_dim))
 
     def _dense(self, name, x) -> Tensor:
         return ag.dense(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
@@ -122,15 +114,15 @@ class MlpNet(_Net):
 
     INPUTS = ("features", "tokens")
 
-    def __init__(self, spec: ModelSpec, rng):
-        super().__init__(spec, rng)
-        if spec.input_kind == "tokens":
-            self._embedding("embed", spec.vocab_size)
-            width = spec.max_len * spec.embed_dim
+    def __init__(self, config: NetConfig, n_classes: int, rng):
+        super().__init__(config, rng)
+        if config.input_kind == "tokens":
+            self._embedding("embed", config.vocab_size)
+            width = config.max_len * config.embed_dim
         else:
-            width = spec.in_dim
-        self._weights("h0", width, spec.hidden)
-        self._weights("out", spec.hidden, spec.n_classes)
+            width = config.in_dim
+        self._weights("h0", width, config.hidden)
+        self._weights("out", config.hidden, n_classes)
 
     def forward(self, inputs) -> Tensor:
         if "embed" in self.params:
@@ -151,24 +143,24 @@ class CnnNet(_Net):
     INPUTS = ("tokens",)
     HEAD = (64, 32, 16)
 
-    def __init__(self, spec: ModelSpec, rng):
-        super().__init__(spec, rng)
-        self._embedding("embed", spec.vocab_size)
-        channels = [spec.embed_dim, spec.filters,
-                    max(spec.filters // 2, 1), max(spec.filters // 4, 1)]
-        k = spec.kernel_size
-        length = spec.max_len
+    def __init__(self, config: NetConfig, n_classes: int, rng):
+        super().__init__(config, rng)
+        self._embedding("embed", config.vocab_size)
+        channels = [config.embed_dim, config.filters,
+                    max(config.filters // 2, 1), max(config.filters // 4, 1)]
+        k = config.kernel_size
+        length = config.max_len
         for i, (c_in, c_out) in enumerate(zip(channels, channels[1:])):
             self._weights(f"conv{i}", k * c_in, k * c_out, (k, c_in, c_out))
             length = (length - k + 1) // 2
             if length < 1:  # max_len is the width of the token file
-                raise DataError(f"max_len {spec.max_len} too short for 3 "
+                raise DataError(f"max_len {config.max_len} too short for 3 "
                                 f"conv/pool stages of kernel size {k}")
         width = length * channels[-1]
         for i, h in enumerate(self.HEAD):
             self._weights(f"head{i}", width, h)
             width = h
-        self._weights("out", width, spec.n_classes)
+        self._weights("out", width, n_classes)
 
     def forward(self, inputs) -> Tensor:
         p = self.params
@@ -193,22 +185,22 @@ class TransformerNet(_Net):
 
     INPUTS = ("tokens",)
 
-    def __init__(self, spec: ModelSpec, rng):
-        super().__init__(spec, rng)
-        e = spec.embed_dim
-        self._embedding("embed", spec.vocab_size)
-        self._embedding("pos", spec.max_len)
+    def __init__(self, config: NetConfig, n_classes: int, rng):
+        super().__init__(config, rng)
+        e = config.embed_dim
+        self._embedding("embed", config.vocab_size)
+        self._embedding("pos", config.max_len)
         for name in ("wq", "wk", "wv", "wo"):
             self._weights(name, e, e)
         self._weights("ff1", e, 2 * e)
         self._weights("ff2", 2 * e, e)
-        self._weights("out", e, spec.n_classes)
+        self._weights("out", e, n_classes)
         # the layer norms draw no random numbers; checkpoints list them last
         self._layer_norm("ln1")
         self._layer_norm("ln2")
 
     def _attention(self, x: Tensor, batch: int, length: int) -> Tensor:
-        e, h = self.spec.embed_dim, self.spec.num_heads
+        e, h = self.config.embed_dim, self.config.num_heads
         dh = e // h
 
         def split(name):
@@ -223,9 +215,9 @@ class TransformerNet(_Net):
 
     def forward(self, inputs) -> Tensor:
         batch, length = inputs.shape
-        if length > self.spec.max_len:
-            raise ValueError(
-                f"sequence length {length} exceeds max_len {self.spec.max_len}")
+        if length > self.config.max_len:
+            raise ValueError(f"sequence length {length} exceeds max_len "
+                             f"{self.config.max_len}")
         pos_ids = np.tile(np.arange(length), (batch, 1))
         x = ag.add(ag.embedding(self.params["embed"], inputs),
                    ag.embedding(self.params["pos"], pos_ids))
@@ -240,9 +232,9 @@ class TransformerNet(_Net):
 NETS = {"mlp": MlpNet, "cnn": CnnNet, "transformer": TransformerNet}
 
 
-def build_net(spec: ModelSpec, seed: int):
-    rng = np.random.default_rng(derive_seed(seed, "init", spec.kind))
-    return NETS[spec.kind](spec, rng)
+def build_net(config: NetConfig, n_classes: int):
+    rng = np.random.default_rng(derive_seed(config.seed, "init", config.kind))
+    return NETS[config.kind](config, n_classes, rng)
 
 
 class Adam:
@@ -292,7 +284,7 @@ class FitResult:
     epoch_losses: list = field(default_factory=list)
 
 
-def train(net, inputs, labels, config: TrainConfig) -> FitResult:
+def train(net, inputs, labels, config: NetConfig) -> FitResult:
     """Run the mini-batch Adam loop over net.params, adding alpha * w to
     the gradient of each weight named <layer>.w; raises TrainingDivergedError
     on a non-finite loss, naming the 1-based epoch. Floating-point
@@ -341,27 +333,24 @@ def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
 
 
 class NeuralClassifier:
-    """fit/predict_proba wrapper tying a ModelSpec to a TrainConfig."""
+    """fit/predict_proba wrapper of the net a NetConfig describes."""
 
     FAMILY = "neural"
 
-    def __init__(self, spec: ModelSpec, config: TrainConfig):
-        self.spec = spec
+    def __init__(self, config: NetConfig, n_classes: int):
+        if n_classes < 2:  # the class count of the training data
+            raise DataError("need at least 2 classes")
         self.config = config
+        self.n_classes = n_classes
         self.net = None
         self.history = None
-
-    @property
-    def n_classes(self) -> int:
-        return self.spec.n_classes
 
     def fit(self, inputs, labels):
         inputs = self._check_inputs(inputs)
         labels = np.asarray(labels)
-        if labels.min() < 0 or labels.max() >= self.spec.n_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.spec.n_classes})")
-        self.net = build_net(self.spec, self.config.seed)
+        if labels.min() < 0 or labels.max() >= self.n_classes:
+            raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        self.net = build_net(self.config, self.n_classes)
         self.history = train(self.net, inputs, labels, self.config)
         return self
 
@@ -376,8 +365,8 @@ class NeuralClassifier:
         return proba
 
     def _check_inputs(self, inputs):
-        tokens = self.spec.input_kind == "tokens"
-        width = self.spec.max_len if tokens else self.spec.in_dim
+        tokens = self.config.input_kind == "tokens"
+        width = self.config.max_len if tokens else self.config.in_dim
         inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != width:
             raise DataError(f"{'token' if tokens else 'feature'} input "
@@ -385,7 +374,7 @@ class NeuralClassifier:
         if tokens:
             if not np.issubdtype(inputs.dtype, np.integer):
                 raise DataError("token input must be integer ids")
-            size = self.spec.vocab_size
+            size = self.config.vocab_size
             if inputs.size and not 0 <= inputs.min() <= inputs.max() < size:
                 raise DataError(f"token ids outside [0, {size}): the "
                                 f"model's vocabulary has {size} ids")
@@ -394,16 +383,12 @@ class NeuralClassifier:
     def to_checkpoint(self):
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        meta = {"spec": asdict(self.spec), "config": asdict(self.config)}
-        return self.spec.kind, meta, {name: p.data
-                                      for name, p in self.net.params.items()}
+        return self.config.kind, {name: p.data
+                                  for name, p in self.net.params.items()}
 
-    @classmethod
-    def from_checkpoint(cls, meta, arrays) -> "NeuralClassifier":
-        spec = ModelSpec(**meta["spec"])
-        clf = cls(spec, TrainConfig(**meta["config"]))
-        clf.net = build_net(spec, clf.config.seed)
-        params = clf.net.params
+    def load_arrays(self, arrays) -> "NeuralClassifier":
+        self.net = build_net(self.config, self.n_classes)
+        params = self.net.params
         missing, extra = set(params) - set(arrays), set(arrays) - set(params)
         if missing or extra:
             raise ValueError(
@@ -415,4 +400,4 @@ class NeuralClassifier:
                 raise ValueError(
                     f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = arr
-        return clf
+        return self

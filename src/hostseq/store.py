@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -231,25 +232,29 @@ def load_checkpoint(path):
 
 
 def save_model(path, model, class_names) -> None:
-    """Writes an estimator of a class in estimators.FAMILIES through its
-    to_checkpoint(); load_model rebuilds it with from_checkpoint()."""
-    if type(model) not in FAMILIES.values():
+    """Writes an estimator of a family in estimators.FAMILIES: the arrays
+    of its to_checkpoint() under one meta layout for every family, its
+    config, class count, family tag and class names. load_model rebuilds
+    it as estimator(config, n_classes).load_arrays(arrays)."""
+    if type(model) not in {kind.estimator for kind in FAMILIES.values()}:
         raise TypeError(
             f"cannot serialize model of type {type(model).__name__}")
-    kind, meta, arrays = model.to_checkpoint()
-    meta = {**meta, "model": model.FAMILY, "class_names": list(class_names)}
+    kind, arrays = model.to_checkpoint()
+    meta = {"config": asdict(model.config), "n_classes": model.n_classes,
+            "model": model.FAMILY, "class_names": list(class_names)}
     save_checkpoint(path, kind, meta, arrays)
 
 
 def load_model(path):
     """Returns (model, class_names), one class name per model class."""
     _, meta, arrays = load_checkpoint(path)
-    cls = FAMILIES.get(meta.get("model"))
-    if cls is None:
+    family = FAMILIES.get(meta.get("model"))
+    if family is None:
         raise DataError(f"{path}: unknown model family {meta.get('model')!r}")
     try:
-        model, class_names = (cls.from_checkpoint(meta, arrays),
-                              tuple(meta["class_names"]))
+        model = family.estimator(family.config(**meta["config"]),
+                                 int(meta["n_classes"])).load_arrays(arrays)
+        class_names = tuple(meta["class_names"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(
             f"{path}: arrays or header do not match: {exc}") from exc

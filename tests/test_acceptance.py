@@ -15,7 +15,7 @@ from hostseq.ensemble import (
     fit_rusboost,
     fit_tree,
 )
-from hostseq.models import ModelSpec, NeuralClassifier, TrainConfig
+from hostseq.models import NetConfig, NeuralClassifier
 
 from conftest import random_gpssm
 from test_autograd import check_gradients
@@ -219,12 +219,11 @@ def test_c6_end_to_end_learnability():
     X_tok = ngram.encode_corpus(token_lists, vocab, max_len)
 
     def transformer_factory(params, seed):
-        spec = ModelSpec(kind="transformer", n_classes=3,
-                         vocab_size=vocab.size,
-                         max_len=max_len, embed_dim=32, num_heads=1)
-        cfg = TrainConfig(learning_rate=0.001, batch_size=128, epochs=30,
-                          seed=seed)
-        return NeuralClassifier(spec, cfg)
+        config = NetConfig(kind="transformer", vocab_size=vocab.size,
+                           max_len=max_len, embed_dim=32, num_heads=1,
+                           learning_rate=0.001, batch_size=128, epochs=30,
+                           seed=seed)
+        return NeuralClassifier(config, 3)
 
     plan = ev.make_cv_plan(labels, k_outer=5, k_inner=4, seed=6)
     doc_t, _ = ev.nested_cv(X_tok, labels, transformer_factory,

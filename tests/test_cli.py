@@ -586,23 +586,38 @@ def test_nested_cv_scalar_hidden_is_one_layer(tmp_path):
     assert '"hidden": 8' in json.dumps(metrics)
 
 
-@pytest.mark.parametrize("grid, key", [
-    ('{"hidden": [[8, "wide"]]}', "'hidden'"),
-    ('{"max_iter": ["many"]}', "'max_iter'"),
-    ('{"learning_rate_init": [[0.1]]}', "'learning_rate_init'"),
+_UNCOERCIBLE = [
+    ("mlp", '{"hidden": [[8, "wide"]]}', "'hidden'"),
+    ("mlp", '{"max_iter": ["many"]}', "'max_iter'"),
+    ("mlp", '{"learning_rate_init": [[0.1]]}', "'learning_rate_init'"),
     # found by tests/test_fuzz.py: an OverflowError traceback
-    ('{"max_iter": [1e999]}', "'max_iter'"),
-])
-def test_nested_cv_uncoercible_grid_value_exit_1(tmp_path, capsys, grid, key):
+    ("mlp", '{"max_iter": [1e999]}', "'max_iter'"),
+    # each once fitted a truncated value while metrics.json recorded the
+    # grid point as given: width 8, 2 epochs, 1 tree of depth 2, rate 1.0
+    ("mlp", '{"hidden": [8.7]}', "'hidden'"),
+    ("mlp", '{"max_iter": [2.9]}', "'max_iter'"),
+    ("rf", '{"n_estimators": [true]}', "'n_estimators'"),
+    ("rf", '{"max_depth": [2.5]}', "'max_depth'"),
+    ("rusboost", '{"learning_rate": [true]}', "'learning_rate'"),
+    ("mlp", '{"alpha": [false]}', "'alpha'"),
+]
+
+
+@pytest.mark.parametrize("model, grid, key", _UNCOERCIBLE, ids=[
+    f"{grid}-{key}" for _, grid, key in _UNCOERCIBLE])
+def test_nested_cv_uncoercible_grid_value_exit_1(tmp_path, capsys, model,
+                                                 grid, key):
     out = tmp_path / "run"
     dataset = synth_corpus(out, records=20, seed=17)
     assert run(["encode", "--dataset", dataset, "--scheme", "eg",
                 "--synth-pssms", "--seed", "3", "--out", str(out)]) == 0
-    assert run(["nested-cv", "--model", "mlp", "--grid", grid,
+    capsys.readouterr()
+    assert run(["nested-cv", "--model", model, "--grid", grid,
                 "--features", str(out / "features.csv"),
                 "--k-outer", "2", "--k-inner", "2", "--seed", "1",
                 "--out", str(out)]) == 1
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1, err
     assert not (out / "metrics.json").exists()
 
 
@@ -1259,25 +1274,42 @@ def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
     ("mlp", "--n-estimators", "7"),
     ("mlp", "--max-depth", "2"),
     ("rusboost", "--alpha", "0.1"),
+    # a net reads only the fields of its own architecture
+    ("mlp", "--num-heads", "3"),
+    ("mlp", "--kernel-size", "7"),
+    ("mlp", "--filters", "5"),
+    ("cnn", "--hidden", "7"),
+    ("cnn", "--num-heads", "2"),
+    ("transformer", "--filters", "9"),
+    ("transformer", "--kernel-size", "5"),
+    ("transformer", "--hidden", "3"),
 ])
-@pytest.mark.parametrize("command", ["train", "nested-cv", "config"])
+@pytest.mark.parametrize("command", ["train", "nested-cv", "config", "grid"])
 def test_model_flag_the_model_does_not_read_exit_1(tmp_path, capsys, model,
                                                    flag, value, command):
     # each once exited 0 with a model byte-identical to the run without it
-    argv = ["train", "--model", model, "--seed", "1",
-            "--features", str(seeded_features(tmp_path))]
-    if command == "nested-cv":
-        argv[0] = command
-        argv += ["--grid", "{}", "--k-outer", "2", "--k-inner", "2"]
-    if command == "config":
+    data = (seeded_tokens(tmp_path) if model in ("cnn", "transformer")
+            else ["--features", str(seeded_features(tmp_path))])
+    argv = ["train", "--model", model, "--seed", "1", *data]
+    if command in ("nested-cv", "grid"):
+        argv[0] = "nested-cv"
+        argv += ["--k-outer", "2", "--k-inner", "2"]
+    field = flag[2:].replace("-", "_")
+    if command == "grid":
+        argv += ["--grid", json.dumps({field: [json.loads(value)]})]
+    elif command == "nested-cv":
+        argv += ["--grid", "{}", flag, value]
+    elif command == "config":
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
             {flag[2:]: json.loads(value) if value[0].isdigit() else value}))
         argv += ["--config", str(config)]
     else:
         argv += [flag, value]
+    capsys.readouterr()
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"--model {model} reads no {flag}\n"
+    unread = f"grid key {field!r}" if command == "grid" else flag
+    assert capsys.readouterr().err == f"--model {model} reads no {unread}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -1309,8 +1341,8 @@ def seeded_tokens(tmp_path):
 
 
 def transformer_checkpoint(tmp_path, edit):
-    """A small transformer model.bin whose header spec edit(spec) changed,
-    and the token flags to predict with it."""
+    """A small transformer model.bin whose header config edit(meta["config"])
+    changed, and the token flags to predict with it."""
     tokens = seeded_tokens(tmp_path)
     out = tmp_path / "model"
     assert run(["train", "--model", "transformer", "--embed-dim", "8",
@@ -1318,7 +1350,7 @@ def transformer_checkpoint(tmp_path, edit):
                 "--out", str(out)]) == 0
     path = out / "model.bin"
     kind, meta, arrays = store.load_checkpoint(path)
-    edit(meta["spec"])
+    edit(meta["config"])
     store.save_checkpoint(path, kind, meta, arrays)
     return path, tokens
 
@@ -1346,7 +1378,7 @@ def test_out_of_range_model_setting_exit_1_or_2(tmp_path, capsys, model,
     # naming its file.
     if setting == ("checkpoint",):
         path, tokens = transformer_checkpoint(
-            tmp_path, lambda spec: spec.update(num_heads=0))
+            tmp_path, lambda config: config.update(num_heads=0))
         capsys.readouterr()
         assert run(["predict", "--model-file", str(path), *tokens,
                     "--out", str(tmp_path / "o")]) == 2
@@ -1367,13 +1399,25 @@ def test_out_of_range_model_setting_exit_1_or_2(tmp_path, capsys, model,
 
 
 def test_checkpoint_with_the_old_input_kind_key_exit_2(tmp_path, capsys):
-    # ModelSpec derives input_kind from vocab_size, so a model.bin written
-    # while it was a field no longer loads
-    path, tokens = transformer_checkpoint(
-        tmp_path, lambda spec: spec.update(input_kind="tokens"))
+    # A neural model.bin written while the architecture (meta "spec") and
+    # the training settings (meta "config") were two dataclasses no longer
+    # loads, and the data error names the file.
+    training = ("learning_rate", "batch_size", "epochs", "alpha", "seed")
+
+    def old_layout(meta):
+        meta["spec"] = {key: value for key, value in meta["config"].items()
+                        if key not in training}
+        meta["spec"]["n_classes"] = meta.pop("n_classes")
+        meta["config"] = {key: meta["config"][key] for key in training}
+
+    path, tokens = transformer_checkpoint(tmp_path, lambda config: None)
+    kind, meta, arrays = store.load_checkpoint(path)
+    old_layout(meta)
+    store.save_checkpoint(path, kind, meta, arrays)
     capsys.readouterr()
     assert run(["predict", "--model-file", str(path), *tokens,
                 "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
-    assert "'input_kind'" in err, err
+    assert err.startswith(f"data error: {path}: arrays or header do not "
+                          f"match: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()

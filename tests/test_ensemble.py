@@ -168,6 +168,17 @@ def test_forest_validation():
                    ForestConfig(n_estimators=1))
 
 
+def test_row_gather_is_the_transpose_of_a_contiguous_array():
+    # fit_tree's column-major copy of a bootstrap or subsample is free
+    # only while the gather comes back C-ordered
+    rng = np.random.default_rng(6)
+    X = rng.random((50, 7))
+    idx = rng.integers(0, 50, size=50)
+    rows = ensemble._rows(np.ascontiguousarray(X.T), idx)
+    assert rows.T.flags["C_CONTIGUOUS"]
+    assert np.array_equal(rows, X[idx])
+
+
 def test_balanced_subsample_invariant():
     rng = np.random.default_rng(5)
     y = np.array([0] * 90 + [1] * 10)

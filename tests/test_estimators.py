@@ -33,9 +33,9 @@ def test_factory_rejects_input_the_kind_does_not_read(model, shape, message):
 
 
 def test_mlp_reads_features_and_tokens():
-    assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).spec.in_dim == 5
-    spec = ModelFactory("mlp", 2, {}, **TOKENS)({}, 0).spec
-    assert (spec.input_kind, spec.vocab_size, spec.max_len) == (
+    assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).config.in_dim == 5
+    config = ModelFactory("mlp", 2, {}, **TOKENS)({}, 0).config
+    assert (config.input_kind, config.vocab_size, config.max_len) == (
         "tokens", 12, 30)
 
 
@@ -49,10 +49,15 @@ def test_grid_aliases_and_flag_precedence():
                        in_dim=3)
     clf = mlp({"max_iter": 3, "epochs": 5, "learning_rate_init": 0.1}, 0)
     assert (clf.config.epochs, clf.config.learning_rate) == (3, 0.1)
-    clf = mlp({"num_filters": 8.0}, 0)
+    clf = mlp({}, 0)
     assert (clf.config.epochs, clf.config.learning_rate) == (9, 0.5)
-    assert clf.spec.filters == 8 and isinstance(clf.spec.filters, int)
-    assert clf.config.batch_size == 128  # TrainConfig default
+    assert clf.config.batch_size == 128  # NetConfig default
+    cnn = ModelFactory("cnn", 2, {"filters": 5}, **TOKENS)
+    clf = cnn({"num_filters": 8.0}, 0)
+    assert clf.config.filters == 8 and isinstance(clf.config.filters, int)
+    assert cnn({}, 0).config.filters == 5
+    with pytest.raises(UsageError, match="'num_filters'"):
+        mlp({"num_filters": 8}, 0)
     rf = ModelFactory("rf", 2, {"base_depth": 4}, in_dim=3)
     assert rf({}, 0).config.max_depth == 10  # ForestConfig default
     with pytest.raises(UsageError, match="base_depth"):
@@ -61,7 +66,7 @@ def test_grid_aliases_and_flag_precedence():
 
 def test_scalar_hidden_is_one_layer():
     mlp = ModelFactory("mlp", 2, {}, in_dim=3)
-    net = build_net(mlp({"hidden": 8}, 0).spec, 0)
+    net = build_net(mlp({"hidden": 8}, 0).config, 2)
     assert [(name, p.data.shape) for name, p in net.params.items()] == [
         ("h0.w", (3, 8)), ("h0.b", (8,)), ("out.w", (8, 2)), ("out.b", (2,))]
     with pytest.raises(UsageError, match="'hidden'"):
@@ -108,9 +113,12 @@ def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
                                                   else FEATURES))
     restored = pickle.loads(pickle.dumps(factory))
     assert restored == factory
-    kind, meta, arrays = factory(params, 5).fit(X, y).to_checkpoint()
-    kind2, meta2, arrays2 = restored(params, 5).fit(X, y).to_checkpoint()
-    assert (kind2, meta2) == (kind, meta)
+    first, second = factory(params, 5), restored(params, 5)
+    assert (second.config, second.n_classes) == (first.config,
+                                                  first.n_classes)
+    kind, arrays = first.fit(X, y).to_checkpoint()
+    kind2, arrays2 = second.fit(X, y).to_checkpoint()
+    assert kind2 == kind
     assert list(arrays2) == list(arrays)
     for name, arr in arrays.items():
         got = np.asarray(arrays2[name])

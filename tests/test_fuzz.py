@@ -88,11 +88,15 @@ def base_inputs(root):
               "--vocab", str(tok / "vocab.json")]
     rf = ["--model", "rf", "--n-estimators", "2", "--max-depth", "3",
           "--seed", "1"]
+    rusboost = ["--model", "rusboost", "--n-estimators", "2",
+                "--base-depth", "2", "--seed", "1"]
     mlp = ["--model", "mlp", "--hidden", "4", "--epochs", "1", "--seed", "1"]
     # heads split embed_dim, so an edit can reach the division by num_heads
     transformer = ["--model", "transformer", "--embed-dim", "8",
                    "--num-heads", "2", "--epochs", "1", "--seed", "1"]
     run(["train", *rf, "--features", features, "--out", str(root / "rf")])
+    run(["train", *rusboost, "--features", features,
+         "--out", str(root / "rusboost")])
     run(["train", *mlp, *tokens, "--out", str(root / "mlp")])
     run(["train", *transformer, *tokens,
          "--out", str(root / "transformer")])
@@ -122,6 +126,8 @@ def base_inputs(root):
         "vocab": (tok / "vocab.json", lambda p: [
             "train", *mlp, "--tokens", tokens[1], "--vocab", p], data),
         "rf-model": (root / "rf" / "model.bin", lambda p: [
+            "predict", "--model-file", p, "--features", features], data),
+        "rusboost-model": (root / "rusboost" / "model.bin", lambda p: [
             "predict", "--model-file", p, "--features", features], data),
         "mlp-model": (root / "mlp" / "model.bin", lambda p: [
             "predict", "--model-file", p, *tokens], data),

@@ -2,14 +2,15 @@
 tables, determinism, learning on separable data, divergence reporting,
 checkpoint roundtrips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hostseq.models import (
     Adam,
-    ModelSpec,
+    NetConfig,
     NeuralClassifier,
-    TrainConfig,
     TrainingDivergedError,
     build_net,
     predict_proba,
@@ -37,32 +38,32 @@ def token_data(seed, n=40, vocab=12, max_len=16, classes=2):
 
 def test_train_config_validation():
     with pytest.raises(ValueError, match="positive"):
-        TrainConfig(epochs=0)
+        NetConfig(kind="mlp", in_dim=4, epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(learning_rate=0.0)
+        NetConfig(kind="mlp", in_dim=4, learning_rate=0.0)
 
 
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="kind"):
-        ModelSpec(kind="svm", n_classes=2, in_dim=4)
+        NetConfig(kind="svm", in_dim=4)
     with pytest.raises(ValueError, match="classes"):
-        ModelSpec(kind="mlp", n_classes=1, in_dim=4)
+        NeuralClassifier(NetConfig(kind="mlp", in_dim=4), 1)
     with pytest.raises(ValueError, match="token"):
-        ModelSpec(kind="cnn", n_classes=2, in_dim=4)
+        NetConfig(kind="cnn", in_dim=4)
     with pytest.raises(ValueError, match="in_dim"):
-        ModelSpec(kind="mlp", n_classes=2)
+        NetConfig(kind="mlp")
     with pytest.raises(ValueError, match="vocab_size"):
-        ModelSpec(kind="transformer", n_classes=2)
+        NetConfig(kind="transformer")
     with pytest.raises(ValueError, match="num_heads"):
-        ModelSpec(kind="transformer", n_classes=2,
+        NetConfig(kind="transformer",
                   vocab_size=10, max_len=8, embed_dim=32, num_heads=5)
 
 
 def test_build_net_deterministic():
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=16)
-    a = build_net(spec, seed=7)
-    b = build_net(spec, seed=7)
-    c = build_net(spec, seed=8)
+    config = NetConfig(kind="mlp", in_dim=8, hidden=16, seed=7)
+    a = build_net(config, 3)
+    b = build_net(config, 3)
+    c = build_net(replace(config, seed=8), 3)
     for (name_a, pa), (_, pb) in zip(a.params.items(), b.params.items()):
         assert np.array_equal(pa.data, pb.data), name_a
     diff = [not np.array_equal(pa.data, pc.data)
@@ -73,21 +74,20 @@ def test_build_net_deterministic():
 _TOKENS = dict(vocab_size=12, embed_dim=4)
 
 
-@pytest.mark.parametrize("spec,table", [
-    (ModelSpec(kind="mlp", n_classes=3, in_dim=8, hidden=16),
+@pytest.mark.parametrize("config,n_classes,table", [
+    (NetConfig(kind="mlp", in_dim=8, hidden=16), 3,
      [("h0.w", (8, 16)), ("h0.b", (16,)), ("out.w", (16, 3)),
       ("out.b", (3,))]),
-    (ModelSpec(kind="mlp", n_classes=2, max_len=6, hidden=5, **_TOKENS),
+    (NetConfig(kind="mlp", max_len=6, hidden=5, **_TOKENS), 2,
      [("embed", (12, 4)), ("h0.w", (24, 5)), ("h0.b", (5,)),
       ("out.w", (5, 2)), ("out.b", (2,))]),
-    (ModelSpec(kind="cnn", n_classes=2, max_len=32, filters=8, **_TOKENS),
+    (NetConfig(kind="cnn", max_len=32, filters=8, **_TOKENS), 2,
      [("embed", (12, 4)), ("conv0.w", (3, 4, 8)), ("conv0.b", (8,)),
       ("conv1.w", (3, 8, 4)), ("conv1.b", (4,)), ("conv2.w", (3, 4, 2)),
       ("conv2.b", (2,)), ("head0.w", (4, 64)), ("head0.b", (64,)),
       ("head1.w", (64, 32)), ("head1.b", (32,)), ("head2.w", (32, 16)),
       ("head2.b", (16,)), ("out.w", (16, 2)), ("out.b", (2,))]),
-    (ModelSpec(kind="transformer", n_classes=3, max_len=6, num_heads=2,
-               **_TOKENS),
+    (NetConfig(kind="transformer", max_len=6, num_heads=2, **_TOKENS), 3,
      [("embed", (12, 4)), ("pos", (6, 4)),
       *[(f"{n}.{p}", (4, 4) if p == "w" else (4,))
         for n in ("wq", "wk", "wv", "wo") for p in "wb"],
@@ -95,25 +95,25 @@ _TOKENS = dict(vocab_size=12, embed_dim=4)
       ("out.w", (4, 3)), ("out.b", (3,)), ("ln1.gamma", (4,)),
       ("ln1.beta", (4,)), ("ln2.gamma", (4,)), ("ln2.beta", (4,))]),
 ], ids=["mlp-features", "mlp-tokens", "cnn", "transformer"])
-def test_param_table_names_order_shapes_and_decay(spec, table):
+def test_param_table_names_order_shapes_and_decay(config, n_classes, table):
     # the table's order is the checkpoint's array order
-    net = build_net(spec, seed=0)
+    net = build_net(config, n_classes)
     assert [(name, p.data.shape) for name, p in net.params.items()] == table
     # one Adam step with and without decay, from parameters shifted off
     # zero: exactly the <layer>.w weights move apart
     rng = np.random.default_rng(1)
-    if spec.input_kind == "tokens":
-        inputs = rng.integers(0, spec.vocab_size, size=(6, spec.max_len))
+    if config.input_kind == "tokens":
+        inputs = rng.integers(0, config.vocab_size, size=(6, config.max_len))
     else:
-        inputs = rng.random((6, spec.in_dim))
-    labels = np.arange(6) % spec.n_classes
+        inputs = rng.random((6, config.in_dim))
+    labels = np.arange(6) % n_classes
     stepped = {}
     for alpha in (0.0, 0.5):
-        net = build_net(spec, seed=0)
+        net = build_net(config, n_classes)
         for p in net.params.values():
             p.data += 0.25
-        train(net, inputs, labels, TrainConfig(
-            learning_rate=0.1, batch_size=6, epochs=1, alpha=alpha))
+        train(net, inputs, labels, replace(
+            config, learning_rate=0.1, batch_size=6, epochs=1, alpha=alpha))
         stepped[alpha] = {name: p.data for name, p in net.params.items()}
     decayed = {name for name, _ in table
                if not np.array_equal(stepped[0.0][name], stepped[0.5][name])}
@@ -122,9 +122,9 @@ def test_param_table_names_order_shapes_and_decay(spec, table):
 
 def test_mlp_learns_blobs():
     X, y = blob_data(3)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=32)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=60, seed=1)
-    clf = NeuralClassifier(spec, cfg).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=32,
+                       learning_rate=0.01, batch_size=16, epochs=60, seed=1)
+    clf = NeuralClassifier(config, 3).fit(X, y)
     assert (clf.predict_proba(X).argmax(axis=1) == y).mean() >= 0.95
     losses = clf.history.epoch_losses
     assert len(losses) == 60
@@ -133,29 +133,28 @@ def test_mlp_learns_blobs():
 
 def test_training_is_deterministic():
     X, y = blob_data(4)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=10, seed=5)
-    a = NeuralClassifier(spec, cfg).fit(X, y)
-    b = NeuralClassifier(spec, cfg).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16,
+                       learning_rate=0.01, batch_size=16, epochs=10, seed=5)
+    a = NeuralClassifier(config, 3).fit(X, y)
+    b = NeuralClassifier(config, 3).fit(X, y)
     assert a.history.epoch_losses == b.history.epoch_losses
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
 def test_seed_changes_trajectory():
     X, y = blob_data(4)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
-    a = NeuralClassifier(spec, TrainConfig(epochs=5, seed=1)).fit(X, y)
-    b = NeuralClassifier(spec, TrainConfig(epochs=5, seed=2)).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16, epochs=5)
+    a = NeuralClassifier(replace(config, seed=1), 3).fit(X, y)
+    b = NeuralClassifier(replace(config, seed=2), 3).fit(X, y)
     assert a.history.epoch_losses != b.history.epoch_losses
 
 
 def test_l2_penalty_shrinks_weights():
     X, y = blob_data(6)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
-    plain = NeuralClassifier(
-        spec, TrainConfig(epochs=40, seed=2, alpha=0.0)).fit(X, y)
-    ridge = NeuralClassifier(
-        spec, TrainConfig(epochs=40, seed=2, alpha=1.0)).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16, epochs=40,
+                       seed=2)
+    plain = NeuralClassifier(replace(config, alpha=0.0), 3).fit(X, y)
+    ridge = NeuralClassifier(replace(config, alpha=1.0), 3).fit(X, y)
     norm = lambda c: sum(float((p.data ** 2).sum())
                          for p in c.net.params.values())
     assert norm(ridge) < norm(plain)
@@ -163,16 +162,16 @@ def test_l2_penalty_shrinks_weights():
 
 def test_divergence_raises_with_epoch():
     X, y = blob_data(7)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=16)
-    cfg = TrainConfig(learning_rate=1e200, epochs=8, batch_size=16, seed=0)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16,
+                       learning_rate=1e200, epochs=8, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError, match="epoch"):
-        NeuralClassifier(spec, cfg).fit(X * 1e3, y)
+        NeuralClassifier(config, 3).fit(X * 1e3, y)
 
 
 def test_predict_proba_batching_consistent():
     X, y = blob_data(8, n=70)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
-    net = build_net(spec, seed=0)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8)
+    net = build_net(config, 3)
     full = predict_proba(net, X, batch_size=1000)
     chunked = predict_proba(net, X, batch_size=7)
     assert np.allclose(full, chunked, atol=1e-12)
@@ -181,63 +180,61 @@ def test_predict_proba_batching_consistent():
 
 def test_cnn_learns_tokens():
     X, y = token_data(1, max_len=32)
-    spec = ModelSpec(kind="cnn", n_classes=2, vocab_size=12,
-                     max_len=X.shape[1], embed_dim=8,
-                     filters=16, kernel_size=3)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=30, seed=3)
-    clf = NeuralClassifier(spec, cfg).fit(X, y)
+    config = NetConfig(kind="cnn", vocab_size=12, max_len=X.shape[1],
+                       embed_dim=8, filters=16, kernel_size=3,
+                       learning_rate=0.01, batch_size=8, epochs=30, seed=3)
+    clf = NeuralClassifier(config, 2).fit(X, y)
     assert (clf.predict_proba(X).argmax(axis=1) == y).mean() >= 0.9
 
 
 def test_cnn_rejects_short_max_len():
-    spec = ModelSpec(kind="cnn", n_classes=2, vocab_size=12, max_len=4,
-                     embed_dim=8, filters=16, kernel_size=3)
+    config = NetConfig(kind="cnn", vocab_size=12, max_len=4,
+                       embed_dim=8, filters=16, kernel_size=3)
     with pytest.raises(ValueError, match="max_len|short"):
-        build_net(spec, seed=0)
+        build_net(config, 2)
 
 
 def test_transformer_learns_tokens():
     X, y = token_data(2)
-    spec = ModelSpec(kind="transformer", n_classes=2, vocab_size=12,
-                     max_len=X.shape[1], embed_dim=8,
-                     num_heads=2)
-    cfg = TrainConfig(learning_rate=0.005, batch_size=8, epochs=30, seed=3)
-    clf = NeuralClassifier(spec, cfg).fit(X, y)
+    config = NetConfig(kind="transformer", vocab_size=12, max_len=X.shape[1],
+                       embed_dim=8, num_heads=2, learning_rate=0.005,
+                       batch_size=8, epochs=30, seed=3)
+    clf = NeuralClassifier(config, 2).fit(X, y)
     assert (clf.predict_proba(X).argmax(axis=1) == y).mean() >= 0.9
 
 
 def test_input_validation():
     X, y = blob_data(9)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
-    clf = NeuralClassifier(spec, TrainConfig(epochs=1))
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=1)
+    clf = NeuralClassifier(config, 3)
     with pytest.raises(RuntimeError, match="not fitted"):
         clf.predict_proba(X)
     clf.fit(X, y)
     with pytest.raises(ValueError):
         clf.predict_proba(X[:, :3])
-    tok_spec = ModelSpec(kind="transformer", n_classes=2, vocab_size=10,
-                         max_len=6, embed_dim=4, num_heads=1)
-    tok = NeuralClassifier(tok_spec, TrainConfig(epochs=1, batch_size=4))
+    tok_config = NetConfig(kind="transformer", vocab_size=10, max_len=6,
+                           embed_dim=4, num_heads=1, epochs=1, batch_size=4)
+    tok = NeuralClassifier(tok_config, 2)
     with pytest.raises(ValueError, match="integer"):
         tok.fit(np.zeros((4, 6), dtype=float), np.array([0, 1, 0, 1]))
 
 
 def test_label_bounds_checked():
     X, y = blob_data(10)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=1)
     bad = y.copy()
     bad[0] = 7
     with pytest.raises(ValueError):
-        NeuralClassifier(spec, TrainConfig(epochs=1)).fit(X, bad)
+        NeuralClassifier(config, 3).fit(X, bad)
 
 
 def test_state_roundtrip():
     X, y = blob_data(11)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=X.shape[1], hidden=8)
-    cfg = TrainConfig(epochs=5, seed=4)
-    clf = NeuralClassifier(spec, cfg).fit(X, y)
-    _, meta, arrays = clf.to_checkpoint()
-    fresh = NeuralClassifier.from_checkpoint(meta, arrays)
+    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=5,
+                       seed=4)
+    clf = NeuralClassifier(config, 3).fit(X, y)
+    _, arrays = clf.to_checkpoint()
+    fresh = NeuralClassifier(config, 3).load_arrays(arrays)
     assert np.array_equal(clf.predict_proba(X), fresh.predict_proba(X))
 
 

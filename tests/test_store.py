@@ -16,7 +16,8 @@ from hostseq.ensemble import (
     fit_forest,
     fit_rusboost,
 )
-from hostseq.models import ModelSpec, NeuralClassifier, TrainConfig
+from hostseq.estimators import KINDS, ModelFactory
+from hostseq.models import NetConfig, NeuralClassifier
 from hostseq.seqio import DataError
 
 
@@ -119,13 +120,13 @@ def test_neural_model_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, size=30)
-    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=4, hidden=8)
-    clf = NeuralClassifier(spec, TrainConfig(epochs=3, seed=1)).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=4, hidden=8, epochs=3, seed=1)
+    clf = NeuralClassifier(config, 2).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("neg", "pos"))
     loaded, class_names = store.load_model(path)
     assert class_names == ("neg", "pos")
-    assert loaded.spec == spec
+    assert loaded.config == config
     assert np.array_equal(loaded.predict_proba(X), clf.predict_proba(X))
 
 
@@ -163,9 +164,8 @@ def test_save_model_rejects_unknown(tmp_path):
 @pytest.mark.parametrize("make", [
     lambda: Forest(ForestConfig(n_estimators=3, max_depth=2, seed=1), 2),
     lambda: RusBoostModel(RusBoostConfig(n_estimators=3, seed=1), 2),
-    lambda: NeuralClassifier(ModelSpec(kind="mlp", n_classes=2, in_dim=3,
-                                       hidden=4),
-                             TrainConfig(epochs=2, seed=1)),
+    lambda: NeuralClassifier(NetConfig(kind="mlp", in_dim=3, hidden=4,
+                                       epochs=2, seed=1), 2),
 ], ids=["forest", "rusboost", "neural"])
 def test_estimator_protocol_checkpoint_roundtrip(make):
     rng = np.random.default_rng(5)
@@ -173,10 +173,34 @@ def test_estimator_protocol_checkpoint_roundtrip(make):
     y = (X[:, 0] > 0.5).astype(int)
     estimator = make()
     assert estimator.fit(X, y) is estimator
-    kind, meta, arrays = estimator.to_checkpoint()
-    meta = json.loads(json.dumps(meta))  # headers are plain JSON
-    restored = type(estimator).from_checkpoint(meta, arrays)
+    kind, arrays = estimator.to_checkpoint()
+    restored = type(estimator)(estimator.config,
+                               estimator.n_classes).load_arrays(arrays)
     assert np.array_equal(restored.predict_proba(X), estimator.predict_proba(X))
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+def test_every_kind_roundtrips_through_save_model(tmp_path, model):
+    rng = np.random.default_rng(9)
+    tokens = "features" not in KINDS[model].inputs
+    X = (rng.integers(0, 12, size=(30, 30)) if tokens
+         else rng.random((30, 4)))
+    y = np.arange(30) % 3
+    shape = ({"vocab_size": 12, "max_len": 30} if tokens
+             else {"in_dim": 4})
+    defaults = {"n_estimators": 3, "base_depth": 2, "max_depth": 3,
+                "epochs": 2, "batch_size": 8, "embed_dim": 4, "filters": 4}
+    estimator = ModelFactory(model, 3, defaults, **shape)({}, 5).fit(X, y)
+    path = tmp_path / "model.bin"
+    store.save_model(path, estimator, ("a", "b", "c"))
+    _, meta, _ = store.load_checkpoint(path)
+    assert sorted(meta) == ["class_names", "config", "model", "n_classes"]
+    loaded, class_names = store.load_model(path)
+    assert class_names == ("a", "b", "c")
+    assert type(loaded) is type(estimator)
+    assert loaded.config == estimator.config
+    assert loaded.predict_proba(X).tobytes() \
+        == estimator.predict_proba(X).tobytes()
 
 
 def _rewrite_without(path, array_name):
@@ -237,8 +261,8 @@ def test_load_model_parameter_mismatch_is_checkpoint_error(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 2, size=20)
-    spec = ModelSpec(kind="mlp", n_classes=2, in_dim=3, hidden=4)
-    clf = NeuralClassifier(spec, TrainConfig(epochs=1)).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=3, hidden=4, epochs=1)
+    clf = NeuralClassifier(config, 2).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("a", "b"))
     _rewrite_without(path, "out.b")
@@ -250,9 +274,9 @@ def test_neural_checkpoint_save_load_save_identical(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 3, size=20)
-    spec = ModelSpec(kind="mlp", n_classes=3, in_dim=3, hidden=5)
-    clf = NeuralClassifier(spec, TrainConfig(epochs=2, alpha=0.01,
-                                             seed=4)).fit(X, y)
+    config = NetConfig(kind="mlp", in_dim=3, hidden=5, epochs=2,
+                       alpha=0.01, seed=4)
+    clf = NeuralClassifier(config, 3).fit(X, y)
     first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     store.save_model(first, clf, ("x", "y", "z"))
     store.save_model(second, *store.load_model(first))
