@@ -420,11 +420,20 @@ def _predict(opts):
     return table, class_names, model.predict_proba(table.matrix)
 
 
+def _label_indices(labels, class_names, path) -> np.ndarray:
+    """evaluation.label_indices; an unknown label names the file path."""
+    try:
+        return evaluation.label_indices(labels, class_names)
+    except DataError as exc:
+        raise located(exc, path) from exc
+
+
 def cmd_evaluate(opts, out):
     table, class_names, proba = _predict(opts)
     doc, curves = evaluation.compute_report(
-        evaluation.label_indices(table.labels, class_names), proba,
-        class_names)
+        _label_indices(table.labels, class_names,
+                       opts["features"] or opts["tokens"]),
+        proba, class_names)
     artifacts = _write_scores(out, doc, curves)
     return (artifacts, f"mean score {doc['overall']['mean_score']:.4f} "
             f"over {len(table.ids)} records")
@@ -498,7 +507,8 @@ def cmd_report(opts, out):
         tables = [store.read_predictions_csv(path) for path in pred_paths]
         ids0, true0, _, class_names, proba0 = tables[0]
         doc, curves = evaluation.compute_report(
-            evaluation.label_indices(true0, class_names), proba0, class_names)
+            _label_indices(true0, class_names, pred_paths[0]), proba0,
+            class_names)
         store.write_metrics_csv(os.path.join(out, METRICS_CSV_FILE), doc)
         artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, curves)
         if len(pred_paths) > 1:

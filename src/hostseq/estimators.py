@@ -19,15 +19,15 @@ class UsageError(Exception):
 
 
 # What a --model kind builds, as estimator(config(...), n_classes): its
-# estimator class, its config dataclass, and the inputs it reads
-# ("features", "tokens").
-Kind = namedtuple("Kind", "estimator config inputs")
-# A net reads the inputs its class lists.
+# estimator class, its config dataclass, and the one input it reads,
+# "features" or "tokens".
+Kind = namedtuple("Kind", "estimator config input")
+# A net reads the input its class names.
 KINDS = {
-    **{name: Kind(NeuralClassifier, NetConfig, net.INPUTS)
+    **{name: Kind(NeuralClassifier, NetConfig, net.INPUT)
        for name, net in NETS.items()},
-    "rf": Kind(Forest, ForestConfig, ("features",)),
-    "rusboost": Kind(RusBoostModel, RusBoostConfig, ("features",)),
+    "rf": Kind(Forest, ForestConfig, "features"),
+    "rusboost": Kind(RusBoostModel, RusBoostConfig, "features"),
 }
 # Checkpoint "model" tag -> the Kind of its estimator family.
 FAMILIES = {kind.estimator.FAMILY: kind for kind in KINDS.values()}
@@ -65,7 +65,7 @@ SETTABLE = {
     "rf": {"n_estimators": (), "max_depth": ()},
     "rusboost": {"n_estimators": (), "learning_rate": (),
                  "max_depth": ("base_depth",)},
-    "mlp": {"hidden": (), "embed_dim": (), **_TRAINING},
+    "mlp": {"hidden": (), **_TRAINING},
     "cnn": {"embed_dim": (), "filters": ("num_filters",), "kernel_size": (),
             **_TRAINING},
     "transformer": {"embed_dim": (), "num_heads": (), **_TRAINING},
@@ -88,9 +88,10 @@ READS = {model: frozenset(name for field, aliases in names.items()
 
 def coerce(kind, name, value):
     """value as a config field of type kind. A bool, or a number with a
-    fraction for an int field, is a usage error rather than a truncation."""
+    fraction for an int field, is a usage error rather than a truncation;
+    a string (a grid's JSON text; flags come typed) is one too."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(
+        if isinstance(value, (bool, str)) or (kind is int and isinstance(
                 value, float) and not value.is_integer()):
             raise ValueError
         return kind(value)
@@ -114,8 +115,9 @@ def grid_points(doc) -> list:
 class ModelFactory:
     """factory(params, seed) -> unfitted estimator of --model kind model.
 
-    A nonzero vocab_size means token input of width max_len, otherwise
-    feature input of width in_dim; defaults holds the model flags given.
+    A nonzero vocab_size means a table of token input of width max_len,
+    otherwise of feature input of width in_dim, and the table's input
+    must be the one the kind reads; defaults holds the model flags given.
     A settable field takes the first value given under any of its names,
     grid params before flag defaults, coerced to the type of the config
     dataclass default (see coerce), which applies when no name is
@@ -134,13 +136,9 @@ class ModelFactory:
         kind = KINDS.get(self.model)
         if kind is None:
             raise UsageError(f"unknown --model {self.model!r}")
-        if self.input_kind not in kind.inputs:
+        if ("tokens" if self.vocab_size else "features") != kind.input:
             raise UsageError(f"{self.model} requires "
-                             f"{_INPUT_FLAGS[kind.inputs[0]]}")
-
-    @property
-    def input_kind(self) -> str:
-        return "tokens" if self.vocab_size else "features"
+                             f"{_INPUT_FLAGS[kind.input]}")
 
     def __call__(self, params, seed):
         kind = KINDS[self.model]

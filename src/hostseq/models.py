@@ -1,8 +1,8 @@
 """Neural classifiers built on the autograd kernel.
 
 Three architectures share one training loop: a dense network over fixed
-feature vectors (or over embedded token sequences), a 1-D convolutional
-network over token sequences, and a single-block transformer encoder.
+feature vectors, and a 1-D convolutional network and a single-block
+transformer encoder over token sequences.
 All arithmetic is float64 and every random draw comes from a seed derived
 with util.derive_seed, so repeated fits are bit-identical.
 """
@@ -26,8 +26,9 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class NetConfig:
     """Every setting of a neural classifier: the architecture, which with
-    the class count rebuilds the network, and the training loop. A
-    nonzero vocab_size means token input (see input_kind)."""
+    the class count rebuilds the network, and the training loop. The net
+    of kind reads the input its INPUT names: feature rows of width in_dim,
+    or token rows of width max_len over vocab_size ids."""
 
     kind: str                      # a key of NETS
     in_dim: int = 0                # feature input width
@@ -51,22 +52,16 @@ class NetConfig:
                                     "kernel_size", "num_heads",
                                     "learning_rate", "batch_size", "epochs"),
                     non_negative=("alpha",))
-        if self.input_kind == "tokens":
-            if self.vocab_size < 2 or self.max_len < 1:
-                raise ValueError("token input requires vocab_size and max_len")
-        elif "features" not in NETS[self.kind].INPUTS:
-            raise ValueError(f"{self.kind} reads only token input, which "
+        if NETS[self.kind].INPUT == "features":
+            if self.in_dim < 1:
+                raise ValueError("feature input requires in_dim")
+        elif self.vocab_size < 2 or self.max_len < 1:
+            raise ValueError(f"{self.kind} reads token input, which "
                              f"requires vocab_size and max_len")
-        elif self.in_dim < 1:
-            raise ValueError("feature input requires in_dim")
         if self.kind == "transformer" and self.embed_dim % self.num_heads:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"num_heads {self.num_heads}")
-
-    @property
-    def input_kind(self) -> str:
-        return "tokens" if self.vocab_size else "features"
 
 
 class _Net:
@@ -109,28 +104,18 @@ class _Net:
 
 
 class MlpNet(_Net):
-    """One dense ReLU hidden layer of width hidden, then the output
-    layer. Token input is embedded and flattened first."""
+    """Feature rows through one dense ReLU hidden layer of width hidden,
+    then the output layer."""
 
-    INPUTS = ("features", "tokens")
+    INPUT = "features"
 
     def __init__(self, config: NetConfig, n_classes: int, rng):
         super().__init__(config, rng)
-        if config.input_kind == "tokens":
-            self._embedding("embed", config.vocab_size)
-            width = config.max_len * config.embed_dim
-        else:
-            width = config.in_dim
-        self._weights("h0", width, config.hidden)
+        self._weights("h0", config.in_dim, config.hidden)
         self._weights("out", config.hidden, n_classes)
 
     def forward(self, inputs) -> Tensor:
-        if "embed" in self.params:
-            x = ag.embedding(self.params["embed"], inputs)
-            x = ag.reshape(x, (inputs.shape[0], -1))
-        else:
-            x = Tensor(inputs)
-        return self._dense("out", ag.relu(self._dense("h0", x)))
+        return self._dense("out", ag.relu(self._dense("h0", Tensor(inputs))))
 
 
 class CnnNet(_Net):
@@ -140,7 +125,7 @@ class CnnNet(_Net):
     is a valid convolution followed by width-2 max pooling.
     """
 
-    INPUTS = ("tokens",)
+    INPUT = "tokens"
     HEAD = (64, 32, 16)
 
     def __init__(self, config: NetConfig, n_classes: int, rng):
@@ -183,7 +168,7 @@ class TransformerNet(_Net):
     a dense softmax head.
     """
 
-    INPUTS = ("tokens",)
+    INPUT = "tokens"
 
     def __init__(self, config: NetConfig, n_classes: int, rng):
         super().__init__(config, rng)
@@ -228,7 +213,7 @@ class TransformerNet(_Net):
         return self._dense("out", pooled)
 
 
-# Network kind -> class; each class lists the inputs it reads.
+# Network kind -> class; each class names the input it reads.
 NETS = {"mlp": MlpNet, "cnn": CnnNet, "transformer": TransformerNet}
 
 
@@ -365,7 +350,7 @@ class NeuralClassifier:
         return proba
 
     def _check_inputs(self, inputs):
-        tokens = self.config.input_kind == "tokens"
+        tokens = NETS[self.config.kind].INPUT == "tokens"
         width = self.config.max_len if tokens else self.config.in_dim
         inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != width:

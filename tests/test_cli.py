@@ -425,20 +425,29 @@ def test_evaluate_wrong_width_features_exit_2(tmp_path, capsys, model, extra):
 
 @pytest.mark.parametrize("command,table,flag", [
     ("evaluate", "features.csv", "--features"),
+    ("evaluate", "tokens.csv", "--tokens"),
     ("report", "predictions.csv", "--predictions"),
 ])
 def test_unknown_label_exit_2(tmp_path, capsys, command, table, flag):
-    out = predictions_fixture(tmp_path)
-    lines = (out / table).read_text().splitlines()
+    # the error once named no file
+    if flag == "--tokens":
+        model, tokens = transformer_checkpoint(tmp_path, lambda config: None)
+        source, extra = tokens[1], tokens[2:]
+    else:
+        out = predictions_fixture(tmp_path)
+        model, source, extra = out / "model.bin", out / table, []
+    lines = seqio.read_text(source).splitlines()
     fields = lines[1].split(",")
     fields[1] = "martian"
     bad = tmp_path / table
     bad.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
-    argv = [command, flag, str(bad), "--out", str(tmp_path / "o")]
+    argv = [command, flag, str(bad), *extra, "--out", str(tmp_path / "o")]
     if command == "evaluate":
-        argv += ["--model-file", str(out / "model.bin")]
+        argv += ["--model-file", str(model)]
+    capsys.readouterr()
     assert run(argv) == 2
-    assert "martian" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: unknown label 'martian'\n")
 
 
 @pytest.mark.parametrize("model,extra,dropped", [
@@ -600,6 +609,10 @@ _UNCOERCIBLE = [
     ("rf", '{"max_depth": [2.5]}', "'max_depth'"),
     ("rusboost", '{"learning_rate": [true]}', "'learning_rate'"),
     ("mlp", '{"alpha": [false]}', "'alpha'"),
+    # each once fitted the number while metrics.json recorded the string
+    ("mlp", '{"hidden": ["8"]}', "'hidden'"),
+    ("rf", '{"max_depth": ["5"]}', "'max_depth'"),
+    ("rusboost", '{"learning_rate": ["0.1"]}', "'learning_rate'"),
 ]
 
 
@@ -1234,7 +1247,7 @@ def test_flag_rules_name_flags_of_the_commands_they_apply_to():
         assert any(name in names for names in flags.values()), name
 
 
-@pytest.mark.parametrize("model", ["mlp", "cnn", "transformer"])
+@pytest.mark.parametrize("model", ["cnn", "transformer"])
 def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
                                                               model):
     # the tokens agree with their own vocabulary file, but that is larger
@@ -1278,6 +1291,7 @@ def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
     ("mlp", "--num-heads", "3"),
     ("mlp", "--kernel-size", "7"),
     ("mlp", "--filters", "5"),
+    ("mlp", "--embed-dim", "8"),
     ("cnn", "--hidden", "7"),
     ("cnn", "--num-heads", "2"),
     ("transformer", "--filters", "9"),
@@ -1395,6 +1409,30 @@ def test_out_of_range_model_setting_exit_1_or_2(tmp_path, capsys, model,
     capsys.readouterr()
     assert run(argv + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_mlp_token_checkpoint_exit_2(tmp_path, capsys):
+    # mlp reads feature input only; it once also embedded tokens, and a
+    # model.bin of that net no longer loads
+    path, tokens = transformer_checkpoint(tmp_path, lambda config: None)
+    assert run(["train", "--model", "mlp", "--seed", "1", *tokens,
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == \
+        "mlp requires feature input (--features)\n"
+    _, meta, _ = store.load_checkpoint(path)
+    config, classes = meta["config"], meta["n_classes"]
+    config.update(kind="mlp", hidden=5)
+    arrays = {"embed": np.zeros((config["vocab_size"], config["embed_dim"])),
+              "h0.w": np.zeros((config["max_len"] * config["embed_dim"], 5)),
+              "h0.b": np.zeros(5), "out.w": np.zeros((5, classes)),
+              "out.b": np.zeros(classes)}
+    store.save_checkpoint(path, "mlp", meta, arrays)
+    assert run(["predict", "--model-file", str(path), *tokens,
+                "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: arrays or header do not match: feature "
+        f"input requires in_dim\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -32,11 +32,12 @@ def test_factory_rejects_input_the_kind_does_not_read(model, shape, message):
         ModelFactory(model, 2, {}, **shape)
 
 
-def test_mlp_reads_features_and_tokens():
+def test_mlp_on_tokens_is_a_usage_error():
     assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).config.in_dim == 5
-    config = ModelFactory("mlp", 2, {}, **TOKENS)({}, 0).config
-    assert (config.input_kind, config.vocab_size, config.max_len) == (
-        "tokens", 12, 30)
+    with pytest.raises(UsageError,
+                       match=re.escape("mlp requires feature input "
+                                       "(--features)")):
+        ModelFactory("mlp", 2, {}, **TOKENS)
 
 
 def test_grid_aliases_and_flag_precedence():
@@ -103,7 +104,7 @@ def test_grid_points_expand_objects_and_keep_lists():
 ])
 def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
     rng = np.random.default_rng(8)
-    tokens = "features" not in KINDS[model].inputs
+    tokens = KINDS[model].input == "tokens"
     X = (rng.integers(1, TOKENS["vocab_size"], size=(30, TOKENS["max_len"]))
          if tokens else rng.random((30, FEATURES["in_dim"])))
     y = np.arange(30) % 2

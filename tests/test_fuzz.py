@@ -97,7 +97,7 @@ def base_inputs(root):
     run(["train", *rf, "--features", features, "--out", str(root / "rf")])
     run(["train", *rusboost, "--features", features,
          "--out", str(root / "rusboost")])
-    run(["train", *mlp, *tokens, "--out", str(root / "mlp")])
+    run(["train", *mlp, "--features", features, "--out", str(root / "mlp")])
     run(["train", *transformer, *tokens,
          "--out", str(root / "transformer")])
     run(["predict", "--model-file", str(root / "rf" / "model.bin"),
@@ -122,15 +122,17 @@ def base_inputs(root):
         "features": (syn / "features.csv", lambda p: [
             "train", *rf, "--features", p], data),
         "tokens": (tok / "tokens.csv", lambda p: [
-            "train", *mlp, "--tokens", p, "--vocab", tokens[3]], data),
+            "train", *transformer, "--tokens", p, "--vocab", tokens[3]],
+            data),
         "vocab": (tok / "vocab.json", lambda p: [
-            "train", *mlp, "--tokens", tokens[1], "--vocab", p], data),
+            "train", *transformer, "--tokens", tokens[1], "--vocab", p],
+            data),
         "rf-model": (root / "rf" / "model.bin", lambda p: [
             "predict", "--model-file", p, "--features", features], data),
         "rusboost-model": (root / "rusboost" / "model.bin", lambda p: [
             "predict", "--model-file", p, "--features", features], data),
         "mlp-model": (root / "mlp" / "model.bin", lambda p: [
-            "predict", "--model-file", p, *tokens], data),
+            "predict", "--model-file", p, "--features", features], data),
         "transformer-model": (root / "transformer" / "model.bin", lambda p: [
             "predict", "--model-file", p, *tokens], data),
         "predictions": (root / "pred" / "predictions.csv", lambda p: [

@@ -1,0 +1,122 @@
+"""Metamorphic relations: how a result must change, or not, when its
+input changes in a known way (Xie et al., "Testing and validating
+machine learning classifiers by metamorphic testing", JSS 2011). The
+learners have no oracle for a single output, so these pin what a rerun
+cannot show.
+
+- R1, batch independence: a record's probabilities do not depend on the
+  other rows scored with it.
+- R2, exact rescaling: multiplying every feature by 4 leaves the tree
+  ensembles' probabilities unchanged, since a power of two commutes with
+  the midpoint thresholds.
+- R3, class renaming: names that keep their sorted order leave the
+  overall scores unchanged.
+- R4, one scoring path: evaluate writes the bytes that predict followed
+  by report --predictions writes.
+- R5, worker count: nested CV gives the same document for any number of
+  workers; tests/test_evaluation.py::test_nested_cv_workers_equivalent
+  pins it.
+"""
+
+import numpy as np
+import pytest
+
+from hostseq import cli, evaluation, ngram, pssm, store, synth
+from hostseq.estimators import KINDS, ModelFactory
+from hostseq.seqio import class_order
+
+# small settings of each kind the relations fit
+SETTINGS = {"rf": {"n_estimators": 5, "max_depth": 4},
+            "rusboost": {"n_estimators": 5, "base_depth": 2},
+            "mlp": {"hidden": 8, "epochs": 3, "batch_size": 16},
+            "transformer": {"embed_dim": 8, "num_heads": 2, "epochs": 2,
+                            "batch_size": 16}}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(EG feature matrix, trigram id matrix, vocabulary size, labels) of
+    45 synthetic records over three classes."""
+    spec = synth.SynthSpec(classes=synth.default_classes(3), records=45,
+                           min_len=40, max_len=50, seed=11)
+    ds = synth.generate(spec)
+    profiles = synth.generate_pssms(ds, 11)
+    features = np.array([pssm.encode_record_features(
+        r.residues, profiles[r.id], "eg") for r in ds.records])
+    rows = [ngram.tokenize(r.residues, 3) for r in ds.records]
+    vocab = ngram.build_vocab(rows, 3)
+    tokens = ngram.encode_corpus(rows, vocab, max(map(len, rows)))
+    return features, tokens, vocab.size, list(ds.labels)
+
+
+def fitted(model, corpus, scale=1.0):
+    """model fitted on two of every three records (features times scale),
+    and the inputs of every record."""
+    features, tokens, vocab_size, labels = corpus
+    y = evaluation.label_indices(labels, class_order(labels))
+    if KINDS[model].input == "tokens":
+        inputs, shape = tokens, {"vocab_size": vocab_size,
+                                 "max_len": tokens.shape[1]}
+    else:
+        inputs, shape = features * scale, {"in_dim": features.shape[1]}
+    train = np.arange(len(y)) % 3 != 0
+    estimator = ModelFactory(model, 3, SETTINGS[model], **shape)({}, 7)
+    return estimator.fit(inputs[train], y[train]), inputs
+
+
+@pytest.mark.parametrize("model", sorted(SETTINGS))
+def test_r1_batch_independence(corpus, model):
+    estimator, inputs = fitted(model, corpus)
+    whole = estimator.predict_proba(inputs)
+    for size in (1, 7, 13):
+        parts = np.concatenate([estimator.predict_proba(inputs[i:i + size])
+                                for i in range(0, len(inputs), size)])
+        if KINDS[model].estimator.FAMILY == "neural":
+            assert np.abs(parts - whole).max() <= 1e-12, size
+        else:
+            assert parts.tobytes() == whole.tobytes(), size
+
+
+@pytest.mark.parametrize("model", ["rf", "rusboost"])
+def test_r2_rescaling_by_four(corpus, model):
+    estimator, inputs = fitted(model, corpus)
+    scaled, scaled_inputs = fitted(model, corpus, scale=4.0)
+    assert scaled.predict_proba(scaled_inputs).tobytes() == \
+        estimator.predict_proba(inputs).tobytes()
+
+
+def test_r3_class_renaming_keeps_overall(corpus):
+    features, _, _, labels = corpus
+    renamed = {"class0": "avian", "class1": "human", "class2": "swine"}
+    overall = []
+    for names in (labels, [renamed[name] for name in labels]):
+        classes = class_order(names)
+        y = evaluation.label_indices(names, classes)
+        estimator = ModelFactory("rf", 3, SETTINGS["rf"],
+                                 in_dim=features.shape[1])({}, 7)
+        proba = estimator.fit(features, y).predict_proba(features[::2])
+        doc, _ = evaluation.compute_report(y[::2], proba, classes)
+        overall.append(doc["overall"])
+    assert overall[0] == overall[1]
+
+
+def test_r4_evaluate_equals_predict_then_report(tmp_path, corpus):
+    features, _, _, labels = corpus
+    data = tmp_path / "features.csv"
+    store.write_features_csv(data, [f"r{i}" for i in range(len(labels))],
+                             labels, "eg", features)
+
+    def run(*argv, out):
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 0
+        return tmp_path / out
+
+    model = run("train", "--model", "rf", "--seed", "1", "--n-estimators",
+                "5", "--features", str(data), out="model") / "model.bin"
+    evaluate = run("evaluate", "--model-file", str(model),
+                   "--features", str(data), out="ev")
+    predictions = run("predict", "--model-file", str(model),
+                      "--features", str(data), out="pred")
+    report = run("report", "--predictions",
+                 str(predictions / "predictions.csv"), out="rep")
+    for name in ("metrics.json", "pr_curves.csv"):
+        assert (report / name).read_bytes() == (evaluate / name).read_bytes()

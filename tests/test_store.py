@@ -182,7 +182,7 @@ def test_estimator_protocol_checkpoint_roundtrip(make):
 @pytest.mark.parametrize("model", sorted(KINDS))
 def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     rng = np.random.default_rng(9)
-    tokens = "features" not in KINDS[model].inputs
+    tokens = KINDS[model].input == "tokens"
     X = (rng.integers(0, 12, size=(30, 30)) if tokens
          else rng.random((30, 4)))
     y = np.arange(30) % 3
