@@ -470,8 +470,11 @@ def cmd_nested_cv(opts, out):
     plan = evaluation.make_cv_plan(table.y, opts["k-outer"], opts["k-inner"],
                                    seed)
     evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
-    # --workers, capped at the cores this process may run on
-    workers = min(opts["workers"], len(os.sched_getaffinity(0)))
+    # --workers, capped at the cores this process may run on, for a kind
+    # whose fits gain from threads (estimators.KINDS); one thread otherwise
+    workers = 1
+    if estimators.KINDS[model_kind].threads:
+        workers = min(opts["workers"], len(os.sched_getaffinity(0)))
     doc, curves = evaluation.nested_cv(table.matrix, table.y, factory, grid,
                                        plan, table.class_names,
                                        workers=workers)
@@ -481,7 +484,8 @@ def cmd_nested_cv(opts, out):
             f"pooled mean score {pooled['mean_score']:.4f} "
             f"(micro F1 {pooled['micro_f1']:.4f}, "
             f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
-            f"MCC {pooled['overall_mcc']:.4f})")
+            f"MCC {pooled['overall_mcc']:.4f}); fits ran on {workers} "
+            f"worker thread{'s' if workers > 1 else ''}")
 
 
 def _prediction_names(paths) -> list:

@@ -3,8 +3,10 @@ undersampling for imbalanced data.
 
 Trees are grown greedily on Gini impurity with midpoint thresholds.
 The split search is exact and vectorized over a column-major copy of
-the training matrix, one feature per contiguous row: a node gathers a
-block of candidate features as (columns, rows), sorts each along its
+the training matrix, one feature per contiguous row, made once per
+forest or boosting fit: each tree reads the rows of its bootstrap or
+subsample from it by index. A node gathers a block of candidate
+features of its rows as (columns, rows), sorts each along its
 contiguous axis, and scores every cut point of the block from one 2-D
 prefix-sum array per class. Split ties break toward the lowest
 threshold, then the lowest feature index, so fits are reproducible. A
@@ -129,15 +131,16 @@ def _split_gini(parts, total):
     return 1.0 - _class_sum([(part / total) ** 2 for part in parts])
 
 
-def _best_split(XT, idx, candidates, weights, parent_total, parent_gini):
-    """(feature, threshold) of the best split of rows idx over the sorted
+def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
+    """(feature, threshold) of the best split of a node over the sorted
     candidates, or None; fit_tree states the rule. XT is the column-major
-    (d, n) matrix and weights the (rows, classes) class weights of idx.
+    (d, n) matrix, at the node's rows of it, in sample order, and weights
+    the (rows, classes) class weights of those samples.
     A column's cut is its first minimum in sorted order, i.e. its lowest
     threshold."""
     impurity, thresholds = [], []
     for s in range(0, candidates.size, _BLOCK):
-        values = XT[candidates[s:s + _BLOCK, None], idx]
+        values = XT[candidates[s:s + _BLOCK, None], at]
         order = np.argsort(values, axis=1, kind="stable")
         cols = np.arange(values.shape[0])
         v = values[cols[:, None], order]
@@ -166,15 +169,19 @@ def _best_split(XT, idx, candidates, weights, parent_total, parent_gini):
 
 
 def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
-             rng=None, sample_weight=None, n_classes: int | None = None
-             ) -> DecisionTree:
+             rng=None, sample_weight=None, n_classes: int | None = None,
+             rows=None) -> DecisionTree:
     """Greedy CART fit on weighted Gini impurity.
 
-    The fit works on one contiguous (d, n) copy of X, made once per
-    tree; it costs nothing when X is already the transpose of a
-    contiguous array, as fit_forest and fit_rusboost pass it. Candidate
-    features are all columns, or features_per_split of them drawn
-    without replacement at every split. A node scores its sorted
+    The samples are rows (default: every row) of X, in that order,
+    repeats included; y and sample_weight hold one entry per sample, so
+    fit_tree(X, y[rows], rows=rows) grows the same tree as
+    fit_tree(X[rows], y[rows]). The fit reads X through one contiguous
+    (d, n) copy, which costs nothing when X is already the transpose of
+    a contiguous array: fit_forest and fit_rusboost pass the one
+    column-major matrix of their fit, and no tree copies its samples.
+    Candidate features are all columns, or features_per_split of them
+    drawn without replacement at every split. A node scores its sorted
     candidates _BLOCK columns at a time: it gathers the block as
     (columns, rows), sorts each column with one stable argsort along
     the rows, keeps each class's weight prefix sums as a (columns, rows)
@@ -190,12 +197,22 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError("X must be a non-empty 2-D array")
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must have one label per row of X")
+    if rows is None:
+        rows = np.arange(X.shape[0])
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size == 0 \
+                or not np.issubdtype(rows.dtype, np.integer) \
+                or rows.min() < 0 or rows.max() >= X.shape[0]:
+            raise ValueError("rows must be a non-empty 1-D array of row "
+                             "indices of X")
+    n = rows.size
+    if y.shape != (n,):
+        raise ValueError("y must have one label per sample")
     if n_classes is None:
         n_classes = int(y.max()) + 1
     if sample_weight is None:
-        sample_weight = np.ones(X.shape[0])
+        sample_weight = np.ones(n)
     else:
         sample_weight = np.asarray(sample_weight, dtype=np.float64)
     d = X.shape[1]
@@ -205,12 +222,13 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
         if rng is None:
             raise ValueError("features_per_split requires an rng")
     XT = np.ascontiguousarray(X.T)
-    onehot = np.zeros((X.shape[0], n_classes))
-    onehot[np.arange(X.shape[0]), y] = 1.0
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y] = 1.0
     class_weights = onehot * sample_weight[:, None]
     nodes = []      # [feature, threshold, left, right, counts] per node
 
     def grow(idx: np.ndarray, depth: int) -> int:
+        # idx: the node's sample positions, in sample order
         node = len(nodes)
         weights = class_weights[idx]
         cw = weights.sum(axis=0)
@@ -224,31 +242,23 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
         else:
             candidates = np.sort(rng.choice(d, size=features_per_split,
                                             replace=False))
-        split = _best_split(XT, idx, candidates, weights, total, parent_gini)
+        at = rows[idx]
+        split = _best_split(XT, at, candidates, weights, total, parent_gini)
         if split is None:
             return node
         f, thr = split
-        go_left = XT[f, idx] <= thr
+        go_left = XT[f, at] <= thr
         nodes[node] = [f, thr, grow(idx[go_left], depth + 1),
                        grow(idx[~go_left], depth + 1), np.zeros(n_classes)]
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    grow(np.arange(n), 0)
     feature, threshold, left, right, counts = zip(*nodes)
     return DecisionTree(np.array(feature, dtype=np.int64),
                         np.array(threshold, dtype=np.float64),
                         np.array(left, dtype=np.int64),
                         np.array(right, dtype=np.int64),
                         np.array(counts, dtype=np.float64))
-
-
-def _rows(XT, idx) -> np.ndarray:
-    """Rows idx of the matrix whose column-major copy is XT, gathered
-    along XT's contiguous rows. The (len(idx), d) result is the transpose
-    of a contiguous array, so fit_tree's column-major copy of it is free.
-    np.take keeps the gather C-ordered, where XT[:, idx] comes back
-    F-ordered."""
-    return np.take(XT, idx, axis=1).T
 
 
 def _check_width(X, trees) -> np.ndarray:
@@ -308,7 +318,9 @@ class Forest:
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
                ) -> Forest:
     """Bag of CART trees on bootstrap resamples; predicted probabilities
-    are the mean of per-tree leaf distributions."""
+    are the mean of per-tree leaf distributions. X is copied column-major
+    once per fit, and each tree reads its bootstrap rows of that copy by
+    index (fit_tree's rows)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -324,9 +336,9 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
         idx = rng.integers(0, n, size=n)
-        trees.append(fit_tree(_rows(XT, idx), y[idx], cfg.max_depth,
+        trees.append(fit_tree(XT.T, y[idx], cfg.max_depth,
                               features_per_split=per_split, rng=rng,
-                              n_classes=n_classes))
+                              n_classes=n_classes, rows=idx))
     return Forest(cfg, n_classes, trees)
 
 
@@ -382,7 +394,8 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
 
     Each round fits a depth-limited tree on a class-balanced random
     subsample carrying the current instance weights, then scores it on
-    the full set. Rounds with error >= 1 - 1/C are discarded and drawn
+    the full set. The tree reads the subsample's rows by index from one
+    column-major copy of X made per fit (fit_tree's rows). Rounds with error >= 1 - 1/C are discarded and drawn
     again, at most 10 times; if a round exhausts its retries, boosting
     stops early with the rounds completed so far (a DataError if none).
     A class of n_classes without samples in y is a DataError.
@@ -410,8 +423,9 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
             rng = np.random.default_rng(
                 derive_seed(cfg.seed, "round", r, "attempt", attempt))
             sub = _balanced_subsample(rng, y, n_classes)
-            tree = fit_tree(_rows(XT, sub), y[sub], cfg.max_depth,
-                            sample_weight=w[sub], n_classes=n_classes)
+            tree = fit_tree(XT.T, y[sub], cfg.max_depth,
+                            sample_weight=w[sub], n_classes=n_classes,
+                            rows=sub)
             pred = tree.predict(X)
             miss = pred != y
             eps = float(w[miss].sum() / w.sum())

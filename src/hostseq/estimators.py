@@ -19,15 +19,26 @@ class UsageError(Exception):
 
 
 # What a --model kind builds, as estimator(config(...), n_classes): its
-# estimator class, its config dataclass, and the one input it reads,
-# "features" or "tokens".
-Kind = namedtuple("Kind", "estimator config input")
-# A net reads the input its class names.
+# estimator class, its config dataclass, the one input it reads,
+# "features" or "tokens", and whether its nested-CV fits run on the
+# --workers threads (threads) or on one.
+Kind = namedtuple("Kind", "estimator config input threads")
+# A net reads the input its class names. Only the token nets gain from
+# threads, because numpy drops the GIL inside their large ops: token-cv's
+# two nested-cv commands took 2.34 s on one thread and 1.64 s on two (2
+# cores). Tree fits hold the GIL through thousands of small numpy calls,
+# and the MLP's BLAS products already run on every OpenBLAS thread, so a
+# second worker only competes for the cores. One thread against two:
+# forest-cv's rf 0.57-0.64 s against 0.83-0.96 s, rusboost (3x3 folds, 10
+# rounds) 4.73 s against 5.45 s, mlp on 910 ER features 3.39 s against
+# 5.38 s.
 KINDS = {
-    **{name: Kind(NeuralClassifier, NetConfig, net.INPUT)
-       for name, net in NETS.items()},
-    "rf": Kind(Forest, ForestConfig, "features"),
-    "rusboost": Kind(RusBoostModel, RusBoostConfig, "features"),
+    "mlp": Kind(NeuralClassifier, NetConfig, NETS["mlp"].INPUT, False),
+    "cnn": Kind(NeuralClassifier, NetConfig, NETS["cnn"].INPUT, True),
+    "transformer": Kind(NeuralClassifier, NetConfig,
+                        NETS["transformer"].INPUT, True),
+    "rf": Kind(Forest, ForestConfig, "features", False),
+    "rusboost": Kind(RusBoostModel, RusBoostConfig, "features", False),
 }
 # Checkpoint "model" tag -> the Kind of its estimator family.
 FAMILIES = {kind.estimator.FAMILY: kind for kind in KINDS.values()}

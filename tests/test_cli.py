@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from hostseq import cli, ensemble, evaluation, ngram, pssm, seqio, store, synth
+from hostseq import (cli, ensemble, estimators, evaluation, ngram, pssm, seqio,
+                     store, synth)
 
 
 def run(argv):
@@ -267,8 +268,38 @@ def test_nested_cv_grid_from_file(tmp_path):
                                                     "max_depth": 2}
 
 
-def test_workers_capped_at_usable_cores(tmp_path, monkeypatch):
-    features = seeded_features(tmp_path)
+# A one-point grid of quick fits per --model kind, for tests of how
+# nested-cv runs its fits rather than of what they learn.
+_QUICK_GRIDS = {
+    "rf": {"n_estimators": 2, "max_depth": 2},
+    "rusboost": {"n_estimators": 2, "max_depth": 2},
+    "mlp": {"hidden": 4, "epochs": 1},
+    "cnn": {"embed_dim": 4, "filters": 4, "kernel_size": 3, "epochs": 1},
+    "transformer": {"embed_dim": 4, "num_heads": 1, "epochs": 1},
+}
+
+
+def quick_nested_cv(tmp_path, model, workers):
+    """nested-cv argv of model's quick grid on input of the kind it reads,
+    2x2 folds."""
+    if estimators.KINDS[model].input == "tokens":
+        out = tmp_path / "enc"
+        dataset = synth_corpus(out, records=24, seed=11)
+        assert run(["encode", "--dataset", dataset, "--ngrams", "3",
+                    "--out", str(out)]) == 0
+        inputs = ["--tokens", str(out / "tokens.csv"),
+                  "--vocab", str(out / "vocab.json")]
+    else:
+        inputs = ["--features", str(seeded_features(tmp_path))]
+    return ["nested-cv", "--model", model, *inputs,
+            "--grid", json.dumps(_QUICK_GRIDS[model]),
+            "--k-outer", "2", "--k-inner", "2", "--seed", "1",
+            "--workers", str(workers), "--out", str(tmp_path / "o")]
+
+
+def spy_workers(monkeypatch):
+    """The workers nested-cv hands evaluation.nested_cv, one per call;
+    the fits themselves run on one thread."""
     seen = []
     real = evaluation.nested_cv
 
@@ -277,13 +308,30 @@ def test_workers_capped_at_usable_cores(tmp_path, monkeypatch):
         return real(*args, workers=1, **kwargs)
 
     monkeypatch.setattr(evaluation, "nested_cv", spy)
+    return seen
+
+
+def test_workers_capped_at_usable_cores(tmp_path, monkeypatch, capsys):
+    # a kind that threads its fits, so the cap is what limits them
+    seen = spy_workers(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    grid = json.dumps({"n_estimators": [2], "max_depth": [2]})
-    assert run(["nested-cv", "--model", "rf", "--grid", grid,
-                "--features", str(features),
-                "--k-outer", "2", "--k-inner", "2", "--seed", "1",
-                "--workers", "8", "--out", str(tmp_path / "o")]) == 0
+    assert run(quick_nested_cv(tmp_path, "transformer", 8)) == 0
     assert seen == [1]
+    assert capsys.readouterr().out.rstrip().endswith(
+        "fits ran on 1 worker thread")
+
+
+@pytest.mark.parametrize("model, threads", [
+    ("rf", 1), ("rusboost", 1), ("mlp", 1), ("cnn", 2), ("transformer", 2)])
+def test_nested_cv_threads_only_kinds_that_gain(tmp_path, monkeypatch,
+                                                capsys, model, threads):
+    seen = spy_workers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run(quick_nested_cv(tmp_path, model, 2)) == 0
+    assert seen == [threads]
+    plural = "s" if threads > 1 else ""
+    assert capsys.readouterr().out.rstrip().endswith(
+        f"fits ran on {threads} worker thread{plural}")
 
 
 def test_config_file_with_flag_override(tmp_path):

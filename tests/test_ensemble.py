@@ -168,15 +168,51 @@ def test_forest_validation():
                    ForestConfig(n_estimators=1))
 
 
-def test_row_gather_is_the_transpose_of_a_contiguous_array():
-    # fit_tree's column-major copy of a bootstrap or subsample is free
-    # only while the gather comes back C-ordered
-    rng = np.random.default_rng(6)
-    X = rng.random((50, 7))
-    idx = rng.integers(0, 50, size=50)
-    rows = ensemble._rows(np.ascontiguousarray(X.T), idx)
-    assert rows.T.flags["C_CONTIGUOUS"]
-    assert np.array_equal(rows, X[idx])
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+@pytest.mark.parametrize("sample", ["bootstrap", "weighted-subsample"])
+def test_fit_tree_on_rows_matches_fit_on_gathered_rows(n_classes, sample):
+    # fit_forest and fit_rusboost hand fit_tree the fit's whole matrix and
+    # the sample's row indices; the tree must be the one grown on the
+    # gathered rows, byte for byte. Few distinct values make ties, so the
+    # stable sort order of repeated and tied rows counts.
+    rng = np.random.default_rng(n_classes)
+    X = rng.integers(0, 6, size=(90, 12)).astype(np.float64)
+    y = rng.integers(0, n_classes, size=90)
+    if sample == "bootstrap":
+        rows = rng.integers(0, 90, size=90)
+        weight, per_split = None, 4
+    else:
+        rows = np.sort(rng.choice(90, size=45, replace=False))
+        weight, per_split = rng.random(45), None
+
+    def fit(matrix, **rows_kwarg):
+        return fit_tree(matrix, y[rows], max_depth=6,
+                        features_per_split=per_split,
+                        rng=np.random.default_rng(9), sample_weight=weight,
+                        n_classes=n_classes, **rows_kwarg)
+
+    gathered = fit(X[rows]).to_arrays()
+    assert gathered["feature"].size > 7
+    for matrix in (X, np.ascontiguousarray(X.T).T):
+        indexed = fit(matrix, rows=rows).to_arrays()
+        for key, arr in gathered.items():
+            assert indexed[key].dtype == arr.dtype
+            assert indexed[key].tobytes() == arr.tobytes(), key
+
+
+@pytest.mark.parametrize("rows", [[], [0, 10], [-1, 0], [[0, 1]], [0.0, 1.0]],
+                         ids=["empty", "past-end", "negative", "2-d", "float"])
+def test_fit_tree_rejects_bad_rows(rows):
+    X = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(ValueError, match="rows"):
+        fit_tree(X, np.zeros(2, dtype=int), max_depth=2,
+                 rows=np.asarray(rows))
+
+
+def test_fit_tree_needs_one_label_per_sample():
+    X = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(ValueError, match="one label per sample"):
+        fit_tree(X, np.zeros(10, dtype=int), max_depth=2, rows=[0, 1, 2])
 
 
 def test_balanced_subsample_invariant():
