@@ -480,12 +480,13 @@ def cmd_nested_cv(opts, out):
                                        workers=workers)
     artifacts = [PLAN_FILE] + _write_scores(out, doc, curves)
     pooled = doc["pooled"]["overall"]
+    search = "no inner search (one grid point); " if len(grid) == 1 else ""
     return (artifacts,
             f"pooled mean score {pooled['mean_score']:.4f} "
             f"(micro F1 {pooled['micro_f1']:.4f}, "
             f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
-            f"MCC {pooled['overall_mcc']:.4f}); fits ran on {workers} "
-            f"worker thread{'s' if workers > 1 else ''}")
+            f"MCC {pooled['overall_mcc']:.4f}); {search}fits ran on "
+            f"{workers} worker thread{'s' if workers > 1 else ''}")
 
 
 def _prediction_names(paths) -> list:

@@ -8,6 +8,7 @@ degenerate list, so report shapes stay stable across folds.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -288,11 +289,15 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     pooled report's PR curves.
 
     model_factory(params, seed) must return an object with fit(X, y)
-    and predict_proba(X). Every fit is one task on one pool of workers
-    threads: all inner fits first, then the outer refits. Ties on inner
-    mean score go to the earlier grid point. The pooled report covers
-    every record exactly once, and results do not depend on the worker
-    count.
+    and predict_proba(X). Every fit is one task: all inner fits first,
+    then the outer refits. With workers > 1 the tasks share one pool of
+    workers threads; with one worker they run in order on the calling
+    thread. Ties on inner mean score go to the earlier grid point. A
+    one-point grid runs no inner search, because inner fits could not
+    change the choice: each fold records chosen_index 0 and empty
+    inner_mean_scores, and its refit is the same as after a search. The
+    pooled report covers every record exactly once, and results do not
+    depend on the worker count.
     """
     inputs = np.asarray(inputs)
     labels = np.asarray(labels)
@@ -302,26 +307,30 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     if len(plan.outer) != labels.shape[0]:
         raise ValueError("plan does not match dataset size")
     fit = functools.partial(_fit_predict, inputs, labels, model_factory)
+    searched = grid if len(grid) > 1 else []
     inner = [FitTask(f"outer fold {f}, grid point {j}, inner fold {m}",
                      params, derive_seed(plan.seed, "outer", f, "grid", j,
                                          "inner", m),
                      np.flatnonzero((a != -1) & (a != m)),
                      np.flatnonzero(a == m))
              for f, a in enumerate(plan.inner)
-             for j, params in enumerate(grid) for m in range(plan.k_inner)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+             for j, params in enumerate(searched) for m in range(plan.k_inner)]
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        run = pool.map if pool else map
         scores = [compute_report(labels[task.scored], proba,
                                  class_names)[0]["overall"]["mean_score"]
-                  for task, proba in zip(inner, pool.map(fit, inner))]
+                  for task, proba in zip(inner, run(fit, inner))]
         score_table = np.mean(np.reshape(
-            scores, (plan.k_outer, len(grid), plan.k_inner)), axis=2)
-        best = [int(np.argmax(row)) for row in score_table]
+            scores, (plan.k_outer, len(searched), plan.k_inner)), axis=2)
+        best = ([int(np.argmax(row)) for row in score_table] if searched
+                else [0] * plan.k_outer)
         refits = [FitTask(f"outer fold {f}, refit", grid[best[f]],
                           derive_seed(plan.seed, "outer", f, "refit"),
                           np.flatnonzero(plan.outer != f),
                           np.flatnonzero(plan.outer == f))
                   for f in range(plan.k_outer)]
-        refit_proba = list(pool.map(fit, refits))
+        refit_proba = list(run(fit, refits))
 
     pooled = np.zeros((labels.shape[0], len(class_names)))
     outer = []

@@ -12,16 +12,23 @@ def derive_seed(*keys) -> int:
 
     Keys may be non-negative ints or strings. The derivation is pure,
     so parallel workers seeded per work unit stay schedule-independent.
+    The entropy is one uint32 word per UTF-8 byte of a string key and
+    an int key's low-first 32-bit words (0 is one word), the words
+    numpy's SeedSequence would make of each key, built as one array.
     """
-    entropy = []
+    words = []
     for k in keys:
         if isinstance(k, str):
-            entropy.extend(k.encode("utf-8"))
-        else:
-            k = int(k)
-            if k < 0:
-                raise ValueError(f"seed keys must be non-negative, got {k}")
-            entropy.append(k)
+            words.extend(k.encode("utf-8"))
+            continue
+        k = int(k)
+        if k < 0:
+            raise ValueError(f"seed keys must be non-negative, got {k}")
+        words.append(k & 0xFFFFFFFF)
+        while k > 0xFFFFFFFF:
+            k >>= 32
+            words.append(k & 0xFFFFFFFF)
+    entropy = np.array(words, dtype=np.uint32)
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 

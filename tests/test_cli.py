@@ -183,10 +183,10 @@ def test_train_divergence_exit_3(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err.lower()
 
 
-def diverging_nested_cv(tmp_path):
+def diverging_nested_cv(tmp_path, grid='{"hidden": [8, 4]}'):
     return ["nested-cv", "--model", "mlp",
             "--learning-rate", "1e200", "--epochs", "5",
-            "--grid", '{"hidden": [8]}',
+            "--grid", grid,
             "--features", str(seeded_features(tmp_path)),
             "--k-outer", "2", "--k-inner", "2", "--seed", "1",
             "--workers", "2", "--out", str(tmp_path / "o")]
@@ -196,6 +196,14 @@ def test_nested_cv_divergence_exit_3_names_inner_fold(tmp_path, capsys):
     assert run(diverging_nested_cv(tmp_path)) == 3
     err = capsys.readouterr().err
     assert "training diverged: outer fold 0, grid point 0, inner fold" in err
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
+def test_nested_cv_divergence_one_point_grid_names_refit(tmp_path, capsys):
+    # one grid point runs no inner fits, so the first fit is a refit
+    assert run(diverging_nested_cv(tmp_path, '{"hidden": [8]}')) == 3
+    err = capsys.readouterr().err
+    assert "training diverged: outer fold 0, refit: " in err
     assert not (tmp_path / "o" / "metrics.json").exists()
 
 
@@ -332,6 +340,30 @@ def test_nested_cv_threads_only_kinds_that_gain(tmp_path, monkeypatch,
     plural = "s" if threads > 1 else ""
     assert capsys.readouterr().out.rstrip().endswith(
         f"fits ran on {threads} worker thread{plural}")
+
+
+@pytest.mark.parametrize("heads", [1, [1, 2]])
+def test_token_net_bytes_do_not_depend_on_workers(tmp_path, monkeypatch,
+                                                  capsys, heads):
+    # the token nets are the kinds that fit on more than one thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    argv = quick_nested_cv(tmp_path, "transformer", 1)
+    argv[argv.index("--grid") + 1] = json.dumps(
+        {"embed_dim": 4, "num_heads": heads, "epochs": 1})
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        argv[argv.index("--workers") + 1] = str(workers)
+        argv[argv.index("--out") + 1] = str(out)
+        assert run(argv) == 0
+        closing = capsys.readouterr().out
+        assert ("no inner search (one grid point)" in closing) == \
+            (heads == 1)
+        assert closing.rstrip().endswith(
+            f"fits ran on {workers} worker thread{'s' * (workers > 1)}")
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.json", "pr_curves.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_config_file_with_flag_override(tmp_path):

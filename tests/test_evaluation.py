@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -505,6 +506,46 @@ def test_nested_cv_workers_equivalent(rng):
     parallel = ev.nested_cv(X, y, factory, grid, plan, ("a", "b", "c"),
                             workers=4)
     assert serial == parallel
+
+
+def test_one_point_grid_runs_only_the_refits(rng):
+    X, y = nested_fixture(rng, n=48)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=7)
+    rf = ModelFactory("rf", 3, {"n_estimators": 3}, in_dim=2)
+    point = {"max_depth": 2}
+    calls = []
+
+    def counting(params, seed):
+        calls.append(seed)
+        return rf(params, seed)
+
+    one, one_curves = ev.nested_cv(X, y, counting, [point], plan,
+                                   ("a", "b", "c"))
+    assert calls == [derive_seed(plan.seed, "outer", f, "refit")
+                     for f in range(plan.k_outer)]
+    # [p, p] searches the inner folds, then refits p on the same seeds
+    two, two_curves = ev.nested_cv(X, y, rf, [point, dict(point)], plan,
+                                   ("a", "b", "c"))
+    assert one["pooled"] == two["pooled"] and one_curves == two_curves
+    for a, b in zip(one["outer"], two["outer"]):
+        assert a["report"] == b["report"]
+        assert a["chosen_params"] == b["chosen_params"] == point
+        assert a["chosen_index"] == 0 and a["inner_mean_scores"] == []
+        assert len(b["inner_mean_scores"]) == 2
+
+
+def test_one_worker_fits_on_the_calling_thread(rng):
+    X, y = nested_fixture(rng, n=40)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=3)
+    threads = []
+
+    def factory(params, seed):
+        threads.append(threading.get_ident())
+        return CentroidModel(**params)
+
+    ev.nested_cv(X, y, factory, [{"sharpness": 1.0}, {"sharpness": 2.0}],
+                 plan, ("a", "b", "c"), workers=1)
+    assert threads == [threading.get_ident()] * (3 * 2 * 2 + 3)
 
 
 def test_nested_cv_to_dict_shape(rng):
