@@ -98,15 +98,22 @@ def render_psiblast_pssm(m: RawPssm) -> str:
         "observed percentages rounded down, information per position, "
         "and relative weight of gapless real matches to pseudocounts\n")
     cols = "           " + "".join(f"{aa:>4}" for aa in PSIBLAST_COLUMNS) * 2
+    # Percentages derived from the scores; readers ignore them. The one
+    # float temporary is updated in place and freed before the lines are
+    # built, and each line converts only its own row with tolist, so a
+    # long profile adds little to peak memory.
+    w = np.exp(m.scores / 2.0)
+    total = w.sum(axis=1, keepdims=True)
+    w *= 100.0
+    w /= total
+    pct = np.floor(w, out=w).astype(int)
+    del w
+    info = (np.abs(m.scores).mean(axis=1) / 10.0).tolist()
+    line = "%5d %s " + "%4d" * 40 + "  %4.2f 0.10"
     lines = [header, cols]
     for i, aa in enumerate(m.residues):
-        row = m.scores[i]
-        # Percentages derived from the scores; readers ignore them.
-        w = np.exp(row / 2.0)
-        pct = np.floor(100.0 * w / w.sum()).astype(int)
-        cells = "".join(f"{v:4d}" for v in row) + "".join(f"{v:4d}" for v in pct)
-        info = float(np.abs(row).mean()) / 10.0
-        lines.append(f"{i + 1:5d} {aa} {cells}  {info:4.2f} {0.10:4.2f}")
+        lines.append(line % (i + 1, aa, *m.scores[i].tolist(),
+                             *pct[i].tolist(), info[i]))
     lines.append("")
     lines.append("                      K         Lambda")
     lines.append("Standard Ungapped    0.1377     0.3183")
@@ -224,6 +231,6 @@ def synth_pssm(residues: str, seed: int) -> RawPssm:
     # saturating randomly; grouped statistics then reflect the residues.
     scores = rng.integers(-7, -3, size=(len(residues), 20))
     boosts = rng.integers(9, 12, size=len(residues))
-    for i, aa in enumerate(residues):
-        scores[i, _COL_INDEX[aa]] = scores[i].max() + boosts[i]
+    own = [_COL_INDEX[aa] for aa in residues]
+    scores[np.arange(len(residues)), own] = scores.max(axis=1) + boosts
     return RawPssm(residues=residues, scores=scores.astype(np.int64))

@@ -2,6 +2,13 @@
 PR-curve and token-frequency CSV tables, and the binary model
 checkpoint.
 
+Every CSV table goes through one row writer. A text field, headers
+included, is wrapped in `"` with inner `"` doubled if and only if it
+holds `,`, `"`, `\\n` or `\\r`; that is `csv.writer`'s minimal quoting
+plus `\\r`, so a table reads back through `csv.reader` whatever its ids,
+labels and class names hold. Numbers are written one value at a time
+with `repr`, so floats round-trip exactly.
+
 The checkpoint is a magic-tagged container: a JSON header describing
 the model and its arrays, followed by the raw little-endian array
 blocks in header order. One format serves both the neural nets and the
@@ -13,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import struct
 from dataclasses import asdict
 
@@ -37,15 +45,33 @@ def write_features_csv(path, ids, labels, scheme: str, matrix) -> None:
         raise ValueError("ids, labels and matrix rows must align")
     _write_table(path, ["id", "label", "scheme"]
                  + [f"v{i}" for i in range(matrix.shape[1])],
-                 ([rid, label, scheme] + [repr(float(v)) for v in row]
-                  for rid, label, row in zip(ids, labels, matrix)))
+                 ((rid, label, scheme) for rid, label in zip(ids, labels)),
+                 matrix)
 
 
-def _write_table(path, header, rows) -> None:
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
+
+
+def _csv_text(fields) -> str:
+    return ",".join('"' + f.replace('"', '""') + '"'
+                    if _NEEDS_QUOTES.search(f) else f for f in fields)
+
+
+def _write_table(path, header, rows, numbers=None) -> None:
+    """Writes header and rows of text fields as CSV lines ending in \\n;
+    with a 2-D numbers array, each row continues with its row of numbers,
+    written one value at a time with repr (tolist once per row). A text
+    field is quoted, with inner `"` doubled, if and only if it holds
+    `,`, `"`, `\\n` or `\\r`."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    buf.write(_csv_text(header) + "\n")
+    if numbers is None:
+        for fields in rows:
+            buf.write(_csv_text(fields) + "\n")
+    else:
+        for fields, values in zip(rows, numbers):
+            buf.write(_csv_text(fields) + ","
+                      + ",".join(map(repr, values.tolist())) + "\n")
     atomic_write_text(path, buf.getvalue())
 
 
@@ -94,12 +120,12 @@ def read_features_csv(path):
 
 def write_tokens_csv(path, ids, labels, matrix) -> None:
     """Rows of id,label,true_len,t0..t{max_len-1} (left-padded ids)."""
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.int64)
     _write_table(path, ["id", "label", "true_len"]
                  + [f"t{i}" for i in range(matrix.shape[1])],
-                 ([rid, label, int(n)] + [int(v) for v in row]
-                  for rid, label, n, row in zip(ids, labels,
-                                                true_lengths(matrix), matrix)))
+                 ((rid, label, str(n)) for rid, label, n in zip(
+                     ids, labels, true_lengths(matrix).tolist())),
+                 matrix)
 
 
 def read_tokens_csv(path):
@@ -120,9 +146,8 @@ def write_predictions_csv(path, ids, labels, proba, class_names) -> None:
     pred = proba.argmax(axis=1)
     _write_table(path, ["id", "true", "predicted"]
                  + [f"p_{name}" for name in class_names],
-                 ([rid, labels[i], class_names[pred[i]]]
-                  + [repr(float(v)) for v in proba[i]]
-                  for i, rid in enumerate(ids)))
+                 ((rid, labels[i], class_names[pred[i]])
+                  for i, rid in enumerate(ids)), proba)
 
 
 def read_predictions_csv(path):
@@ -168,7 +193,7 @@ def write_token_frequencies_csv(path, frequencies, class_names, top) -> None:
     for name in class_names:
         counter = frequencies.get(name, {})
         ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        rows += [[name, token, count] for token, count in ranked[:top]]
+        rows += [[name, token, str(count)] for token, count in ranked[:top]]
     _write_table(path, ["class", "token", "count"], rows)
 
 

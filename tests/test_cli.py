@@ -169,6 +169,32 @@ def test_train_rf_and_rusboost(tmp_path):
     assert (out2 / "model.bin").exists()
 
 
+def test_carriage_return_in_ids_and_classes_round_trips(tmp_path):
+    out = tmp_path / "run"
+    dataset = synth_corpus(out, records=24, seed=4)
+    with open(dataset) as fh:
+        doc = json.load(fh)
+    rename = {"class0": "cl\rzero", "class1": "cl,one"}
+    doc["class_names"] = [rename[name] for name in doc["class_names"]]
+    for i, record in enumerate(doc["records"]):
+        record["id"] = f"bad\rid-{i}"
+        record["fine"] = rename[record["fine"]]
+    with open(dataset, "w") as fh:
+        json.dump(doc, fh)
+    assert run(["encode", "--dataset", dataset, "--scheme", "eg",
+                "--synth-pssms", "--seed", "1", "--out", str(out)]) == 0
+    assert run(["train", "--model", "rf", "--n-estimators", "3",
+                "--features", str(out / "features.csv"), "--out", str(out),
+                "--seed", "1"]) == 0
+    assert run(["predict", "--model-file", str(out / "model.bin"),
+                "--features", str(out / "features.csv"),
+                "--out", str(out)]) == 0
+    ids, true, _, names, _ = store.read_predictions_csv(
+        out / "predictions.csv")
+    assert ids == [f"bad\rid-{i}" for i in range(24)]
+    assert set(true) == set(names) == {"cl\rzero", "cl,one"}
+
+
 def test_train_divergence_exit_3(tmp_path, capsys):
     out = tmp_path / "run"
     dataset = synth_corpus(out, records=24, seed=4)

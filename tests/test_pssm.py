@@ -108,6 +108,41 @@ def test_parse_fixture_dimensions(rng):
     assert len(parsed.residues) == 9
 
 
+def oracle_render_rows(m):
+    """The matrix lines, rendered row by row and cell by cell."""
+    lines = []
+    for i, aa in enumerate(m.residues):
+        row = m.scores[i]
+        w = np.exp(row / 2.0)
+        pct = np.floor(100.0 * w / w.sum()).astype(int)
+        cells = ("".join(f"{v:4d}" for v in row)
+                 + "".join(f"{v:4d}" for v in pct))
+        info = float(np.abs(row).mean()) / 10.0
+        lines.append(f"{i + 1:5d} {aa} {cells}  {info:4.2f} {0.10:4.2f}")
+    return lines
+
+
+@pytest.mark.parametrize("low, high", [(-10, 11), (-12345, 99999),
+                                       (7, 7), (-3, -3), (0, 0)])
+def test_render_rows_match_per_cell_oracle(rng, low, high):
+    length = 23
+    letters = "".join(rng.choice(list(COLS), size=length))
+    scores = rng.integers(low, high, size=(length, 20), endpoint=True)
+    scores[0] = [low, high] * 10   # widest cells side by side
+    raw = pssm.RawPssm(residues=letters, scores=scores)
+    with np.errstate(all="ignore"):  # wide scores overflow exp
+        want = oracle_render_rows(raw)
+        text = pssm.render_psiblast_pssm(raw)
+    lines = text.splitlines()
+    assert lines[-6 - length:-6] == want
+    assert lines[-6:] == [
+        "", "                      K         Lambda",
+        "Standard Ungapped    0.1377     0.3183",
+        "Standard Gapped      0.0410     0.2670",
+        "PSI Ungapped         0.1550     0.3179",
+        "PSI Gapped           0.0410     0.2670"]
+
+
 def test_parse_empty_text_errors():
     with pytest.raises(pssm.DataError, match="no matrix rows"):
         pssm.parse_psiblast_pssm("")
@@ -298,6 +333,13 @@ def test_synth_pssm_deterministic_and_peaked():
     c = pssm.synth_pssm(residues, seed=6)
     assert np.array_equal(a.scores, b.scores)
     assert not np.array_equal(a.scores, c.scores)
+    # the own-residue scores equal a per-row loop over the same draws
+    rng = np.random.default_rng(pssm.derive_seed(6, residues))
+    loop = rng.integers(-7, -3, size=(len(residues), 20))
+    boosts = rng.integers(9, 12, size=len(residues))
+    for k, aa in enumerate(residues):
+        loop[k, COLS.index(aa)] = loop[k].max() + boosts[k]
+    assert np.array_equal(c.scores, loop)
     # the column matching each position's own residue is the row argmax
     for k, aa in enumerate(residues):
         own = COLS.index(aa)

@@ -1,5 +1,7 @@
 """Artifact persistence: CSV tables, binary checkpoints, model files."""
 
+import csv
+import io
 import json
 import re
 import struct
@@ -79,6 +81,122 @@ def test_tokens_csv_true_len_disagreeing_with_ids_errors(tmp_path):
                     "r2,b,3,0,2,4\n")
     with pytest.raises(DataError, match="'r2': true_len 3 but 2 non-pad"):
         store.read_tokens_csv(path)
+
+
+# Ids and labels that stress the quoting rule; "\r" was written unquoted
+# by csv.writer, which left a table that csv.reader splits mid-row.
+AWKWARD = ["a,b", 'say "hi"', "two\nlines", "bad\rid", "cr\r\nlf",
+           " lead", "", "h\u00f4te-\u732b", '",\n\r"']
+
+
+def test_tables_round_trip_awkward_text(tmp_path):
+    ids = AWKWARD
+    labels = list(reversed(AWKWARD))
+    n = len(ids)
+    matrix = np.arange(n * 3, dtype=np.float64).reshape(n, 3) / 7
+    store.write_features_csv(tmp_path / "f.csv", ids, labels, "eg", matrix)
+    got_ids, got_labels, _, got = store.read_features_csv(tmp_path / "f.csv")
+    assert (got_ids, got_labels) == (ids, labels)
+    assert np.array_equal(got, matrix)
+
+    tokens = np.tile(np.array([0, 4, 2], dtype=np.int64), (n, 1))
+    store.write_tokens_csv(tmp_path / "t.csv", ids, labels, tokens)
+    got_ids, got_labels, got = store.read_tokens_csv(tmp_path / "t.csv")
+    assert (got_ids, got_labels) == (ids, labels)
+    assert np.array_equal(got, tokens)
+
+    names = ("x\ry", "p,q", 'r"s')
+    proba = np.full((n, 3), 0.25)
+    proba[:, 1] = 0.5
+    store.write_predictions_csv(tmp_path / "p.csv", ids, labels, proba,
+                                names)
+    got_ids, got_true, got_pred, got_names, got = \
+        store.read_predictions_csv(tmp_path / "p.csv")
+    assert (got_ids, got_true, got_names) == (ids, labels, names)
+    assert got_pred == ["p,q"] * n
+    assert np.array_equal(got, proba)
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The table bytes csv.writer wrote before the one row writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# every quoting character csv.writer handles the same way: all but "\r"
+QUOTABLE = ["a,b", 'say "hi"', "two\nlines", " lead", "", "h\u00f4te",
+            '"', ",", "\n", 'x",\n"y', "plain"]
+EDGE_FLOATS = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               1e16, 1.0, 0.1 + 0.2]
+
+
+def test_feature_rows_match_csv_writer_bytes(tmp_path):
+    matrix = np.array([EDGE_FLOATS[i:] + EDGE_FLOATS[:i]
+                       for i in range(len(QUOTABLE))])
+    labels = list(reversed(QUOTABLE))
+    path = tmp_path / "f.csv"
+    store.write_features_csv(path, QUOTABLE, labels, "e,g", matrix)
+    want = _csv_writer_bytes(
+        ["id", "label", "scheme"] + [f"v{i}" for i in range(len(EDGE_FLOATS))],
+        ([rid, label, "e,g"] + [repr(float(v)) for v in row]
+         for rid, label, row in zip(QUOTABLE, labels, matrix)))
+    assert path.read_bytes() == want
+
+
+def test_token_rows_match_csv_writer_bytes(tmp_path):
+    info = np.iinfo(np.int64)
+    matrix = np.array([[0, info.max, info.min, 1, -1]] * len(QUOTABLE),
+                      dtype=np.int64)
+    path = tmp_path / "t.csv"
+    store.write_tokens_csv(path, QUOTABLE, QUOTABLE, matrix)
+    want = _csv_writer_bytes(
+        ["id", "label", "true_len"] + [f"t{i}" for i in range(5)],
+        ([rid, rid, 4] + [int(v) for v in row]
+         for rid, row in zip(QUOTABLE, matrix)))
+    assert path.read_bytes() == want
+
+
+def test_prediction_and_report_rows_match_csv_writer_bytes(tmp_path):
+    names = ("h,1", 'a"2', "s\n3")
+    proba = np.array([[1 / 3, 1 / 3, 1 / 3], [0.1 + 0.2, 0.7, 0.0],
+                      [5e-324, -0.0, 1.0]] * 4)[:len(QUOTABLE)]
+    store.write_predictions_csv(tmp_path / "p.csv", QUOTABLE, QUOTABLE,
+                                proba, names)
+    want = _csv_writer_bytes(
+        ["id", "true", "predicted"] + [f"p_{name}" for name in names],
+        ([rid, rid, names[int(np.argmax(p))]] + [repr(float(v)) for v in p]
+         for rid, p in zip(QUOTABLE, proba)))
+    assert (tmp_path / "p.csv").read_bytes() == want
+
+    curves = {name: [(0.0, 1.0), (0.1 + 0.2, 5e-324)] for name in QUOTABLE}
+    store.write_pr_curves_csv(tmp_path / "c.csv", curves)
+    assert (tmp_path / "c.csv").read_bytes() == _csv_writer_bytes(
+        ["class", "recall", "precision"],
+        ([name, repr(r), repr(p)] for name, points in curves.items()
+         for r, p in points))
+
+    report = {"class_names": list(names),
+              "per_class": {name: {"f1": 0.1 + 0.2, "recall": -0.0}
+                            for name in names},
+              "overall": {"accuracy": 5e-324, "mcc": float("nan")}}
+    store.write_metrics_csv(tmp_path / "m.csv", report)
+    assert (tmp_path / "m.csv").read_bytes() == _csv_writer_bytes(
+        ["scope", "class", "metric", "value"],
+        [["per_class", name, metric, repr(value)] for name in names
+         for metric, value in sorted(report["per_class"][name].items())]
+        + [["overall", "", metric, repr(value)]
+           for metric, value in sorted(report["overall"].items())])
+
+    frequencies = {"h,1": {token: i for i, token in enumerate(QUOTABLE)}}
+    store.write_token_frequencies_csv(tmp_path / "k.csv", frequencies,
+                                      names, 4)
+    ranked = sorted(frequencies["h,1"].items(), key=lambda kv: -kv[1])[:4]
+    assert (tmp_path / "k.csv").read_bytes() == _csv_writer_bytes(
+        ["class", "token", "count"],
+        (["h,1", token, count] for token, count in ranked))
 
 
 def test_checkpoint_roundtrip(tmp_path):
