@@ -16,13 +16,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(),
-                 backward_fn=None):
+    def __init__(self, data, requires_grad: bool = False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = parents
-        self._backward = backward_fn
+        self._backward = None
 
     @property
     def shape(self):

@@ -4,14 +4,15 @@ undersampling for imbalanced data.
 Trees are grown greedily on Gini impurity with midpoint thresholds.
 The split search is exact and vectorized over a column-major copy of
 the training matrix, one feature per contiguous row, made once per
-forest or boosting fit: each tree reads the rows of its bootstrap or
-subsample from it by index. A node gathers a block of candidate
-features of its rows as (columns, rows), sorts each along its
-contiguous axis, and scores every cut point of the block from one 2-D
-prefix-sum array per class. Split ties break toward the lowest
-threshold, then the lowest feature index, so fits are reproducible. A
-fitted tree is a set of flat numpy arrays. All randomness flows
-through generators seeded with util.derive_seed.
+forest or boosting fit: each tree reads the samples of its bootstrap
+or subsample from it by index, each with a one-hot class row scaled by
+its weight. A node gathers a block of candidate features of its rows
+as (columns, rows), sorts each along its contiguous axis, and scores
+every cut point of the block from one 2-D prefix-sum array per class.
+Split ties break toward the lowest threshold, then the lowest feature
+index, so fits are reproducible. A fitted tree is a set of flat numpy
+arrays. All randomness flows through generators seeded with
+util.derive_seed.
 """
 
 from __future__ import annotations
@@ -168,18 +169,16 @@ def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
     return int(candidates[best]), float(thresholds[best])
 
 
-def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
-             rng=None, sample_weight=None, n_classes: int | None = None,
-             rows=None) -> DecisionTree:
+def fit_tree(XT, rows, class_weights, max_depth: int,
+             features_per_split: int | None = None, rng=None) -> DecisionTree:
     """Greedy CART fit on weighted Gini impurity.
 
-    The samples are rows (default: every row) of X, in that order,
-    repeats included; y and sample_weight hold one entry per sample, so
-    fit_tree(X, y[rows], rows=rows) grows the same tree as
-    fit_tree(X[rows], y[rows]). The fit reads X through one contiguous
-    (d, n) copy, which costs nothing when X is already the transpose of
-    a contiguous array: fit_forest and fit_rusboost pass the one
-    column-major matrix of their fit, and no tree copies its samples.
+    XT is the fit's column-major (d, n) matrix, one feature per row. The
+    samples are the columns of XT that rows lists, in that order,
+    repeats included, and class_weights holds one row per sample: its
+    one-hot class row times its weight, so the class count is the width.
+    fit_forest and fit_rusboost hand every tree the one matrix of their
+    fit, and no tree copies its samples.
     Candidate features are all columns, or features_per_split of them
     drawn without replacement at every split. A node scores its sorted
     candidates _BLOCK columns at a time: it gathers the block as
@@ -193,38 +192,22 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
     Nodes are numbered depth-first, left child first, in lists frozen
     into a DecisionTree at the end.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise ValueError("X must be a non-empty 2-D array")
-    if rows is None:
-        rows = np.arange(X.shape[0])
-    else:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.size == 0 \
-                or not np.issubdtype(rows.dtype, np.integer) \
-                or rows.min() < 0 or rows.max() >= X.shape[0]:
-            raise ValueError("rows must be a non-empty 1-D array of row "
-                             "indices of X")
-    n = rows.size
-    if y.shape != (n,):
-        raise ValueError("y must have one label per sample")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    if sample_weight is None:
-        sample_weight = np.ones(n)
-    else:
-        sample_weight = np.asarray(sample_weight, dtype=np.float64)
-    d = X.shape[1]
+    if XT.ndim != 2 or XT.shape[0] == 0 or XT.shape[1] == 0:
+        raise ValueError("XT must be a non-empty 2-D array")
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0 \
+            or not np.issubdtype(rows.dtype, np.integer) \
+            or rows.min() < 0 or rows.max() >= XT.shape[1]:
+        raise ValueError("rows must be a non-empty 1-D array of column "
+                         "indices of XT")
+    if class_weights.ndim != 2 or class_weights.shape[0] != rows.size:
+        raise ValueError("class_weights must have one row per sample")
+    d, n_classes = XT.shape[0], class_weights.shape[1]
     if features_per_split is not None:
         if not 1 <= features_per_split <= d:
             raise ValueError(f"features_per_split must lie in [1, {d}]")
         if rng is None:
             raise ValueError("features_per_split requires an rng")
-    XT = np.ascontiguousarray(X.T)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    class_weights = onehot * sample_weight[:, None]
     nodes = []      # [feature, threshold, left, right, counts] per node
 
     def grow(idx: np.ndarray, depth: int) -> int:
@@ -252,7 +235,7 @@ def fit_tree(X, y, max_depth: int, features_per_split: int | None = None,
                        grow(idx[~go_left], depth + 1), np.zeros(n_classes)]
         return node
 
-    grow(np.arange(n), 0)
+    grow(np.arange(rows.size), 0)
     feature, threshold, left, right, counts = zip(*nodes)
     return DecisionTree(np.array(feature, dtype=np.int64),
                         np.array(threshold, dtype=np.float64),
@@ -315,30 +298,24 @@ class Forest:
         return self
 
 
-def fit_forest(X, y, cfg: ForestConfig, n_classes: int | None = None
-               ) -> Forest:
+def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
     """Bag of CART trees on bootstrap resamples; predicted probabilities
-    are the mean of per-tree leaf distributions. X is copied column-major
-    once per fit, and each tree reads its bootstrap rows of that copy by
-    index (fit_tree's rows)."""
+    are the mean of per-tree leaf distributions."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty 2-D array")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     n, d = X.shape
     per_split = cfg.features_per_split
     if per_split is None:
         per_split = int(np.ceil(np.sqrt(d)))
     XT = np.ascontiguousarray(X.T)
+    onehot = np.eye(n_classes)[y]
     trees = []
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
         idx = rng.integers(0, n, size=n)
-        trees.append(fit_tree(XT.T, y[idx], cfg.max_depth,
-                              features_per_split=per_split, rng=rng,
-                              n_classes=n_classes, rows=idx))
+        trees.append(fit_tree(XT, idx, onehot[idx], cfg.max_depth,
+                              features_per_split=per_split, rng=rng))
     return Forest(cfg, n_classes, trees)
 
 
@@ -388,14 +365,13 @@ def _balanced_subsample(rng, y, n_classes: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
+def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
                  ) -> RusBoostModel:
     """Boosting over balanced undersamples (SAMME stage weights).
 
     Each round fits a depth-limited tree on a class-balanced random
     subsample carrying the current instance weights, then scores it on
-    the full set. The tree reads the subsample's rows by index from one
-    column-major copy of X made per fit (fit_tree's rows). Rounds with error >= 1 - 1/C are discarded and drawn
+    the full set. Rounds with error >= 1 - 1/C are discarded and drawn
     again, at most 10 times; if a round exhausts its retries, boosting
     stops early with the rounds completed so far (a DataError if none).
     A class of n_classes without samples in y is a DataError.
@@ -404,8 +380,6 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty 2-D array")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise DataError("need at least 2 classes")
     counts = np.bincount(y, minlength=n_classes)
@@ -416,6 +390,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
     w = np.full(n, 1.0 / n)
     limit = 1.0 - 1.0 / n_classes
     XT = np.ascontiguousarray(X.T)
+    onehot = np.eye(n_classes)[y]
     trees, alphas = [], []
     for r in range(cfg.n_estimators):
         fitted = None
@@ -423,9 +398,8 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int | None = None
             rng = np.random.default_rng(
                 derive_seed(cfg.seed, "round", r, "attempt", attempt))
             sub = _balanced_subsample(rng, y, n_classes)
-            tree = fit_tree(XT.T, y[sub], cfg.max_depth,
-                            sample_weight=w[sub], n_classes=n_classes,
-                            rows=sub)
+            tree = fit_tree(XT, sub, onehot[sub] * w[sub, None],
+                            cfg.max_depth)
             pred = tree.predict(X)
             miss = pred != y
             eps = float(w[miss].sum() / w.sum())

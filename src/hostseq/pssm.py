@@ -92,7 +92,18 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
 
 def render_psiblast_pssm(m: RawPssm) -> str:
     """Render a RawPssm back into PSI-BLAST ASCII layout (used to build
-    parser fixtures and synthetic profile files)."""
+    parser fixtures and synthetic profile files).
+
+    Raises:
+        ValueError: a score outside -99..999, the range a %4d cell keeps
+            apart from the cell before it; it names the first such
+            position and score.
+    """
+    outside = (m.scores < -99) | (m.scores > 999)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"position {i + 1}: score {m.scores[i, j]} lies "
+                         f"outside -99..999 and would fuse with its cell")
     header = (
         "\nLast position-specific scoring matrix computed, weighted "
         "observed percentages rounded down, information per position, "

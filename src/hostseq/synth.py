@@ -92,17 +92,6 @@ def class_counts(spec: SynthSpec) -> list:
     return counts
 
 
-def _count_occurrences(text: str, motif: str) -> int:
-    count = 0
-    start = 0
-    while True:
-        pos = text.find(motif, start)
-        if pos < 0:
-            return count
-        count += 1
-        start = pos + 1
-
-
 def _draw_record(class_def: ClassDef, min_len: int, max_len: int,
                  seed: int, index: int) -> str:
     """Uniform residues with the motif implanted exactly once.
@@ -120,7 +109,8 @@ def _draw_record(class_def: ClassDef, min_len: int, max_len: int,
         pos = int(rng.integers(0, length - len(motif) + 1))
         chars[pos:pos + len(motif)] = motif
         text = "".join(chars)
-        if _count_occurrences(text, motif) == 1:
+        # the copy at pos is the only one, overlapping copies included
+        if text.find(motif) == pos and text.find(motif, pos + 1) < 0:
             return text
     raise RuntimeError(
         f"could not draw a single-occurrence background for {class_def.name}")

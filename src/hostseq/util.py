@@ -51,16 +51,12 @@ def located(exc, where):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never
-    observe a partial file."""
-    _atomic_write(path, text.encode("utf-8"))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    _atomic_write(path, data)
-
-
-def _atomic_write(path, data: bytes) -> None:
+    """Write data to path via a temp file and rename, so readers never
+    observe a partial file."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")

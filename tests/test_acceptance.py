@@ -252,10 +252,12 @@ def test_c7_imbalance_behavior():
     y = np.array([0] * n_neg + [1] * n_pos)
 
     depth = 3
-    tree = fit_tree(X, y, max_depth=depth)
+    tree = fit_tree(np.ascontiguousarray(X.T), np.arange(y.size),
+                    np.eye(2)[y], max_depth=depth)
     boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=50,
                                               learning_rate=0.1,
-                                              max_depth=depth, seed=7))
+                                              max_depth=depth, seed=7),
+                         n_classes=2)
     minority = y == 1
     tree_recall = (tree.predict(X)[minority] == 1).mean()
     boost_recall = (boost.predict_proba(X).argmax(axis=1)[minority]

@@ -16,10 +16,17 @@ from hostseq.ensemble import (
 )
 
 
+def grow(X, y, max_depth, n_classes=2, weight=1.0, **kwargs):
+    """fit_tree on every row of X, each with its label and weight."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    weights = np.eye(n_classes)[y] * np.reshape(weight, (-1, 1))
+    return fit_tree(XT, np.arange(len(y)), weights, max_depth, **kwargs)
+
+
 def test_stump_threshold_midpoint():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, max_depth=1)
+    tree = grow(X, y, max_depth=1)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(2.5)
     assert np.array_equal(tree.predict(X), y)
@@ -28,7 +35,7 @@ def test_stump_threshold_midpoint():
 def test_tree_learns_xor_at_depth_two():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, max_depth=2)
+    tree = grow(X, y, max_depth=2)
     assert np.array_equal(tree.predict(X), y)
 
 
@@ -36,7 +43,7 @@ def test_tree_respects_max_depth():
     rng = np.random.default_rng(0)
     X = rng.random((64, 3))
     y = rng.integers(0, 2, size=64)
-    tree = fit_tree(X, y, max_depth=2)
+    tree = grow(X, y, max_depth=2)
     # depth-2 binary tree has at most 7 nodes
     assert len(tree.feature) <= 7
 
@@ -44,7 +51,7 @@ def test_tree_respects_max_depth():
 def test_tree_pure_node_stops():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([1, 1, 1])
-    tree = fit_tree(X, y, max_depth=5)
+    tree = grow(X, y, max_depth=5)
     assert len(tree.feature) == 1
     assert tree.feature[0] == -1
 
@@ -55,7 +62,7 @@ def test_tree_pure_node_stops():
     (np.full((3, 2), 4.0), np.array([0, 1, 1]), 5),              # constant X
 ])
 def test_single_leaf_tree(X, y, max_depth):
-    tree = fit_tree(X, y, max_depth=max_depth, n_classes=2)
+    tree = grow(X, y, max_depth=max_depth, n_classes=2)
     assert tree.feature.tolist() == [-1]
     assert tree.left.tolist() == tree.right.tolist() == [-1]
     assert np.isnan(tree.threshold).all()
@@ -71,7 +78,7 @@ def test_tree_feature_tiebreak_prefers_lowest_index():
     col = np.array([0.0, 1.0, 2.0, 3.0])
     X = np.column_stack([col, col])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, max_depth=1)
+    tree = grow(X, y, max_depth=1)
     assert tree.feature[0] == 0
 
 
@@ -79,7 +86,7 @@ def test_tree_threshold_tiebreak_prefers_lowest():
     # splits at 0.5 and 2.5 give the same impurity; 0.5 must win
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, max_depth=1)
+    tree = grow(X, y, max_depth=1)
     assert tree.threshold[0] == pytest.approx(0.5)
 
 
@@ -88,7 +95,7 @@ def test_tree_tiebreak_prefers_threshold_over_feature_index():
     # 0.5 is below feature 0's midpoint 5.0, so the lower threshold wins
     X = np.array([[0.0, 0.0], [10.0, 1.0]])
     y = np.array([0, 1])
-    tree = fit_tree(X, y, max_depth=1)
+    tree = grow(X, y, max_depth=1)
     assert tree.feature[0] == 1
     assert tree.threshold[0] == 0.5
 
@@ -96,8 +103,8 @@ def test_tree_tiebreak_prefers_threshold_over_feature_index():
 def test_tree_sample_weight_changes_split():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 1])
-    heavy_first = fit_tree(X, y, max_depth=1,
-                           sample_weight=np.array([100.0, 1.0, 1.0, 1.0]))
+    heavy_first = grow(X, y, max_depth=1,
+                           weight=np.array([100.0, 1.0, 1.0, 1.0]))
     dist = heavy_first.leaf_distributions(X)
     assert dist[0, 0] > 0.9  # the heavy record dominates its leaf
 
@@ -106,7 +113,7 @@ def test_tree_array_roundtrip():
     rng = np.random.default_rng(1)
     X = rng.random((50, 4))
     y = rng.integers(0, 3, size=50)
-    tree = fit_tree(X, y, max_depth=4, n_classes=3)
+    tree = grow(X, y, max_depth=4, n_classes=3)
     arrays = tree.to_arrays()
     back = DecisionTree.from_arrays(arrays)
     for key, arr in back.to_arrays().items():
@@ -123,7 +130,7 @@ def test_leaf_distributions_rows_sum_to_one():
     rng = np.random.default_rng(2)
     X = rng.random((30, 3))
     y = rng.integers(0, 3, size=30)
-    tree = fit_tree(X, y, max_depth=3, n_classes=3)
+    tree = grow(X, y, max_depth=3, n_classes=3)
     dist = tree.leaf_distributions(X)
     assert dist.shape == (30, 3)
     assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-12)
@@ -131,7 +138,7 @@ def test_leaf_distributions_rows_sum_to_one():
 
 def test_tree_from_arrays_rejects_node_count_mismatch():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    arrays = fit_tree(X, np.array([0, 0, 1, 1]), 1).to_arrays()
+    arrays = grow(X, np.array([0, 0, 1, 1]), 1).to_arrays()
     arrays["left"] = arrays["left"][:-1]
     with pytest.raises(ValueError, match="node count"):
         DecisionTree.from_arrays(arrays)
@@ -142,8 +149,8 @@ def test_forest_deterministic_and_averages():
     X = rng.random((80, 5))
     y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
     cfg = ForestConfig(n_estimators=10, max_depth=3, seed=9)
-    a = fit_forest(X, y, cfg)
-    b = fit_forest(X, y, cfg)
+    a = fit_forest(X, y, cfg, n_classes=2)
+    b = fit_forest(X, y, cfg, n_classes=2)
     pa, pb = a.predict_proba(X), b.predict_proba(X)
     assert np.array_equal(pa, pb)
     assert np.allclose(pa.sum(axis=1), 1.0, atol=1e-12)
@@ -155,8 +162,10 @@ def test_forest_seed_changes_trees():
     rng = np.random.default_rng(4)
     X = rng.random((60, 5))
     y = rng.integers(0, 2, size=60)
-    a = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=1))
-    b = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=2))
+    a = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=1),
+                   n_classes=2)
+    b = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=2),
+                   n_classes=2)
     assert not np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
@@ -165,54 +174,54 @@ def test_forest_validation():
         ForestConfig(n_estimators=0)
     with pytest.raises(ValueError, match="non-empty"):
         fit_forest(np.empty((0, 3)), np.empty(0, dtype=int),
-                   ForestConfig(n_estimators=1))
+                   ForestConfig(n_estimators=1), n_classes=2)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
 @pytest.mark.parametrize("sample", ["bootstrap", "weighted-subsample"])
 def test_fit_tree_on_rows_matches_fit_on_gathered_rows(n_classes, sample):
     # fit_forest and fit_rusboost hand fit_tree the fit's whole matrix and
-    # the sample's row indices; the tree must be the one grown on the
-    # gathered rows, byte for byte. Few distinct values make ties, so the
-    # stable sort order of repeated and tied rows counts.
+    # the sample's column indices; the tree must be the one grown on a
+    # contiguous copy of the gathered samples, byte for byte. Few distinct
+    # values make ties, so the stable sort order of repeated and tied
+    # samples counts.
     rng = np.random.default_rng(n_classes)
     X = rng.integers(0, 6, size=(90, 12)).astype(np.float64)
     y = rng.integers(0, n_classes, size=90)
     if sample == "bootstrap":
         rows = rng.integers(0, 90, size=90)
-        weight, per_split = None, 4
+        weight, per_split = 1.0, 4
     else:
         rows = np.sort(rng.choice(90, size=45, replace=False))
-        weight, per_split = rng.random(45), None
+        weight, per_split = rng.random((45, 1)), None
+    class_weights = np.eye(n_classes)[y][rows] * weight
 
-    def fit(matrix, **rows_kwarg):
-        return fit_tree(matrix, y[rows], max_depth=6,
+    def fit(XT, rows):
+        return fit_tree(XT, rows, class_weights, max_depth=6,
                         features_per_split=per_split,
-                        rng=np.random.default_rng(9), sample_weight=weight,
-                        n_classes=n_classes, **rows_kwarg)
+                        rng=np.random.default_rng(9)).to_arrays()
 
-    gathered = fit(X[rows]).to_arrays()
+    gathered = fit(np.ascontiguousarray(X[rows].T), np.arange(rows.size))
     assert gathered["feature"].size > 7
-    for matrix in (X, np.ascontiguousarray(X.T).T):
-        indexed = fit(matrix, rows=rows).to_arrays()
-        for key, arr in gathered.items():
-            assert indexed[key].dtype == arr.dtype
-            assert indexed[key].tobytes() == arr.tobytes(), key
+    indexed = fit(np.ascontiguousarray(X.T), rows)
+    for key, arr in gathered.items():
+        assert indexed[key].dtype == arr.dtype
+        assert indexed[key].tobytes() == arr.tobytes(), key
 
 
 @pytest.mark.parametrize("rows", [[], [0, 10], [-1, 0], [[0, 1]], [0.0, 1.0]],
                          ids=["empty", "past-end", "negative", "2-d", "float"])
 def test_fit_tree_rejects_bad_rows(rows):
-    X = np.arange(20.0).reshape(10, 2)
+    XT = np.arange(20.0).reshape(2, 10)
     with pytest.raises(ValueError, match="rows"):
-        fit_tree(X, np.zeros(2, dtype=int), max_depth=2,
-                 rows=np.asarray(rows))
+        fit_tree(XT, np.asarray(rows), np.eye(2)[[0, 0]], max_depth=2)
 
 
-def test_fit_tree_needs_one_label_per_sample():
-    X = np.arange(20.0).reshape(10, 2)
-    with pytest.raises(ValueError, match="one label per sample"):
-        fit_tree(X, np.zeros(10, dtype=int), max_depth=2, rows=[0, 1, 2])
+def test_fit_tree_needs_one_class_weight_row_per_sample():
+    XT = np.arange(20.0).reshape(2, 10)
+    with pytest.raises(ValueError, match="one row per sample"):
+        fit_tree(XT, np.arange(3), np.eye(2)[np.zeros(10, dtype=int)],
+                 max_depth=2)
 
 
 def test_balanced_subsample_invariant():
@@ -230,8 +239,8 @@ def test_rusboost_deterministic():
     y = (X[:, 0] > 0.8).astype(int)
     cfg = RusBoostConfig(n_estimators=8, learning_rate=0.1, max_depth=2,
                          seed=3)
-    a = fit_rusboost(X, y, cfg)
-    b = fit_rusboost(X, y, cfg)
+    a = fit_rusboost(X, y, cfg, n_classes=2)
+    b = fit_rusboost(X, y, cfg, n_classes=2)
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
     assert np.allclose(a.predict_proba(X).sum(axis=1), 1.0, atol=1e-12)
     assert all(alpha > 0 for alpha in a.alphas)
@@ -243,7 +252,8 @@ def test_rusboost_learns_imbalanced():
     X = np.vstack([rng.normal(0.0, 1.0, size=(n_neg, 3)),
                    rng.normal(1.5, 1.0, size=(n_pos, 3))])
     y = np.array([0] * n_neg + [1] * n_pos)
-    model = fit_rusboost(X, y, RusBoostConfig(n_estimators=20, seed=1))
+    model = fit_rusboost(X, y, RusBoostConfig(n_estimators=20, seed=1),
+                         n_classes=2)
     pred = model.predict_proba(X).argmax(axis=1)
     minority_recall = (pred[y == 1] == 1).mean()
     assert minority_recall >= 0.7
@@ -255,7 +265,7 @@ def test_rusboost_missing_class_errors():
     with pytest.raises(ValueError, match="class 1 has no samples"):
         fit_rusboost(X, y, RusBoostConfig(n_estimators=2), n_classes=2)
     with pytest.raises(ValueError, match="at least 2"):
-        fit_rusboost(X, y, RusBoostConfig(n_estimators=2))
+        fit_rusboost(X, y, RusBoostConfig(n_estimators=2), n_classes=1)
 
 
 def _reference_split(XT, idx, candidates, weights, parent_total,
@@ -300,7 +310,7 @@ def _split_case(seed, d, weighted):
     X[:, 6] = 3.0 * X[:, 1]
     X[:, 8] = X[:, 1][::-1]
     y = rng.integers(0, 3, size=90)
-    w = rng.integers(1, 4, size=90) * 0.1 if weighted else None
+    w = rng.integers(1, 4, size=90) * 0.1 if weighted else 1.0
     return X, y, w
 
 
@@ -323,8 +333,8 @@ def test_split_search_matches_scalar_reference(monkeypatch, d, per_split,
     def fit(search):
         monkeypatch.setattr(ensemble, "_best_split", search)
         rng = np.random.default_rng(3) if per_split else None
-        return fit_tree(X, y, 6, features_per_split=per_split, rng=rng,
-                        sample_weight=w, n_classes=3).to_arrays()
+        return grow(X, y, 6, n_classes=3, weight=w,
+                    features_per_split=per_split, rng=rng).to_arrays()
 
     fast = fit(checked)
     slow = fit(_reference_split)
@@ -359,7 +369,7 @@ def test_split_search_matches_reference_at_other_class_counts(monkeypatch,
     fits = []
     for search in (vectorized, _reference_split):
         monkeypatch.setattr(ensemble, "_best_split", search)
-        tree = fit_tree(X, y, 6, sample_weight=w, n_classes=n_classes)
+        tree = grow(X, y, 6, weight=w, n_classes=n_classes)
         fits.append({key: arr.tobytes()
                      for key, arr in tree.to_arrays().items()})
     assert (tree.feature >= 0).sum() > 5
@@ -374,7 +384,7 @@ def test_split_search_does_not_depend_on_block_width(monkeypatch, weighted):
     fits = []
     for block in (1, 7, 64, 150, 1000):
         monkeypatch.setattr(ensemble, "_BLOCK", block)
-        tree = fit_tree(X, y, 6, sample_weight=w, n_classes=3)
+        tree = grow(X, y, 6, weight=w, n_classes=3)
         fits.append({key: arr.tobytes()
                      for key, arr in tree.to_arrays().items()})
     assert tree.feature.max() >= 64   # a split found past the first pass

@@ -265,7 +265,8 @@ def test_rusboost_model_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     X = rng.random((50, 3))
     y = (X[:, 0] > 0.6).astype(int)
-    boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=5, seed=3))
+    boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=5, seed=3),
+                         n_classes=2)
     path = tmp_path / "model.bin"
     store.save_model(path, boost, ("neg", "pos"))
     loaded, _ = store.load_model(path)
@@ -332,7 +333,8 @@ def test_load_model_missing_tree_block_is_checkpoint_error(tmp_path):
     X = rng.random((30, 3))
     y = rng.integers(0, 2, size=30)
     path = tmp_path / "model.bin"
-    forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2))
+    forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2),
+                        n_classes=2)
     store.save_model(path, forest, ("a", "b"))
     _rewrite_without(path, "t2.counts")
     with pytest.raises(store.DataError, match="t2.counts"):
@@ -368,7 +370,8 @@ def test_load_model_malformed_header_is_checkpoint_error(tmp_path, edit):
     y = rng.integers(0, 2, size=30)
     path = tmp_path / "model.bin"
     store.save_model(path, fit_forest(X, y, ForestConfig(n_estimators=2,
-                                                         max_depth=2)),
+                                                         max_depth=2),
+                                      n_classes=2),
                      ("a", "b"))
     _rewrite_header(path, edit)
     with pytest.raises(store.DataError, match="^" + re.escape(f"{path}: ")):
