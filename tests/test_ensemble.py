@@ -104,7 +104,7 @@ def test_tree_sample_weight_changes_split():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 1, 1])
     heavy_first = grow(X, y, max_depth=1,
-                           weight=np.array([100.0, 1.0, 1.0, 1.0]))
+                       weight=np.array([100.0, 1.0, 1.0, 1.0]))
     dist = heavy_first.leaf_distributions(X)
     assert dist[0, 0] > 0.9  # the heavy record dominates its leaf
 
