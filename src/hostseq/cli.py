@@ -417,7 +417,11 @@ def _predict(opts):
     model's class names, probabilities)."""
     model, class_names = store.load_model(opts["model-file"])
     table = _load_table(opts)
-    return table, class_names, model.predict_proba(table.matrix)
+    try:
+        proba = model.predict_proba(table.matrix)
+    except DataError as exc:  # an input the model cannot read
+        raise located(exc, opts["features"] or opts["tokens"]) from exc
+    return table, class_names, proba
 
 
 def _label_indices(labels, class_names, path) -> np.ndarray:
@@ -475,9 +479,9 @@ def cmd_nested_cv(opts, out):
     workers = 1
     if estimators.KINDS[model_kind].threads:
         workers = min(opts["workers"], len(os.sched_getaffinity(0)))
-    doc, curves = evaluation.nested_cv(table.matrix, table.y, factory, grid,
-                                       plan, table.class_names,
-                                       workers=workers)
+    doc, curves = evaluation.nested_cv(
+        table.matrix, table.y, factory, grid, plan, table.class_names,
+        workers=workers, stages=estimators.KINDS[model_kind].stages)
     artifacts = [PLAN_FILE] + _write_scores(out, doc, curves)
     pooled = doc["pooled"]["overall"]
     search = "no inner search (one grid point); " if len(grid) == 1 else ""

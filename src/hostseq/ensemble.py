@@ -10,9 +10,11 @@ its weight. A node gathers a block of candidate features of its rows
 as (columns, rows), sorts each along its contiguous axis, and scores
 every cut point of the block from one 2-D prefix-sum array per class.
 Split ties break toward the lowest threshold, then the lowest feature
-index, so fits are reproducible. A fitted tree is a set of flat numpy
-arrays. All randomness flows through generators seeded with
-util.derive_seed.
+index, so fits are reproducible. Trees grow level by level, so a tree
+cut at depth d is the depth-d fit, and an ensemble's first k trees or
+rounds are its k-tree fit: staged_predict_proba scores such smaller
+settings from one fit. A fitted tree is a set of flat numpy arrays.
+All randomness flows through generators seeded with util.derive_seed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .util import check_signs, derive_seed
 class ForestConfig:
     n_estimators: int = 100
     max_depth: int = 10
-    features_per_split: int | None = None   # None -> ceil(sqrt(d))
     seed: int = 0
 
     def __post_init__(self):
@@ -51,8 +52,8 @@ class RusBoostConfig:
 @dataclass(eq=False)
 class DecisionTree:
     """Flat node arrays; feature == -1 marks a leaf, whose threshold is
-    nan and whose children are -1. counts holds each leaf's weighted
-    class counts from the fit, and zero rows at internal nodes."""
+    nan and whose children are -1. counts holds every node's weighted
+    class counts from the fit, internal nodes included."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -60,16 +61,22 @@ class DecisionTree:
     right: np.ndarray
     counts: np.ndarray
 
-    def leaf_distributions(self, X) -> np.ndarray:
+    def leaf_distributions(self, X, depth=None) -> np.ndarray:
+        """Class distribution of the node each row of X reaches: its leaf,
+        or with depth, its node at that depth if the walk goes deeper. A
+        tree cut at depth d scores as the same fit grown to max_depth d,
+        because fit_tree grows level by level."""
         X = np.asarray(X, dtype=np.float64)
         node = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
+        level = 0
+        while depth is None or level < depth:
             rows = np.flatnonzero(self.feature[node] >= 0)
             if rows.size == 0:
                 break
             at = node[rows]
             go_left = X[rows, self.feature[at]] <= self.threshold[at]
             node[rows] = np.where(go_left, self.left[at], self.right[at])
+            level += 1
         counts = self.counts[node]
         return counts / counts.sum(axis=1, keepdims=True)
 
@@ -94,17 +101,18 @@ class DecisionTree:
                     a.shape != nodes for a in (tree.feature, tree.threshold,
                                                tree.left, tree.right)):
             raise ValueError("tree arrays disagree on the node count")
-        # fit_tree numbers nodes in preorder: children after their node,
-        # so every walk from the root ends at a leaf
+        # fit_tree numbers nodes in level order: children after their
+        # node, so every walk from the root ends at a leaf
         inner, at = tree.feature >= 0, np.arange(nodes[0])
         if not all(((child > at) & (child < nodes[0]))[inner].all()
                    for child in (tree.left, tree.right)):
             raise ValueError("a tree node's child does not follow it")
-        leaves = tree.counts[~inner]
-        if (tree.feature < -1).any() or not np.isfinite(leaves).all() \
-                or (leaves < 0).any() or not (leaves.sum(axis=1) > 0).all():
-            raise ValueError("tree leaves need feature -1 and finite, "
-                             "non-negative counts with a positive sum")
+        counts = tree.counts
+        if (tree.feature < -1).any() or not np.isfinite(counts).all() \
+                or (counts < 0).any() or not (counts.sum(axis=1) > 0).all():
+            raise ValueError("tree leaves need feature -1, and every node "
+                             "finite, non-negative counts with a positive "
+                             "sum")
         return tree
 
 
@@ -138,7 +146,9 @@ def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
     (d, n) matrix, at the node's rows of it, in sample order, and weights
     the (rows, classes) class weights of those samples.
     A column's cut is its first minimum in sorted order, i.e. its lowest
-    threshold."""
+    threshold. The threshold is the midpoint of the values either side
+    of the cut, or the lower value where the midpoint is not below the
+    upper one, so both children get rows."""
     impurity, thresholds = [], []
     for s in range(0, candidates.size, _BLOCK):
         values = XT[candidates[s:s + _BLOCK, None], at]
@@ -158,7 +168,11 @@ def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
         weighted = np.where(v[:, :-1] < v[:, 1:], weighted, np.inf)
         cut = weighted.argmin(axis=1)
         impurity.append(weighted[cols, cut])
-        thresholds.append((v[cols, cut] + v[cols, cut + 1]) / 2.0)
+        lo, hi = v[cols, cut], v[cols, cut + 1]
+        mid = (lo + hi) / 2.0
+        # between adjacent floats the midpoint rounds to hi, which would
+        # send every row left; lo splits the same rows
+        thresholds.append(np.where(mid < hi, mid, lo))
     impurity = np.concatenate(impurity)
     thresholds = np.concatenate(thresholds)
     ok = impurity <= parent_gini
@@ -189,8 +203,10 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
     It keeps the split with the lowest impurity, then the lowest
     threshold, then the lowest feature index, and never one with more
     impurity than the node; with no such split the node is a leaf.
-    Nodes are numbered depth-first, left child first, in lists frozen
-    into a DecisionTree at the end.
+    Nodes grow and are numbered in level order, left child first, and
+    every node keeps its class weights in counts. Every node above depth
+    d draws its candidates from rng before any node at depth d does, so
+    the fit to max_depth D, cut at depth d, is the fit to max_depth d.
     """
     if XT.ndim != 2 or XT.shape[0] == 0 or XT.shape[1] == 0:
         raise ValueError("XT must be a non-empty 2-D array")
@@ -202,24 +218,24 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
                          "indices of XT")
     if class_weights.ndim != 2 or class_weights.shape[0] != rows.size:
         raise ValueError("class_weights must have one row per sample")
-    d, n_classes = XT.shape[0], class_weights.shape[1]
+    d = XT.shape[0]
     if features_per_split is not None:
         if not 1 <= features_per_split <= d:
             raise ValueError(f"features_per_split must lie in [1, {d}]")
         if rng is None:
             raise ValueError("features_per_split requires an rng")
     nodes = []      # [feature, threshold, left, right, counts] per node
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        # idx: the node's sample positions, in sample order
-        node = len(nodes)
+    # per node, in level order: its sample positions (in sample order)
+    # and depth; the loop appends each split's children as it goes
+    queue = [(np.arange(rows.size), 0)]
+    for node, (idx, depth) in enumerate(queue):
         weights = class_weights[idx]
         cw = weights.sum(axis=0)
         nodes.append([-1, np.nan, -1, -1, cw])
         total = float(cw.sum())
         parent_gini = _gini(cw, total)
         if depth >= max_depth or idx.size < 2 or parent_gini == 0.0:
-            return node
+            continue
         if features_per_split is None:
             candidates = np.arange(d)
         else:
@@ -228,14 +244,12 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
         at = rows[idx]
         split = _best_split(XT, at, candidates, weights, total, parent_gini)
         if split is None:
-            return node
+            continue
         f, thr = split
         go_left = XT[f, at] <= thr
-        nodes[node] = [f, thr, grow(idx[go_left], depth + 1),
-                       grow(idx[~go_left], depth + 1), np.zeros(n_classes)]
-        return node
+        nodes[node][:4] = [f, thr, len(queue), len(queue) + 1]
+        queue += [(idx[go_left], depth + 1), (idx[~go_left], depth + 1)]
 
-    grow(np.arange(rows.size), 0)
     feature, threshold, left, right, counts = zip(*nodes)
     return DecisionTree(np.array(feature, dtype=np.int64),
                         np.array(threshold, dtype=np.float64),
@@ -244,14 +258,12 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
                         np.array(counts, dtype=np.float64))
 
 
-def _check_width(X, trees) -> np.ndarray:
-    """X as a float64 matrix with every column that trees split on. A
-    checkpoint records no feature width, so extra columns pass."""
+def _check_width(X, n_features: int) -> np.ndarray:
+    """X as a float64 matrix of the width the trees were fit on."""
     X = np.asarray(X, dtype=np.float64)
-    need = max((int(t.feature.max()) + 1 for t in trees), default=0)
-    if X.ndim != 2 or X.shape[1] < need:
-        raise DataError(f"feature input must be (n, >= {need}) for the "
-                        f"trees' splits, not {X.shape}")
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DataError(f"feature input must be (n, {n_features}), "
+                        f"not {X.shape}")
     return X
 
 
@@ -260,54 +272,87 @@ def _tree_arrays(trees) -> dict:
             for key, arr in tree.to_arrays().items()}
 
 
-def _trees_from_arrays(arrays, count: int, n_classes: int) -> list:
-    """The count trees t0, t1, ... of a checkpoint; each leaf's counts
-    must have one column per class."""
+def _trees_from_arrays(arrays, count: int, n_classes: int,
+                       n_features: int) -> list:
+    """The count trees t0, t1, ... of a checkpoint; each node's counts
+    must have one column per class, and each split a feature below
+    n_features."""
     keys = ("feature", "threshold", "left", "right", "counts")
     trees = [DecisionTree.from_arrays({k: arrays[f"t{i}.{k}"] for k in keys})
              for i in range(count)]
     if any(tree.counts.shape[1] != n_classes for tree in trees):
         raise ValueError(f"tree counts must have {n_classes} class columns")
+    if any(tree.feature.max() >= n_features for tree in trees):
+        raise ValueError(f"a tree splits on a feature past the "
+                         f"{n_features} it was fit on")
     return trees
+
+
+def _stage_value(stage: dict, name: str, fitted: int) -> int:
+    """A stage's value of the config field name, or the fitted value if
+    the stage does not set it; no stage asks for more than was fit."""
+    value = stage.get(name, fitted)
+    if not 1 <= value <= fitted:
+        raise ValueError(f"stage {name} {value!r} outside [1, {fitted}]")
+    return value
 
 
 @dataclass
 class Forest:
-    """Random forest estimator; fit delegates to fit_forest."""
+    """Random forest estimator; fit delegates to fit_forest. n_features is
+    the width of the rows it was fit on."""
 
     FAMILY = "forest"
     config: ForestConfig
     n_classes: int
     trees: list = field(default_factory=list)
+    n_features: int = 0
 
     def fit(self, X, y) -> "Forest":
-        self.trees = fit_forest(X, y, self.config, self.n_classes).trees
+        fitted = fit_forest(X, y, self.config, self.n_classes)
+        self.trees, self.n_features = fitted.trees, fitted.n_features
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        X = _check_width(X, self.trees)
-        dists = [t.leaf_distributions(X) for t in self.trees]
-        return np.mean(dists, axis=0)
+        return self.staged_predict_proba(X, [{}])[0]
+
+    def staged_predict_proba(self, X, stages) -> list:
+        """The probabilities of each stage, a dict that may set
+        n_estimators and max_depth up to the fitted values (an unset field
+        keeps the fitted one): the mean leaf distribution of the first
+        n_estimators trees, each cut at max_depth. That is the forest
+        fit_forest grows with those values, because a tree's seed does not
+        depend on n_estimators and fit_tree grows level by level."""
+        X = _check_width(X, self.n_features)
+        cfg, by_depth, out = self.config, {}, []
+        for stage in stages:
+            k = _stage_value(stage, "n_estimators", cfg.n_estimators)
+            depth = _stage_value(stage, "max_depth", cfg.max_depth)
+            if depth not in by_depth:
+                by_depth[depth] = [t.leaf_distributions(X, depth)
+                                   for t in self.trees]
+            out.append(np.mean(by_depth[depth][:k], axis=0))
+        return out
 
     def to_checkpoint(self):
         return "forest", _tree_arrays(self.trees)
 
-    def load_arrays(self, arrays) -> "Forest":
+    def load_arrays(self, arrays, n_features: int) -> "Forest":
         self.trees = _trees_from_arrays(arrays, self.config.n_estimators,
-                                        self.n_classes)
+                                        self.n_classes, n_features)
+        self.n_features = n_features
         return self
 
 
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
-    """Bag of CART trees on bootstrap resamples; predicted probabilities
-    are the mean of per-tree leaf distributions."""
+    """Bag of CART trees on bootstrap resamples, each split drawing
+    ceil(sqrt(d)) candidate features; predicted probabilities are the
+    mean of per-tree leaf distributions."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty 2-D array")
     n, d = X.shape
-    per_split = cfg.features_per_split
-    if per_split is None:
-        per_split = int(np.ceil(np.sqrt(d)))
+    per_split = int(np.ceil(np.sqrt(d)))
     XT = np.ascontiguousarray(X.T)
     onehot = np.eye(n_classes)[y]
     trees = []
@@ -316,43 +361,64 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
         idx = rng.integers(0, n, size=n)
         trees.append(fit_tree(XT, idx, onehot[idx], cfg.max_depth,
                               features_per_split=per_split, rng=rng))
-    return Forest(cfg, n_classes, trees)
+    return Forest(cfg, n_classes, trees, d)
 
 
 @dataclass
 class RusBoostModel:
-    """RUSBoost estimator; fit delegates to fit_rusboost."""
+    """RUSBoost estimator; fit delegates to fit_rusboost. n_features is
+    the width of the rows it was fit on."""
 
     FAMILY = "rusboost"
     config: RusBoostConfig
     n_classes: int
     trees: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
+    n_features: int = 0
 
     def fit(self, X, y) -> "RusBoostModel":
         fitted = fit_rusboost(X, y, self.config, self.n_classes)
         self.trees, self.alphas = fitted.trees, fitted.alphas
+        self.n_features = fitted.n_features
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        X = _check_width(X, self.trees)
+        return self.staged_predict_proba(X, [{}])[0]
+
+    def staged_predict_proba(self, X, stages) -> list:
+        """The probabilities of each stage, a dict that may set
+        n_estimators up to the fitted value (unset, it keeps the fitted
+        one): the normalized vote of the first n_estimators rounds, or of
+        every round kept if boosting stopped before. That is the model
+        fit_rusboost builds with that value, because each round depends
+        only on the rounds before it."""
+        X = _check_width(X, self.n_features)
+        rounds = [min(_stage_value(stage, "n_estimators",
+                                   self.config.n_estimators), len(self.trees))
+                  for stage in stages]
+        rows = np.arange(X.shape[0])
         votes = np.zeros((X.shape[0], self.n_classes))
-        for tree, alpha in zip(self.trees, self.alphas):
-            pred = tree.predict(X)
-            votes[np.arange(X.shape[0]), pred] += alpha
-        return votes / votes.sum(axis=1, keepdims=True)
+        snapshots = {}
+        for r, (tree, alpha) in enumerate(
+                zip(self.trees[:max(rounds)], self.alphas), start=1):
+            votes[rows, tree.predict(X)] += alpha
+            if r in rounds:
+                snapshots[r] = votes / votes.sum(axis=1, keepdims=True)
+        return [snapshots[r] for r in rounds]
 
     def to_checkpoint(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
         return "rusboost", {"alphas": alphas, **_tree_arrays(self.trees)}
 
-    def load_arrays(self, arrays) -> "RusBoostModel":
+    def load_arrays(self, arrays, n_features: int) -> "RusBoostModel":
         alphas = arrays["alphas"]
         if not (len(alphas) and np.isfinite(alphas).all()
                 and (alphas > 0).all()):
             raise ValueError("RUSBoost alphas must be finite and positive")
-        self.trees = _trees_from_arrays(arrays, len(alphas), self.n_classes)
+        self.trees = _trees_from_arrays(arrays, len(alphas), self.n_classes,
+                                        n_features)
         self.alphas = [float(a) for a in alphas]
+        self.n_features = n_features
         return self
 
 
@@ -421,5 +487,5 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
         w /= w.sum()
         trees.append(tree)
         alphas.append(float(alpha))
-    return RusBoostModel(cfg, n_classes, trees, alphas)
+    return RusBoostModel(cfg, n_classes, trees, alphas, X.shape[1])
 

@@ -20,9 +20,11 @@ class UsageError(Exception):
 
 # What a --model kind builds, as estimator(config(...), n_classes): its
 # estimator class, its config dataclass, the one input it reads,
-# "features" or "tokens", and whether its nested-CV fits run on the
-# --workers threads (threads) or on one.
-Kind = namedtuple("Kind", "estimator config input threads")
+# "features" or "tokens", whether its nested-CV fits run on the
+# --workers threads (threads) or on one, and its stage fields: the config
+# fields whose smaller values one fit at the largest value scores too,
+# through the estimator's staged_predict_proba.
+Kind = namedtuple("Kind", "estimator config input threads stages")
 # A net reads the input its class names. Only the token nets gain from
 # threads, because numpy drops the GIL inside their large ops: token-cv's
 # two nested-cv commands took 2.34 s on one thread and 1.64 s on two (2
@@ -33,12 +35,14 @@ Kind = namedtuple("Kind", "estimator config input threads")
 # rounds) 4.73 s against 5.45 s, mlp on 910 ER features 3.39 s against
 # 5.38 s.
 KINDS = {
-    "mlp": Kind(NeuralClassifier, NetConfig, NETS["mlp"].INPUT, False),
-    "cnn": Kind(NeuralClassifier, NetConfig, NETS["cnn"].INPUT, True),
+    "mlp": Kind(NeuralClassifier, NetConfig, NETS["mlp"].INPUT, False, ()),
+    "cnn": Kind(NeuralClassifier, NetConfig, NETS["cnn"].INPUT, True, ()),
     "transformer": Kind(NeuralClassifier, NetConfig,
-                        NETS["transformer"].INPUT, True),
-    "rf": Kind(Forest, ForestConfig, "features", False),
-    "rusboost": Kind(RusBoostModel, RusBoostConfig, "features", False),
+                        NETS["transformer"].INPUT, True, ()),
+    "rf": Kind(Forest, ForestConfig, "features", False,
+               ("n_estimators", "max_depth")),
+    "rusboost": Kind(RusBoostModel, RusBoostConfig, "features", False,
+                     ("n_estimators",)),
 }
 # Checkpoint "model" tag -> the Kind of its estimator family.
 FAMILIES = {kind.estimator.FAMILY: kind for kind in KINDS.values()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -261,27 +262,55 @@ def save_plan(plan: CvPlan, path) -> None:
 
 class FitTask(NamedTuple):
     """One nested-CV fit: the model built from params and seed, fit on
-    train and scoring scored; where names it in a divergence or data
-    error message."""
+    train and scoring scored once per stage (see _fit_predict); where
+    names it in a divergence or data error message."""
     where: str
     params: dict
     seed: int
     train: np.ndarray
     scored: np.ndarray
+    stages: tuple = ({},)
 
 
-def _fit_predict(inputs, labels, model_factory, task: FitTask) -> np.ndarray:
-    """Probabilities of task.scored from a model fit on task.train."""
+def _fit_predict(inputs, labels, model_factory, task: FitTask) -> list:
+    """Probabilities of task.scored from one model fit on task.train, one
+    matrix per stage of task.stages: a dict of stage field values for the
+    model's staged_predict_proba. When no stage sets a field, every stage
+    is the fitted model, scored by its predict_proba."""
     try:
         model = model_factory(task.params, task.seed)
         model.fit(inputs[task.train], labels[task.train])
     except (TrainingDivergedError, DataError) as exc:
         raise located(exc, task.where) from exc
-    return model.predict_proba(inputs[task.scored])
+    X = inputs[task.scored]
+    if any(task.stages):
+        return model.staged_predict_proba(X, task.stages)
+    return [model.predict_proba(X)] * len(task.stages)
+
+
+def _stage_groups(grid, stages) -> list:
+    """The grid's points grouped by one shared fit: points whose params
+    differ only in the values of the stage fields stages. A stage value
+    is a positive int; any other value stays with the point's other
+    params. Per group, in the order of its first point: its point
+    indices, the params it fits (the shared ones, and each stage field
+    at the group's largest value) and each point's stage dict."""
+    groups = {}
+    for j, params in enumerate(grid):
+        stage = {k: v for k, v in params.items()
+                 if k in stages and type(v) is int and v > 0}
+        rest = {k: v for k, v in params.items() if k not in stage}
+        points, _, staged = groups.setdefault(
+            repr((sorted(rest.items()), sorted(stage))), ([], rest, []))
+        points.append(j)
+        staged.append(stage)
+    return [(points, {**rest, **{k: max(s[k] for s in staged)
+                                 for k in staged[0]}}, tuple(staged))
+            for points, rest, staged in groups.values()]
 
 
 def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
-              class_names, workers: int = 1) -> tuple:
+              class_names, workers: int = 1, stages=()) -> tuple:
     """Grid search in the inner folds, refit on each outer-training
     split, evaluate once on each outer test fold. Returns the metrics.json
     document (the plan's sizes and seed, per outer fold its chosen grid
@@ -289,12 +318,19 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     pooled report's PR curves.
 
     model_factory(params, seed) must return an object with fit(X, y)
-    and predict_proba(X). Every fit is one task: all inner fits first,
-    then the outer refits. With workers > 1 the tasks share one pool of
-    workers threads; with one worker they run in order on the calling
-    thread. Ties on inner mean score go to the earlier grid point. A
-    one-point grid runs no inner search, because inner fits could not
-    change the choice: each fold records chosen_index 0 and empty
+    and predict_proba(X), and with staged_predict_proba(X, stages) when
+    stages names its stage fields (estimators.Kind.stages). Grid points
+    that differ only in stage fields share one inner fit per fold, at
+    the largest value of each (_stage_groups), which scores every point
+    of the group. Inner fit (f, m) is seeded by the outer fold f and
+    inner fold m alone, so every grid point is scored on the same
+    bootstraps and draws, and a shared fit scores a point as its own fit
+    would. Every fit is one task: all inner fits first, then the outer
+    refits. With workers > 1 the tasks share one pool of workers
+    threads; with one worker they run in order on the calling thread.
+    Ties on inner mean score go to the earlier grid point. A one-point
+    grid runs no inner search, because inner fits could not change the
+    choice: each fold records chosen_index 0 and empty
     inner_mean_scores, and its refit is the same as after a search. The
     pooled report covers every record exactly once, and results do not
     depend on the worker count.
@@ -308,21 +344,30 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
         raise ValueError("plan does not match dataset size")
     fit = functools.partial(_fit_predict, inputs, labels, model_factory)
     searched = grid if len(grid) > 1 else []
-    inner = [FitTask(f"outer fold {f}, grid point {j}, inner fold {m}",
-                     params, derive_seed(plan.seed, "outer", f, "grid", j,
-                                         "inner", m),
-                     np.flatnonzero((a != -1) & (a != m)),
-                     np.flatnonzero(a == m))
-             for f, a in enumerate(plan.inner)
-             for j, params in enumerate(searched) for m in range(plan.k_inner)]
+    slots = list(itertools.product(range(plan.k_outer),
+                                   _stage_groups(searched, stages),
+                                   range(plan.k_inner)))
+    inner = []
+    for f, (points, params, staged), m in slots:
+        fold = plan.inner[f]
+        name = (f"grid point {points[0]}" if len(points) == 1
+                else f"grid points {points}")
+        inner.append(FitTask(f"outer fold {f}, {name}, inner fold {m}",
+                             params,
+                             derive_seed(plan.seed, "outer", f, "inner", m),
+                             np.flatnonzero((fold != -1) & (fold != m)),
+                             np.flatnonzero(fold == m), staged))
+    scores = np.zeros((plan.k_outer, len(searched), plan.k_inner))
     with (ThreadPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         run = pool.map if pool else map
-        scores = [compute_report(labels[task.scored], proba,
-                                 class_names)[0]["overall"]["mean_score"]
-                  for task, proba in zip(inner, run(fit, inner))]
-        score_table = np.mean(np.reshape(
-            scores, (plan.k_outer, len(searched), plan.k_inner)), axis=2)
+        for (f, (points, _, _), m), task, probas in zip(slots, inner,
+                                                       run(fit, inner)):
+            for j, proba in zip(points, probas):
+                scores[f, j, m] = compute_report(
+                    labels[task.scored], proba,
+                    class_names)[0]["overall"]["mean_score"]
+        score_table = scores.mean(axis=2)
         best = ([int(np.argmax(row)) for row in score_table] if searched
                 else [0] * plan.k_outer)
         refits = [FitTask(f"outer fold {f}, refit", grid[best[f]],
@@ -330,7 +375,7 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
                           np.flatnonzero(plan.outer != f),
                           np.flatnonzero(plan.outer == f))
                   for f in range(plan.k_outer)]
-        refit_proba = list(run(fit, refits))
+        refit_proba = [probas[0] for probas in run(fit, refits)]
 
     pooled = np.zeros((labels.shape[0], len(class_names)))
     outer = []

@@ -349,13 +349,18 @@ class NeuralClassifier:
                             "overflow on this input")
         return proba
 
+    @property
+    def n_features(self) -> int:
+        """The width of its input rows: max_len tokens or in_dim features."""
+        tokens = NETS[self.config.kind].INPUT == "tokens"
+        return self.config.max_len if tokens else self.config.in_dim
+
     def _check_inputs(self, inputs):
         tokens = NETS[self.config.kind].INPUT == "tokens"
-        width = self.config.max_len if tokens else self.config.in_dim
         inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != width:
+        if inputs.ndim != 2 or inputs.shape[1] != self.n_features:
             raise DataError(f"{'token' if tokens else 'feature'} input "
-                            f"must be (n, {width})")
+                            f"must be (n, {self.n_features})")
         if tokens:
             if not np.issubdtype(inputs.dtype, np.integer):
                 raise DataError("token input must be integer ids")
@@ -371,7 +376,10 @@ class NeuralClassifier:
         return self.config.kind, {name: p.data
                                   for name, p in self.net.params.items()}
 
-    def load_arrays(self, arrays) -> "NeuralClassifier":
+    def load_arrays(self, arrays, n_features: int) -> "NeuralClassifier":
+        if n_features != self.n_features:
+            raise ValueError(f"input width {n_features} but the config's "
+                             f"is {self.n_features}")
         self.net = build_net(self.config, self.n_classes)
         params = self.net.params
         missing, extra = set(params) - set(arrays), set(arrays) - set(params)

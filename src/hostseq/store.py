@@ -33,7 +33,7 @@ from .util import atomic_write_bytes, atomic_write_text
 
 
 MAGIC = b"HSEQCKPT"
-VERSION = 1
+VERSION = 2   # 1 recorded no input width
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 
@@ -222,7 +222,8 @@ def load_checkpoint(path):
         raise DataError(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
     if version != VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
+        raise DataError(f"{path}: unsupported version {version} (this "
+                        f"build reads {VERSION}; train the model again)")
     start = len(MAGIC) + 12
     try:
         header = json.loads(blob[start:start + header_len].decode("utf-8"))
@@ -259,14 +260,16 @@ def load_checkpoint(path):
 def save_model(path, model, class_names) -> None:
     """Writes an estimator of a family in estimators.FAMILIES: the arrays
     of its to_checkpoint() under one meta layout for every family, its
-    config, class count, family tag and class names. load_model rebuilds
-    it as estimator(config, n_classes).load_arrays(arrays)."""
+    config, class count, input width, family tag and class names.
+    load_model rebuilds it as estimator(config, n_classes).load_arrays(
+    arrays, n_features)."""
     if type(model) not in {kind.estimator for kind in FAMILIES.values()}:
         raise TypeError(
             f"cannot serialize model of type {type(model).__name__}")
     kind, arrays = model.to_checkpoint()
     meta = {"config": asdict(model.config), "n_classes": model.n_classes,
-            "model": model.FAMILY, "class_names": list(class_names)}
+            "n_features": model.n_features, "model": model.FAMILY,
+            "class_names": list(class_names)}
     save_checkpoint(path, kind, meta, arrays)
 
 
@@ -277,8 +280,9 @@ def load_model(path):
     if family is None:
         raise DataError(f"{path}: unknown model family {meta.get('model')!r}")
     try:
-        model = family.estimator(family.config(**meta["config"]),
-                                 int(meta["n_classes"])).load_arrays(arrays)
+        model = family.estimator(
+            family.config(**meta["config"]), int(meta["n_classes"])
+        ).load_arrays(arrays, int(meta["n_features"]))
         class_names = tuple(meta["class_names"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hostseq import autograd, cli, evaluation
-from hostseq.estimators import ModelFactory
+from hostseq.estimators import KINDS, ModelFactory
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -75,12 +75,13 @@ def test_tracer_sees_every_pooled_fit(tracer):
         tracer.install(t)
         evaluation.nested_cv(X, y, ModelFactory("rf", 3, {"n_estimators": 2},
                                                 in_dim=4),
-                             grid, plan, ("a", "b", "c"), workers=2)
+                             grid, plan, ("a", "b", "c"), workers=2,
+                             stages=KINDS["rf"].stages)
     finally:
         t.restore()
     spans = t.take()
-    assert tracer.layer_metrics(spans)["evaluation.fits"] == \
-        k * len(grid) * m + k
+    # the two depths share one inner fit per (outer, inner) fold
+    assert tracer.layer_metrics(spans)["evaluation.fits"] == k * m + k
     assert sum(s.name == "evaluation.refit" for s in spans) == k
     parents = {s.id: s.parent for s in spans}
     (root,) = [s.id for s in spans if s.name == "evaluation.nested_cv"]

@@ -529,6 +529,43 @@ def test_evaluate_wrong_width_features_exit_2(tmp_path, capsys, model, extra):
     assert err.startswith("data error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("model,extra", [
+    ("rf", ("--n-estimators", "3", "--max-depth", "3")),
+    ("rusboost", ("--n-estimators", "3", "--base-depth", "2")),
+], ids=["rf", "rusboost"])
+def test_tree_model_on_a_wider_features_file_exit_2(tmp_path, capsys, model,
+                                                     extra, command):
+    # the checkpoint records its feature width; a wider file was once
+    # scored on its first columns
+    out = train_flow(tmp_path, model, extra)
+    ids, labels, _, matrix = store.read_features_csv(out / "features.csv")
+    wide = tmp_path / "wide.csv"
+    store.write_features_csv(wide, ids, labels, "eg",
+                             np.column_stack([matrix, matrix[:, :1]]))
+    capsys.readouterr()
+    code = run([command, "--model-file", str(out / "model.bin"),
+                "--features", str(wide), "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: {wide}: feature input must be (n, {matrix.shape[1]}), "
+        f"not {(len(ids), matrix.shape[1] + 1)}\n")
+
+
+def test_version_1_checkpoint_exit_2(tmp_path, capsys):
+    out = train_flow(tmp_path, "rf", ("--n-estimators", "2"))
+    model = out / "model.bin"
+    blob = bytearray(model.read_bytes())
+    assert blob[8:12] == (2).to_bytes(4, "little")
+    blob[8:12] = (1).to_bytes(4, "little")
+    model.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(model), "--features",
+                str(out / "features.csv"), "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {model}: unsupported version 1")
+
+
 @pytest.mark.parametrize("command,table,flag", [
     ("evaluate", "features.csv", "--features"),
     ("evaluate", "tokens.csv", "--tokens"),
@@ -874,9 +911,9 @@ def test_train_tree_checkpoints_match_golden_bytes(tmp_path):
     # use no BLAS, so the bytes depend only on the code.
     features = seeded_features(tmp_path)
     golden = {
-        "rf": ("9bf8a3983c5b7dfebeec792b50c5e86431bb0f76a8a9adf427546a5be3e7f35d",
+        "rf": ("f0cabd9581735b357f8439436ea676c82d05b8e61e9deb129bf512ef2b132919",
                ("--n-estimators", "5", "--max-depth", "3")),
-        "rusboost": ("f8c1fa6ea2a94e732a574515e61d82d8f8b7e30ab86055b10fdc1cc9248e694b",
+        "rusboost": ("173851fb7e3645ce35e69a0f48e1939b265e8ca8e45ed03dad8a70b50d5565b2",
                      ("--n-estimators", "5", "--base-depth", "2")),
     }
     for model, (digest, extra) in golden.items():
@@ -924,23 +961,23 @@ def test_cli_artifacts_match_golden_bytes(tmp_path):
         "cv/cv_plan.json":
             "788c8e8efa1a9285393f71b552b95270b9e7db98a6b0ab737c54d775fe37549d",
         "cv/metrics.json":
-            "cd08bac36c8acb5ebc75ef03865cd2ccf74af7d1012b30816bc57d1da29c1b54",
+            "13aea3e4e8b3798ddad328b0d113579b88d23fd7f1007d188bb852e0099c2768",
         "cv/pr_curves.csv":
-            "589aa4b58d3041f6c31da1e1f89004f55d12eae95eef3e9a19bb8f241cf15cd9",
+            "a9cbeb53384b52e7c1df893b012d8c2e6f2a58bd691402b3e506d719b4e1979d",
         "p_rf/predictions.csv":
-            "077d42330d635a230d1f2ecccd31dc077aab384f9af88ee0d2d929f1e4242f8a",
+            "3c138f06ffef4fb7da8fda1c714edeaf02cb99995da7b6100f57f98021d52f1f",
         "p_rb/predictions.csv":
             "a2077c832a191db93e9f4cbc138a26c885c4125f850923a5e290b0cca020f271",
         "ev/metrics.json":
-            "86aceb9d82532394c4d983b8edf88d986532ad6fce09697603e38c68205d75a2",
+            "ee6d583e2e5d386b51b86e060e1ee3f525cad22e105eabd71dd6a07a378f9cb3",
         "ev/pr_curves.csv":
-            "bd9d7ce45f75e6e58f1b1c3da8b9bb63efc123d41ab226c51ebad203cee6de69",
+            "34a360e1a7a9d3ae6f94ac1ccaec87fa1b0d2ca19b87bb7a31999816c1a60ae4",
         "rep/metrics.csv":
-            "41472f630fd3d534ed6176bcc57e0bdeec603a6ca2b37b79ead3e8de9cb8d439",
+            "fee39d85fa3200dfc67063351b9231ecffc5daa179389b3f6e3cc554d541104c",
         "rep/metrics.json":
-            "86aceb9d82532394c4d983b8edf88d986532ad6fce09697603e38c68205d75a2",
+            "ee6d583e2e5d386b51b86e060e1ee3f525cad22e105eabd71dd6a07a378f9cb3",
         "rep/disagreement.json":
-            "9add8b9c0d826a97e5a772354a3a54b437d9844b2fd85ba00eaea82e0e65ea9c",
+            "0025184d20d50d666198dd762f1719405c004d7975a5b7caae395f18d50312f1",
         "tok/tokens.csv":
             "594018e81cfeb4593852f20e9ebb8d34c6b194ccab5a52b9c5231072a2af5557",
         "tok/vocab.json":
@@ -1379,8 +1416,9 @@ def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
     assert run(["predict", "--model-file", str(model_dir / "model.bin"),
                 *predict_data, "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
-    assert err == (f"data error: token ids outside [0, {small}): the "
-                   f"model's vocabulary has {small} ids\n"), err
+    assert err == (f"data error: {predict_data[1]}: token ids outside "
+                   f"[0, {small}): the model's vocabulary has {small} "
+                   f"ids\n"), err
 
 
 @pytest.mark.parametrize("model, flag, value", [

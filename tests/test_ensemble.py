@@ -120,8 +120,11 @@ def test_tree_array_roundtrip():
         assert arr.dtype == arrays[key].dtype
         assert arr.tobytes() == arrays[key].tobytes(), key
     internal = tree.feature >= 0
-    assert internal.any() and not tree.counts[internal].any()
-    assert (tree.counts[~internal].sum(axis=1) > 0).all()
+    assert internal.any() and (tree.counts.sum(axis=1) > 0).all()
+    # an internal node's counts are its children's, added
+    at = np.flatnonzero(internal)
+    assert np.allclose(tree.counts[at], tree.counts[tree.left[at]]
+                       + tree.counts[tree.right[at]], rtol=0, atol=1e-12)
     assert np.array_equal(tree.leaf_distributions(X),
                           back.leaf_distributions(X))
 
@@ -290,7 +293,10 @@ def _reference_split(XT, idx, candidates, weights, parent_total,
         weighted = (wl * gini_l + wr * gini_r) / parent_total
         b = int(np.argmin(weighted))
         impurity = float(weighted[b])
-        thr = float((v[boundaries[b]] + v[boundaries[b] + 1]) / 2.0)
+        lo, hi = v[boundaries[b]], v[boundaries[b] + 1]
+        thr = float((lo + hi) / 2.0)
+        if thr == hi:
+            thr = float(lo)
         if impurity > parent_gini:
             continue
         if best is None or impurity < best[0] \
@@ -389,3 +395,89 @@ def test_split_search_does_not_depend_on_block_width(monkeypatch, weighted):
                      for key, arr in tree.to_arrays().items()})
     assert tree.feature.max() >= 64   # a split found past the first pass
     assert all(fit == fits[0] for fit in fits[1:])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forest_cut_at_depth_is_the_shallower_forest(n_classes, seed):
+    # fit_tree grows level by level from one rng stream, so every tree of
+    # a depth-8 forest, cut at depth d, is the tree a depth-d fit grows
+    # on the same bootstrap rows; few distinct values make ties
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(80, 16)).astype(np.float64)
+    y = rng.integers(0, n_classes, size=80)
+    deep = fit_forest(X, y, ForestConfig(n_estimators=4, max_depth=8,
+                                         seed=seed), n_classes)
+    stages = [{"n_estimators": k, "max_depth": d}
+              for d in (1, 2, 3, 5, 8) for k in (1, 3, 4)]
+    staged = deep.staged_predict_proba(X, stages)
+    grew = 0
+    for stage, proba in zip(stages, staged):
+        shallow = fit_forest(X, y, ForestConfig(seed=seed, **stage),
+                             n_classes)
+        assert proba.tobytes() == shallow.predict_proba(X).tobytes(), stage
+        for cut, tree in zip(shallow.trees, deep.trees):
+            n = cut.feature.size
+            grew += n < tree.feature.size
+            inner = cut.feature >= 0
+            assert cut.counts.tobytes() == tree.counts[:n].tobytes()
+            for key in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(cut, key)[inner],
+                                      getattr(tree, key)[:n][inner]), key
+    assert grew > 10   # the cuts took nodes off
+    assert staged[-1].tobytes() == deep.predict_proba(X).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 18, 3])
+def test_rusboost_round_prefixes_are_the_shorter_fits(seed):
+    # seeds 0 and 18 stop early, after 9 and 6 of 30 rounds
+    rng = np.random.default_rng(seed)
+    X = rng.random((60, 3))
+    y = rng.integers(0, 2, 60)
+    cfg = RusBoostConfig(n_estimators=30, learning_rate=1.0, max_depth=1,
+                         seed=seed)
+    full = fit_rusboost(X, y, cfg, n_classes=2)
+    stages = [{"n_estimators": k} for k in (1, 2, 6, 9, 12, 30)]
+    for stage, proba in zip(stages, full.staged_predict_proba(X, stages)):
+        alone = fit_rusboost(X, y, RusBoostConfig(
+            learning_rate=1.0, max_depth=1, seed=seed, **stage), n_classes=2)
+        assert proba.tobytes() == alone.predict_proba(X).tobytes(), stage
+    assert (len(full.trees) < 30) == (seed != 3)
+
+
+@pytest.mark.parametrize("stage", [{"n_estimators": 4}, {"max_depth": 4},
+                                   {"n_estimators": 0}])
+def test_forest_stage_beyond_the_fit_is_rejected(stage):
+    X = np.random.default_rng(4).random((20, 3))
+    forest = fit_forest(X, np.arange(20) % 2,
+                        ForestConfig(n_estimators=3, max_depth=3), 2)
+    with pytest.raises(ValueError, match="stage"):
+        forest.staged_predict_proba(X, [stage])
+
+
+def test_tree_estimators_reject_another_width():
+    # a checkpoint records the width, so a wider matrix is not scored on
+    # its first columns
+    rng = np.random.default_rng(5)
+    X = rng.random((30, 4))
+    y = np.arange(30) % 2
+    for model in (fit_forest(X, y, ForestConfig(n_estimators=2), 2),
+                  fit_rusboost(X, y, RusBoostConfig(n_estimators=2), 2)):
+        assert model.n_features == 4
+        for width in (3, 5):
+            with pytest.raises(ValueError, match=r"\(n, 4\)"):
+                model.predict_proba(rng.random((3, width)))
+
+
+@pytest.mark.parametrize("lo", [0.009880919160520809, 1.0, -3.5])
+def test_split_between_adjacent_floats_gives_both_children_rows(lo):
+    # the midpoint of lo and the next float rounds to that float; the
+    # split must still send lo left and hi right, or a child gets no rows
+    # and a row that reaches it scores 0/0
+    hi = np.nextafter(lo, np.inf)
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0, 0, 1, 1])
+    tree = grow(X, y, max_depth=3)
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert lo <= tree.threshold[0] < hi
+    assert np.array_equal(tree.predict(X), y)

@@ -10,7 +10,7 @@ import pytest
 
 from hostseq import evaluation as ev
 from hostseq import store
-from hostseq.estimators import ModelFactory
+from hostseq.estimators import KINDS, ModelFactory
 from hostseq.models import TrainingDivergedError
 from hostseq.seqio import DataError
 from hostseq.util import derive_seed
@@ -534,6 +534,44 @@ def test_one_point_grid_runs_only_the_refits(rng):
         assert len(b["inner_mean_scores"]) == 2
 
 
+def test_equal_models_tie_and_the_first_point_wins(rng):
+    # two spellings of one model: they share every inner seed, so they
+    # score alike, and the tie goes to the earlier point
+    X, y = nested_fixture(rng, n=48)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=7)
+    rf = ModelFactory("rf", 3, {"n_estimators": 3}, in_dim=2)
+    grid = [{"max_depth": 2, "n_estimators": 3}, {"max_depth": 2}]
+    doc, _ = ev.nested_cv(X, y, rf, grid, plan, ("a", "b", "c"),
+                          stages=KINDS["rf"].stages)
+    for fold in doc["outer"]:
+        first, second = fold["inner_mean_scores"]
+        assert first == second and fold["chosen_index"] == 0
+
+
+def test_stage_groups_share_a_fit_across_stage_fields_only():
+    grid = [{"n_estimators": 5, "max_depth": 2, "lr": 0.1},
+            {"n_estimators": 10, "max_depth": 2, "lr": 0.1},
+            {"n_estimators": 5, "max_depth": 4, "lr": 0.2},
+            {"n_estimators": True, "max_depth": 3, "lr": 0.1},
+            {"max_depth": 7, "n_estimators": 3, "lr": 0.1},
+            {"max_depth": 1, "lr": 0.1}]
+    assert ev._stage_groups(grid, ("n_estimators", "max_depth")) == [
+        ([0, 1, 4], {"lr": 0.1, "n_estimators": 10, "max_depth": 7},
+         ({"n_estimators": 5, "max_depth": 2},
+          {"n_estimators": 10, "max_depth": 2},
+          {"max_depth": 7, "n_estimators": 3})),
+        ([2], {"lr": 0.2, "n_estimators": 5, "max_depth": 4},
+         ({"n_estimators": 5, "max_depth": 4},)),
+        # a bool is no stage value: the point is fit as given
+        ([3], {"n_estimators": True, "lr": 0.1, "max_depth": 3},
+         ({"max_depth": 3},)),
+        ([5], {"lr": 0.1, "max_depth": 1}, ({"max_depth": 1},)),
+    ]
+    # with no stage fields only equal points share a fit
+    assert [points for points, _, _ in ev._stage_groups(
+        grid[:2] + grid[:1], ())] == [[0, 2], [1]]
+
+
 def test_one_worker_fits_on_the_calling_thread(rng):
     X, y = nested_fixture(rng, n=40)
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=3)
@@ -590,18 +628,23 @@ def test_nested_cv_fits_get_their_rows_and_seeds(rng, workers):
     ev.nested_cv(np.column_stack([np.arange(len(y)), X]), y,
                  lambda params, seed: RecordingModel(log, seed), grid, plan,
                  ("a", "b", "c"), workers=workers)
-    fits = {seed: (trained, scored) for seed, trained, scored in log}
-    assert len(log) == len(fits) == k * len(grid) * m + k
+    # every grid point's inner fit (f, i) has the one seed of (f, i)
+    fits = {}
+    for seed, trained, scored in log:
+        fits.setdefault(seed, []).append((trained, scored))
+    assert len(log) == k * len(grid) * m + k
+    assert len(fits) == k * m + k
     for f in range(k):
         test = frozenset(np.flatnonzero(plan.outer == f).tolist())
         inner = plan.inner[f]
-        for j in range(len(grid)):
-            for i in range(m):
-                trained, scored = fits.pop(derive_seed(
-                    plan.seed, "outer", f, "grid", j, "inner", i))
+        for i in range(m):
+            points = fits.pop(derive_seed(plan.seed, "outer", f, "inner", i))
+            assert len(points) == len(grid)
+            for trained, scored in points:
                 assert scored == frozenset(np.flatnonzero(inner == i).tolist())
                 assert not trained & test and not trained & scored
-        trained, scored = fits.pop(derive_seed(plan.seed, "outer", f, "refit"))
+        (trained, scored), = fits.pop(derive_seed(plan.seed, "outer", f,
+                                                  "refit"))
         assert scored == test
         assert not trained & test
     assert not fits
@@ -615,8 +658,9 @@ def test_fit_task_pickles_to_the_same_probabilities(rng):
                       np.arange(30), np.arange(30, 40))
     copy = pickle.loads(pickle.dumps(task))
     assert copy.where == task.where and copy.seed == task.seed
-    assert ev._fit_predict(X, y, factory, task).tobytes() == \
-        ev._fit_predict(X, y, factory, copy).tobytes()
+    (proba,) = ev._fit_predict(X, y, factory, task)
+    (again,) = ev._fit_predict(X, y, factory, copy)
+    assert proba.tobytes() == again.tobytes()
 
 
 class FailingModel(CentroidModel):
@@ -634,8 +678,8 @@ class FailingModel(CentroidModel):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("keys, where", [
-    (("outer", 1, "grid", 0, "inner", 1),
-     "outer fold 1, grid point 0, inner fold 1: "),
+    # both grid points share this seed, and the first fails first
+    (("outer", 1, "inner", 1), "outer fold 1, grid point 0, inner fold 1: "),
     (("outer", 2, "refit"), "outer fold 2, refit: "),
 ])
 def test_nested_cv_divergence_names_its_fit(rng, workers, keys, where):
@@ -649,6 +693,18 @@ def test_nested_cv_divergence_names_its_fit(rng, workers, keys, where):
                      [{"sharpness": 1.0}, {"sharpness": 2.0}], plan,
                      ("a", "b", "c"), workers=workers)
     assert str(info.value) == where + "non-finite loss at epoch 1"
+
+
+def test_shared_fit_divergence_names_every_point(rng):
+    X, y = nested_fixture(rng, n=48)
+    plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=9)
+    with pytest.raises(TrainingDivergedError) as info:
+        ev.nested_cv(X, y, lambda params, seed: FailingModel(
+                         TrainingDivergedError("non-finite loss at epoch 1")),
+                     [{"epochs": 2}, {"epochs": 4}], plan, ("a", "b", "c"),
+                     stages=("epochs",))
+    assert str(info.value) == ("outer fold 0, grid points [0, 1], inner "
+                               "fold 0: non-finite loss at epoch 1")
 
 
 def test_nested_cv_data_error_names_its_fit(rng):

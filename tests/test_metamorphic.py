@@ -16,7 +16,14 @@ cannot show.
 - R5, worker count: nested CV gives the same document for any number of
   workers; tests/test_evaluation.py::test_nested_cv_workers_equivalent
   pins it.
+- R6, grid order: swapping two grid points leaves each point's inner
+  mean scores unchanged, because inner fit seeds do not depend on a
+  point's position.
+- Staging: nested CV that scores a group of grid points from one fit
+  writes the bytes of a search that fits every point on its own.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ import pytest
 from hostseq import cli, evaluation, ngram, pssm, store, synth
 from hostseq.estimators import KINDS, ModelFactory
 from hostseq.seqio import class_order
+from hostseq.util import derive_seed
 
 # small settings of each kind the relations fit
 SETTINGS = {"rf": {"n_estimators": 5, "max_depth": 4},
@@ -120,3 +128,113 @@ def test_r4_evaluate_equals_predict_then_report(tmp_path, corpus):
                  str(predictions / "predictions.csv"), out="rep")
     for name in ("metrics.json", "pr_curves.csv"):
         assert (report / name).read_bytes() == (evaluate / name).read_bytes()
+
+
+def tree_data(tmp_path, corpus, model):
+    """(features, labels, features.csv) of the corpus; for rusboost two
+    of every three class2 records are dropped, because on balanced
+    classes its undersample is every row, whatever the seed."""
+    features, _, _, labels = corpus
+    keep = [i for i, label in enumerate(labels)
+            if model != "rusboost" or label != "class2" or i % 3 == 0]
+    features, labels = features[keep], [labels[i] for i in keep]
+    data = tmp_path / "features.csv"
+    store.write_features_csv(data, [f"r{i}" for i in range(len(labels))],
+                             labels, "eg", features)
+    return features, labels, data
+
+
+def nested_cv_argv(model, data, grid, out):
+    flags = {"rf": [], "rusboost": ["--base-depth", "2"]}[model]
+    return ["nested-cv", "--model", model, "--features", str(data), "--grid",
+            json.dumps(grid), "--k-outer", "3", "--k-inner", "2", "--seed",
+            "5", *flags, "--out", str(out)]
+
+
+@pytest.mark.parametrize("model, grid", [
+    ("rf", [{"n_estimators": 3, "max_depth": 2},
+            {"n_estimators": 5, "max_depth": 4}]),
+    ("rusboost", [{"n_estimators": 2, "learning_rate": 0.5},
+                  {"n_estimators": 5, "learning_rate": 1.0}]),
+])
+def test_r6_grid_order_keeps_each_points_scores(tmp_path, corpus, model,
+                                                grid):
+    _, _, data = tree_data(tmp_path, corpus, model)
+    scores = []
+    for name, points in (("given", grid), ("swapped", grid[::-1])):
+        assert cli.main(nested_cv_argv(model, data, points,
+                                       tmp_path / name)) == 0
+        doc = json.loads((tmp_path / name / "metrics.json").read_text())
+        scores.append([fold["inner_mean_scores"] for fold in doc["outer"]])
+    assert scores[0] == [fold[::-1] for fold in scores[1]]
+
+
+def unstaged_nested_cv(X, y, factory, grid, plan, class_names):
+    """nested_cv's result built point by point: each grid point's inner
+    fits through factory on their own, seeded by outer and inner fold."""
+    scores = np.zeros((plan.k_outer, len(grid), plan.k_inner))
+    for f, a in enumerate(plan.inner):
+        for j, params in enumerate(grid):
+            for m in range(plan.k_inner):
+                train = np.flatnonzero((a != -1) & (a != m))
+                scored = np.flatnonzero(a == m)
+                model = factory(params, derive_seed(plan.seed, "outer", f,
+                                                    "inner", m))
+                proba = model.fit(X[train], y[train]).predict_proba(X[scored])
+                scores[f, j, m] = evaluation.compute_report(
+                    y[scored], proba, class_names)[0]["overall"]["mean_score"]
+    pooled = np.zeros((len(y), len(class_names)))
+    outer = []
+    for f, row in enumerate(scores.mean(axis=2)):
+        best = int(np.argmax(row))
+        train, test = (np.flatnonzero(plan.outer != f),
+                       np.flatnonzero(plan.outer == f))
+        model = factory(grid[best], derive_seed(plan.seed, "outer", f,
+                                                "refit"))
+        pooled[test] = model.fit(X[train], y[train]).predict_proba(X[test])
+        outer.append({"fold": f, "chosen_index": best,
+                      "chosen_params": dict(grid[best]),
+                      "inner_mean_scores": [float(s) for s in row],
+                      "report": evaluation.compute_report(
+                          y[test], pooled[test], class_names)[0]})
+    pooled_doc, curves = evaluation.compute_report(y, pooled, class_names)
+    return {"k_outer": plan.k_outer, "k_inner": plan.k_inner,
+            "seed": plan.seed, "outer": outer, "pooled": pooled_doc}, curves
+
+
+def score_files(out):
+    return {name: (out / name).read_bytes()
+            for name in ("metrics.json", "pr_curves.csv")}
+
+
+@pytest.mark.parametrize("model, grid", [
+    ("rf", {"n_estimators": [2, 3, 5], "max_depth": [2, 4]}),
+    ("rusboost", {"n_estimators": [1, 3, 6], "learning_rate": [0.5, 1.0]}),
+])
+def test_staged_nested_cv_writes_the_unstaged_bytes(tmp_path, corpus, model,
+                                                    grid):
+    features, labels, data = tree_data(tmp_path, corpus, model)
+    classes = class_order(labels)
+    y = evaluation.label_indices(labels, classes)
+    points = [dict(zip(grid, values))
+              for values in zip(*[v.ravel() for v in np.meshgrid(
+                  *grid.values(), indexing="ij")])]
+    points = [{k: v.item() for k, v in p.items()} for p in points]
+    flags = {"rf": {}, "rusboost": {"base_depth": 2}}[model]
+    factory = ModelFactory(model, 3, flags, in_dim=features.shape[1])
+    plan = evaluation.make_cv_plan(y, 3, 2, 5)
+    cli._write_scores(tmp_path, *unstaged_nested_cv(
+        features, y, factory, points, plan, classes))
+    reference = score_files(tmp_path)
+    for workers in (1, 2):
+        out = tmp_path / f"cli{workers}"
+        argv = nested_cv_argv(model, data, grid, out)
+        assert cli.main(argv + ["--workers", str(workers)]) == 0
+        assert score_files(out) == reference, workers
+        # the CLI fits trees on one thread, so run the pool here too
+        inproc = tmp_path / f"pool{workers}"
+        inproc.mkdir()
+        cli._write_scores(inproc, *evaluation.nested_cv(
+            features, y, factory, points, plan, classes, workers=workers,
+            stages=KINDS[model].stages))
+        assert score_files(inproc) == reference, workers

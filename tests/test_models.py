@@ -231,7 +231,7 @@ def test_state_roundtrip():
                        seed=4)
     clf = NeuralClassifier(config, 3).fit(X, y)
     _, arrays = clf.to_checkpoint()
-    fresh = NeuralClassifier(config, 3).load_arrays(arrays)
+    fresh = NeuralClassifier(config, 3).load_arrays(arrays, X.shape[1])
     assert np.array_equal(clf.predict_proba(X), fresh.predict_proba(X))
 
 

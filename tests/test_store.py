@@ -293,8 +293,8 @@ def test_estimator_protocol_checkpoint_roundtrip(make):
     estimator = make()
     assert estimator.fit(X, y) is estimator
     kind, arrays = estimator.to_checkpoint()
-    restored = type(estimator)(estimator.config,
-                               estimator.n_classes).load_arrays(arrays)
+    restored = type(estimator)(estimator.config, estimator.n_classes
+                               ).load_arrays(arrays, X.shape[1])
     assert np.array_equal(restored.predict_proba(X), estimator.predict_proba(X))
 
 
@@ -313,7 +313,9 @@ def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     path = tmp_path / "model.bin"
     store.save_model(path, estimator, ("a", "b", "c"))
     _, meta, _ = store.load_checkpoint(path)
-    assert sorted(meta) == ["class_names", "config", "model", "n_classes"]
+    assert sorted(meta) == ["class_names", "config", "model", "n_classes",
+                            "n_features"]
+    assert meta["n_features"] == X.shape[1]
     loaded, class_names = store.load_model(path)
     assert class_names == ("a", "b", "c")
     assert type(loaded) is type(estimator)
