@@ -4,17 +4,20 @@ undersampling for imbalanced data.
 Trees are grown greedily on Gini impurity with midpoint thresholds.
 The split search is exact and vectorized over a column-major copy of
 the training matrix, one feature per contiguous row, made once per
-forest or boosting fit: each tree reads the samples of its bootstrap
-or subsample from it by index, each with a one-hot class row scaled by
-its weight. A node gathers a block of candidate features of its rows
-as (columns, rows), sorts each along its contiguous axis, and scores
-every cut point of the block from one 2-D prefix-sum array per class.
-Split ties break toward the lowest threshold, then the lowest feature
-index, so fits are reproducible. Trees grow level by level, so a tree
-cut at depth d is the depth-d fit, and an ensemble's first k trees or
-rounds are its k-tree fit: staged_predict_proba scores such smaller
-settings from one fit. A fitted tree is a set of flat numpy arrays.
-All randomness flows through generators seeded with util.derive_seed.
+forest or boosting fit: each tree reads the distinct samples of its
+bootstrap or subsample from it by index, each with a one-hot class row
+scaled by its weight (a bootstrap row drawn k times weighs k). A node
+puts a block of candidate features of its rows in sorted order, as
+(columns, rows), and scores every cut point of the block from one 2-D
+prefix-sum array per class. A boosting fit sorts every feature once
+and each node filters that order to its rows; a forest node, which
+scans few features, sorts its own. Split ties break toward the lowest
+threshold, then the lowest feature index, so fits are reproducible.
+Trees grow level by level, so a tree cut at depth d is the depth-d
+fit, and an ensemble's first k trees or rounds are its k-tree fit:
+staged_predict_proba scores such smaller settings from one fit. A
+fitted tree is a set of flat numpy arrays. All randomness flows
+through generators seeded with util.derive_seed.
 """
 
 from __future__ import annotations
@@ -61,27 +64,34 @@ class DecisionTree:
     right: np.ndarray
     counts: np.ndarray
 
-    def leaf_distributions(self, X, depth=None) -> np.ndarray:
-        """Class distribution of the node each row of X reaches: its leaf,
-        or with depth, its node at that depth if the walk goes deeper. A
-        tree cut at depth d scores as the same fit grown to max_depth d,
+    def leaf_distributions(self, X, depths=(None,)) -> list:
+        """Per depth in depths, the class distribution of the node each
+        row of X reaches: its node at that depth, or its leaf if the walk
+        stops sooner; depth None is the leaf. One walk serves every depth.
+        A tree cut at depth d scores as the same fit grown to max_depth d,
         because fit_tree grows level by level."""
         X = np.asarray(X, dtype=np.float64)
         node = np.zeros(X.shape[0], dtype=np.intp)
-        level = 0
-        while depth is None or level < depth:
+        deepest = None if None in depths else max(depths)
+        at_level, level = {}, 0
+        while True:
+            if level in depths:
+                at_level[level] = node.copy()
             rows = np.flatnonzero(self.feature[node] >= 0)
-            if rows.size == 0:
+            if level == deepest or rows.size == 0:
                 break
             at = node[rows]
             go_left = X[rows, self.feature[at]] <= self.threshold[at]
             node[rows] = np.where(go_left, self.left[at], self.right[at])
             level += 1
-        counts = self.counts[node]
-        return counts / counts.sum(axis=1, keepdims=True)
+        out = []
+        for depth in depths:
+            counts = self.counts[at_level.get(depth, node)]
+            out.append(counts / counts.sum(axis=1, keepdims=True))
+        return out
 
     def predict(self, X) -> np.ndarray:
-        return self.leaf_distributions(X).argmax(axis=1)
+        return self.leaf_distributions(X)[0].argmax(axis=1)
 
     def to_arrays(self) -> dict:
         return {"feature": self.feature, "threshold": self.threshold,
@@ -140,24 +150,33 @@ def _split_gini(parts, total):
     return 1.0 - _class_sum([(part / total) ** 2 for part in parts])
 
 
-def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
+def _best_split(XT, at, candidates, column_weights, parent_total,
+                parent_gini, presort=None):
     """(feature, threshold) of the best split of a node over the sorted
     candidates, or None; fit_tree states the rule. XT is the column-major
-    (d, n) matrix, at the node's rows of it, in sample order, and weights
-    the (rows, classes) class weights of those samples.
+    (d, n) matrix, at the node's rows of it, distinct and ascending,
+    column_weights the (classes, n) class weights of every column of XT,
+    zero off the tree's rows, and presort None or as fit_tree takes it.
     A column's cut is its first minimum in sorted order, i.e. its lowest
     threshold. The threshold is the midpoint of the values either side
     of the cut, or the lower value where the midpoint is not below the
     upper one, so both children get rows."""
+    if presort is not None:
+        member = np.zeros(XT.shape[1], dtype=bool)
+        member[at] = True
     impurity, thresholds = [], []
     for s in range(0, candidates.size, _BLOCK):
-        values = XT[candidates[s:s + _BLOCK, None], at]
-        order = np.argsort(values, axis=1, kind="stable")
-        cols = np.arange(values.shape[0])
-        v = values[cols[:, None], order]
+        block = candidates[s:s + _BLOCK, None]
+        # sel: per candidate, the node's rows in sorted order
+        if presort is None:
+            sel = at[np.argsort(XT[block, at], axis=1, kind="stable")]
+        else:
+            order = presort[block[:, 0]]
+            sel = order[member[order]].reshape(block.size, at.size)
+        v = XT[block, sel]
         lefts, rights = [], []
-        for class_weight in weights.T:
-            prefix = class_weight[order].cumsum(axis=1)
+        for class_weight in column_weights:
+            prefix = class_weight[sel].cumsum(axis=1)
             left = prefix[:, :-1]
             lefts.append(left)
             rights.append(prefix[:, -1:] - left)
@@ -167,6 +186,7 @@ def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
                     + wr * _split_gini(rights, wr)) / parent_total
         weighted = np.where(v[:, :-1] < v[:, 1:], weighted, np.inf)
         cut = weighted.argmin(axis=1)
+        cols = np.arange(block.size)
         impurity.append(weighted[cols, cut])
         lo, hi = v[cols, cut], v[cols, cut + 1]
         mid = (lo + hi) / 2.0
@@ -184,22 +204,27 @@ def _best_split(XT, at, candidates, weights, parent_total, parent_gini):
 
 
 def fit_tree(XT, rows, class_weights, max_depth: int,
-             features_per_split: int | None = None, rng=None) -> DecisionTree:
+             features_per_split: int | None = None, rng=None,
+             presort=None) -> DecisionTree:
     """Greedy CART fit on weighted Gini impurity.
 
     XT is the fit's column-major (d, n) matrix, one feature per row. The
-    samples are the columns of XT that rows lists, in that order,
-    repeats included, and class_weights holds one row per sample: its
-    one-hot class row times its weight, so the class count is the width.
-    fit_forest and fit_rusboost hand every tree the one matrix of their
-    fit, and no tree copies its samples.
+    samples are the columns of XT that rows lists, distinct and
+    ascending, and class_weights holds one row per sample: its one-hot
+    class row times its weight, so the class count is the width. A
+    sample drawn k times is one row of weight k. fit_forest and
+    fit_rusboost hand every tree the one matrix of their fit, and no
+    tree copies its samples.
     Candidate features are all columns, or features_per_split of them
     drawn without replacement at every split. A node scores its sorted
-    candidates _BLOCK columns at a time: it gathers the block as
-    (columns, rows), sorts each column with one stable argsort along
-    the rows, keeps each class's weight prefix sums as a (columns, rows)
-    array, and scores the weighted child impurity of every cut point
-    between distinct values at once, adding the classes in class order.
+    candidates _BLOCK columns at a time: it puts the block's values at
+    its rows in sorted order as (columns, rows), either with one stable
+    argsort along the rows or, given presort =
+    np.argsort(XT, axis=1, kind="stable"), by keeping the node's rows of
+    each presorted column (the same order, ties included). It keeps each
+    class's weight prefix sums as a (columns, rows) array, and scores
+    the weighted child impurity of every cut point between distinct
+    values at once, adding the classes in class order.
     It keeps the split with the lowest impurity, then the lowest
     threshold, then the lowest feature index, and never one with more
     impurity than the node; with no such split the node is a leaf.
@@ -213,9 +238,10 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0 \
             or not np.issubdtype(rows.dtype, np.integer) \
-            or rows.min() < 0 or rows.max() >= XT.shape[1]:
-        raise ValueError("rows must be a non-empty 1-D array of column "
-                         "indices of XT")
+            or rows[0] < 0 or rows[-1] >= XT.shape[1] \
+            or (rows[1:] <= rows[:-1]).any():
+        raise ValueError("rows must be a non-empty 1-D array of distinct "
+                         "column indices of XT in ascending order")
     if class_weights.ndim != 2 or class_weights.shape[0] != rows.size:
         raise ValueError("class_weights must have one row per sample")
     d = XT.shape[0]
@@ -224,13 +250,14 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
             raise ValueError(f"features_per_split must lie in [1, {d}]")
         if rng is None:
             raise ValueError("features_per_split requires an rng")
+    column_weights = np.zeros((class_weights.shape[1], XT.shape[1]))
+    column_weights[:, rows] = class_weights.T
     nodes = []      # [feature, threshold, left, right, counts] per node
-    # per node, in level order: its sample positions (in sample order)
-    # and depth; the loop appends each split's children as it goes
+    # per node, in level order: its sample positions (ascending) and
+    # depth; the loop appends each split's children as it goes
     queue = [(np.arange(rows.size), 0)]
     for node, (idx, depth) in enumerate(queue):
-        weights = class_weights[idx]
-        cw = weights.sum(axis=0)
+        cw = class_weights[idx].sum(axis=0)
         nodes.append([-1, np.nan, -1, -1, cw])
         total = float(cw.sum())
         parent_gini = _gini(cw, total)
@@ -242,7 +269,8 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
             candidates = np.sort(rng.choice(d, size=features_per_split,
                                             replace=False))
         at = rows[idx]
-        split = _best_split(XT, at, candidates, weights, total, parent_gini)
+        split = _best_split(XT, at, candidates, column_weights, total,
+                            parent_gini, presort)
         if split is None:
             continue
         f, thr = split
@@ -324,15 +352,18 @@ class Forest:
         fit_forest grows with those values, because a tree's seed does not
         depend on n_estimators and fit_tree grows level by level."""
         X = _check_width(X, self.n_features)
-        cfg, by_depth, out = self.config, {}, []
-        for stage in stages:
-            k = _stage_value(stage, "n_estimators", cfg.n_estimators)
-            depth = _stage_value(stage, "max_depth", cfg.max_depth)
-            if depth not in by_depth:
-                by_depth[depth] = [t.leaf_distributions(X, depth)
-                                   for t in self.trees]
-            out.append(np.mean(by_depth[depth][:k], axis=0))
-        return out
+        cfg = self.config
+        ks = [_stage_value(stage, "n_estimators", cfg.n_estimators)
+              for stage in stages]
+        depths = [_stage_value(stage, "max_depth", cfg.max_depth)
+                  for stage in stages]
+        levels = sorted(set(depths))
+        # per tree, one walk: its leaf distributions at every stage depth
+        by_tree = [t.leaf_distributions(X, levels)
+                   for t in self.trees[:max(ks, default=0)]]
+        return [np.mean([dist[levels.index(depth)] for dist in by_tree[:k]],
+                        axis=0)
+                for k, depth in zip(ks, depths)]
 
     def to_checkpoint(self):
         return "forest", _tree_arrays(self.trees)
@@ -347,7 +378,11 @@ class Forest:
 def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
     """Bag of CART trees on bootstrap resamples, each split drawing
     ceil(sqrt(d)) candidate features; predicted probabilities are the
-    mean of per-tree leaf distributions."""
+    mean of per-tree leaf distributions. A tree gets each drawn row once,
+    weighted by its number of draws: the weights are integers, so every
+    sum is exact and the tree is the one grown on the repeated rows.
+    Nodes sort their own candidates: a presort of all d features costs
+    more than sorting ceil(sqrt(d)) of them at every node saves."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a non-empty 2-D array")
@@ -358,9 +393,11 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
     trees = []
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
-        idx = rng.integers(0, n, size=n)
-        trees.append(fit_tree(XT, idx, onehot[idx], cfg.max_depth,
-                              features_per_split=per_split, rng=rng))
+        draws = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(draws)
+        trees.append(fit_tree(XT, rows, onehot[rows] * draws[rows, None],
+                              cfg.max_depth, features_per_split=per_split,
+                              rng=rng))
     return Forest(cfg, n_classes, trees, d)
 
 
@@ -456,6 +493,8 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
     w = np.full(n, 1.0 / n)
     limit = 1.0 - 1.0 / n_classes
     XT = np.ascontiguousarray(X.T)
+    # every node scans every feature, so sort each one once per fit
+    presort = np.argsort(XT, axis=1, kind="stable")
     onehot = np.eye(n_classes)[y]
     trees, alphas = [], []
     for r in range(cfg.n_estimators):
@@ -465,7 +504,7 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
                 derive_seed(cfg.seed, "round", r, "attempt", attempt))
             sub = _balanced_subsample(rng, y, n_classes)
             tree = fit_tree(XT, sub, onehot[sub] * w[sub, None],
-                            cfg.max_depth)
+                            cfg.max_depth, presort=presort)
             pred = tree.predict(X)
             miss = pred != y
             eps = float(w[miss].sum() / w.sum())

@@ -91,3 +91,41 @@ def test_tracer_sees_every_pooled_fit(tracer):
             while node not in (root, None):
                 node = parents.get(node)
             assert node == root, s.name
+
+
+def test_tracer_sees_every_rusboost_attempt(tracer, monkeypatch):
+    # boosting stops after 6 of 30 rounds here, so rounds are drawn again
+    # and the last one exhausts its retries; every attempt is one traced
+    # fit_tree span, presort keyword and all, with its tree's node count
+    from hostseq import ensemble
+    rng = np.random.default_rng(18)
+    X = rng.random((60, 3))
+    y = rng.integers(0, 2, 60)
+    cfg = ensemble.RusBoostConfig(n_estimators=30, learning_rate=1.0,
+                                  max_depth=1, seed=18)
+    fit_tree, fitted = ensemble.fit_tree, []
+
+    def recorded(*args, **kwargs):
+        assert kwargs["presort"].shape == (3, 60)
+        fitted.append(fit_tree(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(ensemble, "fit_tree", recorded)
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        model = ensemble.fit_rusboost(X, y, cfg, n_classes=2)
+    finally:
+        t.restore()
+    spans = t.take()
+    kept = len(model.trees)
+    assert kept == 6 and len(fitted) >= kept + 10
+    trees = [s for s in spans if s.name == "ensemble.fit_tree"]
+    assert [s.attrs["nodes"] for s in trees] \
+        == [tree.feature.size for tree in fitted]
+    metrics = tracer.layer_metrics(spans)
+    assert metrics["ensemble.fit_tree.calls"] == len(fitted)
+    assert metrics["ensemble.fit_tree.nodes"] \
+        == sum(tree.feature.size for tree in fitted)
+    assert metrics["ensemble.fit_rusboost.trees_per_round"] \
+        == len(fitted) / kept

@@ -67,11 +67,11 @@ def test_single_leaf_tree(X, y, max_depth):
     assert tree.left.tolist() == tree.right.tolist() == [-1]
     assert np.isnan(tree.threshold).all()
     assert tree.counts.tolist() == [np.bincount(y, minlength=2).tolist()]
-    dist = tree.leaf_distributions(X)
+    (dist,) = tree.leaf_distributions(X)
     assert np.array_equal(dist, np.tile(np.bincount(y, minlength=2) / 3,
                                         (3, 1)))
     back = DecisionTree.from_arrays(tree.to_arrays())
-    assert np.array_equal(back.leaf_distributions(X), dist)
+    assert np.array_equal(back.leaf_distributions(X)[0], dist)
 
 
 def test_tree_feature_tiebreak_prefers_lowest_index():
@@ -105,7 +105,7 @@ def test_tree_sample_weight_changes_split():
     y = np.array([0, 1, 1, 1])
     heavy_first = grow(X, y, max_depth=1,
                        weight=np.array([100.0, 1.0, 1.0, 1.0]))
-    dist = heavy_first.leaf_distributions(X)
+    (dist,) = heavy_first.leaf_distributions(X)
     assert dist[0, 0] > 0.9  # the heavy record dominates its leaf
 
 
@@ -125,8 +125,8 @@ def test_tree_array_roundtrip():
     at = np.flatnonzero(internal)
     assert np.allclose(tree.counts[at], tree.counts[tree.left[at]]
                        + tree.counts[tree.right[at]], rtol=0, atol=1e-12)
-    assert np.array_equal(tree.leaf_distributions(X),
-                          back.leaf_distributions(X))
+    assert np.array_equal(tree.leaf_distributions(X)[0],
+                          back.leaf_distributions(X)[0])
 
 
 def test_leaf_distributions_rows_sum_to_one():
@@ -134,7 +134,7 @@ def test_leaf_distributions_rows_sum_to_one():
     X = rng.random((30, 3))
     y = rng.integers(0, 3, size=30)
     tree = grow(X, y, max_depth=3, n_classes=3)
-    dist = tree.leaf_distributions(X)
+    (dist,) = tree.leaf_distributions(X)
     assert dist.shape == (30, 3)
     assert np.allclose(dist.sum(axis=1), 1.0, atol=1e-12)
 
@@ -184,36 +184,49 @@ def test_forest_validation():
 @pytest.mark.parametrize("sample", ["bootstrap", "weighted-subsample"])
 def test_fit_tree_on_rows_matches_fit_on_gathered_rows(n_classes, sample):
     # fit_forest and fit_rusboost hand fit_tree the fit's whole matrix and
-    # the sample's column indices; the tree must be the one grown on a
-    # contiguous copy of the gathered samples, byte for byte. Few distinct
-    # values make ties, so the stable sort order of repeated and tied
-    # samples counts.
+    # the sample's distinct column indices. The oracle grows the tree on a
+    # contiguous copy of the gathered samples, one column per draw: for a
+    # bootstrap, every repeat is its own column of weight 1, in draw
+    # order, where fit_forest passes one column weighted by its draws. The
+    # trees must agree byte for byte. Few distinct values make ties, so
+    # the stable sort order of repeated and tied samples counts.
     rng = np.random.default_rng(n_classes)
     X = rng.integers(0, 6, size=(90, 12)).astype(np.float64)
     y = rng.integers(0, n_classes, size=90)
-    if sample == "bootstrap":
-        rows = rng.integers(0, 90, size=90)
-        weight, per_split = 1.0, 4
-    else:
-        rows = np.sort(rng.choice(90, size=45, replace=False))
-        weight, per_split = rng.random((45, 1)), None
-    class_weights = np.eye(n_classes)[y][rows] * weight
+    onehot = np.eye(n_classes)[y]
+    per_split = 4 if sample == "bootstrap" else None
 
-    def fit(XT, rows):
+    def fit(XT, rows, class_weights):
         return fit_tree(XT, rows, class_weights, max_depth=6,
                         features_per_split=per_split,
                         rng=np.random.default_rng(9)).to_arrays()
 
-    gathered = fit(np.ascontiguousarray(X[rows].T), np.arange(rows.size))
-    assert gathered["feature"].size > 7
-    indexed = fit(np.ascontiguousarray(X.T), rows)
-    for key, arr in gathered.items():
-        assert indexed[key].dtype == arr.dtype
-        assert indexed[key].tobytes() == arr.tobytes(), key
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng([seed, n_classes])
+        if sample == "bootstrap":
+            draws = rng.integers(0, 90, size=90)
+            oracle = fit(np.ascontiguousarray(X[draws].T), np.arange(90),
+                         onehot[draws])
+            rows, times = np.unique(draws, return_counts=True)
+            assert times.max() > 1
+            indexed = fit(np.ascontiguousarray(X.T), rows,
+                          onehot[rows] * times[:, None])
+        else:
+            rows = np.sort(rng.choice(90, size=45, replace=False))
+            class_weights = onehot[rows] * rng.random((45, 1))
+            oracle = fit(np.ascontiguousarray(X[rows].T), np.arange(45),
+                         class_weights)
+            indexed = fit(np.ascontiguousarray(X.T), rows, class_weights)
+        assert oracle["feature"].size > 7
+        for key, arr in oracle.items():
+            assert indexed[key].dtype == arr.dtype
+            assert indexed[key].tobytes() == arr.tobytes(), (seed, key)
 
 
-@pytest.mark.parametrize("rows", [[], [0, 10], [-1, 0], [[0, 1]], [0.0, 1.0]],
-                         ids=["empty", "past-end", "negative", "2-d", "float"])
+@pytest.mark.parametrize("rows", [[], [0, 10], [-1, 0], [[0, 1]], [0.0, 1.0],
+                                  [3, 3], [4, 1]],
+                         ids=["empty", "past-end", "negative", "2-d", "float",
+                              "repeated", "descending"])
 def test_fit_tree_rejects_bad_rows(rows):
     XT = np.arange(20.0).reshape(2, 10)
     with pytest.raises(ValueError, match="rows"):
@@ -305,6 +318,14 @@ def _reference_split(XT, idx, candidates, weights, parent_total,
     return None if best is None else best[1:]
 
 
+def _reference_search(XT, at, candidates, column_weights, parent_total,
+                      parent_gini, presort=None):
+    """_reference_split called the way fit_tree calls _best_split: the
+    class weights come per column of XT, and the node takes its rows'."""
+    return _reference_split(XT, at, candidates, column_weights[:, at].T,
+                            parent_total, parent_gini)
+
+
 def _split_case(seed, d, weighted):
     """Few distinct values (repeats, impurity ties), constant columns,
     duplicated and rescaled columns (ties across features)."""
@@ -332,7 +353,7 @@ def test_split_search_matches_scalar_reference(monkeypatch, d, per_split,
 
     def checked(*args):
         found = vectorized(*args)
-        assert found == _reference_split(*args)
+        assert found == _reference_search(*args)
         splits.append(found)
         return found
 
@@ -343,7 +364,7 @@ def test_split_search_matches_scalar_reference(monkeypatch, d, per_split,
                     features_per_split=per_split, rng=rng).to_arrays()
 
     fast = fit(checked)
-    slow = fit(_reference_split)
+    slow = fit(_reference_search)
     assert len(splits) > 5 and splits.count(None) < len(splits)
     assert fast.keys() == slow.keys()
     for key in fast:
@@ -356,10 +377,10 @@ def test_split_search_ties_across_features_and_thresholds():
     # repeats column 1, so (1, 0.5) is the only answer the rule allows
     X = np.array([[0.0, 0.0, 0.0], [10.0, 1.0, 1.0],
                   [20.0, 2.0, 2.0], [30.0, 3.0, 3.0]])
-    weights = np.eye(2)[[0, 1, 1, 1]]
+    column_weights = np.eye(2)[[0, 1, 1, 1]].T
     idx = np.arange(4)
-    args = (X.T, idx, idx[:3], weights, 4.0, 0.375)
-    assert ensemble._best_split(*args) == _reference_split(*args) == (1, 0.5)
+    args = (X.T, idx, idx[:3], column_weights, 4.0, 0.375)
+    assert ensemble._best_split(*args) == _reference_search(*args) == (1, 0.5)
 
 
 @pytest.mark.parametrize("n_classes", [2, 4, 5])
@@ -373,7 +394,7 @@ def test_split_search_matches_reference_at_other_class_counts(monkeypatch,
     w = rng.random(90)
     vectorized = ensemble._best_split
     fits = []
-    for search in (vectorized, _reference_split):
+    for search in (vectorized, _reference_search):
         monkeypatch.setattr(ensemble, "_best_split", search)
         tree = grow(X, y, 6, weight=w, n_classes=n_classes)
         fits.append({key: arr.tobytes()
@@ -395,6 +416,58 @@ def test_split_search_does_not_depend_on_block_width(monkeypatch, weighted):
                      for key, arr in tree.to_arrays().items()})
     assert tree.feature.max() >= 64   # a split found past the first pass
     assert all(fit == fits[0] for fit in fits[1:])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+@pytest.mark.parametrize("block", [1, 64])
+def test_presort_grows_the_node_sorted_tree(monkeypatch, n_classes, block):
+    # a node that filters the fit's presort to its rows must see the order
+    # its own stable sort gives, ties included: with real-valued weights a
+    # prefix sum depends on the order within ties. The rows are a sorted
+    # subsample, so the filter drops columns of XT.
+    X, _, _ = _split_case(20 + n_classes, 150, False)
+    rng = np.random.default_rng(n_classes)
+    y = rng.integers(0, n_classes, size=90)
+    rows = np.sort(rng.choice(90, size=70, replace=False))
+    class_weights = np.eye(n_classes)[y[rows]] * rng.random((70, 1))
+    XT = np.ascontiguousarray(X.T)
+    presort = np.argsort(XT, axis=1, kind="stable")
+    monkeypatch.setattr(ensemble, "_BLOCK", block)
+    for per_split in (None, 40):
+        fits = []
+        for order in (None, presort):
+            rng = np.random.default_rng(5) if per_split else None
+            tree = fit_tree(XT, rows, class_weights, 6,
+                            features_per_split=per_split, rng=rng,
+                            presort=order)
+            fits.append({key: arr.tobytes()
+                         for key, arr in tree.to_arrays().items()})
+        assert (tree.feature >= 0).sum() > 5
+        assert fits[0] == fits[1], per_split
+
+
+def test_rusboost_presort_keeps_the_node_sorted_models(monkeypatch):
+    # fit_rusboost presorts once per fit; the rounds' real-valued weights
+    # must give the same models as trees that sort at every node
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 5, size=(80, 20)).astype(np.float64)
+    y = rng.integers(0, 3, size=80)
+    cfg = RusBoostConfig(n_estimators=12, learning_rate=0.5, max_depth=3,
+                         seed=2)
+    presorted = fit_rusboost(X, y, cfg, n_classes=3)
+
+    def node_sorted(*args, presort, **kwargs):
+        assert presort.shape == (20, 80)
+        return fit_tree(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "fit_tree", node_sorted)
+    sorted_per_node = fit_rusboost(X, y, cfg, n_classes=3)
+    assert len(presorted.trees) == 12
+    a, b = (model.to_checkpoint()[1] for model in (presorted,
+                                                   sorted_per_node))
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key].tobytes() == b[key].tobytes(), key
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
