@@ -9,10 +9,12 @@ bootstrap or subsample from it by index, each with a one-hot class row
 scaled by its weight (a bootstrap row drawn k times weighs k). A node
 puts a block of candidate features of its rows in sorted order, as
 (columns, rows), and scores every cut point of the block from one 2-D
-prefix-sum array per class. A boosting fit sorts every feature once
-and each node filters that order to its rows; a forest node, which
-scans few features, sorts its own. Split ties break toward the lowest
-threshold, then the lowest feature index, so fits are reproducible.
+prefix-sum array per class. A boosting fit whose subsample is at
+least a quarter of its rows sorts every feature once; each tree keeps
+its rows of that order, and each node its own rows of the tree's.
+Other nodes, a forest's among them (they scan few features), sort
+their own. Split ties break toward the lowest threshold, then the
+lowest feature index, so fits are reproducible.
 Trees grow level by level, so a tree cut at depth d is the depth-d
 fit, and an ensemble's first k trees or rounds are its k-tree fit:
 staged_predict_proba scores such smaller settings from one fit. A
@@ -156,7 +158,8 @@ def _best_split(XT, at, candidates, column_weights, parent_total,
     candidates, or None; fit_tree states the rule. XT is the column-major
     (d, n) matrix, at the node's rows of it, distinct and ascending,
     column_weights the (classes, n) class weights of every column of XT,
-    zero off the tree's rows, and presort None or as fit_tree takes it.
+    zero off the tree's rows, and presort None or the tree's (d, rows)
+    order that fit_tree filters from the fit's presort.
     A column's cut is its first minimum in sorted order, i.e. its lowest
     threshold. The threshold is the midpoint of the values either side
     of the cut, or the lower value where the midpoint is not below the
@@ -221,7 +224,9 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
     its rows in sorted order as (columns, rows), either with one stable
     argsort along the rows or, given presort =
     np.argsort(XT, axis=1, kind="stable"), by keeping the node's rows of
-    each presorted column (the same order, ties included). It keeps each
+    each presorted column (the same order, ties included). The tree
+    first keeps its own rows of presort, so a node filters a (d, rows)
+    order and its cost follows the sample, not n. It keeps each
     class's weight prefix sums as a (columns, rows) array, and scores
     the weighted child impurity of every cut point between distinct
     values at once, adding the classes in class order.
@@ -252,6 +257,11 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
             raise ValueError("features_per_split requires an rng")
     column_weights = np.zeros((class_weights.shape[1], XT.shape[1]))
     column_weights[:, rows] = class_weights.T
+    if presort is not None and rows.size < XT.shape[1]:
+        # rows that are every column of XT keep presort as it is
+        member = np.zeros(XT.shape[1], dtype=bool)
+        member[rows] = True
+        presort = presort[member[presort]].reshape(d, rows.size)
     nodes = []      # [feature, threshold, left, right, counts] per node
     # per node, in level order: its sample positions (ascending) and
     # depth; the loop appends each split's children as it goes
@@ -493,8 +503,11 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
     w = np.full(n, 1.0 / n)
     limit = 1.0 - 1.0 / n_classes
     XT = np.ascontiguousarray(X.T)
-    # every node scans every feature, so sort each one once per fit
-    presort = np.argsort(XT, axis=1, kind="stable")
+    # every node scans every feature, so sort each one once per fit; but
+    # each tree keeps its rows of that order in a pass over all n rows,
+    # which a subsample under a quarter of them does not pay back
+    presort = (np.argsort(XT, axis=1, kind="stable")
+               if 4 * n_classes * counts.min() >= n else None)
     onehot = np.eye(n_classes)[y]
     trees, alphas = [], []
     for r in range(cfg.n_estimators):

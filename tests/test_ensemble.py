@@ -420,54 +420,92 @@ def test_split_search_does_not_depend_on_block_width(monkeypatch, weighted):
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
 @pytest.mark.parametrize("block", [1, 64])
-def test_presort_grows_the_node_sorted_tree(monkeypatch, n_classes, block):
-    # a node that filters the fit's presort to its rows must see the order
-    # its own stable sort gives, ties included: with real-valued weights a
-    # prefix sum depends on the order within ties. The rows are a sorted
-    # subsample, so the filter drops columns of XT.
+@pytest.mark.parametrize("weights", ["real", "order-dependent"])
+def test_presort_grows_the_node_sorted_tree(monkeypatch, n_classes, block,
+                                            weights):
+    # a tree that keeps its rows of the fit's presort, and a node that
+    # keeps its own of the tree's, must see the order the node's own
+    # stable sort gives, ties included: with real-valued weights a
+    # prefix sum depends on the order within ties. Four values over 70
+    # rows make tie runs of more than 16, which numpy's unstable sorts
+    # reorder, and weights of 1 beside 1e-16 make a sum over a tie run
+    # depend on its order (1 + 1e-16 rounds to 1). Where every weight
+    # right of a cut rounds away, that side's Gini is 0/0 in both
+    # searches alike. The rows are a sorted subsample, so the filter
+    # drops columns of XT.
     X, _, _ = _split_case(20 + n_classes, 150, False)
     rng = np.random.default_rng(n_classes)
     y = rng.integers(0, n_classes, size=90)
     rows = np.sort(rng.choice(90, size=70, replace=False))
-    class_weights = np.eye(n_classes)[y[rows]] * rng.random((70, 1))
     XT = np.ascontiguousarray(X.T)
     presort = np.argsort(XT, axis=1, kind="stable")
     monkeypatch.setattr(ensemble, "_BLOCK", block)
-    for per_split in (None, 40):
-        fits = []
-        for order in (None, presort):
-            rng = np.random.default_rng(5) if per_split else None
-            tree = fit_tree(XT, rows, class_weights, 6,
-                            features_per_split=per_split, rng=rng,
-                            presort=order)
-            fits.append({key: arr.tobytes()
-                         for key, arr in tree.to_arrays().items()})
-        assert (tree.feature >= 0).sum() > 5
-        assert fits[0] == fits[1], per_split
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n_classes])
+        if weights == "real":
+            w = rng.random((70, 1))
+        else:
+            w = np.where(rng.random((70, 1)) < 0.1, 1.0, 1e-16)
+        class_weights = np.eye(n_classes)[y[rows]] * w
+        for per_split in (None, 40):
+            fits = []
+            for order in (None, presort):
+                rng = np.random.default_rng(5) if per_split else None
+                with np.errstate(invalid="ignore"):
+                    tree = fit_tree(XT, rows, class_weights, 6,
+                                    features_per_split=per_split, rng=rng,
+                                    presort=order)
+                fits.append({key: arr.tobytes()
+                             for key, arr in tree.to_arrays().items()})
+            assert (tree.feature >= 0).sum() > 5
+            assert fits[0] == fits[1], (seed, per_split)
 
 
 def test_rusboost_presort_keeps_the_node_sorted_models(monkeypatch):
     # fit_rusboost presorts once per fit; the rounds' real-valued weights
-    # must give the same models as trees that sort at every node
-    rng = np.random.default_rng(12)
-    X = rng.integers(0, 5, size=(80, 20)).astype(np.float64)
-    y = rng.integers(0, 3, size=80)
+    # must give the same models as trees that sort at every node. On
+    # these data an unstable presort grows other models.
     cfg = RusBoostConfig(n_estimators=12, learning_rate=0.5, max_depth=3,
                          seed=2)
-    presorted = fit_rusboost(X, y, cfg, n_classes=3)
 
     def node_sorted(*args, presort, **kwargs):
         assert presort.shape == (20, 80)
         return fit_tree(*args, **kwargs)
 
-    monkeypatch.setattr(ensemble, "fit_tree", node_sorted)
-    sorted_per_node = fit_rusboost(X, y, cfg, n_classes=3)
-    assert len(presorted.trees) == 12
-    a, b = (model.to_checkpoint()[1] for model in (presorted,
-                                                   sorted_per_node))
-    assert a.keys() == b.keys()
-    for key in a:
-        assert a[key].tobytes() == b[key].tobytes(), key
+    for seed in (2, 4, 12):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(80, 20)).astype(np.float64)
+        y = rng.integers(0, 3, size=80)
+        presorted = fit_rusboost(X, y, cfg, n_classes=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "fit_tree", node_sorted)
+            sorted_per_node = fit_rusboost(X, y, cfg, n_classes=3)
+        assert len(presorted.trees) == 12
+        a, b = (model.to_checkpoint()[1] for model in (presorted,
+                                                       sorted_per_node))
+        assert a.keys() == b.keys()
+        for key in a:
+            assert a[key].tobytes() == b[key].tobytes(), (seed, key)
+
+
+def test_rusboost_presorts_subsamples_of_a_quarter_or_more(monkeypatch):
+    # a tree keeps its rows of the presort in a pass over every row, so
+    # fit_rusboost presorts only where the balanced subsample, classes
+    # times the minority count, is at least a quarter of the rows
+    presorted = []
+
+    def recorded(*args, presort, **kwargs):
+        presorted.append(presort is not None)
+        return fit_tree(*args, presort=presort, **kwargs)
+
+    monkeypatch.setattr(ensemble, "fit_tree", recorded)
+    X = np.random.default_rng(13).random((100, 4))
+    cfg = RusBoostConfig(n_estimators=2, max_depth=1, seed=1)
+    for minority, presort in ((9, True), (8, False)):
+        y = np.repeat([0, 1, 2], [100 - 2 * minority, minority, minority])
+        presorted.clear()
+        fit_rusboost(X, y, cfg, n_classes=3)
+        assert presorted and set(presorted) == {presort}, minority
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
