@@ -185,6 +185,14 @@ def _config_value(name, value, options):
     return value
 
 
+def _json(text, source):
+    """text as JSON; malformed JSON is a usage error naming source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def _options(args) -> dict:
     """Each flag of args.command but --config, by name: its command-line
     value, else its --config value, else its default. Every config value
@@ -197,7 +205,7 @@ def _options(args) -> dict:
     config = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = _json(fh.read(), args.config)
         if not isinstance(config, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(config).difference(
@@ -388,18 +396,18 @@ def cmd_encode(opts, out):
 def _model_factory(opts, model, table) -> estimators.ModelFactory:
     """The factory of model for table's input; its defaults are the model
     flags given, by field name. A flag that model does not read is a
-    usage error."""
+    usage error, and a table of fewer than 2 classes a data error."""
     given = {name: value for name in estimators.FIELDS
              if (value := opts[name.replace("_", "-")]) is not None}
     unread = sorted(set(given) - estimators.READS[model])
     if unread:
         raise UsageError(
             f"--model {model} reads no --{unread[0].replace('_', '-')}")
-    width = table.matrix.shape[1]
-    shape = ({"in_dim": width} if table.vocab is None
-             else {"vocab_size": table.vocab.size, "max_len": width})
+    if len(table.class_names) < 2:
+        raise DataError(f"{opts['features'] or opts['tokens']}: need at "
+                        f"least 2 classes, found {len(table.class_names)}")
     return estimators.ModelFactory(model, len(table.class_names), given,
-                                   **shape)
+                                   table.vocab.size if table.vocab else 0)
 
 
 def cmd_train(opts, out):
@@ -456,10 +464,10 @@ def _parse_grid(text, model_kind) -> list:
     if text is None:
         doc = estimators.DEFAULT_GRIDS[model_kind]
     elif text.lstrip().startswith(("[", "{")):
-        doc = json.loads(text)
+        doc = _json(text, "--grid")
     else:
         with open(text, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _json(fh.read(), text)
     return estimators.grid_points(doc)
 
 

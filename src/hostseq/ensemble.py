@@ -185,6 +185,11 @@ def _best_split(XT, at, candidates, column_weights, parent_total,
             rights.append(prefix[:, -1:] - left)
         wl = _class_sum(lefts)
         wr = _class_sum(rights)
+        # a side weighs least at its end cut (the first left, the last
+        # right); one of weight 0 is no split, so as inf it scores inf,
+        # not 0/0. A product that underflows only costs this slower path.
+        if np.count_nonzero(wl[:, 0] * wr[:, -1]) < block.size:
+            wl, wr = (np.where(w > 0, w, np.inf) for w in (wl, wr))
         weighted = (wl * _split_gini(lefts, wl)
                     + wr * _split_gini(rights, wr)) / parent_total
         weighted = np.where(v[:, :-1] < v[:, 1:], weighted, np.inf)
@@ -232,7 +237,7 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
     values at once, adding the classes in class order.
     It keeps the split with the lowest impurity, then the lowest
     threshold, then the lowest feature index, and never one with more
-    impurity than the node; with no such split the node is a leaf.
+    impurity than the node or a side of weight 0; else the node is a leaf.
     Nodes grow and are numbered in level order, left child first, and
     every node keeps its class weights in counts. Every node above depth
     d draws its candidates from rng before any node at depth d does, so
@@ -376,7 +381,7 @@ class Forest:
                 for k, depth in zip(ks, depths)]
 
     def to_checkpoint(self):
-        return "forest", _tree_arrays(self.trees)
+        return _tree_arrays(self.trees)
 
     def load_arrays(self, arrays, n_features: int) -> "Forest":
         self.trees = _trees_from_arrays(arrays, self.config.n_estimators,
@@ -455,7 +460,7 @@ class RusBoostModel:
 
     def to_checkpoint(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
-        return "rusboost", {"alphas": alphas, **_tree_arrays(self.trees)}
+        return {"alphas": alphas, **_tree_arrays(self.trees)}
 
     def load_arrays(self, arrays, n_features: int) -> "RusBoostModel":
         alphas = arrays["alphas"]

@@ -130,9 +130,10 @@ def grid_points(doc) -> list:
 class ModelFactory:
     """factory(params, seed) -> unfitted estimator of --model kind model.
 
-    A nonzero vocab_size means a table of token input of width max_len,
-    otherwise of feature input of width in_dim, and the table's input
-    must be the one the kind reads; defaults holds the model flags given.
+    A nonzero vocab_size means a table of token input, otherwise of
+    feature input, and the table's input must be the one the kind reads;
+    every estimator learns the width of its rows at fit. defaults holds
+    the model flags given.
     A settable field takes the first value given under any of its names,
     grid params before flag defaults, coerced to the type of the config
     dataclass default (see coerce), which applies when no name is
@@ -143,9 +144,7 @@ class ModelFactory:
     model: str
     n_classes: int
     defaults: dict
-    in_dim: int = 0
     vocab_size: int = 0
-    max_len: int = 0
 
     def __post_init__(self):
         kind = KINDS.get(self.model)
@@ -158,8 +157,8 @@ class ModelFactory:
     def __call__(self, params, seed):
         kind = KINDS[self.model]
         # the fields set here, not by name, where the config has them
-        fixed = {"seed": seed, "kind": self.model, "in_dim": self.in_dim,
-                 "vocab_size": self.vocab_size, "max_len": self.max_len}
+        fixed = {"seed": seed, "kind": self.model,
+                 "vocab_size": self.vocab_size}
         values = {f.name: fixed[f.name]
                   for f in dataclasses.fields(kind.config) if f.name in fixed}
         for field, aliases in SETTABLE[self.model].items():

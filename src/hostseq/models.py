@@ -26,15 +26,12 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class NetConfig:
     """Every setting of a neural classifier: the architecture, which with
-    the class count rebuilds the network, and the training loop. The net
-    of kind reads the input its INPUT names: feature rows of width in_dim,
-    or token rows of width max_len over vocab_size ids."""
+    the class count and the width learned at fit rebuilds the network, and
+    the training loop. The net of kind reads the input its INPUT names."""
 
     kind: str                      # a key of NETS
-    in_dim: int = 0                # feature input width
     hidden: int = 100              # width of the mlp's one hidden layer
     vocab_size: int = 0            # token inputs
-    max_len: int = 0
     embed_dim: int = 32
     filters: int = 64              # cnn first conv channels
     kernel_size: int = 3
@@ -52,12 +49,9 @@ class NetConfig:
                                     "kernel_size", "num_heads",
                                     "learning_rate", "batch_size", "epochs"),
                     non_negative=("alpha",))
-        if NETS[self.kind].INPUT == "features":
-            if self.in_dim < 1:
-                raise ValueError("feature input requires in_dim")
-        elif self.vocab_size < 2 or self.max_len < 1:
+        if NETS[self.kind].INPUT == "tokens" and self.vocab_size < 2:
             raise ValueError(f"{self.kind} reads token input, which "
-                             f"requires vocab_size and max_len")
+                             f"requires vocab_size")
         if self.kind == "transformer" and self.embed_dim % self.num_heads:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by "
@@ -109,9 +103,9 @@ class MlpNet(_Net):
 
     INPUT = "features"
 
-    def __init__(self, config: NetConfig, n_classes: int, rng):
+    def __init__(self, config: NetConfig, n_classes: int, width: int, rng):
         super().__init__(config, rng)
-        self._weights("h0", config.in_dim, config.hidden)
+        self._weights("h0", width, config.hidden)
         self._weights("out", config.hidden, n_classes)
 
     def forward(self, inputs) -> Tensor:
@@ -128,24 +122,24 @@ class CnnNet(_Net):
     INPUT = "tokens"
     HEAD = (64, 32, 16)
 
-    def __init__(self, config: NetConfig, n_classes: int, rng):
+    def __init__(self, config: NetConfig, n_classes: int, width: int, rng):
         super().__init__(config, rng)
         self._embedding("embed", config.vocab_size)
         channels = [config.embed_dim, config.filters,
                     max(config.filters // 2, 1), max(config.filters // 4, 1)]
         k = config.kernel_size
-        length = config.max_len
+        length = width
         for i, (c_in, c_out) in enumerate(zip(channels, channels[1:])):
             self._weights(f"conv{i}", k * c_in, k * c_out, (k, c_in, c_out))
             length = (length - k + 1) // 2
-            if length < 1:  # max_len is the width of the token file
-                raise DataError(f"max_len {config.max_len} too short for 3 "
+            if length < 1:  # named as vocab.json names the token width
+                raise DataError(f"max_len {width} too short for 3 "
                                 f"conv/pool stages of kernel size {k}")
-        width = length * channels[-1]
+        fan_in = length * channels[-1]
         for i, h in enumerate(self.HEAD):
-            self._weights(f"head{i}", width, h)
-            width = h
-        self._weights("out", width, n_classes)
+            self._weights(f"head{i}", fan_in, h)
+            fan_in = h
+        self._weights("out", fan_in, n_classes)
 
     def forward(self, inputs) -> Tensor:
         p = self.params
@@ -170,11 +164,11 @@ class TransformerNet(_Net):
 
     INPUT = "tokens"
 
-    def __init__(self, config: NetConfig, n_classes: int, rng):
+    def __init__(self, config: NetConfig, n_classes: int, width: int, rng):
         super().__init__(config, rng)
         e = config.embed_dim
         self._embedding("embed", config.vocab_size)
-        self._embedding("pos", config.max_len)
+        self._embedding("pos", width)
         for name in ("wq", "wk", "wv", "wo"):
             self._weights(name, e, e)
         self._weights("ff1", e, 2 * e)
@@ -200,9 +194,6 @@ class TransformerNet(_Net):
 
     def forward(self, inputs) -> Tensor:
         batch, length = inputs.shape
-        if length > self.config.max_len:
-            raise ValueError(f"sequence length {length} exceeds max_len "
-                             f"{self.config.max_len}")
         pos_ids = np.tile(np.arange(length), (batch, 1))
         x = ag.add(ag.embedding(self.params["embed"], inputs),
                    ag.embedding(self.params["pos"], pos_ids))
@@ -217,9 +208,9 @@ class TransformerNet(_Net):
 NETS = {"mlp": MlpNet, "cnn": CnnNet, "transformer": TransformerNet}
 
 
-def build_net(config: NetConfig, n_classes: int):
+def build_net(config: NetConfig, n_classes: int, width: int):
     rng = np.random.default_rng(derive_seed(config.seed, "init", config.kind))
-    return NETS[config.kind](config, n_classes, rng)
+    return NETS[config.kind](config, n_classes, width, rng)
 
 
 class Adam:
@@ -318,7 +309,8 @@ def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
 
 
 class NeuralClassifier:
-    """fit/predict_proba wrapper of the net a NetConfig describes."""
+    """fit/predict_proba wrapper of the net a NetConfig describes.
+    n_features is the width of the rows it was fit on."""
 
     FAMILY = "neural"
 
@@ -327,6 +319,7 @@ class NeuralClassifier:
             raise DataError("need at least 2 classes")
         self.config = config
         self.n_classes = n_classes
+        self.n_features = 0
         self.net = None
         self.history = None
 
@@ -335,32 +328,28 @@ class NeuralClassifier:
         labels = np.asarray(labels)
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        self.net = build_net(self.config, self.n_classes)
+        self.n_features = inputs.shape[1]
+        self.net = build_net(self.config, self.n_classes, self.n_features)
         self.history = train(self.net, inputs, labels, self.config)
         return self
 
     def predict_proba(self, inputs) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        proba = predict_proba(self.net, self._check_inputs(inputs),
-                              self.config.batch_size)
+        proba = predict_proba(self.net, self._check_inputs(
+            inputs, self.n_features), self.config.batch_size)
         if not np.isfinite(proba).all():
             raise DataError("probabilities are not finite: the weights "
                             "overflow on this input")
         return proba
 
-    @property
-    def n_features(self) -> int:
-        """The width of its input rows: max_len tokens or in_dim features."""
-        tokens = NETS[self.config.kind].INPUT == "tokens"
-        return self.config.max_len if tokens else self.config.in_dim
-
-    def _check_inputs(self, inputs):
+    def _check_inputs(self, inputs, width=None):
+        """inputs as the net reads them: rows of width columns, any at fit."""
         tokens = NETS[self.config.kind].INPUT == "tokens"
         inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
-        if inputs.ndim != 2 or inputs.shape[1] != self.n_features:
+        if inputs.ndim != 2 or width not in (None, inputs.shape[1]):
             raise DataError(f"{'token' if tokens else 'feature'} input "
-                            f"must be (n, {self.n_features})")
+                            f"must be (n, {width or 'd'})")
         if tokens:
             if not np.issubdtype(inputs.dtype, np.integer):
                 raise DataError("token input must be integer ids")
@@ -373,14 +362,11 @@ class NeuralClassifier:
     def to_checkpoint(self):
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        return self.config.kind, {name: p.data
-                                  for name, p in self.net.params.items()}
+        return {name: p.data for name, p in self.net.params.items()}
 
     def load_arrays(self, arrays, n_features: int) -> "NeuralClassifier":
-        if n_features != self.n_features:
-            raise ValueError(f"input width {n_features} but the config's "
-                             f"is {self.n_features}")
-        self.net = build_net(self.config, self.n_classes)
+        self.n_features = n_features
+        self.net = build_net(self.config, self.n_classes, n_features)
         params = self.net.params
         missing, extra = set(params) - set(arrays), set(arrays) - set(params)
         if missing or extra:

@@ -37,7 +37,8 @@ def tokenize(residues: str, n: int) -> list:
 class Vocabulary:
     """Token-to-id table with reserved padding and out-of-vocabulary ids.
 
-    Built from the training split only; unseen test tokens map to OOV.
+    Built by encode --ngrams from every record, test folds of nested-cv
+    --tokens included; tokens it does not hold map to OOV.
     The tokens of token_to_id carry ids 2, 3, ... in its order.
     """
     n: int

@@ -76,8 +76,8 @@ def _write_table(path, header, rows, numbers=None) -> None:
 
 
 def _read_table(path, columns, what):
-    """Data rows of a CSV whose header starts with columns; returns
-    (header, rows). Every row must be as wide as the header."""
+    """Data rows of a CSV whose header is columns and at least one more;
+    returns (header, rows). Every row must be as wide as the header."""
     with open_text(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
@@ -85,6 +85,8 @@ def _read_table(path, columns, what):
     header = rows[0]
     if header[:len(columns)] != columns:
         raise DataError(f"{path}: unexpected header {header[:len(columns)]}")
+    if len(header) == len(columns):
+        raise DataError(f"{path}: no value columns after {columns}")
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(f"{path}: line {line} has {len(row)} fields, "
@@ -259,18 +261,17 @@ def load_checkpoint(path):
 
 def save_model(path, model, class_names) -> None:
     """Writes an estimator of a family in estimators.FAMILIES: the arrays
-    of its to_checkpoint() under one meta layout for every family, its
-    config, class count, input width, family tag and class names.
-    load_model rebuilds it as estimator(config, n_classes).load_arrays(
-    arrays, n_features)."""
+    of its to_checkpoint(), tagged with its FAMILY, under one meta layout
+    for every family: its config, class count, the input width it learned
+    at fit, family tag and class names. load_model rebuilds it as
+    estimator(config, n_classes).load_arrays(arrays, n_features)."""
     if type(model) not in {kind.estimator for kind in FAMILIES.values()}:
         raise TypeError(
             f"cannot serialize model of type {type(model).__name__}")
-    kind, arrays = model.to_checkpoint()
     meta = {"config": asdict(model.config), "n_classes": model.n_classes,
             "n_features": model.n_features, "model": model.FAMILY,
             "class_names": list(class_names)}
-    save_checkpoint(path, kind, meta, arrays)
+    save_checkpoint(path, model.FAMILY, meta, model.to_checkpoint())
 
 
 def load_model(path):

@@ -220,7 +220,7 @@ def test_c6_end_to_end_learnability():
 
     def transformer_factory(params, seed):
         config = NetConfig(kind="transformer", vocab_size=vocab.size,
-                           max_len=max_len, embed_dim=32, num_heads=1,
+                           embed_dim=32, num_heads=1,
                            learning_rate=0.001, batch_size=128, epochs=30,
                            seed=seed)
         return NeuralClassifier(config, 3)

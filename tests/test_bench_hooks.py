@@ -73,8 +73,7 @@ def test_tracer_sees_every_pooled_fit(tracer):
     t = tracer.Tracer()
     try:
         tracer.install(t)
-        evaluation.nested_cv(X, y, ModelFactory("rf", 3, {"n_estimators": 2},
-                                                in_dim=4),
+        evaluation.nested_cv(X, y, ModelFactory("rf", 3, {"n_estimators": 2}),
                              grid, plan, ("a", "b", "c"), workers=2,
                              stages=KINDS["rf"].stages)
     finally:

@@ -1568,15 +1568,15 @@ def test_mlp_token_checkpoint_exit_2(tmp_path, capsys):
     config, classes = meta["config"], meta["n_classes"]
     config.update(kind="mlp", hidden=5)
     arrays = {"embed": np.zeros((config["vocab_size"], config["embed_dim"])),
-              "h0.w": np.zeros((config["max_len"] * config["embed_dim"], 5)),
+              "h0.w": np.zeros((meta["n_features"] * config["embed_dim"], 5)),
               "h0.b": np.zeros(5), "out.w": np.zeros((5, classes)),
               "out.b": np.zeros(classes)}
     store.save_checkpoint(path, "mlp", meta, arrays)
     assert run(["predict", "--model-file", str(path), *tokens,
                 "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {path}: arrays or header do not match: feature "
-        f"input requires in_dim\n")
+        f"data error: {path}: arrays or header do not match: parameter "
+        f"mismatch: missing [], unexpected ['embed']\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -1602,4 +1602,132 @@ def test_checkpoint_with_the_old_input_kind_key_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: arrays or header do not "
                           f"match: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_neural_checkpoint_with_a_width_in_its_config_exit_2(tmp_path,
+                                                              capsys):
+    # a neural model.bin of the layout whose config held the input width
+    # (in_dim, max_len) no longer loads; the data error names the file,
+    # and the container version stays 2
+    path, tokens = transformer_checkpoint(
+        tmp_path, lambda config: config.update(in_dim=0, max_len=58))
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(path), *tokens,
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: arrays or header do not "
+                          f"match: ") and "'in_dim'" in err, err
+    assert store.VERSION == 2
+    assert not (tmp_path / "o").exists()
+
+
+_SMALL = {"rf": ["--n-estimators", "2", "--max-depth", "2"],
+          "rusboost": ["--n-estimators", "2", "--base-depth", "2"],
+          "mlp": ["--epochs", "1", "--hidden", "4"],
+          "cnn": ["--epochs", "1", "--embed-dim", "4", "--filters", "4"],
+          "transformer": ["--epochs", "1", "--embed-dim", "4"]}
+
+
+@pytest.mark.parametrize("model", sorted(_SMALL))
+def test_predict_on_another_width_exit_2(tmp_path, capsys, model):
+    # every kind learns its width at fit; a file one column wider (a
+    # leading pad for tokens, with a vocab max_len to match) is refused
+    if estimators.KINDS[model].input == "tokens":
+        data = seeded_tokens(tmp_path)
+        vocab, width = ngram.load_vocab(data[3])
+        ids, labels, matrix = store.read_tokens_csv(data[1])
+        store.write_tokens_csv(tmp_path / "wide.csv", ids, labels,
+                               np.column_stack([np.full(len(ids),
+                                                        ngram.PAD_ID),
+                                                matrix]))
+        ngram.save_vocab(vocab, width + 1, tmp_path / "wide.json")
+        wide = ["--tokens", str(tmp_path / "wide.csv"),
+                "--vocab", str(tmp_path / "wide.json")]
+    else:
+        data = ["--features", str(seeded_features(tmp_path))]
+        ids, labels, _, matrix = store.read_features_csv(data[1])
+        width = matrix.shape[1]
+        store.write_features_csv(tmp_path / "wide.csv", ids, labels, "eg",
+                                 np.column_stack([matrix, matrix[:, :1]]))
+        wide = ["--features", str(tmp_path / "wide.csv")]
+    assert run(["train", "--model", model, "--seed", "1", *data,
+                *_SMALL[model], "--out", str(tmp_path / "m")]) == 0
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(tmp_path / "m" / "model.bin"),
+                *wide, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    kind = estimators.KINDS[model].input[:-1]
+    assert err.startswith(f"data error: {wide[1]}: {kind} input must be "
+                          f"(n, {width})") and err.count("\n") == 1, err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("model", sorted(_SMALL))
+def test_table_without_value_columns_exit_2(tmp_path, capsys, model):
+    # a table of two records and no value columns
+    tokens = estimators.KINDS[model].input == "tokens"
+    if tokens:
+        data = seeded_tokens(tmp_path)
+        data[1] = str(tmp_path / "tokens.csv")
+        (tmp_path / "tokens.csv").write_text(
+            "id,label,true_len\nr0,a,0\nr1,b,0\n")
+    else:
+        data = ["--features", str(tmp_path / "features.csv")]
+        (tmp_path / "features.csv").write_text("id,label,scheme\nr0,a,eg\n"
+                                               "r1,b,eg\n")
+    capsys.readouterr()
+    assert run(["train", "--model", model, "--seed", "1", *data,
+                "--out", str(tmp_path / "o")]) == 2
+    columns = ["id", "label", "true_len" if tokens else "scheme"]
+    assert capsys.readouterr().err == (
+        f"data error: {data[1]}: no value columns after {columns}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, model", [
+    ("train", "rf"), ("nested-cv", "rf"), ("train", "rusboost"),
+    ("train", "mlp"), ("nested-cv", "mlp"), ("train", "cnn"),
+    ("nested-cv", "transformer")])
+def test_one_class_table_exit_2_for_every_kind(tmp_path, capsys, command,
+                                               model):
+    # train and nested-cv hold every kind to one class-count rule, and the
+    # data error names the file
+    if estimators.KINDS[model].input == "tokens":
+        data = seeded_tokens(tmp_path)
+        ids, _, matrix = store.read_tokens_csv(data[1])
+        data[1] = str(tmp_path / "one_class.csv")
+        store.write_tokens_csv(data[1], ids, ["human"] * len(ids), matrix)
+    else:
+        path = tmp_path / "one_class.csv"
+        store.write_features_csv(path, [f"r{i}" for i in range(10)],
+                                 ["human"] * 10, "eg",
+                                 np.random.default_rng(1).random((10, 4)))
+        data = ["--features", str(path)]
+    argv = [command, "--model", model, "--seed", "1", *data, *_SMALL[model]]
+    if command == "nested-cv":
+        argv += ["--k-outer", "2", "--k-inner", "2", "--grid", "{}"]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data[1]}: need at least 2 classes, found 1\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["grid-file", "grid-inline", "config"])
+def test_malformed_json_names_its_source_exit_1(tmp_path, capsys, where):
+    features = seeded_features(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n_estimators": [2, ')
+    argv = ["nested-cv", "--model", "rf", "--seed", "1",
+            "--features", str(features), "--out", str(tmp_path / "o")]
+    source = {"grid-file": str(bad), "grid-inline": "--grid",
+              "config": str(bad)}[where]
+    argv += {"grid-file": ["--grid", str(bad)],
+             "grid-inline": ["--grid", bad.read_text()],
+             "config": ["--config", str(bad)]}[where]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"{source}: Expecting value: line 1 column 22 (char 21)\n")
     assert not (tmp_path / "o").exists()

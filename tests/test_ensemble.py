@@ -301,9 +301,12 @@ def _reference_split(XT, idx, candidates, weights, parent_total,
         left = prefix[boundaries]
         right = prefix[-1] - left
         wl, wr = left.sum(axis=1), right.sum(axis=1)
-        gini_l = 1.0 - ((left / wl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / wr[:, None]) ** 2).sum(axis=1)
+        # a side of weight 0 is no split; it divides by 1, not 0/0
+        dl, dr = (np.where(w > 0, w, 1.0)[:, None] for w in (wl, wr))
+        gini_l = 1.0 - ((left / dl) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / dr) ** 2).sum(axis=1)
         weighted = (wl * gini_l + wr * gini_r) / parent_total
+        weighted[(wl == 0) | (wr == 0)] = np.inf
         b = int(np.argmin(weighted))
         impurity = float(weighted[b])
         lo, hi = v[boundaries[b]], v[boundaries[b] + 1]
@@ -383,6 +386,40 @@ def test_split_search_ties_across_features_and_thresholds():
     assert ensemble._best_split(*args) == _reference_search(*args) == (1, 0.5)
 
 
+@pytest.mark.parametrize("column, weight, split", [
+    ([0, 1, 2, 3, 4], [1, 1, 1, 1, 1e-16], (0, 1.5)),
+    ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1], (0, 1.5)),
+    ([0, 0, 0, 0, 1], [1, 1, 1, 1, 0], None),
+], ids=["right-rounds-to-0", "left-of-0", "only-cut-leaves-0"])
+def test_a_cut_with_a_side_of_zero_weight_is_no_split(column, weight, split):
+    # 2 + 1e-16 rounds to 2, so right of the last cut the prefix sums
+    # leave 2 - 2 = 0, and a first row of weight 0 leaves 0 left of the
+    # first cut. Such a cut splits off no weight, so like a cut between
+    # equal values it is no split: not 0/0 = nan, which argmin would
+    # pick, dropping the column's cut at 1.5, nor a child of weight 0.
+    XT = np.array([column], dtype=np.float64)
+    class_weights = np.eye(2)[[0, 0, 1, 1, 1]] * np.reshape(weight, (-1, 1))
+    total = class_weights.sum()
+    args = (XT, np.arange(5), np.array([0]), class_weights.T, total,
+            ensemble._gini(class_weights.sum(axis=0), total))
+    assert ensemble._best_split(*args) == _reference_search(*args) == split
+    tree = fit_tree(XT, np.arange(5), class_weights, 3)
+    assert tree.feature.tolist() == ([-1] if split is None else [0, -1, -1])
+
+
+def test_weights_whose_products_underflow_grow_the_same_tree():
+    # at weights of 2^-600 the zero-side check's product of end weights
+    # underflows to 0, so every pass takes the slow path, which must
+    # score positive weights as they are: the same tree, counts scaled
+    X, y, w = _split_case(7, 12, True)
+    tiny, plain = (grow(X, y, 6, n_classes=3, weight=w * scale)
+                   for scale in (2.0 ** -600, 1.0))
+    assert (plain.feature >= 0).sum() > 5
+    for key in ("feature", "threshold", "left", "right"):
+        assert getattr(tiny, key).tobytes() == getattr(plain, key).tobytes()
+    assert np.array_equal(tiny.counts, plain.counts * 2.0 ** -600)
+
+
 @pytest.mark.parametrize("n_classes", [2, 4, 5])
 def test_split_search_matches_reference_at_other_class_counts(monkeypatch,
                                                               n_classes):
@@ -429,10 +466,9 @@ def test_presort_grows_the_node_sorted_tree(monkeypatch, n_classes, block,
     # prefix sum depends on the order within ties. Four values over 70
     # rows make tie runs of more than 16, which numpy's unstable sorts
     # reorder, and weights of 1 beside 1e-16 make a sum over a tie run
-    # depend on its order (1 + 1e-16 rounds to 1). Where every weight
-    # right of a cut rounds away, that side's Gini is 0/0 in both
-    # searches alike. The rows are a sorted subsample, so the filter
-    # drops columns of XT.
+    # depend on its order (1 + 1e-16 rounds to 1), and can leave a side
+    # of a cut of weight 0. The rows are a sorted subsample, so the
+    # filter drops columns of XT.
     X, _, _ = _split_case(20 + n_classes, 150, False)
     rng = np.random.default_rng(n_classes)
     y = rng.integers(0, n_classes, size=90)
@@ -451,10 +487,9 @@ def test_presort_grows_the_node_sorted_tree(monkeypatch, n_classes, block,
             fits = []
             for order in (None, presort):
                 rng = np.random.default_rng(5) if per_split else None
-                with np.errstate(invalid="ignore"):
-                    tree = fit_tree(XT, rows, class_weights, 6,
-                                    features_per_split=per_split, rng=rng,
-                                    presort=order)
+                tree = fit_tree(XT, rows, class_weights, 6,
+                                features_per_split=per_split, rng=rng,
+                                presort=order)
                 fits.append({key: arr.tobytes()
                              for key, arr in tree.to_arrays().items()})
             assert (tree.feature >= 0).sum() > 5
@@ -481,8 +516,8 @@ def test_rusboost_presort_keeps_the_node_sorted_models(monkeypatch):
             patch.setattr(ensemble, "fit_tree", node_sorted)
             sorted_per_node = fit_rusboost(X, y, cfg, n_classes=3)
         assert len(presorted.trees) == 12
-        a, b = (model.to_checkpoint()[1] for model in (presorted,
-                                                       sorted_per_node))
+        a, b = (model.to_checkpoint() for model in (presorted,
+                                                    sorted_per_node))
         assert a.keys() == b.keys()
         for key in a:
             assert a[key].tobytes() == b[key].tobytes(), (seed, key)

@@ -12,8 +12,8 @@ from hostseq.estimators import (DEFAULT_GRIDS, KINDS, ModelFactory,
                                 UsageError, grid_points)
 from hostseq.models import build_net
 
-FEATURES = {"in_dim": 5}
-TOKENS = {"vocab_size": 12, "max_len": 30}
+FEATURES = {}
+TOKENS = {"vocab_size": 12}
 
 
 def test_cli_usage_error_is_the_registry_class():
@@ -33,7 +33,7 @@ def test_factory_rejects_input_the_kind_does_not_read(model, shape, message):
 
 
 def test_mlp_on_tokens_is_a_usage_error():
-    assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).config.in_dim == 5
+    assert ModelFactory("mlp", 2, {}, **FEATURES)({}, 0).config.kind == "mlp"
     with pytest.raises(UsageError,
                        match=re.escape("mlp requires feature input "
                                        "(--features)")):
@@ -41,13 +41,11 @@ def test_mlp_on_tokens_is_a_usage_error():
 
 
 def test_grid_aliases_and_flag_precedence():
-    boost = ModelFactory("rusboost", 2, {"base_depth": 4, "max_depth": 7},
-                         in_dim=3)
+    boost = ModelFactory("rusboost", 2, {"base_depth": 4, "max_depth": 7})
     assert boost({}, 0).config.max_depth == 4
     assert boost({"max_depth": 2}, 0).config.max_depth == 2
     assert boost({"max_depth": 2, "base_depth": 1}, 0).config.max_depth == 1
-    mlp = ModelFactory("mlp", 2, {"epochs": 9, "learning_rate": 0.5},
-                       in_dim=3)
+    mlp = ModelFactory("mlp", 2, {"epochs": 9, "learning_rate": 0.5})
     clf = mlp({"max_iter": 3, "epochs": 5, "learning_rate_init": 0.1}, 0)
     assert (clf.config.epochs, clf.config.learning_rate) == (3, 0.1)
     clf = mlp({}, 0)
@@ -59,15 +57,15 @@ def test_grid_aliases_and_flag_precedence():
     assert cnn({}, 0).config.filters == 5
     with pytest.raises(UsageError, match="'num_filters'"):
         mlp({"num_filters": 8}, 0)
-    rf = ModelFactory("rf", 2, {"base_depth": 4}, in_dim=3)
+    rf = ModelFactory("rf", 2, {"base_depth": 4})
     assert rf({}, 0).config.max_depth == 10  # ForestConfig default
     with pytest.raises(UsageError, match="base_depth"):
         rf({"base_depth": 4}, 0)
 
 
 def test_scalar_hidden_is_one_layer():
-    mlp = ModelFactory("mlp", 2, {}, in_dim=3)
-    net = build_net(mlp({"hidden": 8}, 0).config, 2)
+    mlp = ModelFactory("mlp", 2, {})
+    net = build_net(mlp({"hidden": 8}, 0).config, 2, 3)
     assert [(name, p.data.shape) for name, p in net.params.items()] == [
         ("h0.w", (3, 8)), ("h0.b", (8,)), ("out.w", (8, 2)), ("out.b", (2,))]
     with pytest.raises(UsageError, match="'hidden'"):
@@ -75,10 +73,8 @@ def test_scalar_hidden_is_one_layer():
 
 
 def test_default_grids_build_through_registry():
-    shapes = {"mlp": {"in_dim": 10}, "rf": {"in_dim": 10},
-              "rusboost": {"in_dim": 10},
-              "cnn": {"vocab_size": 50, "max_len": 60},
-              "transformer": {"vocab_size": 50, "max_len": 60}}
+    shapes = {"mlp": {}, "rf": {}, "rusboost": {},
+              "cnn": {"vocab_size": 50}, "transformer": {"vocab_size": 50}}
     assert set(shapes) == set(DEFAULT_GRIDS)
     for model, shape in shapes.items():
         factory = ModelFactory(model, 3, {}, **shape)
@@ -105,8 +101,8 @@ def test_grid_points_expand_objects_and_keep_lists():
 def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
     rng = np.random.default_rng(8)
     tokens = KINDS[model].input == "tokens"
-    X = (rng.integers(1, TOKENS["vocab_size"], size=(30, TOKENS["max_len"]))
-         if tokens else rng.random((30, FEATURES["in_dim"])))
+    X = (rng.integers(1, TOKENS["vocab_size"], size=(30, 30))
+         if tokens else rng.random((30, 5)))
     y = np.arange(30) % 2
     defaults = {"n_estimators": 3, "base_depth": 2, "epochs": 2,
                 "batch_size": 8}
@@ -117,9 +113,8 @@ def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
     first, second = factory(params, 5), restored(params, 5)
     assert (second.config, second.n_classes) == (first.config,
                                                   first.n_classes)
-    kind, arrays = first.fit(X, y).to_checkpoint()
-    kind2, arrays2 = second.fit(X, y).to_checkpoint()
-    assert kind2 == kind
+    arrays = first.fit(X, y).to_checkpoint()
+    arrays2 = second.fit(X, y).to_checkpoint()
     assert list(arrays2) == list(arrays)
     for name, arr in arrays.items():
         got = np.asarray(arrays2[name])

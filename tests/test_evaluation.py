@@ -511,7 +511,7 @@ def test_nested_cv_workers_equivalent(rng):
 def test_one_point_grid_runs_only_the_refits(rng):
     X, y = nested_fixture(rng, n=48)
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=7)
-    rf = ModelFactory("rf", 3, {"n_estimators": 3}, in_dim=2)
+    rf = ModelFactory("rf", 3, {"n_estimators": 3})
     point = {"max_depth": 2}
     calls = []
 
@@ -539,7 +539,7 @@ def test_equal_models_tie_and_the_first_point_wins(rng):
     # score alike, and the tie goes to the earlier point
     X, y = nested_fixture(rng, n=48)
     plan = ev.make_cv_plan(y, k_outer=3, k_inner=2, seed=7)
-    rf = ModelFactory("rf", 3, {"n_estimators": 3}, in_dim=2)
+    rf = ModelFactory("rf", 3, {"n_estimators": 3})
     grid = [{"max_depth": 2, "n_estimators": 3}, {"max_depth": 2}]
     doc, _ = ev.nested_cv(X, y, rf, grid, plan, ("a", "b", "c"),
                           stages=KINDS["rf"].stages)
@@ -652,8 +652,7 @@ def test_nested_cv_fits_get_their_rows_and_seeds(rng, workers):
 
 def test_fit_task_pickles_to_the_same_probabilities(rng):
     X, y = nested_fixture(rng, n=40)
-    factory = ModelFactory("rf", 3, {"n_estimators": 3, "max_depth": 3},
-                           in_dim=2)
+    factory = ModelFactory("rf", 3, {"n_estimators": 3, "max_depth": 3})
     task = ev.FitTask("outer fold 0, refit", {"max_depth": 2}, 11,
                       np.arange(30), np.arange(30, 40))
     copy = pickle.loads(pickle.dumps(task))

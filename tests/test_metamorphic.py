@@ -63,10 +63,9 @@ def fitted(model, corpus, scale=1.0):
     features, tokens, vocab_size, labels = corpus
     y = evaluation.label_indices(labels, class_order(labels))
     if KINDS[model].input == "tokens":
-        inputs, shape = tokens, {"vocab_size": vocab_size,
-                                 "max_len": tokens.shape[1]}
+        inputs, shape = tokens, {"vocab_size": vocab_size}
     else:
-        inputs, shape = features * scale, {"in_dim": features.shape[1]}
+        inputs, shape = features * scale, {}
     train = np.arange(len(y)) % 3 != 0
     estimator = ModelFactory(model, 3, SETTINGS[model], **shape)({}, 7)
     return estimator.fit(inputs[train], y[train]), inputs
@@ -100,8 +99,7 @@ def test_r3_class_renaming_keeps_overall(corpus):
     for names in (labels, [renamed[name] for name in labels]):
         classes = class_order(names)
         y = evaluation.label_indices(names, classes)
-        estimator = ModelFactory("rf", 3, SETTINGS["rf"],
-                                 in_dim=features.shape[1])({}, 7)
+        estimator = ModelFactory("rf", 3, SETTINGS["rf"])({}, 7)
         proba = estimator.fit(features, y).predict_proba(features[::2])
         doc, _ = evaluation.compute_report(y[::2], proba, classes)
         overall.append(doc["overall"])
@@ -221,7 +219,7 @@ def test_staged_nested_cv_writes_the_unstaged_bytes(tmp_path, corpus, model,
                   *grid.values(), indexing="ij")])]
     points = [{k: v.item() for k, v in p.items()} for p in points]
     flags = {"rf": {}, "rusboost": {"base_depth": 2}}[model]
-    factory = ModelFactory(model, 3, flags, in_dim=features.shape[1])
+    factory = ModelFactory(model, 3, flags)
     plan = evaluation.make_cv_plan(y, 3, 2, 5)
     cli._write_scores(tmp_path, *unstaged_nested_cv(
         features, y, factory, points, plan, classes))

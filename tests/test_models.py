@@ -38,32 +38,30 @@ def token_data(seed, n=40, vocab=12, max_len=16, classes=2):
 
 def test_train_config_validation():
     with pytest.raises(ValueError, match="positive"):
-        NetConfig(kind="mlp", in_dim=4, epochs=0)
+        NetConfig(kind="mlp", epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
-        NetConfig(kind="mlp", in_dim=4, learning_rate=0.0)
+        NetConfig(kind="mlp", learning_rate=0.0)
 
 
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="kind"):
-        NetConfig(kind="svm", in_dim=4)
+        NetConfig(kind="svm")
     with pytest.raises(ValueError, match="classes"):
-        NeuralClassifier(NetConfig(kind="mlp", in_dim=4), 1)
+        NeuralClassifier(NetConfig(kind="mlp"), 1)
     with pytest.raises(ValueError, match="token"):
-        NetConfig(kind="cnn", in_dim=4)
-    with pytest.raises(ValueError, match="in_dim"):
-        NetConfig(kind="mlp")
+        NetConfig(kind="cnn")
     with pytest.raises(ValueError, match="vocab_size"):
         NetConfig(kind="transformer")
     with pytest.raises(ValueError, match="num_heads"):
         NetConfig(kind="transformer",
-                  vocab_size=10, max_len=8, embed_dim=32, num_heads=5)
+                  vocab_size=10, embed_dim=32, num_heads=5)
 
 
 def test_build_net_deterministic():
-    config = NetConfig(kind="mlp", in_dim=8, hidden=16, seed=7)
-    a = build_net(config, 3)
-    b = build_net(config, 3)
-    c = build_net(replace(config, seed=8), 3)
+    config = NetConfig(kind="mlp", hidden=16, seed=7)
+    a = build_net(config, 3, 8)
+    b = build_net(config, 3, 8)
+    c = build_net(replace(config, seed=8), 3, 8)
     for (name_a, pa), (_, pb) in zip(a.params.items(), b.params.items()):
         assert np.array_equal(pa.data, pb.data), name_a
     diff = [not np.array_equal(pa.data, pc.data)
@@ -74,17 +72,17 @@ def test_build_net_deterministic():
 _TOKENS = dict(vocab_size=12, embed_dim=4)
 
 
-@pytest.mark.parametrize("config,n_classes,table", [
-    (NetConfig(kind="mlp", in_dim=8, hidden=16), 3,
+@pytest.mark.parametrize("config,n_classes,width,table", [
+    (NetConfig(kind="mlp", hidden=16), 3, 8,
      [("h0.w", (8, 16)), ("h0.b", (16,)), ("out.w", (16, 3)),
       ("out.b", (3,))]),
-    (NetConfig(kind="cnn", max_len=32, filters=8, **_TOKENS), 2,
+    (NetConfig(kind="cnn", filters=8, **_TOKENS), 2, 32,
      [("embed", (12, 4)), ("conv0.w", (3, 4, 8)), ("conv0.b", (8,)),
       ("conv1.w", (3, 8, 4)), ("conv1.b", (4,)), ("conv2.w", (3, 4, 2)),
       ("conv2.b", (2,)), ("head0.w", (4, 64)), ("head0.b", (64,)),
       ("head1.w", (64, 32)), ("head1.b", (32,)), ("head2.w", (32, 16)),
       ("head2.b", (16,)), ("out.w", (16, 2)), ("out.b", (2,))]),
-    (NetConfig(kind="transformer", max_len=6, num_heads=2, **_TOKENS), 3,
+    (NetConfig(kind="transformer", num_heads=2, **_TOKENS), 3, 6,
      [("embed", (12, 4)), ("pos", (6, 4)),
       *[(f"{n}.{p}", (4, 4) if p == "w" else (4,))
         for n in ("wq", "wk", "wv", "wo") for p in "wb"],
@@ -92,21 +90,22 @@ _TOKENS = dict(vocab_size=12, embed_dim=4)
       ("out.w", (4, 3)), ("out.b", (3,)), ("ln1.gamma", (4,)),
       ("ln1.beta", (4,)), ("ln2.gamma", (4,)), ("ln2.beta", (4,))]),
 ], ids=["mlp-features", "cnn", "transformer"])
-def test_param_table_names_order_shapes_and_decay(config, n_classes, table):
+def test_param_table_names_order_shapes_and_decay(config, n_classes, width,
+                                                  table):
     # the table's order is the checkpoint's array order
-    net = build_net(config, n_classes)
+    net = build_net(config, n_classes, width)
     assert [(name, p.data.shape) for name, p in net.params.items()] == table
     # one Adam step with and without decay, from parameters shifted off
     # zero: exactly the <layer>.w weights move apart
     rng = np.random.default_rng(1)
     if config.vocab_size:
-        inputs = rng.integers(0, config.vocab_size, size=(6, config.max_len))
+        inputs = rng.integers(0, config.vocab_size, size=(6, width))
     else:
-        inputs = rng.random((6, config.in_dim))
+        inputs = rng.random((6, width))
     labels = np.arange(6) % n_classes
     stepped = {}
     for alpha in (0.0, 0.5):
-        net = build_net(config, n_classes)
+        net = build_net(config, n_classes, width)
         for p in net.params.values():
             p.data += 0.25
         train(net, inputs, labels, replace(
@@ -119,7 +118,7 @@ def test_param_table_names_order_shapes_and_decay(config, n_classes, table):
 
 def test_mlp_learns_blobs():
     X, y = blob_data(3)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=32,
+    config = NetConfig(kind="mlp", hidden=32,
                        learning_rate=0.01, batch_size=16, epochs=60, seed=1)
     clf = NeuralClassifier(config, 3).fit(X, y)
     assert (clf.predict_proba(X).argmax(axis=1) == y).mean() >= 0.95
@@ -130,7 +129,7 @@ def test_mlp_learns_blobs():
 
 def test_training_is_deterministic():
     X, y = blob_data(4)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16,
+    config = NetConfig(kind="mlp", hidden=16,
                        learning_rate=0.01, batch_size=16, epochs=10, seed=5)
     a = NeuralClassifier(config, 3).fit(X, y)
     b = NeuralClassifier(config, 3).fit(X, y)
@@ -140,7 +139,7 @@ def test_training_is_deterministic():
 
 def test_seed_changes_trajectory():
     X, y = blob_data(4)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16, epochs=5)
+    config = NetConfig(kind="mlp", hidden=16, epochs=5)
     a = NeuralClassifier(replace(config, seed=1), 3).fit(X, y)
     b = NeuralClassifier(replace(config, seed=2), 3).fit(X, y)
     assert a.history.epoch_losses != b.history.epoch_losses
@@ -148,7 +147,7 @@ def test_seed_changes_trajectory():
 
 def test_l2_penalty_shrinks_weights():
     X, y = blob_data(6)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16, epochs=40,
+    config = NetConfig(kind="mlp", hidden=16, epochs=40,
                        seed=2)
     plain = NeuralClassifier(replace(config, alpha=0.0), 3).fit(X, y)
     ridge = NeuralClassifier(replace(config, alpha=1.0), 3).fit(X, y)
@@ -159,7 +158,7 @@ def test_l2_penalty_shrinks_weights():
 
 def test_divergence_raises_with_epoch():
     X, y = blob_data(7)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=16,
+    config = NetConfig(kind="mlp", hidden=16,
                        learning_rate=1e200, epochs=8, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError, match="epoch"):
         NeuralClassifier(config, 3).fit(X * 1e3, y)
@@ -167,8 +166,8 @@ def test_divergence_raises_with_epoch():
 
 def test_predict_proba_batching_consistent():
     X, y = blob_data(8, n=70)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8)
-    net = build_net(config, 3)
+    config = NetConfig(kind="mlp", hidden=8)
+    net = build_net(config, 3, X.shape[1])
     full = predict_proba(net, X, batch_size=1000)
     chunked = predict_proba(net, X, batch_size=7)
     assert np.allclose(full, chunked, atol=1e-12)
@@ -177,7 +176,7 @@ def test_predict_proba_batching_consistent():
 
 def test_cnn_learns_tokens():
     X, y = token_data(1, max_len=32)
-    config = NetConfig(kind="cnn", vocab_size=12, max_len=X.shape[1],
+    config = NetConfig(kind="cnn", vocab_size=12,
                        embed_dim=8, filters=16, kernel_size=3,
                        learning_rate=0.01, batch_size=8, epochs=30, seed=3)
     clf = NeuralClassifier(config, 2).fit(X, y)
@@ -185,15 +184,15 @@ def test_cnn_learns_tokens():
 
 
 def test_cnn_rejects_short_max_len():
-    config = NetConfig(kind="cnn", vocab_size=12, max_len=4,
+    config = NetConfig(kind="cnn", vocab_size=12,
                        embed_dim=8, filters=16, kernel_size=3)
     with pytest.raises(ValueError, match="max_len|short"):
-        build_net(config, 2)
+        build_net(config, 2, 4)
 
 
 def test_transformer_learns_tokens():
     X, y = token_data(2)
-    config = NetConfig(kind="transformer", vocab_size=12, max_len=X.shape[1],
+    config = NetConfig(kind="transformer", vocab_size=12,
                        embed_dim=8, num_heads=2, learning_rate=0.005,
                        batch_size=8, epochs=30, seed=3)
     clf = NeuralClassifier(config, 2).fit(X, y)
@@ -202,14 +201,14 @@ def test_transformer_learns_tokens():
 
 def test_input_validation():
     X, y = blob_data(9)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=1)
+    config = NetConfig(kind="mlp", hidden=8, epochs=1)
     clf = NeuralClassifier(config, 3)
     with pytest.raises(RuntimeError, match="not fitted"):
         clf.predict_proba(X)
     clf.fit(X, y)
     with pytest.raises(ValueError):
         clf.predict_proba(X[:, :3])
-    tok_config = NetConfig(kind="transformer", vocab_size=10, max_len=6,
+    tok_config = NetConfig(kind="transformer", vocab_size=10,
                            embed_dim=4, num_heads=1, epochs=1, batch_size=4)
     tok = NeuralClassifier(tok_config, 2)
     with pytest.raises(ValueError, match="integer"):
@@ -218,7 +217,7 @@ def test_input_validation():
 
 def test_label_bounds_checked():
     X, y = blob_data(10)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=1)
+    config = NetConfig(kind="mlp", hidden=8, epochs=1)
     bad = y.copy()
     bad[0] = 7
     with pytest.raises(ValueError):
@@ -227,10 +226,10 @@ def test_label_bounds_checked():
 
 def test_state_roundtrip():
     X, y = blob_data(11)
-    config = NetConfig(kind="mlp", in_dim=X.shape[1], hidden=8, epochs=5,
+    config = NetConfig(kind="mlp", hidden=8, epochs=5,
                        seed=4)
     clf = NeuralClassifier(config, 3).fit(X, y)
-    _, arrays = clf.to_checkpoint()
+    arrays = clf.to_checkpoint()
     fresh = NeuralClassifier(config, 3).load_arrays(arrays, X.shape[1])
     assert np.array_equal(clf.predict_proba(X), fresh.predict_proba(X))
 

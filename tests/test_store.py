@@ -238,7 +238,7 @@ def test_neural_model_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, size=30)
-    config = NetConfig(kind="mlp", in_dim=4, hidden=8, epochs=3, seed=1)
+    config = NetConfig(kind="mlp", hidden=8, epochs=3, seed=1)
     clf = NeuralClassifier(config, 2).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("neg", "pos"))
@@ -283,8 +283,8 @@ def test_save_model_rejects_unknown(tmp_path):
 @pytest.mark.parametrize("make", [
     lambda: Forest(ForestConfig(n_estimators=3, max_depth=2, seed=1), 2),
     lambda: RusBoostModel(RusBoostConfig(n_estimators=3, seed=1), 2),
-    lambda: NeuralClassifier(NetConfig(kind="mlp", in_dim=3, hidden=4,
-                                       epochs=2, seed=1), 2),
+    lambda: NeuralClassifier(NetConfig(kind="mlp", hidden=4, epochs=2,
+                                       seed=1), 2),
 ], ids=["forest", "rusboost", "neural"])
 def test_estimator_protocol_checkpoint_roundtrip(make):
     rng = np.random.default_rng(5)
@@ -292,7 +292,7 @@ def test_estimator_protocol_checkpoint_roundtrip(make):
     y = (X[:, 0] > 0.5).astype(int)
     estimator = make()
     assert estimator.fit(X, y) is estimator
-    kind, arrays = estimator.to_checkpoint()
+    arrays = estimator.to_checkpoint()
     restored = type(estimator)(estimator.config, estimator.n_classes
                                ).load_arrays(arrays, X.shape[1])
     assert np.array_equal(restored.predict_proba(X), estimator.predict_proba(X))
@@ -305,8 +305,7 @@ def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     X = (rng.integers(0, 12, size=(30, 30)) if tokens
          else rng.random((30, 4)))
     y = np.arange(30) % 3
-    shape = ({"vocab_size": 12, "max_len": 30} if tokens
-             else {"in_dim": 4})
+    shape = {"vocab_size": 12} if tokens else {}
     defaults = {"n_estimators": 3, "base_depth": 2, "max_depth": 3,
                 "epochs": 2, "batch_size": 8, "embed_dim": 4, "filters": 4}
     estimator = ModelFactory(model, 3, defaults, **shape)({}, 5).fit(X, y)
@@ -322,6 +321,58 @@ def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     assert loaded.config == estimator.config
     assert loaded.predict_proba(X).tobytes() \
         == estimator.predict_proba(X).tobytes()
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+def test_every_kind_learns_its_width_at_fit(tmp_path, model):
+    # one factory fits tables of two widths; n_features is the width of
+    # the rows of the fit, and save_model/load_model keep it
+    rng = np.random.default_rng(4)
+    tokens = KINDS[model].input == "tokens"
+    defaults = {"n_estimators": 2, "base_depth": 2, "max_depth": 3,
+                "epochs": 1, "batch_size": 8, "embed_dim": 4, "filters": 4}
+    factory = ModelFactory(model, 2, defaults,
+                           **({"vocab_size": 12} if tokens else {}))
+    y = np.arange(30) % 2
+    for width in (24, 31):
+        X = (rng.integers(0, 12, size=(30, width)) if tokens
+             else rng.random((30, width)))
+        estimator = factory({}, 5)
+        assert estimator.fit(X, y).n_features == width
+        path = tmp_path / f"{width}.bin"
+        store.save_model(path, estimator, ("a", "b"))
+        loaded, _ = store.load_model(path)
+        assert loaded.n_features == width
+        assert loaded.predict_proba(X).tobytes() \
+            == estimator.predict_proba(X).tobytes()
+
+
+def test_checkpoint_tag_is_the_family(tmp_path):
+    # save_model tags a checkpoint with its estimator's FAMILY, which for
+    # the trees is the tag they always had
+    rng = np.random.default_rng(6)
+    X, y = rng.random((20, 3)), np.arange(20) % 2
+    for model, family in (("rf", "forest"), ("rusboost", "rusboost"),
+                          ("mlp", "neural")):
+        estimator = ModelFactory(model, 2, {"n_estimators": 2, "epochs": 1}
+                                 )({}, 1).fit(X, y)
+        store.save_model(tmp_path / "m.bin", estimator, ("a", "b"))
+        kind, meta, _ = store.load_checkpoint(tmp_path / "m.bin")
+        assert kind == meta["model"] == estimator.FAMILY == family
+
+
+@pytest.mark.parametrize("read, header", [
+    (store.read_features_csv, "id,label,scheme\nr0,a,eg\n"),
+    (store.read_tokens_csv, "id,label,true_len\nr0,a,0\n"),
+    (store.read_predictions_csv, "id,true,predicted\nr0,a,a\n"),
+], ids=["features", "tokens", "predictions"])
+def test_table_without_value_columns_names_its_file(tmp_path, read, header):
+    path = tmp_path / "table.csv"
+    path.write_text(header)
+    columns = header.split("\n")[0].split(",")
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: no value columns after {columns}")):
+        read(path)
 
 
 def _rewrite_without(path, array_name):
@@ -384,7 +435,7 @@ def test_load_model_parameter_mismatch_is_checkpoint_error(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 2, size=20)
-    config = NetConfig(kind="mlp", in_dim=3, hidden=4, epochs=1)
+    config = NetConfig(kind="mlp", hidden=4, epochs=1)
     clf = NeuralClassifier(config, 2).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, clf, ("a", "b"))
@@ -397,8 +448,8 @@ def test_neural_checkpoint_save_load_save_identical(tmp_path):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(20, 3))
     y = rng.integers(0, 3, size=20)
-    config = NetConfig(kind="mlp", in_dim=3, hidden=5, epochs=2,
-                       alpha=0.01, seed=4)
+    config = NetConfig(kind="mlp", hidden=5, epochs=2, alpha=0.01,
+                       seed=4)
     clf = NeuralClassifier(config, 3).fit(X, y)
     first, second = tmp_path / "a.bin", tmp_path / "b.bin"
     store.save_model(first, clf, ("x", "y", "z"))
