@@ -325,6 +325,8 @@ class NeuralClassifier:
 
     def fit(self, inputs, labels):
         inputs = self._check_inputs(inputs)
+        if inputs.size == 0:
+            raise ValueError("inputs must be a non-empty 2-D array")
         labels = np.asarray(labels)
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")

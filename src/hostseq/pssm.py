@@ -23,6 +23,10 @@ SCHEME_DIMS = {"eg": 100, "gdpc": 100, "er": 910}
 _COL_INDEX = {aa: i for i, aa in enumerate(PSIBLAST_COLUMNS)}
 _GROUP_OF = {aa: gi for gi, members in enumerate(RESIDUE_GROUPS)
              for aa in members}
+# Each group's columns, padded to three with column 20 (see group_columns).
+_MEMBERS = np.array([[_COL_INDEX.get(aa, 20) for aa in members.ljust(3)]
+                     for members in RESIDUE_GROUPS])
+_SIZES = np.array([len(members) for members in RESIDUE_GROUPS], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
             that is not an integer or lies outside the int64 range.
     """
     residues = []
-    rows = []
+    fields = []  # 20 scores per row, row after row
     line_nos = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
@@ -68,18 +72,18 @@ def parse_psiblast_pssm(text: str) -> RawPssm:
                 f"line {line_no}: residue {tokens[1]!r} outside the "
                 f"20-letter alphabet")
         residues.append(aa)
-        rows.append(tokens[2:22])
+        fields += tokens[2:22]
         line_nos.append(line_no)
-    if not rows:
+    if not residues:
         raise DataError("no matrix rows found")
     try:
         # numpy parses each field with int(), so it accepts and rejects
         # the same texts as int(), in one call per file
-        scores = np.array(rows, dtype=np.int64)
+        scores = np.array(fields, dtype=np.int64).reshape(len(residues), 20)
     except (ValueError, OverflowError):
-        for line_no, row in zip(line_nos, rows):
+        for i, line_no in enumerate(line_nos):
             try:
-                np.array(row, dtype=np.int64)
+                np.array(fields[20 * i:20 * i + 20], dtype=np.int64)
             except ValueError as e:
                 raise DataError(
                     f"line {line_no}: non-integer score ({e})") from None
@@ -135,27 +139,19 @@ def render_psiblast_pssm(m: RawPssm) -> str:
 
 
 def sigmoid_normalize(scores: np.ndarray) -> np.ndarray:
-    """Map each log-odds score s to 1 / (1 + e^-s): (L, 20) floats."""
-    x = scores.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Map each log-odds score s to 1 / (1 + e^-s): (L, 20) floats. With
+    e = e^-|s| <= 1, that is 1 / (1 + e), or e / (1 + e) for s < 0."""
+    e = np.exp(-np.abs(scores, dtype=np.float64))
+    return np.where(scores >= 0, 1.0, e) / (1.0 + e)
 
 
 def group_columns(values: np.ndarray) -> np.ndarray:
-    """Average the 20 substitution columns into the 10 residue groups.
-
-    Column j of the (L, 10) output is the mean of the input columns whose
-    letters belong to group j.
-    """
-    vals = np.empty((values.shape[0], len(RESIDUE_GROUPS)), dtype=np.float64)
-    for j, members in enumerate(RESIDUE_GROUPS):
-        idx = [_COL_INDEX[aa] for aa in members]
-        vals[:, j] = values[:, idx].mean(axis=1)
-    return vals
+    """Average the 20 substitution columns into the 10 residue groups:
+    column j of the C-ordered (L, 10) output is the mean of the columns of
+    group j, which an appended column 20 of -0.0 pads to three members;
+    x + (-0.0) == x for every x, signed zeros included, so no sum changes."""
+    padded = np.concatenate([values, np.full((len(values), 1), -0.0)], 1)
+    return padded.take(_MEMBERS, axis=1).sum(axis=2) / _SIZES
 
 
 def encode_eg(residues: str, g: np.ndarray) -> np.ndarray:
@@ -177,6 +173,7 @@ def encode_eg(residues: str, g: np.ndarray) -> np.ndarray:
 def encode_gdpc(g: np.ndarray) -> np.ndarray:
     """Grouped dipeptide composition:
     D[i][j] = (1/(L-1)) * sum_k g[k,i] * g[k+1,j], flattened row-major."""
+    g = np.ascontiguousarray(g)  # so sums run down the rows in order
     n = g.shape[0]
     if n < 2:
         raise DataError(
@@ -193,21 +190,24 @@ def encode_er(g: np.ndarray) -> np.ndarray:
 
     M[i][j][t] = (1/(L-t)) * sum_k (g[k,i] - g[k+t,j])^2 / 2 for gaps
     t = 1..9, laid out (i, j, t) row-major with t innermost, followed by
-    the per-column variances T[1..10].
+    the per-column variances T[1..10]. Column 10*i+j of heads and tails
+    holds the pair (i, j); each sum runs down C-ordered rows in order.
     """
+    g = np.ascontiguousarray(g)
     n, n_groups = g.shape
     if n < ER_MAX_GAP + 1:
         raise DataError(
             f"gapped pseudo-composition needs at least {ER_MAX_GAP + 1} "
             f"positions, got {n}")
-    m = np.empty((n_groups, n_groups, ER_MAX_GAP), dtype=np.float64)
+    heads = np.repeat(g, n_groups, axis=1)
+    tails = np.tile(g, n_groups)
+    diff = np.empty((n - 1, n_groups * n_groups))
+    m = np.empty((ER_MAX_GAP, n_groups * n_groups))
     for t in range(1, ER_MAX_GAP + 1):
-        head = g[:n - t]             # (L-t, 10), index i
-        tail = g[t:]                 # (L-t, 10), index j
-        diff = head[:, :, None] - tail[:, None, :]
-        m[:, :, t - 1] = 0.5 * (diff ** 2).mean(axis=0)
+        d = np.subtract(heads[:n - t], tails[t:], out=diff[:n - t])
+        m[t - 1] = 0.5 * (np.square(d, out=d).sum(axis=0) / (n - t))
     t_var = ((g - g.mean(axis=0)) ** 2).mean(axis=0)
-    return np.concatenate([m.ravel(), t_var])
+    return np.concatenate([m.T.ravel(), t_var])
 
 
 def encode_record_features(residues: str, raw: RawPssm, scheme: str) -> np.ndarray:

@@ -215,6 +215,17 @@ def test_input_validation():
         tok.fit(np.zeros((4, 6), dtype=float), np.array([0, 1, 0, 1]))
 
 
+@pytest.mark.parametrize("kind", ["mlp", "cnn", "transformer"])
+@pytest.mark.parametrize("shape", [(6, 0), (0, 3)])
+def test_fit_rejects_empty_inputs(kind, shape):
+    config = NetConfig(kind=kind, vocab_size=10, embed_dim=4, num_heads=1,
+                       epochs=1, batch_size=4)
+    inputs = np.zeros(shape, dtype=float if kind == "mlp" else int)
+    labels = np.arange(shape[0]) % 2
+    with pytest.raises(ValueError, match="must be a non-empty 2-D array"):
+        NeuralClassifier(config, 2).fit(inputs, labels)
+
+
 def test_label_bounds_checked():
     X, y = blob_data(10)
     config = NetConfig(kind="mlp", hidden=8, epochs=1)

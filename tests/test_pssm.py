@@ -192,6 +192,32 @@ def test_parse_bad_score_names_line(rng, score, message):
         pssm.parse_psiblast_pssm("\n".join(lines))
 
 
+@pytest.mark.parametrize("score, message", [
+    ("1.5", "non-integer score"),
+    ("99999999999999999999", "score outside the int64 range")])
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_parse_bad_score_names_its_line_between_other_lines(
+        rng, score, message, which):
+    lines = pssm.render_psiblast_pssm(make_raw(rng, 11)).splitlines()
+    # a blank line and a header line after every third matrix row
+    spaced = []
+    for line in lines:
+        spaced.append(line)
+        tokens = line.split()
+        if tokens and tokens[0].isdigit() and int(tokens[0]) % 3 == 0:
+            spaced += ["", "Last position-specific scoring matrix"]
+    rows = [i for i, l in enumerate(spaced)
+            if l.split() and l.split()[0].isdigit()]
+    assert len(rows) == 11
+    row_idx = {"first": rows[0], "middle": rows[5], "last": rows[-1]}[which]
+    tokens = spaced[row_idx].split()
+    tokens[2 + rows.index(row_idx)] = score  # score column 1, 6 or 11
+    spaced[row_idx] = " ".join(tokens)
+    with pytest.raises(pssm.DataError,
+                       match=f"^line {row_idx + 1}: {message}"):
+        pssm.parse_psiblast_pssm("\n".join(spaced))
+
+
 def test_parse_bad_residue_errors(rng):
     raw = make_raw(rng, 2)
     lines = pssm.render_psiblast_pssm(raw).splitlines()
@@ -314,6 +340,22 @@ def test_encoders_match_oracles(rng):
         assert rel_err(pssm.encode_er(g), oracle_er(g)) < 1e-12
 
 
+def test_encoders_ignore_memory_order(rng):
+    residues, g = random_gpssm(rng, 560)
+    views = [np.asfortranarray(g), np.repeat(g, 2, axis=1)[:, ::2],
+             np.repeat(g, 2, axis=0)[::2], g[::-1].copy()[::-1]]
+    for view in views:
+        assert np.array_equal(view, g)
+        assert pssm.encode_eg(residues, view).tobytes() \
+            == pssm.encode_eg(residues, g).tobytes()
+        assert pssm.encode_gdpc(view).tobytes() == pssm.encode_gdpc(g).tobytes()
+        assert pssm.encode_er(view).tobytes() == pssm.encode_er(g).tobytes()
+
+
+def test_group_columns_returns_c_order(rng):
+    assert pssm.group_columns(rng.random((30, 20))).flags.c_contiguous
+
+
 def test_encode_record_features_dispatch(rng):
     raw = make_raw(rng, 12)
     for scheme, dim in (("eg", 100), ("gdpc", 100), ("er", 910)):
@@ -335,6 +377,70 @@ def test_encode_record_features_residue_mismatch(rng):
     raw = make_raw(rng, 12)
     with pytest.raises(pssm.DataError, match="match"):
         pssm.encode_record_features("A" * 12, raw, "eg")
+
+
+# --- byte oracle: the per-group and per-gap code of the whole-array
+# passes in pssm, kept verbatim; the two must agree bit for bit ---
+
+_COL_INDEX = {aa: i for i, aa in enumerate(pssm.PSIBLAST_COLUMNS)}
+
+
+def loop_sigmoid_normalize(scores):
+    x = scores.astype(np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loop_group_columns(values):
+    vals = np.empty((values.shape[0], len(pssm.RESIDUE_GROUPS)),
+                    dtype=np.float64)
+    for j, members in enumerate(pssm.RESIDUE_GROUPS):
+        idx = [_COL_INDEX[aa] for aa in members]
+        vals[:, j] = values[:, idx].mean(axis=1)
+    return vals
+
+
+def loop_encode_er(g):
+    n, n_groups = g.shape
+    m = np.empty((n_groups, n_groups, pssm.ER_MAX_GAP), dtype=np.float64)
+    for t in range(1, pssm.ER_MAX_GAP + 1):
+        head = g[:n - t]             # (L-t, 10), index i
+        tail = g[t:]                 # (L-t, 10), index j
+        diff = head[:, :, None] - tail[:, None, :]
+        m[:, :, t - 1] = 0.5 * (diff ** 2).mean(axis=0)
+    t_var = ((g - g.mean(axis=0)) ** 2).mean(axis=0)
+    return np.concatenate([m.ravel(), t_var])
+
+
+def test_whole_array_passes_match_the_loops_byte_for_byte(rng):
+    lengths = [10, 11, 600] + rng.integers(10, 601, size=57).tolist()
+    for length in lengths:
+        scores = rng.integers(-99, 1000, size=(length, 20))
+        # exp(-800) underflows to 0
+        scores[rng.random(scores.shape) < 0.05] = 800
+        scores[rng.random(scores.shape) < 0.05] = -800
+        norm = pssm.sigmoid_normalize(scores)
+        assert norm.tobytes() == loop_sigmoid_normalize(scores).tobytes()
+        signed = norm.copy()
+        signed[rng.random(signed.shape) < 0.1] = -0.0
+        signed[rng.random(signed.shape) < 0.05] = 0.0
+        for values in (norm, signed):
+            g = pssm.group_columns(values)
+            assert g.tobytes() == loop_group_columns(values).tobytes()
+        g = pssm.group_columns(norm)
+        g_signed = g.copy()
+        g_signed[rng.random(g.shape) < 0.1] = -0.0
+        for grouped in (g, g_signed, rng.random((length, 10))):
+            assert pssm.encode_er(grouped).tobytes() \
+                == loop_encode_er(grouped).tobytes()
+        raw = pssm.RawPssm(residues="A" * length, scores=scores)
+        assert pssm.encode_record_features(raw.residues, raw, "er").tobytes() \
+            == loop_encode_er(loop_group_columns(
+                loop_sigmoid_normalize(scores))).tobytes()
 
 
 # --- synthetic profiles ---
