@@ -2,12 +2,12 @@
 
 Every subcommand resolves each of its flags once: the command-line
 value, else the value in the optional JSON --config, else the flag's
-default. It writes its artifacts under --out with fixed file names and
-finishes with a manifest whose config holds every flag but --config and
---out with its resolved value (null for unset), so that config replays
-the run as --config. A failed command removes the --out directory if
-it created it. Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 diverged training. Each error code has one exception type, with
+default. It writes its artifacts under --out through store.OutDir, with
+fixed file names, and finishes with a manifest whose config holds every
+flag but --config and --out with its resolved value (null for unset), so
+that config replays the run as --config. A failed command removes the
+--out directory if it created it. Exit codes: 0 success, 1 usage or
+config error, 2 data error, 3 diverged training. Each error code has one exception type, with
 no subclasses: estimators.UsageError, seqio.DataError and
 models.TrainingDivergedError; a caller that knows the file, record or
 fold a data error arose in prefixes it with util.located.
@@ -16,9 +16,6 @@ fold a data error arose in prefixes it with util.located.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
-import hashlib
 import json
 import os
 import shutil
@@ -26,29 +23,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, estimators, evaluation, ngram, pssm, store, synth
+from . import estimators, evaluation, ngram, pssm, store, synth
 from .estimators import UsageError
 from .models import TrainingDivergedError
 from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
-                    read_text, save_dataset, write_fasta)
-from .util import atomic_write_text, located
-
-DATASET_FILE = "dataset.json"
-FEATURES_FILE = "features.csv"
-TOKENS_FILE = "tokens.csv"
-VOCAB_FILE = "vocab.json"
-MODEL_FILE = "model.bin"
-METRICS_FILE = "metrics.json"
-METRICS_CSV_FILE = "metrics.csv"
-PR_CURVES_FILE = "pr_curves.csv"
-MANIFEST_FILE = "manifest.json"
-PLAN_FILE = "cv_plan.json"
-FILTER_REPORT_FILE = "filter_report.json"
-FASTA_FILE = "corpus.fasta"
-PREDICTIONS_FILE = "predictions.csv"
-DISAGREEMENT_FILE = "disagreement.json"
-TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
-LOG_FILE = "run.log"
+                    read_text, save_dataset)
+from .util import located
 
 # add_argument keywords of each flag and its default, defined once. A
 # model field's flag takes its type from the config dataclass (see
@@ -245,52 +225,19 @@ def _options(args) -> dict:
     return opts
 
 
-def _finish(out, command, config, artifacts) -> None:
-    """Writes the manifest and appends a run.log line."""
-    canonical = json.dumps(config, sort_keys=True)
-    doc = {
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": config.get("seed"),
-        "versions": {"hostseq": __version__,
-                     "python": ".".join(map(str, sys.version_info[:3])),
-                     "numpy": np.__version__},
-        "artifacts": sorted(artifacts),
-    }
-    _write_json(os.path.join(out, MANIFEST_FILE), doc)
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(os.path.join(out, LOG_FILE), "a", encoding="utf-8") as fh:
-        fh.write(f"{stamp} {command}\n")
-
-
-def _write_json(path, doc) -> None:
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _write_scores(out, doc, curves) -> list:
-    """metrics.json holding doc, and pr_curves.csv holding curves."""
-    _write_json(os.path.join(out, METRICS_FILE), doc)
-    store.write_pr_curves_csv(os.path.join(out, PR_CURVES_FILE), curves)
-    return [METRICS_FILE, PR_CURVES_FILE]
-
-
-# Each command takes its resolved options (see _options) and --out, and
-# returns (artifacts written, message); main writes the manifest, whose
-# config is those options, and prints the message.
+# Each command takes its resolved options (see _options) and the
+# store.OutDir of --out, and returns its message; main writes the
+# manifest, whose config is those options, and prints the message.
 
 def cmd_prepare(opts, out):
     fasta, level = opts["fasta"], opts["level"]
     text = read_text(fasta)
-    try:
+    with located(fasta, DataError):
         ds, report = prepare_corpus(text, level, host_key=opts["host-key"],
                                     drop_incomplete=opts["drop-incomplete"])
-    except DataError as exc:
-        raise located(exc, fasta) from exc
-    save_dataset(ds, os.path.join(out, DATASET_FILE))
-    _write_json(os.path.join(out, FILTER_REPORT_FILE), report)
-    return ([DATASET_FILE, FILTER_REPORT_FILE],
-            f"kept {report['kept']} of {report['parsed']} records "
+    save_dataset(ds, out.file(store.DATASET_FILE))
+    store.write_json(out.file(store.FILTER_REPORT_FILE), report)
+    return (f"kept {report['kept']} of {report['parsed']} records "
             f"({len(ds.class_names)} classes)")
 
 
@@ -300,74 +247,31 @@ def cmd_synth(opts, out):
                            records=opts["records"], min_len=opts["min-len"],
                            max_len=opts["max-len"], seed=seed)
     ds = synth.generate(spec)
-    save_dataset(ds, os.path.join(out, DATASET_FILE))
-    atomic_write_text(os.path.join(out, FASTA_FILE), write_fasta(ds.records))
-    artifacts = [DATASET_FILE, FASTA_FILE]
+    save_dataset(ds, out.file(store.DATASET_FILE))
+    out.write_corpus(ds.records)
     if opts["with-pssms"]:
-        pssm_dir = os.path.join(out, "pssms")
-        os.makedirs(pssm_dir, exist_ok=True)
-        for rid, raw in synth.generate_pssms(ds, seed).items():
-            atomic_write_text(os.path.join(pssm_dir, f"{rid}.pssm"),
-                              pssm.render_psiblast_pssm(raw))
-        artifacts.append("pssms/")
-    return artifacts, f"wrote {len(ds)} records over {opts['classes']} classes"
+        out.write_pssms(synth.generate_pssms(ds, seed))
+    return f"wrote {len(ds)} records over {opts['classes']} classes"
 
 
-@dataclasses.dataclass
 class _Table:
-    """Model input: one row of features, or of token ids from vocab, per
-    record. Classes are ordered by seqio.class_order."""
-    matrix: np.ndarray
-    ids: list
-    labels: list
-    vocab: ngram.Vocabulary | None = None
+    """Model input, read from the --features file, or the --tokens file
+    with its --vocab (vocab None otherwise): one row of features or token
+    ids per record. Classes are ordered by seqio.class_order."""
 
-    def __post_init__(self):
+    def __init__(self, opts):
+        self.ids, self.labels, self.matrix, self.vocab = store.read_table(
+            opts["features"], opts["tokens"], opts["vocab"])
         self.class_names = class_order(self.labels)
         self.y = evaluation.label_indices(self.labels, self.class_names)
-
-
-def _dataset_pssms(ds, opts):
-    """Profile per record id: synthetic from --seed, or read from
-    --pssm-dir, where a parse error names its file."""
-    if opts["synth-pssms"]:
-        return synth.generate_pssms(ds, opts["seed"])
-    pssm_dir, profiles = opts["pssm-dir"], {}
-    for r in ds.records:
-        path = os.path.join(pssm_dir, f"{r.id}.pssm")
-        text = read_text(path)  # a read error names the path itself
-        try:
-            profiles[r.id] = pssm.parse_psiblast_pssm(text)
-        except DataError as exc:
-            raise located(exc, path) from exc
-    return profiles
-
-
-def _load_table(opts) -> _Table:
-    """The --features file, or the --tokens file with its --vocab."""
-    if opts["features"]:
-        ids, labels, _, matrix = store.read_features_csv(opts["features"])
-        return _Table(matrix, ids, labels)
-    tokens, vocab_path = opts["tokens"], opts["vocab"]
-    vocab, max_len = ngram.load_vocab(vocab_path)
-    ids, labels, matrix = store.read_tokens_csv(tokens)
-    if matrix.shape[1] != max_len:
-        raise DataError(f"{tokens}: width {matrix.shape[1]} does not match "
-                        f"vocab max_len {max_len}")
-    if matrix.size and not 0 <= matrix.min() <= matrix.max() < vocab.size:
-        raise DataError(f"{tokens}: token ids outside [0, {vocab.size}), "
-                        f"the ids of {vocab_path}")
-    return _Table(matrix, ids, labels, vocab)
 
 
 def _each_record(ds, encode) -> list:
     """encode of each record of ds; a data error names the record."""
     rows = []
     for r in ds.records:
-        try:
+        with located(f"record {r.id}", DataError):
             rows.append(encode(r))
-        except DataError as exc:
-            raise located(exc, f"record {r.id}") from exc
     return rows
 
 
@@ -375,22 +279,24 @@ def cmd_encode(opts, out):
     ds = load_dataset(opts["dataset"])
     ids, scheme, n = [r.id for r in ds.records], opts["scheme"], opts["ngrams"]
     if scheme:
-        profiles = _dataset_pssms(ds, opts)
+        profiles = (synth.generate_pssms(ds, opts["seed"])
+                    if opts["synth-pssms"]
+                    else store.read_pssms(opts["pssm-dir"], ids))
         rows = _each_record(ds, lambda r: pssm.encode_record_features(
             r.residues, profiles[r.id], scheme))
         matrix = np.array(rows).reshape(len(rows), pssm.SCHEME_DIMS[scheme])
-        store.write_features_csv(os.path.join(out, FEATURES_FILE), ids,
+        store.write_features_csv(out.file(store.FEATURES_FILE), ids,
                                  ds.labels, scheme, matrix)
-        return ([FEATURES_FILE], f"encoded {len(ids)} records as {scheme} "
+        return (f"encoded {len(ids)} records as {scheme} "
                 f"({matrix.shape[1]} features)")
     rows = _each_record(ds, lambda r: ngram.tokenize(r.residues, n))
     vocab = ngram.build_vocab(rows, n)
     max_len = max(len(tokens) for tokens in rows)
-    ngram.save_vocab(vocab, max_len, os.path.join(out, VOCAB_FILE))
-    store.write_tokens_csv(os.path.join(out, TOKENS_FILE), ids, ds.labels,
+    store.save_vocab(vocab, max_len, out.file(store.VOCAB_FILE))
+    store.write_tokens_csv(out.file(store.TOKENS_FILE), ids, ds.labels,
                            ngram.encode_corpus(rows, vocab, max_len))
-    return ([VOCAB_FILE, TOKENS_FILE], f"encoded {len(ids)} records as "
-            f"{n}-grams (vocab {vocab.size}, max_len {max_len})")
+    return (f"encoded {len(ids)} records as {n}-grams (vocab {vocab.size}, "
+            f"max_len {max_len})")
 
 
 def _model_factory(opts, model, table) -> estimators.ModelFactory:
@@ -412,51 +318,38 @@ def _model_factory(opts, model, table) -> estimators.ModelFactory:
 
 def cmd_train(opts, out):
     model_kind, seed = opts["model"], opts["seed"]
-    table = _load_table(opts)
+    table = _Table(opts)
     estimator = _model_factory(opts, model_kind, table)({}, seed)
     estimator.fit(table.matrix, table.y)
-    store.save_model(os.path.join(out, MODEL_FILE), estimator,
-                     table.class_names)
-    return [MODEL_FILE], f"trained {model_kind} on {len(table.ids)} records"
+    store.save_model(out.file(store.MODEL_FILE), estimator, table.class_names)
+    return f"trained {model_kind} on {len(table.ids)} records"
 
 
 def _predict(opts):
     """Scores the data file with --model-file; returns (table, the
     model's class names, probabilities)."""
     model, class_names = store.load_model(opts["model-file"])
-    table = _load_table(opts)
-    try:
-        proba = model.predict_proba(table.matrix)
-    except DataError as exc:  # an input the model cannot read
-        raise located(exc, opts["features"] or opts["tokens"]) from exc
+    table = _Table(opts)
+    with located(opts["features"] or opts["tokens"], DataError):
+        proba = model.predict_proba(table.matrix)  # input it cannot read
     return table, class_names, proba
-
-
-def _label_indices(labels, class_names, path) -> np.ndarray:
-    """evaluation.label_indices; an unknown label names the file path."""
-    try:
-        return evaluation.label_indices(labels, class_names)
-    except DataError as exc:
-        raise located(exc, path) from exc
 
 
 def cmd_evaluate(opts, out):
     table, class_names, proba = _predict(opts)
-    doc, curves = evaluation.compute_report(
-        _label_indices(table.labels, class_names,
-                       opts["features"] or opts["tokens"]),
-        proba, class_names)
-    artifacts = _write_scores(out, doc, curves)
-    return (artifacts, f"mean score {doc['overall']['mean_score']:.4f} "
+    with located(opts["features"] or opts["tokens"], DataError):
+        y = evaluation.label_indices(table.labels, class_names)
+    doc, curves = evaluation.compute_report(y, proba, class_names)
+    out.write_scores(doc, curves)
+    return (f"mean score {doc['overall']['mean_score']:.4f} "
             f"over {len(table.ids)} records")
 
 
 def cmd_predict(opts, out):
     table, class_names, proba = _predict(opts)
-    store.write_predictions_csv(os.path.join(out, PREDICTIONS_FILE),
-                                table.ids, table.labels, proba, class_names)
-    return ([PREDICTIONS_FILE],
-            f"wrote predictions for {len(table.ids)} records")
+    store.write_predictions_csv(out.file(store.PREDICTIONS_FILE), table.ids,
+                                table.labels, proba, class_names)
+    return f"wrote predictions for {len(table.ids)} records"
 
 
 def _parse_grid(text, model_kind) -> list:
@@ -473,7 +366,7 @@ def _parse_grid(text, model_kind) -> list:
 
 def cmd_nested_cv(opts, out):
     model_kind, seed = opts["model"], opts["seed"]
-    table = _load_table(opts)
+    table = _Table(opts)
     factory = _model_factory(opts, model_kind, table)
     grid = _parse_grid(opts["grid"], model_kind)
     for params in grid:  # a bad grid point fails before any fit runs
@@ -481,7 +374,7 @@ def cmd_nested_cv(opts, out):
 
     plan = evaluation.make_cv_plan(table.y, opts["k-outer"], opts["k-inner"],
                                    seed)
-    evaluation.save_plan(plan, os.path.join(out, PLAN_FILE))
+    store.save_plan(plan, out.file(store.PLAN_FILE))
     # --workers, capped at the cores this process may run on, for a kind
     # whose fits gain from threads (estimators.KINDS); one thread otherwise
     workers = 1
@@ -490,11 +383,10 @@ def cmd_nested_cv(opts, out):
     doc, curves = evaluation.nested_cv(
         table.matrix, table.y, factory, grid, plan, table.class_names,
         workers=workers, stages=estimators.KINDS[model_kind].stages)
-    artifacts = [PLAN_FILE] + _write_scores(out, doc, curves)
+    out.write_scores(doc, curves)
     pooled = doc["pooled"]["overall"]
     search = "no inner search (one grid point); " if len(grid) == 1 else ""
-    return (artifacts,
-            f"pooled mean score {pooled['mean_score']:.4f} "
+    return (f"pooled mean score {pooled['mean_score']:.4f} "
             f"(micro F1 {pooled['micro_f1']:.4f}, "
             f"micro AUCPR {pooled['micro_aucpr']:.4f}, "
             f"MCC {pooled['overall_mcc']:.4f}); {search}fits ran on "
@@ -517,17 +409,16 @@ def _prediction_names(paths) -> list:
 
 def cmd_report(opts, out):
     pred_paths, dataset_path = opts["predictions"], opts["dataset"]
-    artifacts = []
 
     if pred_paths:
         names = _prediction_names(pred_paths)
         tables = [store.read_predictions_csv(path) for path in pred_paths]
         ids0, true0, _, class_names, proba0 = tables[0]
-        doc, curves = evaluation.compute_report(
-            _label_indices(true0, class_names, pred_paths[0]), proba0,
-            class_names)
-        store.write_metrics_csv(os.path.join(out, METRICS_CSV_FILE), doc)
-        artifacts += [METRICS_CSV_FILE] + _write_scores(out, doc, curves)
+        with located(pred_paths[0], DataError):
+            y = evaluation.label_indices(true0, class_names)
+        doc, curves = evaluation.compute_report(y, proba0, class_names)
+        store.write_metrics_csv(out.file(store.METRICS_CSV_FILE), doc)
+        out.write_scores(doc, curves)
         if len(pred_paths) > 1:
             predictions = {}
             for path, name, (ids, true, predicted, _, _) in zip(
@@ -536,19 +427,17 @@ def cmd_report(opts, out):
                     raise DataError(f"{path}: records do not match "
                                     f"{pred_paths[0]}")
                 predictions[name] = np.asarray(predicted)
-            _write_json(os.path.join(out, DISAGREEMENT_FILE),
-                        evaluation.ensemble_disagreement(
-                            predictions, np.asarray(true0)))
-            artifacts.append(DISAGREEMENT_FILE)
+            store.write_json(out.file(store.DISAGREEMENT_FILE),
+                             evaluation.ensemble_disagreement(
+                                 predictions, np.asarray(true0)))
 
     if dataset_path:
         ds = load_dataset(dataset_path)
         store.write_token_frequencies_csv(
-            os.path.join(out, TOKEN_FREQUENCIES_FILE),
+            out.file(store.TOKEN_FREQUENCIES_FILE),
             ngram.token_frequencies(ds, opts["ngrams"]), ds.class_names,
             opts["top-tokens"])
-        artifacts.append(TOKEN_FREQUENCIES_FILE)
-    return artifacts, f"wrote {len(artifacts)} report artifacts"
+    return f"wrote {len(out.artifacts)} report artifacts"
 
 
 _COMMANDS = {
@@ -578,12 +467,12 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage())
         opts = _options(args)
-        out = opts.pop("out")
-        created = _outermost_missing(out)
+        path = opts.pop("out")
+        created = _outermost_missing(path)
         try:
-            os.makedirs(out, exist_ok=True)
-            artifacts, message = _COMMANDS[args.command](opts, out)
-            _finish(out, args.command, opts, artifacts)
+            out = store.OutDir(path)
+            message = _COMMANDS[args.command](opts, out)
+            out.finish(args.command, opts)
         except BaseException:
             if created is not None:
                 shutil.rmtree(created, ignore_errors=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .models import TrainingDivergedError
 from .seqio import DataError
-from .util import atomic_write_text, derive_seed, located
+from .util import derive_seed, located
 
 
 def label_indices(names, class_names) -> np.ndarray:
@@ -254,12 +253,6 @@ def make_cv_plan(labels, k_outer: int, k_inner: int, seed: int) -> CvPlan:
     return CvPlan(k_outer, k_inner, seed, outer, inner)
 
 
-def save_plan(plan: CvPlan, path) -> None:
-    doc = {**plan._asdict(), "outer": plan.outer.tolist(),
-           "inner": plan.inner.tolist()}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 class FitTask(NamedTuple):
     """One nested-CV fit: the model built from params and seed, fit on
     train and scoring scored once per stage (see _fit_predict); where
@@ -277,11 +270,9 @@ def _fit_predict(inputs, labels, model_factory, task: FitTask) -> list:
     matrix per stage of task.stages: a dict of stage field values for the
     model's staged_predict_proba. When no stage sets a field, every stage
     is the fitted model, scored by its predict_proba."""
-    try:
+    with located(task.where, (TrainingDivergedError, DataError)):
         model = model_factory(task.params, task.seed)
         model.fit(inputs[task.train], labels[task.train])
-    except (TrainingDivergedError, DataError) as exc:
-        raise located(exc, task.where) from exc
     X = inputs[task.scored]
     if any(task.stages):
         return model.staged_predict_proba(X, task.stages)

@@ -3,14 +3,13 @@ left-padded id encoding."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, LabeledDataset, read_json
-from .util import atomic_write_text, located
+from .seqio import DataError, LabeledDataset
+from .util import located
 
 PAD_ID = 0
 OOV_ID = 1
@@ -38,8 +37,11 @@ class Vocabulary:
     """Token-to-id table with reserved padding and out-of-vocabulary ids.
 
     Built by encode --ngrams from every record, test folds of nested-cv
-    --tokens included; tokens it does not hold map to OOV.
-    The tokens of token_to_id carry ids 2, 3, ... in its order.
+    --tokens included; tokens it does not hold map to OOV. A token net
+    maps to OOV as well every id that no row of its training data holds
+    (models.NeuralClassifier), so a token seen only in a test fold scores
+    as an unknown one. The tokens of token_to_id carry ids 2, 3, ... in
+    its order.
     """
     n: int
     token_to_id: dict
@@ -96,28 +98,6 @@ def token_frequencies(ds: LabeledDataset, n: int) -> dict:
     clouds); a data error names its record."""
     out = {name: Counter() for name in ds.class_names}
     for rec, label in zip(ds.records, ds.labels):
-        try:
+        with located(f"record {rec.id}", DataError):
             out[label].update(tokenize(rec.residues, n))
-        except DataError as exc:
-            raise located(exc, f"record {rec.id}") from exc
     return out
-
-
-def save_vocab(vocab: Vocabulary, max_len: int, path) -> None:
-    doc = {"n": vocab.n, "max_len": max_len, "pad_id": PAD_ID,
-           "oov_id": OOV_ID, "tokens": list(vocab.token_to_id)}
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_vocab(path):
-    """Returns (Vocabulary, max_len). A malformed file, a repeated token
-    or a token whose length is not n is a DataError."""
-    doc = read_json(path)
-    try:
-        n, tokens = doc["n"], doc["tokens"]
-        token_to_id = {tok: i + 2 for i, tok in enumerate(tokens)}
-        if len(token_to_id) != len(tokens) or any(len(t) != n for t in tokens):
-            raise ValueError(f"tokens must be distinct and of length {n}")
-        return Vocabulary(n=n, token_to_id=token_to_id), doc["max_len"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed vocabulary: {exc!r}") from exc

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .util import atomic_write_text
+from .util import write_json
 
 # Canonical 20-letter amino-acid alphabet. Sequences containing anything
 # else (X, B, Z, gaps, ...) are rejected during validation.
@@ -247,38 +247,6 @@ def prepare_corpus(text: str, level: str, host_key: str = "host",
 # ---------------------------------------------------------------------------
 # Dataset persistence
 
-def dataset_to_dict(ds: LabeledDataset) -> dict:
-    return {
-        "level": ds.level,
-        "class_names": list(ds.class_names),
-        "records": [
-            {
-                "id": r.id,
-                "residues": r.residues,
-                "coarse": r.coarse_label,
-                "fine": r.fine_label,
-                "metadata": r.metadata,
-            }
-            for r in ds.records
-        ],
-    }
-
-
-def dataset_from_dict(d: dict) -> LabeledDataset:
-    """The dataset of a dataset_to_dict document; a coarse label outside
-    COARSE_HOSTS is a ValueError."""
-    records = []
-    for rec in d["records"]:
-        coarse = rec.get("coarse") or None
-        if coarse is not None and coarse not in COARSE_HOSTS:
-            raise ValueError(f"{coarse!r} is not a coarse host")
-        records.append(ProteinRecord(
-            id=rec["id"], residues=rec["residues"], coarse_label=coarse,
-            fine_label=rec.get("fine"), metadata=rec.get("metadata", {})))
-    return LabeledDataset(records=tuple(records), level=d["level"],
-                          class_names=tuple(d["class_names"]))
-
-
 @contextlib.contextmanager
 def open_text(path, newline=None):
     """Opens a UTF-8 text file; bytes read from it that do not decode
@@ -304,13 +272,36 @@ def read_json(path):
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
-    atomic_write_text(path, json.dumps(dataset_to_dict(ds), indent=1,
-                                       sort_keys=True) + "\n")
+    write_json(path, {
+        "level": ds.level,
+        "class_names": list(ds.class_names),
+        "records": [
+            {
+                "id": r.id,
+                "residues": r.residues,
+                "coarse": r.coarse_label,
+                "fine": r.fine_label,
+                "metadata": r.metadata,
+            }
+            for r in ds.records
+        ],
+    }, indent=1)
 
 
 def load_dataset(path) -> LabeledDataset:
+    """The dataset a save_dataset file holds; a malformed one, or a coarse
+    label outside COARSE_HOSTS, is a DataError."""
     doc = read_json(path)
     try:
-        return dataset_from_dict(doc)
+        records = []
+        for rec in doc["records"]:
+            coarse = rec.get("coarse") or None
+            if coarse is not None and coarse not in COARSE_HOSTS:
+                raise ValueError(f"{coarse!r} is not a coarse host")
+            records.append(ProteinRecord(
+                id=rec["id"], residues=rec["residues"], coarse_label=coarse,
+                fine_label=rec.get("fine"), metadata=rec.get("metadata", {})))
+        return LabeledDataset(records=tuple(records), level=doc["level"],
+                              class_names=tuple(doc["class_names"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed dataset: {exc!r}") from exc

@@ -1,13 +1,11 @@
-"""On-disk artifact formats: the feature, token, prediction, metrics,
-PR-curve and token-frequency CSV tables, and the binary model
-checkpoint.
+"""Every artifact file: its name under a command's --out directory, and
+its format but for seqio's dataset.json and FASTA text. JSON documents
+go through util.write_json, with sorted keys.
 
-Every CSV table goes through one row writer. A text field, headers
-included, is wrapped in `"` with inner `"` doubled if and only if it
-holds `,`, `"`, `\\n` or `\\r`; that is `csv.writer`'s minimal quoting
-plus `\\r`, so a table reads back through `csv.reader` whatever its ids,
-labels and class names hold. Numbers are written one value at a time
-with `repr`, so floats round-trip exactly.
+Every CSV table goes through one row writer, _write_table: its quoting
+is `csv.writer`'s minimal one plus `\\r`, so a table reads back through
+`csv.reader` whatever its ids, labels and class names hold, and its
+numbers are written with `repr`, so floats round-trip exactly.
 
 The checkpoint is a magic-tagged container: a JSON header describing
 the model and its arrays, followed by the raw little-endian array
@@ -18,19 +16,45 @@ tree ensembles.
 from __future__ import annotations
 
 import csv
+import datetime
+import hashlib
 import io
 import json
+import os
 import re
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
 
+from . import __version__
 from .estimators import FAMILIES
-from .ngram import true_lengths
-from .seqio import DataError, open_text
-from .util import atomic_write_bytes, atomic_write_text
+from .ngram import OOV_ID, PAD_ID, Vocabulary, true_lengths
+from .pssm import parse_psiblast_pssm, render_psiblast_pssm
+from .seqio import DataError, open_text, read_json, read_text, write_fasta
+from .util import atomic_write_bytes, atomic_write_text, located, write_json
 
+# The file name of each artifact a command writes (see OutDir.file); a
+# profile directory holds one PSSM_FILE per record id.
+DATASET_FILE = "dataset.json"
+FASTA_FILE = "corpus.fasta"
+PSSM_DIR = "pssms/"
+PSSM_FILE = "{}.pssm"
+FILTER_REPORT_FILE = "filter_report.json"
+FEATURES_FILE = "features.csv"
+VOCAB_FILE = "vocab.json"
+TOKENS_FILE = "tokens.csv"
+MODEL_FILE = "model.bin"
+PREDICTIONS_FILE = "predictions.csv"
+PLAN_FILE = "cv_plan.json"
+METRICS_FILE = "metrics.json"
+PR_CURVES_FILE = "pr_curves.csv"
+METRICS_CSV_FILE = "metrics.csv"
+DISAGREEMENT_FILE = "disagreement.json"
+TOKEN_FREQUENCIES_FILE = "token_frequencies.csv"
+MANIFEST_FILE = "manifest.json"
+LOG_FILE = "run.log"
 
 MAGIC = b"HSEQCKPT"
 VERSION = 2   # 1 recorded no input width
@@ -292,3 +316,111 @@ def load_model(path):
         raise DataError(f"{path}: {len(class_names)} class names for a "
                         f"model of {model.n_classes} classes")
     return model, class_names
+
+
+def save_vocab(vocab: Vocabulary, max_len: int, path) -> None:
+    write_json(path, {"n": vocab.n, "max_len": max_len, "pad_id": PAD_ID,
+                      "oov_id": OOV_ID, "tokens": list(vocab.token_to_id)},
+               indent=1)
+
+
+def load_vocab(path):
+    """Returns (Vocabulary, max_len). A malformed file, a repeated token
+    or a token whose length is not n is a DataError."""
+    doc = read_json(path)
+    try:
+        n, tokens = doc["n"], doc["tokens"]
+        token_to_id = {tok: i + 2 for i, tok in enumerate(tokens)}
+        if len(token_to_id) != len(tokens) or any(len(t) != n for t in tokens):
+            raise ValueError(f"tokens must be distinct and of length {n}")
+        return Vocabulary(n=n, token_to_id=token_to_id), doc["max_len"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed vocabulary: {exc!r}") from exc
+
+
+def read_table(features_path, tokens_path, vocab_path):
+    """Returns (ids, labels, matrix, vocab) of a features.csv, with vocab
+    None, or else of a tokens.csv and the vocab.json it was encoded
+    with. A width other than the vocabulary's max_len, or an id outside
+    its ids, is a DataError."""
+    if features_path:
+        ids, labels, _, matrix = read_features_csv(features_path)
+        return ids, labels, matrix, None
+    vocab, max_len = load_vocab(vocab_path)
+    ids, labels, matrix = read_tokens_csv(tokens_path)
+    if matrix.shape[1] != max_len:
+        raise DataError(f"{tokens_path}: width {matrix.shape[1]} does not "
+                        f"match vocab max_len {max_len}")
+    if matrix.size and not 0 <= matrix.min() <= matrix.max() < vocab.size:
+        raise DataError(f"{tokens_path}: token ids outside [0, {vocab.size}),"
+                        f" the ids of {vocab_path}")
+    return ids, labels, matrix, vocab
+
+
+def save_plan(plan, path) -> None:
+    """cv_plan.json of an evaluation.CvPlan."""
+    write_json(path, {**plan._asdict(), "outer": plan.outer.tolist(),
+                      "inner": plan.inner.tolist()})
+
+
+def read_pssms(directory, ids) -> dict:
+    """Profile per record id, parsed from <id>.pssm in directory; a parse
+    error names its file."""
+    profiles = {}
+    for rid in ids:
+        path = os.path.join(directory, PSSM_FILE.format(rid))
+        text = read_text(path)  # a read error names the path itself
+        with located(path, DataError):
+            profiles[rid] = parse_psiblast_pssm(text)
+    return profiles
+
+
+class OutDir:
+    """A command's --out directory, created if missing. file and the
+    write methods list each artifact they name; finish writes the
+    manifest of that list."""
+
+    def __init__(self, path):
+        os.makedirs(path, exist_ok=True)
+        self.path = path
+        self.artifacts = []
+
+    def file(self, name) -> str:
+        """The path of artifact name, which the manifest will list."""
+        self.artifacts.append(name)
+        return os.path.join(self.path, name)
+
+    def write_corpus(self, records) -> None:
+        """corpus.fasta of records."""
+        atomic_write_text(self.file(FASTA_FILE), write_fasta(records))
+
+    def write_pssms(self, profiles) -> None:
+        """pssms/, holding each profile in PSI-BLAST layout."""
+        directory = self.file(PSSM_DIR)
+        os.makedirs(directory, exist_ok=True)
+        for rid, raw in profiles.items():
+            atomic_write_text(os.path.join(directory, PSSM_FILE.format(rid)),
+                              render_psiblast_pssm(raw))
+
+    def write_scores(self, doc, curves) -> None:
+        """metrics.json holding doc, and pr_curves.csv holding curves."""
+        write_json(self.file(METRICS_FILE), doc)
+        write_pr_curves_csv(self.file(PR_CURVES_FILE), curves)
+
+    def finish(self, command, config) -> None:
+        """Writes the manifest and appends a run.log line."""
+        canonical = json.dumps(config, sort_keys=True)
+        write_json(os.path.join(self.path, MANIFEST_FILE), {
+            "command": command,
+            "config": config,
+            "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
+            "seed": config.get("seed"),
+            "versions": {"hostseq": __version__,
+                         "python": ".".join(map(str, sys.version_info[:3])),
+                         "numpy": np.__version__},
+            "artifacts": sorted(self.artifacts),
+        })
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        with open(os.path.join(self.path, LOG_FILE), "a",
+                  encoding="utf-8") as fh:
+            fh.write(f"{stamp} {command}\n")

@@ -1,6 +1,8 @@
 """Shared helpers: seed derivation, error locations and atomic file
 writes."""
 
+import contextlib
+import json
 import os
 import tempfile
 
@@ -44,10 +46,21 @@ def check_signs(config, positive=(), non_negative=()) -> None:
                 raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-def located(exc, where):
-    """An exception of exc's type whose message is exc's, prefixed with
-    where: the file, record or fold it arose in."""
-    return type(exc)(f"{where}: {exc}")
+@contextlib.contextmanager
+def located(where, errors):
+    """Raises an exception of errors (a type or tuple of types) from the
+    block again as its own type, with where, the file, record or fold it
+    arose in, prefixed to its message."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def write_json(path, doc, indent=2) -> None:
+    """doc as JSON text with sorted keys and a final newline."""
+    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=indent)
+                      + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:

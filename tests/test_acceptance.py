@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from hostseq import cli, evaluation as ev, ngram, pssm, synth
+from hostseq import cli, evaluation as ev, ngram, pssm, store, synth
 from hostseq.ensemble import (
     Forest,
     ForestConfig,
@@ -186,8 +186,8 @@ def test_c5_cv_integrity(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(again, plan))
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
-    ev.save_plan(plan, path_a)
-    ev.save_plan(ev.make_cv_plan(labels, 5, 4, 9), path_b)
+    store.save_plan(plan, path_a)
+    store.save_plan(ev.make_cv_plan(labels, 5, 4, 9), path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 

@@ -1066,7 +1066,7 @@ def malformed_input(tmp_path, case):
     row_sum.write_text("id,true,predicted,p_a,p_b\nr0,a,a,0.9,0.1\n"
                        "r1,b,b,0.2,0.7\n")
     vocab = tmp_path / "vocab.json"
-    ngram.save_vocab(ngram.build_vocab([["AA", "AB"]], 2), 2, vocab)
+    store.save_vocab(ngram.build_vocab([["AA", "AB"]], 2), 2, vocab)
     tokens = tmp_path / "tokens.csv"
     store.write_tokens_csv(tokens, ["r0", "r1"], ["a", "b"],
                            np.array([[0, 2], [3, 9]]))
@@ -1121,7 +1121,7 @@ def malformed_input(tmp_path, case):
     bigrams = [ngram.tokenize(s, 2) for s in ("MKTIIALSYIFCLVFAMLG",
                                              "MKAILVVLLYTFATANMLG")]
     narrow_vocab = tmp_path / "narrow_vocab.json"
-    ngram.save_vocab(ngram.build_vocab(bigrams, 2), 18, narrow_vocab)
+    store.save_vocab(ngram.build_vocab(bigrams, 2), 18, narrow_vocab)
     narrow_tokens = tmp_path / "narrow_tokens.csv"
     store.write_tokens_csv(narrow_tokens, ["r0", "r1"], ["a", "b"],
                            ngram.encode_corpus(
@@ -1402,7 +1402,7 @@ def test_predict_token_ids_beyond_the_model_vocabulary_exit_2(tmp_path, capsys,
                     "--out", str(out)]) == 0
         assert run(["encode", "--dataset", str(out / "dataset.json"),
                     "--ngrams", "3", "--out", str(out)]) == 0
-        vocab, _ = ngram.load_vocab(out / "vocab.json")
+        vocab, _ = store.load_vocab(out / "vocab.json")
         return vocab.size, ["--tokens", str(out / "tokens.csv"),
                             "--vocab", str(out / "vocab.json")]
 
@@ -1635,13 +1635,13 @@ def test_predict_on_another_width_exit_2(tmp_path, capsys, model):
     # leading pad for tokens, with a vocab max_len to match) is refused
     if estimators.KINDS[model].input == "tokens":
         data = seeded_tokens(tmp_path)
-        vocab, width = ngram.load_vocab(data[3])
+        vocab, width = store.load_vocab(data[3])
         ids, labels, matrix = store.read_tokens_csv(data[1])
         store.write_tokens_csv(tmp_path / "wide.csv", ids, labels,
                                np.column_stack([np.full(len(ids),
                                                         ngram.PAD_ID),
                                                 matrix]))
-        ngram.save_vocab(vocab, width + 1, tmp_path / "wide.json")
+        store.save_vocab(vocab, width + 1, tmp_path / "wide.json")
         wide = ["--tokens", str(tmp_path / "wide.csv"),
                 "--vocab", str(tmp_path / "wide.json")]
     else:

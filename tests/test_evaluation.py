@@ -428,12 +428,12 @@ def test_plan_roundtrip(tmp_path, rng):
     labels = rng.integers(0, 2, size=30)
     plan = ev.make_cv_plan(labels, k_outer=3, k_inner=2, seed=7)
     path = tmp_path / "cv_plan.json"
-    ev.save_plan(plan, path)
+    store.save_plan(plan, path)
     assert json.loads(path.read_text()) == {
         "k_outer": 3, "k_inner": 2, "seed": 7,
         "outer": plan.outer.tolist(), "inner": plan.inner.tolist()}
     text_a = path.read_bytes()
-    ev.save_plan(plan, path)
+    store.save_plan(plan, path)
     assert path.read_bytes() == text_a
 
 

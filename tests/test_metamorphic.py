@@ -221,7 +221,7 @@ def test_staged_nested_cv_writes_the_unstaged_bytes(tmp_path, corpus, model,
     flags = {"rf": {}, "rusboost": {"base_depth": 2}}[model]
     factory = ModelFactory(model, 3, flags)
     plan = evaluation.make_cv_plan(y, 3, 2, 5)
-    cli._write_scores(tmp_path, *unstaged_nested_cv(
+    store.OutDir(tmp_path).write_scores(*unstaged_nested_cv(
         features, y, factory, points, plan, classes))
     reference = score_files(tmp_path)
     for workers in (1, 2):
@@ -232,7 +232,7 @@ def test_staged_nested_cv_writes_the_unstaged_bytes(tmp_path, corpus, model,
         # the CLI fits trees on one thread, so run the pool here too
         inproc = tmp_path / f"pool{workers}"
         inproc.mkdir()
-        cli._write_scores(inproc, *evaluation.nested_cv(
+        store.OutDir(inproc).write_scores(*evaluation.nested_cv(
             features, y, factory, points, plan, classes, workers=workers,
             stages=KINDS[model].stages))
         assert score_files(inproc) == reference, workers

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hostseq import ngram, seqio
+from hostseq import ngram, seqio, store
 
 
 def test_tokenize_reference_trigrams():
@@ -87,8 +87,8 @@ def test_vocab_roundtrip(tmp_path):
     corpus = [ngram.tokenize("MKTIIALSYI", 3), ngram.tokenize("MKTAYILCLV", 3)]
     vocab = ngram.build_vocab(corpus, 3)
     path = tmp_path / "vocab.json"
-    ngram.save_vocab(vocab, max_len=8, path=path)
-    loaded, max_len = ngram.load_vocab(path)
+    store.save_vocab(vocab, max_len=8, path=path)
+    loaded, max_len = store.load_vocab(path)
     assert max_len == 8
     assert loaded.n == 3
     assert loaded.token_to_id == vocab.token_to_id
