@@ -16,6 +16,7 @@ fold a data error arose in prefixes it with util.located.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -127,6 +128,7 @@ def _flag_options(name) -> dict:
     return {**({"type": kind} if kind else {}), **_FLAGS.get(name, {})}
 
 
+@functools.cache  # one parser per process: building one leaves cycles
 def build_parser() -> _Parser:
     parser = _Parser(prog="hostseq", description=__doc__)
     sub = parser.add_subparsers(dest="command")

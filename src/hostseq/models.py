@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .ngram import OOV_ID, PAD_ID
 from .seqio import DataError
 from .util import check_signs, derive_seed
 
@@ -310,7 +311,10 @@ def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
 
 class NeuralClassifier:
     """fit/predict_proba wrapper of the net a NetConfig describes.
-    n_features is the width of the rows it was fit on."""
+    n_features is the width of the rows it was fit on. A token net keeps
+    in seen which ids its training rows hold, PAD_ID always among them;
+    predict_proba reads every other id as OOV_ID, so a token it never
+    trained on scores as an unknown one. Checkpoints keep seen."""
 
     FAMILY = "neural"
 
@@ -321,6 +325,7 @@ class NeuralClassifier:
         self.n_classes = n_classes
         self.n_features = 0
         self.net = None
+        self.seen = None
         self.history = None
 
     def fit(self, inputs, labels):
@@ -331,6 +336,10 @@ class NeuralClassifier:
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
         self.n_features = inputs.shape[1]
+        if NETS[self.config.kind].INPUT == "tokens":
+            self.seen = np.zeros(self.config.vocab_size, dtype=bool)
+            self.seen[inputs] = True
+            self.seen[PAD_ID] = True
         self.net = build_net(self.config, self.n_classes, self.n_features)
         self.history = train(self.net, inputs, labels, self.config)
         return self
@@ -338,8 +347,10 @@ class NeuralClassifier:
     def predict_proba(self, inputs) -> np.ndarray:
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        proba = predict_proba(self.net, self._check_inputs(
-            inputs, self.n_features), self.config.batch_size)
+        inputs = self._check_inputs(inputs, self.n_features)
+        if self.seen is not None:
+            inputs = np.where(self.seen[inputs], inputs, OOV_ID)
+        proba = predict_proba(self.net, inputs, self.config.batch_size)
         if not np.isfinite(proba).all():
             raise DataError("probabilities are not finite: the weights "
                             "overflow on this input")
@@ -362,23 +373,32 @@ class NeuralClassifier:
         return inputs
 
     def to_checkpoint(self):
+        """The net's parameters by name, then seen for a token net."""
         if self.net is None:
             raise RuntimeError("classifier is not fitted")
-        return {name: p.data for name, p in self.net.params.items()}
+        arrays = {name: p.data for name, p in self.net.params.items()}
+        if self.seen is not None:
+            arrays["seen"] = self.seen.astype(np.int64)
+        return arrays
 
     def load_arrays(self, arrays, n_features: int) -> "NeuralClassifier":
         self.n_features = n_features
         self.net = build_net(self.config, self.n_classes, n_features)
-        params = self.net.params
-        missing, extra = set(params) - set(arrays), set(arrays) - set(params)
+        shapes = {name: p.data.shape for name, p in self.net.params.items()}
+        if NETS[self.config.kind].INPUT == "tokens":
+            shapes["seen"] = (self.config.vocab_size,)
+        missing, extra = set(shapes) - set(arrays), set(arrays) - set(shapes)
         if missing or extra:
             raise ValueError(
                 f"parameter mismatch: missing {sorted(missing)}, "
                 f"unexpected {sorted(extra)}")
-        for name, p in params.items():
+        for name, shape in shapes.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
+            if arr.shape != shape:
                 raise ValueError(
-                    f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr
+                    f"shape mismatch for {name}: {arr.shape} vs {shape}")
+            if name == "seen":
+                self.seen = arr != 0
+            else:
+                self.net.params[name].data = arr
         return self

@@ -128,3 +128,32 @@ def test_tracer_sees_every_rusboost_attempt(tracer, monkeypatch):
         == sum(tree.feature.size for tree in fitted)
     assert metrics["ensemble.fit_rusboost.trees_per_round"] \
         == len(fitted) / kept
+
+
+def test_tracer_sees_the_artifact_calls_of_a_cli_run(tracer, tmp_path):
+    # each name is patched where it is a module global; a call that a
+    # module made through a name bound before the patch would go unseen
+    syn, er, tri, model = (str(tmp_path / name)
+                           for name in ("syn", "er", "tri", "model"))
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        for argv in (
+                ["synth", "--records", "9", "--seed", "2", "--min-len", "20",
+                 "--max-len", "24", "--with-pssms", "--out", syn],
+                ["encode", "--dataset", f"{syn}/dataset.json", "--scheme",
+                 "er", "--pssm-dir", f"{syn}/pssms", "--out", er],
+                ["encode", "--dataset", f"{syn}/dataset.json", "--ngrams",
+                 "3", "--out", tri],
+                ["train", "--model", "rf", "--n-estimators", "2", "--seed",
+                 "2", "--features", f"{er}/features.csv", "--out", model],
+                ["predict", "--model-file", f"{model}/model.bin",
+                 "--features", f"{er}/features.csv", "--out", model]):
+            assert cli.main(argv) == 0, argv
+    finally:
+        t.restore()
+    seen = {s.name for s in t.take()}
+    assert {"pssm.parse_psiblast_pssm", "pssm.render_psiblast_pssm",
+            "store.write_features_csv", "store.read_features_csv",
+            "store.write_tokens_csv", "store.save_model", "store.load_model",
+            "seqio.load_dataset"} <= seen

@@ -1,6 +1,8 @@
 """Command-line pipeline: exit codes, artifacts, overrides, determinism."""
 
+import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -1731,3 +1733,22 @@ def test_malformed_json_names_its_source_exit_1(tmp_path, capsys, where):
     assert capsys.readouterr().err == (
         f"{source}: Expecting value: line 1 column 22 (char 21)\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_second_main_call_leaves_no_argparse_cycles(tmp_path):
+    # building a parser leaves its help formatters in reference cycles,
+    # which only the cyclic collector frees; main builds one per process
+    argv = ["synth", "--records", "6", "--seed", "1", "--out"]
+    assert run(argv + [str(tmp_path / "a")]) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(argv + [str(tmp_path / "b")]) == 0
+        gc.collect()
+        left = [type(o).__qualname__ for o in gc.garbage
+                if type(o).__module__ == "argparse"
+                or isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left

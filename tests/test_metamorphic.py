@@ -21,6 +21,9 @@ cannot show.
   point's position.
 - Staging: nested CV that scores a group of grid points from one fit
   writes the bytes of a search that fits every point on its own.
+- R8, unseen tokens: a token that only a test fold holds scores as the
+  out-of-vocabulary id, since no fit may learn from the test fold
+  (Kaufman et al., "Leakage in data mining", TKDD 2012).
 """
 
 import json
@@ -236,3 +239,37 @@ def test_staged_nested_cv_writes_the_unstaged_bytes(tmp_path, corpus, model,
             features, y, factory, points, plan, classes, workers=workers,
             stages=KINDS[model].stages))
         assert score_files(inproc) == reference, workers
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("cnn", ["--filters", "8", "--embed-dim", "8"]),
+    ("transformer", ["--embed-dim", "8", "--num-heads", "2"]),
+])
+def test_r8_a_token_only_a_test_fold_holds_scores_as_oov(tmp_path, corpus,
+                                                         model, flags):
+    # The records of outer fold 0 end in four copies of a token that no
+    # other record holds, or in OOV_ID itself. Fold 0's refit trains on
+    # the same rows either way, so it must report the same scores.
+    _, tokens, vocab_size, labels = corpus
+    y = evaluation.label_indices(labels, class_order(labels))
+    held_out = evaluation.make_cv_plan(y, 3, 2, 5).outer == 0
+    # one token more than the corpus holds: id vocab_size is new
+    store.save_vocab(ngram.Vocabulary(3, {f"{i:03x}": i + 2
+                                          for i in range(vocab_size - 1)}),
+                     tokens.shape[1], tmp_path / "vocab.json")
+    folds = []
+    for name, token in (("unseen", vocab_size), ("oov", ngram.OOV_ID)):
+        data = tokens.copy()
+        data[held_out, -4:] = token
+        store.write_tokens_csv(tmp_path / f"{name}.csv",
+                               [f"r{i}" for i in range(len(labels))], labels,
+                               data)
+        assert cli.main([
+            "nested-cv", "--model", model, "--tokens",
+            str(tmp_path / f"{name}.csv"), "--vocab",
+            str(tmp_path / "vocab.json"), "--grid", '{"epochs": [2]}',
+            "--batch-size", "16", "--k-outer", "3", "--k-inner", "2",
+            "--seed", "5", *flags, "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / name / "metrics.json").read_text())
+        folds.append(doc["outer"][0])
+    assert folds[0] == folds[1]

@@ -245,6 +245,26 @@ def test_state_roundtrip():
     assert np.array_equal(clf.predict_proba(X), fresh.predict_proba(X))
 
 
+@pytest.mark.parametrize("kind", ["cnn", "transformer"])
+def test_token_net_reads_unseen_ids_as_oov_after_reload(tmp_path, kind):
+    # ids 12 and 13 are in the vocabulary but in no training row
+    from hostseq import store
+    from hostseq.ngram import OOV_ID
+    rng = np.random.default_rng(8)
+    X = rng.integers(2, 12, size=(16, 30))
+    config = NetConfig(kind=kind, vocab_size=14, embed_dim=8, filters=8,
+                       epochs=2, batch_size=8, seed=3)
+    clf = NeuralClassifier(config, 2).fit(X, np.arange(16) % 2)
+    store.save_model(tmp_path / "model.bin", clf, ("a", "b"))
+    restored, _ = store.load_model(tmp_path / "model.bin")
+    unseen, oov = X.copy(), X.copy()
+    unseen[:, -3:] = [12, 13, 12]
+    oov[:, -3:] = OOV_ID
+    for model in (clf, restored):
+        assert model.predict_proba(unseen).tobytes() == \
+            model.predict_proba(oov).tobytes()
+
+
 def test_optimizers_step():
     from hostseq.autograd import Tensor
     t = Tensor(np.array([1.0, -2.0]), requires_grad=True)
