@@ -24,12 +24,12 @@ through generators seeded with util.derive_seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .seqio import DataError
-from .util import check_signs, derive_seed
+from .util import Estimator, check_signs, derive_seed
 
 
 @dataclass(frozen=True)
@@ -340,32 +340,21 @@ def _stage_value(stage: dict, name: str, fitted: int) -> int:
     return value
 
 
-@dataclass
-class Forest:
-    """Random forest estimator; fit delegates to fit_forest. n_features is
-    the width of the rows it was fit on."""
+class Forest(Estimator):
+    """Random forest estimator, fit by fit_forest; trees holds its
+    DecisionTrees."""
 
     FAMILY = "forest"
-    config: ForestConfig
-    n_classes: int
-    trees: list = field(default_factory=list)
-    n_features: int = 0
 
-    def fit(self, X, y) -> "Forest":
-        fitted = fit_forest(X, y, self.config, self.n_classes)
-        self.trees, self.n_features = fitted.trees, fitted.n_features
-        return self
+    def _fit(self, X, y) -> None:
+        fit_forest(self, X, y)
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.staged_predict_proba(X, [{}])[0]
-
-    def staged_predict_proba(self, X, stages) -> list:
-        """The probabilities of each stage, a dict that may set
-        n_estimators and max_depth up to the fitted values (an unset field
-        keeps the fitted one): the mean leaf distribution of the first
-        n_estimators trees, each cut at max_depth. That is the forest
-        fit_forest grows with those values, because a tree's seed does not
-        depend on n_estimators and fit_tree grows level by level."""
+    def _staged_predict_proba(self, X, stages) -> list:
+        """A stage may set n_estimators and max_depth up to the fitted
+        values: the mean leaf distribution of the first n_estimators
+        trees, each cut at max_depth. That is the forest fit_forest grows
+        with those values, because a tree's seed does not depend on
+        n_estimators and fit_tree grows level by level."""
         X = _check_width(X, self.n_features)
         cfg = self.config
         ks = [_stage_value(stage, "n_estimators", cfg.n_estimators)
@@ -380,31 +369,28 @@ class Forest:
                         axis=0)
                 for k, depth in zip(ks, depths)]
 
-    def to_checkpoint(self):
+    def _checkpoint(self) -> dict:
         return _tree_arrays(self.trees)
 
-    def load_arrays(self, arrays, n_features: int) -> "Forest":
+    def _load_arrays(self, arrays, n_features: int) -> None:
         self.trees = _trees_from_arrays(arrays, self.config.n_estimators,
                                         self.n_classes, n_features)
-        self.n_features = n_features
-        return self
 
 
-def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
-    """Bag of CART trees on bootstrap resamples, each split drawing
-    ceil(sqrt(d)) candidate features; predicted probabilities are the
-    mean of per-tree leaf distributions. A tree gets each drawn row once,
-    weighted by its number of draws: the weights are integers, so every
-    sum is exact and the tree is the one grown on the repeated rows.
-    Nodes sort their own candidates: a presort of all d features costs
-    more than sorting ceil(sqrt(d)) of them at every node saves."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-D array")
+def fit_forest(forest: Forest, X, y) -> Forest:
+    """forest with its trees fit on Estimator.fit's X and y: a bag of
+    CART trees on bootstrap resamples, each split drawing ceil(sqrt(d))
+    candidate features; predicted probabilities are the mean of per-tree
+    leaf distributions. A tree gets each drawn row once, weighted by its
+    number of draws: the weights are integers, so every sum is exact and
+    the tree is the one grown on the repeated rows. Nodes sort their own
+    candidates: a presort of all d features costs more than sorting
+    ceil(sqrt(d)) of them at every node saves."""
+    cfg = forest.config
     n, d = X.shape
     per_split = int(np.ceil(np.sqrt(d)))
-    XT = np.ascontiguousarray(X.T)
-    onehot = np.eye(n_classes)[y]
+    XT = np.ascontiguousarray(X.T, dtype=np.float64)
+    onehot = np.eye(forest.n_classes)[y]
     trees = []
     for t in range(cfg.n_estimators):
         rng = np.random.default_rng(derive_seed(cfg.seed, "tree", t))
@@ -413,35 +399,23 @@ def fit_forest(X, y, cfg: ForestConfig, n_classes: int) -> Forest:
         trees.append(fit_tree(XT, rows, onehot[rows] * draws[rows, None],
                               cfg.max_depth, features_per_split=per_split,
                               rng=rng))
-    return Forest(cfg, n_classes, trees, d)
+    forest.trees = trees
+    return forest
 
 
-@dataclass
-class RusBoostModel:
-    """RUSBoost estimator; fit delegates to fit_rusboost. n_features is
-    the width of the rows it was fit on."""
+class RusBoostModel(Estimator):
+    """RUSBoost estimator, fit by fit_rusboost; trees and alphas hold its
+    rounds' trees and stage weights."""
 
     FAMILY = "rusboost"
-    config: RusBoostConfig
-    n_classes: int
-    trees: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
-    n_features: int = 0
 
-    def fit(self, X, y) -> "RusBoostModel":
-        fitted = fit_rusboost(X, y, self.config, self.n_classes)
-        self.trees, self.alphas = fitted.trees, fitted.alphas
-        self.n_features = fitted.n_features
-        return self
+    def _fit(self, X, y) -> None:
+        fit_rusboost(self, X, y)
 
-    def predict_proba(self, X) -> np.ndarray:
-        return self.staged_predict_proba(X, [{}])[0]
-
-    def staged_predict_proba(self, X, stages) -> list:
-        """The probabilities of each stage, a dict that may set
-        n_estimators up to the fitted value (unset, it keeps the fitted
-        one): the normalized vote of the first n_estimators rounds, or of
-        every round kept if boosting stopped before. That is the model
+    def _staged_predict_proba(self, X, stages) -> list:
+        """A stage may set n_estimators up to the fitted value: the
+        normalized vote of the first n_estimators rounds, or of every
+        round kept if boosting stopped before. That is the model
         fit_rusboost builds with that value, because each round depends
         only on the rounds before it."""
         X = _check_width(X, self.n_features)
@@ -458,11 +432,11 @@ class RusBoostModel:
                 snapshots[r] = votes / votes.sum(axis=1, keepdims=True)
         return [snapshots[r] for r in rounds]
 
-    def to_checkpoint(self):
+    def _checkpoint(self) -> dict:
         alphas = np.asarray(self.alphas, dtype=np.float64)
         return {"alphas": alphas, **_tree_arrays(self.trees)}
 
-    def load_arrays(self, arrays, n_features: int) -> "RusBoostModel":
+    def _load_arrays(self, arrays, n_features: int) -> None:
         alphas = arrays["alphas"]
         if not (len(alphas) and np.isfinite(alphas).all()
                 and (alphas > 0).all()):
@@ -470,8 +444,6 @@ class RusBoostModel:
         self.trees = _trees_from_arrays(arrays, len(alphas), self.n_classes,
                                         n_features)
         self.alphas = [float(a) for a in alphas]
-        self.n_features = n_features
-        return self
 
 
 def _balanced_subsample(rng, y, n_classes: int) -> np.ndarray:
@@ -483,9 +455,9 @@ def _balanced_subsample(rng, y, n_classes: int) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
-                 ) -> RusBoostModel:
-    """Boosting over balanced undersamples (SAMME stage weights).
+def fit_rusboost(model: RusBoostModel, X, y) -> RusBoostModel:
+    """model with its trees and alphas fit on Estimator.fit's X and y:
+    boosting over balanced undersamples (SAMME stage weights).
 
     Each round fits a depth-limited tree on a class-balanced random
     subsample carrying the current instance weights, then scores it on
@@ -494,12 +466,8 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
     stops early with the rounds completed so far (a DataError if none).
     A class of n_classes without samples in y is a DataError.
     """
+    cfg, n_classes = model.config, model.n_classes
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("X must be a non-empty 2-D array")
-    if n_classes < 2:
-        raise DataError("need at least 2 classes")
     counts = np.bincount(y, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -544,5 +512,6 @@ def fit_rusboost(X, y, cfg: RusBoostConfig, n_classes: int
         w /= w.sum()
         trees.append(tree)
         alphas.append(float(alpha))
-    return RusBoostModel(cfg, n_classes, trees, alphas, X.shape[1])
+    model.trees, model.alphas = trees, alphas
+    return model
 

@@ -267,16 +267,12 @@ class FitTask(NamedTuple):
 
 def _fit_predict(inputs, labels, model_factory, task: FitTask) -> list:
     """Probabilities of task.scored from one model fit on task.train, one
-    matrix per stage of task.stages: a dict of stage field values for the
-    model's staged_predict_proba. When no stage sets a field, every stage
-    is the fitted model, scored by its predict_proba."""
+    matrix per stage of task.stages, through the model's
+    staged_predict_proba."""
     with located(task.where, (TrainingDivergedError, DataError)):
         model = model_factory(task.params, task.seed)
         model.fit(inputs[task.train], labels[task.train])
-    X = inputs[task.scored]
-    if any(task.stages):
-        return model.staged_predict_proba(X, task.stages)
-    return [model.predict_proba(X)] * len(task.stages)
+    return model.staged_predict_proba(inputs[task.scored], task.stages)
 
 
 def _stage_groups(grid, stages) -> list:
@@ -308,9 +304,10 @@ def nested_cv(inputs, labels, model_factory, grid, plan: CvPlan,
     point, inner mean scores and report, and the pooled report) and the
     pooled report's PR curves.
 
-    model_factory(params, seed) must return an object with fit(X, y)
-    and predict_proba(X), and with staged_predict_proba(X, stages) when
-    stages names its stage fields (estimators.Kind.stages). Grid points
+    model_factory(params, seed) must return a util.Estimator, or an
+    object with its fit(X, y) and staged_predict_proba(X, stages), which
+    scores every fit (a refit at the one stage {}); stages names its
+    stage fields (estimators.Kind.stages; a net has none). Grid points
     that differ only in stage fields share one inner fit per fold, at
     the largest value of each (_stage_groups), which scores every point
     of the group. Inner fit (f, m) is seeded by the outer fold f and

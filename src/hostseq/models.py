@@ -17,7 +17,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .ngram import OOV_ID, PAD_ID
 from .seqio import DataError
-from .util import check_signs, derive_seed
+from .util import Estimator, check_signs, derive_seed
 
 
 class TrainingDivergedError(RuntimeError):
@@ -266,10 +266,7 @@ def train(net, inputs, labels, config: NetConfig) -> FitResult:
     the gradient of each weight named <layer>.w; raises TrainingDivergedError
     on a non-finite loss, naming the 1-based epoch. Floating-point
     warnings are silenced, since the loss check reports divergence."""
-    labels = np.asarray(labels)
     n = inputs.shape[0]
-    if labels.shape != (n,):
-        raise ValueError("labels must be one per input row")
     params = list(net.params.values())
     decayed = [p for name, p in net.params.items() if name.endswith(".w")]
     opt = Adam(params, config.learning_rate)
@@ -309,44 +306,27 @@ def predict_proba(net, inputs, batch_size: int = 256) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-class NeuralClassifier:
-    """fit/predict_proba wrapper of the net a NetConfig describes.
-    n_features is the width of the rows it was fit on. A token net keeps
-    in seen which ids its training rows hold, PAD_ID always among them;
-    predict_proba reads every other id as OOV_ID, so a token it never
-    trained on scores as an unknown one. Checkpoints keep seen."""
+class NeuralClassifier(Estimator):
+    """Estimator of the net a NetConfig describes (net), with the FitResult
+    of its training (history); it stages no field, so every stage is the
+    fitted net. A token net keeps in seen which ids its training rows
+    hold, PAD_ID always among them, and reads every other id as OOV_ID,
+    so an unseen token scores as an unknown one. Checkpoints keep seen."""
 
     FAMILY = "neural"
 
-    def __init__(self, config: NetConfig, n_classes: int):
-        if n_classes < 2:  # the class count of the training data
-            raise DataError("need at least 2 classes")
-        self.config = config
-        self.n_classes = n_classes
-        self.n_features = 0
-        self.net = None
-        self.seen = None
-        self.history = None
-
-    def fit(self, inputs, labels):
+    def _fit(self, inputs, labels) -> None:
         inputs = self._check_inputs(inputs)
-        if inputs.size == 0:
-            raise ValueError("inputs must be a non-empty 2-D array")
-        labels = np.asarray(labels)
-        if labels.min() < 0 or labels.max() >= self.n_classes:
-            raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        self.n_features = inputs.shape[1]
+        seen = None
         if NETS[self.config.kind].INPUT == "tokens":
-            self.seen = np.zeros(self.config.vocab_size, dtype=bool)
-            self.seen[inputs] = True
-            self.seen[PAD_ID] = True
-        self.net = build_net(self.config, self.n_classes, self.n_features)
-        self.history = train(self.net, inputs, labels, self.config)
-        return self
+            seen = np.zeros(self.config.vocab_size, dtype=bool)
+            seen[inputs] = True
+            seen[PAD_ID] = True
+        net = build_net(self.config, self.n_classes, inputs.shape[1])
+        self.history = train(net, inputs, labels, self.config)
+        self.net, self.seen = net, seen
 
-    def predict_proba(self, inputs) -> np.ndarray:
-        if self.net is None:
-            raise RuntimeError("classifier is not fitted")
+    def _staged_predict_proba(self, inputs, stages) -> list:
         inputs = self._check_inputs(inputs, self.n_features)
         if self.seen is not None:
             inputs = np.where(self.seen[inputs], inputs, OOV_ID)
@@ -354,7 +334,7 @@ class NeuralClassifier:
         if not np.isfinite(proba).all():
             raise DataError("probabilities are not finite: the weights "
                             "overflow on this input")
-        return proba
+        return [proba] * len(stages)
 
     def _check_inputs(self, inputs, width=None):
         """inputs as the net reads them: rows of width columns, any at fit."""
@@ -372,18 +352,16 @@ class NeuralClassifier:
                                 f"model's vocabulary has {size} ids")
         return inputs
 
-    def to_checkpoint(self):
+    def _checkpoint(self) -> dict:
         """The net's parameters by name, then seen for a token net."""
-        if self.net is None:
-            raise RuntimeError("classifier is not fitted")
         arrays = {name: p.data for name, p in self.net.params.items()}
         if self.seen is not None:
             arrays["seen"] = self.seen.astype(np.int64)
         return arrays
 
-    def load_arrays(self, arrays, n_features: int) -> "NeuralClassifier":
-        self.n_features = n_features
+    def _load_arrays(self, arrays, n_features: int) -> None:
         self.net = build_net(self.config, self.n_classes, n_features)
+        self.seen = None
         shapes = {name: p.data.shape for name, p in self.net.params.items()}
         if NETS[self.config.kind].INPUT == "tokens":
             shapes["seen"] = (self.config.vocab_size,)
@@ -401,4 +379,3 @@ class NeuralClassifier:
                 self.seen = arr != 0
             else:
                 self.net.params[name].data = arr
-        return self

@@ -1,5 +1,5 @@
-"""Shared helpers: seed derivation, error locations and atomic file
-writes."""
+"""Shared helpers: seed derivation, the estimator protocol, error
+locations and atomic file writes."""
 
 import contextlib
 import json
@@ -44,6 +44,61 @@ def check_signs(config, positive=(), non_negative=()) -> None:
             value = getattr(config, name)
             if not (value > 0 if bound == "positive" else value >= 0):
                 raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+class Estimator:
+    """The estimator protocol of every model family, after scikit-learn's
+    fit/predict contract: cls(config, n_classes) is unfitted; fit checks
+    its input here and learns n_features, the width of its rows; every
+    score is a stage of staged_predict_proba. Until fit or load_arrays
+    sets n_features, it neither scores nor checkpoints. A family supplies
+    _fit, _staged_predict_proba, _checkpoint and _load_arrays."""
+
+    def __init__(self, config, n_classes: int):
+        if n_classes < 2:
+            raise ValueError("need at least 2 classes")
+        self.config = config
+        self.n_classes = n_classes
+        self.n_features = 0
+
+    def fit(self, X, y) -> "Estimator":
+        """Fits on X, a non-empty 2-D array, and y, one integer class index
+        in [0, n_classes) per row of X; returns the estimator."""
+        X, y = np.asarray(X), np.asarray(y)
+        if X.ndim != 2 or 0 in X.shape or y.shape != X.shape[:1] \
+                or not np.issubdtype(y.dtype, np.integer) \
+                or y.min() < 0 or y.max() >= self.n_classes:
+            raise ValueError(f"X must be a non-empty 2-D array, and y one "
+                             f"class index in [0, {self.n_classes}) per row")
+        self._fit(X, y)
+        self.n_features = X.shape[1]
+        return self
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.staged_predict_proba(X, [{}])[0]
+
+    def staged_predict_proba(self, X, stages) -> list:
+        """The probabilities of X at each stage, a dict that may set the
+        family's stage fields (estimators.Kind.stages) up to their fitted
+        values; {} is the fitted model."""
+        self._check_fitted()
+        return self._staged_predict_proba(X, stages)
+
+    def to_checkpoint(self) -> dict:
+        self._check_fitted()
+        return self._checkpoint()
+
+    def load_arrays(self, arrays, n_features: int) -> "Estimator":
+        """The estimator filled with to_checkpoint's arrays and width."""
+        if n_features < 1:
+            raise ValueError(f"a fitted width is positive, not {n_features}")
+        self._load_arrays(arrays, n_features)
+        self.n_features = n_features
+        return self
+
+    def _check_fitted(self) -> None:
+        if not self.n_features:
+            raise RuntimeError(f"{type(self).__name__} is not fitted")
 
 
 @contextlib.contextmanager

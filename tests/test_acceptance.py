@@ -12,7 +12,7 @@ from hostseq.ensemble import (
     Forest,
     ForestConfig,
     RusBoostConfig,
-    fit_rusboost,
+    RusBoostModel,
     fit_tree,
 )
 from hostseq.models import NetConfig, NeuralClassifier
@@ -254,10 +254,9 @@ def test_c7_imbalance_behavior():
     depth = 3
     tree = fit_tree(np.ascontiguousarray(X.T), np.arange(y.size),
                     np.eye(2)[y], max_depth=depth)
-    boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=50,
-                                              learning_rate=0.1,
-                                              max_depth=depth, seed=7),
-                         n_classes=2)
+    boost = RusBoostModel(RusBoostConfig(n_estimators=50, learning_rate=0.1,
+                                         max_depth=depth, seed=7),
+                          2).fit(X, y)
     minority = y == 1
     tree_recall = (tree.predict(X)[minority] == 1).mean()
     boost_recall = (boost.predict_proba(X).argmax(axis=1)[minority]

@@ -113,7 +113,7 @@ def test_tracer_sees_every_rusboost_attempt(tracer, monkeypatch):
     t = tracer.Tracer()
     try:
         tracer.install(t)
-        model = ensemble.fit_rusboost(X, y, cfg, n_classes=2)
+        model = ensemble.RusBoostModel(cfg, 2).fit(X, y)
     finally:
         t.restore()
     spans = t.take()
@@ -132,9 +132,12 @@ def test_tracer_sees_every_rusboost_attempt(tracer, monkeypatch):
 
 def test_tracer_sees_the_artifact_calls_of_a_cli_run(tracer, tmp_path):
     # each name is patched where it is a module global; a call that a
-    # module made through a name bound before the patch would go unseen
-    syn, er, tri, model = (str(tmp_path / name)
-                           for name in ("syn", "er", "tri", "model"))
+    # module made through a name bound before the patch would go unseen,
+    # as would a family's fit that bound fit_forest, fit_rusboost or
+    # models.train as a class attribute
+    syn, er, tri, model, boost, mlp = (
+        str(tmp_path / name)
+        for name in ("syn", "er", "tri", "model", "boost", "mlp"))
     t = tracer.Tracer()
     try:
         tracer.install(t)
@@ -148,12 +151,24 @@ def test_tracer_sees_the_artifact_calls_of_a_cli_run(tracer, tmp_path):
                 ["train", "--model", "rf", "--n-estimators", "2", "--seed",
                  "2", "--features", f"{er}/features.csv", "--out", model],
                 ["predict", "--model-file", f"{model}/model.bin",
-                 "--features", f"{er}/features.csv", "--out", model]):
+                 "--features", f"{er}/features.csv", "--out", model],
+                ["train", "--model", "rusboost", "--n-estimators", "3",
+                 "--seed", "2", "--features", f"{er}/features.csv",
+                 "--out", boost],
+                ["train", "--model", "mlp", "--epochs", "2", "--seed", "2",
+                 "--features", f"{er}/features.csv", "--out", mlp]):
             assert cli.main(argv) == 0, argv
     finally:
         t.restore()
-    seen = {s.name for s in t.take()}
+    spans = t.take()
+    seen = {s.name for s in spans}
     assert {"pssm.parse_psiblast_pssm", "pssm.render_psiblast_pssm",
             "store.write_features_csv", "store.read_features_csv",
             "store.write_tokens_csv", "store.save_model", "store.load_model",
-            "seqio.load_dataset"} <= seen
+            "seqio.load_dataset", "ensemble.fit_forest", "ensemble.fit_tree",
+            "ensemble.fit_rusboost", "models.train"} <= seen
+    (boosted,) = [s for s in spans if s.name == "ensemble.fit_rusboost"]
+    assert boosted.attrs["requested"] == 3
+    assert 1 <= boosted.attrs["kept"] <= 3
+    (trained,) = [s for s in spans if s.name == "models.train"]
+    assert trained.attrs == {"epochs": 2}

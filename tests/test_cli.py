@@ -1138,9 +1138,9 @@ def malformed_input(tmp_path, case):
                              np.ones((30, 2)))
     # a 3-class forest whose checkpoint lists 2 class names
     few_names = tmp_path / "few_names.bin"
-    store.save_model(few_names, ensemble.fit_forest(
-        np.eye(3)[:, :2], np.arange(3), ensemble.ForestConfig(
-            n_estimators=2, max_depth=2), 3), ("a", "b"))
+    store.save_model(few_names, ensemble.Forest(ensemble.ForestConfig(
+        n_estimators=2, max_depth=2), 3).fit(np.eye(3)[:, :2], np.arange(3)),
+        ("a", "b"))
     out = ["--out", str(tmp_path / "o")]
     train = ["train", "--model", "mlp", "--seed", "1", "--epochs", "1"] + out
     return {

@@ -9,9 +9,8 @@ from hostseq.ensemble import (
     Forest,
     ForestConfig,
     RusBoostConfig,
+    RusBoostModel,
     _balanced_subsample,
-    fit_forest,
-    fit_rusboost,
     fit_tree,
 )
 
@@ -152,8 +151,8 @@ def test_forest_deterministic_and_averages():
     X = rng.random((80, 5))
     y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
     cfg = ForestConfig(n_estimators=10, max_depth=3, seed=9)
-    a = fit_forest(X, y, cfg, n_classes=2)
-    b = fit_forest(X, y, cfg, n_classes=2)
+    a = Forest(cfg, 2).fit(X, y)
+    b = Forest(cfg, 2).fit(X, y)
     pa, pb = a.predict_proba(X), b.predict_proba(X)
     assert np.array_equal(pa, pb)
     assert np.allclose(pa.sum(axis=1), 1.0, atol=1e-12)
@@ -165,10 +164,8 @@ def test_forest_seed_changes_trees():
     rng = np.random.default_rng(4)
     X = rng.random((60, 5))
     y = rng.integers(0, 2, size=60)
-    a = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=1),
-                   n_classes=2)
-    b = fit_forest(X, y, ForestConfig(n_estimators=5, max_depth=3, seed=2),
-                   n_classes=2)
+    a = Forest(ForestConfig(n_estimators=5, max_depth=3, seed=1), 2).fit(X, y)
+    b = Forest(ForestConfig(n_estimators=5, max_depth=3, seed=2), 2).fit(X, y)
     assert not np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
@@ -176,8 +173,8 @@ def test_forest_validation():
     with pytest.raises(ValueError, match="n_estimators"):
         ForestConfig(n_estimators=0)
     with pytest.raises(ValueError, match="non-empty"):
-        fit_forest(np.empty((0, 3)), np.empty(0, dtype=int),
-                   ForestConfig(n_estimators=1), n_classes=2)
+        Forest(ForestConfig(n_estimators=1), 2).fit(np.empty((0, 3)),
+                                                    np.empty(0, dtype=int))
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
@@ -255,8 +252,8 @@ def test_rusboost_deterministic():
     y = (X[:, 0] > 0.8).astype(int)
     cfg = RusBoostConfig(n_estimators=8, learning_rate=0.1, max_depth=2,
                          seed=3)
-    a = fit_rusboost(X, y, cfg, n_classes=2)
-    b = fit_rusboost(X, y, cfg, n_classes=2)
+    a = RusBoostModel(cfg, 2).fit(X, y)
+    b = RusBoostModel(cfg, 2).fit(X, y)
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
     assert np.allclose(a.predict_proba(X).sum(axis=1), 1.0, atol=1e-12)
     assert all(alpha > 0 for alpha in a.alphas)
@@ -268,8 +265,7 @@ def test_rusboost_learns_imbalanced():
     X = np.vstack([rng.normal(0.0, 1.0, size=(n_neg, 3)),
                    rng.normal(1.5, 1.0, size=(n_pos, 3))])
     y = np.array([0] * n_neg + [1] * n_pos)
-    model = fit_rusboost(X, y, RusBoostConfig(n_estimators=20, seed=1),
-                         n_classes=2)
+    model = RusBoostModel(RusBoostConfig(n_estimators=20, seed=1), 2).fit(X, y)
     pred = model.predict_proba(X).argmax(axis=1)
     minority_recall = (pred[y == 1] == 1).mean()
     assert minority_recall >= 0.7
@@ -279,9 +275,9 @@ def test_rusboost_missing_class_errors():
     X = np.random.default_rng(8).random((10, 2))
     y = np.zeros(10, dtype=int)
     with pytest.raises(ValueError, match="class 1 has no samples"):
-        fit_rusboost(X, y, RusBoostConfig(n_estimators=2), n_classes=2)
+        RusBoostModel(RusBoostConfig(n_estimators=2), 2).fit(X, y)
     with pytest.raises(ValueError, match="at least 2"):
-        fit_rusboost(X, y, RusBoostConfig(n_estimators=2), n_classes=1)
+        RusBoostModel(RusBoostConfig(n_estimators=2), 1)
 
 
 def _reference_split(XT, idx, candidates, weights, parent_total,
@@ -511,10 +507,10 @@ def test_rusboost_presort_keeps_the_node_sorted_models(monkeypatch):
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 5, size=(80, 20)).astype(np.float64)
         y = rng.integers(0, 3, size=80)
-        presorted = fit_rusboost(X, y, cfg, n_classes=3)
+        presorted = RusBoostModel(cfg, 3).fit(X, y)
         with monkeypatch.context() as patch:
             patch.setattr(ensemble, "fit_tree", node_sorted)
-            sorted_per_node = fit_rusboost(X, y, cfg, n_classes=3)
+            sorted_per_node = RusBoostModel(cfg, 3).fit(X, y)
         assert len(presorted.trees) == 12
         a, b = (model.to_checkpoint() for model in (presorted,
                                                     sorted_per_node))
@@ -539,7 +535,7 @@ def test_rusboost_presorts_subsamples_of_a_quarter_or_more(monkeypatch):
     for minority, presort in ((9, True), (8, False)):
         y = np.repeat([0, 1, 2], [100 - 2 * minority, minority, minority])
         presorted.clear()
-        fit_rusboost(X, y, cfg, n_classes=3)
+        RusBoostModel(cfg, 3).fit(X, y)
         assert presorted and set(presorted) == {presort}, minority
 
 
@@ -552,15 +548,14 @@ def test_forest_cut_at_depth_is_the_shallower_forest(n_classes, seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 5, size=(80, 16)).astype(np.float64)
     y = rng.integers(0, n_classes, size=80)
-    deep = fit_forest(X, y, ForestConfig(n_estimators=4, max_depth=8,
-                                         seed=seed), n_classes)
+    deep = Forest(ForestConfig(n_estimators=4, max_depth=8, seed=seed),
+                  n_classes).fit(X, y)
     stages = [{"n_estimators": k, "max_depth": d}
               for d in (1, 2, 3, 5, 8) for k in (1, 3, 4)]
     staged = deep.staged_predict_proba(X, stages)
     grew = 0
     for stage, proba in zip(stages, staged):
-        shallow = fit_forest(X, y, ForestConfig(seed=seed, **stage),
-                             n_classes)
+        shallow = Forest(ForestConfig(seed=seed, **stage), n_classes).fit(X, y)
         assert proba.tobytes() == shallow.predict_proba(X).tobytes(), stage
         for cut, tree in zip(shallow.trees, deep.trees):
             n = cut.feature.size
@@ -582,11 +577,11 @@ def test_rusboost_round_prefixes_are_the_shorter_fits(seed):
     y = rng.integers(0, 2, 60)
     cfg = RusBoostConfig(n_estimators=30, learning_rate=1.0, max_depth=1,
                          seed=seed)
-    full = fit_rusboost(X, y, cfg, n_classes=2)
+    full = RusBoostModel(cfg, 2).fit(X, y)
     stages = [{"n_estimators": k} for k in (1, 2, 6, 9, 12, 30)]
     for stage, proba in zip(stages, full.staged_predict_proba(X, stages)):
-        alone = fit_rusboost(X, y, RusBoostConfig(
-            learning_rate=1.0, max_depth=1, seed=seed, **stage), n_classes=2)
+        alone = RusBoostModel(RusBoostConfig(
+            learning_rate=1.0, max_depth=1, seed=seed, **stage), 2).fit(X, y)
         assert proba.tobytes() == alone.predict_proba(X).tobytes(), stage
     assert (len(full.trees) < 30) == (seed != 3)
 
@@ -595,8 +590,8 @@ def test_rusboost_round_prefixes_are_the_shorter_fits(seed):
                                    {"n_estimators": 0}])
 def test_forest_stage_beyond_the_fit_is_rejected(stage):
     X = np.random.default_rng(4).random((20, 3))
-    forest = fit_forest(X, np.arange(20) % 2,
-                        ForestConfig(n_estimators=3, max_depth=3), 2)
+    forest = Forest(ForestConfig(n_estimators=3, max_depth=3), 2).fit(
+        X, np.arange(20) % 2)
     with pytest.raises(ValueError, match="stage"):
         forest.staged_predict_proba(X, [stage])
 
@@ -607,8 +602,8 @@ def test_tree_estimators_reject_another_width():
     rng = np.random.default_rng(5)
     X = rng.random((30, 4))
     y = np.arange(30) % 2
-    for model in (fit_forest(X, y, ForestConfig(n_estimators=2), 2),
-                  fit_rusboost(X, y, RusBoostConfig(n_estimators=2), 2)):
+    for model in (Forest(ForestConfig(n_estimators=2), 2).fit(X, y),
+                  RusBoostModel(RusBoostConfig(n_estimators=2), 2).fit(X, y)):
         assert model.n_features == 4
         for width in (3, 5):
             with pytest.raises(ValueError, match=r"\(n, 4\)"):

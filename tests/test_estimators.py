@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from hostseq import cli
+from hostseq import cli, store
 from hostseq.estimators import (DEFAULT_GRIDS, KINDS, ModelFactory,
                                 UsageError, grid_points)
 from hostseq.models import build_net
@@ -120,3 +120,56 @@ def test_factory_pickle_roundtrip_builds_identical_estimators(model, params):
         got = np.asarray(arrays2[name])
         arr = np.asarray(arr)
         assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
+
+
+def _tiny_fit(model, rows=12):
+    """An unfitted estimator of model for 3 classes, and rows rows of
+    its input (4 features, or 30 token ids) with labels 0, 1, 2, 0, ..."""
+    rng = np.random.default_rng(3)
+    tokens = KINDS[model].input == "tokens"
+    X = (rng.integers(2, TOKENS["vocab_size"], size=(rows, 30)) if tokens
+         else rng.random((rows, 4)))
+    defaults = {"n_estimators": 2, "base_depth": 2, "epochs": 1,
+                "batch_size": 4, "embed_dim": 4, "filters": 4}
+    factory = ModelFactory(model, 3, defaults,
+                           **(TOKENS if tokens else FEATURES))
+    return factory({}, 1), X, np.arange(rows) % 3
+
+
+def _relabel(y, value):
+    y = y.copy()
+    y[0] = value
+    return y
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+@pytest.mark.parametrize("bad", [
+    lambda X, y: (X, _relabel(y, -1)),
+    lambda X, y: (X, _relabel(y, 3)),
+    lambda X, y: (X, y.astype(float)),
+    lambda X, y: (X, y[:-1]),
+    lambda X, y: (X[:0], y[:0]),
+    lambda X, y: (X[:, :0], y),
+    lambda X, y: (X[:, 0], y),
+], ids=["label-1", "label-n_classes", "float-labels", "labels-one-short",
+        "no-rows", "no-columns", "1-D"])
+def test_bad_fit_input_fails_alike_for_every_kind(model, bad):
+    estimator, X, y = _tiny_fit(model)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "X must be a non-empty 2-D array, and y one class index in "
+            "[0, 3) per row") + "$"):
+        estimator.fit(*bad(X, y))
+    assert estimator.n_features == 0
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+def test_an_unfitted_estimator_refuses_to_score_or_save(tmp_path, model):
+    estimator, X, _ = _tiny_fit(model)
+    name = type(estimator).__name__
+    for call in (lambda: estimator.predict_proba(X),
+                 lambda: estimator.staged_predict_proba(X, [{}]),
+                 lambda: store.save_model(tmp_path / "model.bin", estimator,
+                                          ("a", "b", "c"))):
+        with pytest.raises(RuntimeError, match=f"^{name} is not fitted$"):
+            call()
+    assert not (tmp_path / "model.bin").exists()

@@ -462,6 +462,9 @@ class CentroidModel:
         prob[np.arange(len(X)), best] = 0.9
         return prob
 
+    def staged_predict_proba(self, X, stages):
+        return [self.predict_proba(X)] * len(stages)
+
 
 def nested_fixture(rng, n=80):
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])

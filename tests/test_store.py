@@ -15,8 +15,6 @@ from hostseq.ensemble import (
     ForestConfig,
     RusBoostConfig,
     RusBoostModel,
-    fit_forest,
-    fit_rusboost,
 )
 from hostseq.estimators import KINDS, ModelFactory
 from hostseq.models import NetConfig, NeuralClassifier
@@ -252,8 +250,8 @@ def test_forest_model_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.random((40, 3))
     y = rng.integers(0, 3, size=40)
-    forest = fit_forest(X, y, ForestConfig(n_estimators=4, max_depth=3,
-                                           seed=2), n_classes=3)
+    forest = Forest(ForestConfig(n_estimators=4, max_depth=3, seed=2),
+                    3).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, forest, ("a", "b", "c"))
     loaded, class_names = store.load_model(path)
@@ -265,8 +263,7 @@ def test_rusboost_model_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     X = rng.random((50, 3))
     y = (X[:, 0] > 0.6).astype(int)
-    boost = fit_rusboost(X, y, RusBoostConfig(n_estimators=5, seed=3),
-                         n_classes=2)
+    boost = RusBoostModel(RusBoostConfig(n_estimators=5, seed=3), 2).fit(X, y)
     path = tmp_path / "model.bin"
     store.save_model(path, boost, ("neg", "pos"))
     loaded, _ = store.load_model(path)
@@ -309,6 +306,12 @@ def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     defaults = {"n_estimators": 3, "base_depth": 2, "max_depth": 3,
                 "epochs": 2, "batch_size": 8, "embed_dim": 4, "filters": 4}
     estimator = ModelFactory(model, 3, defaults, **shape)({}, 5).fit(X, y)
+    # predict_proba is the stage {}, and every stage {} is the fitted model
+    proba = estimator.predict_proba(X)
+    assert proba.tobytes() \
+        == estimator.staged_predict_proba(X, [{}])[0].tobytes()
+    first, second = estimator.staged_predict_proba(X, [{}, {}])
+    assert first.tobytes() == second.tobytes() == proba.tobytes()
     path = tmp_path / "model.bin"
     store.save_model(path, estimator, ("a", "b", "c"))
     _, meta, _ = store.load_checkpoint(path)
@@ -319,8 +322,7 @@ def test_every_kind_roundtrips_through_save_model(tmp_path, model):
     assert class_names == ("a", "b", "c")
     assert type(loaded) is type(estimator)
     assert loaded.config == estimator.config
-    assert loaded.predict_proba(X).tobytes() \
-        == estimator.predict_proba(X).tobytes()
+    assert loaded.predict_proba(X).tobytes() == proba.tobytes()
 
 
 @pytest.mark.parametrize("model", sorted(KINDS))
@@ -386,8 +388,7 @@ def test_load_model_missing_tree_block_is_checkpoint_error(tmp_path):
     X = rng.random((30, 3))
     y = rng.integers(0, 2, size=30)
     path = tmp_path / "model.bin"
-    forest = fit_forest(X, y, ForestConfig(n_estimators=3, max_depth=2),
-                        n_classes=2)
+    forest = Forest(ForestConfig(n_estimators=3, max_depth=2), 2).fit(X, y)
     store.save_model(path, forest, ("a", "b"))
     _rewrite_without(path, "t2.counts")
     with pytest.raises(store.DataError, match="t2.counts"):
@@ -422,12 +423,24 @@ def test_load_model_malformed_header_is_checkpoint_error(tmp_path, edit):
     X = rng.random((30, 3))
     y = rng.integers(0, 2, size=30)
     path = tmp_path / "model.bin"
-    store.save_model(path, fit_forest(X, y, ForestConfig(n_estimators=2,
-                                                         max_depth=2),
-                                      n_classes=2),
+    store.save_model(path, Forest(ForestConfig(n_estimators=2, max_depth=2),
+                                  2).fit(X, y),
                      ("a", "b"))
     _rewrite_header(path, edit)
     with pytest.raises(store.DataError, match="^" + re.escape(f"{path}: ")):
+        store.load_model(path)
+
+
+def test_load_model_zero_width_is_checkpoint_error(tmp_path):
+    # trees fit on a constant column are single leaves and split on no
+    # feature, so only the width rule rejects a width of 0, which would
+    # load the forest as unfitted
+    path = tmp_path / "model.bin"
+    store.save_model(path, Forest(ForestConfig(n_estimators=2), 2).fit(
+        np.ones((6, 1)), np.arange(6) % 2), ("a", "b"))
+    _rewrite_header(path, lambda h: h["meta"].update(n_features=0))
+    with pytest.raises(store.DataError,
+                       match="a fitted width is positive, not 0"):
         store.load_model(path)
 
 
