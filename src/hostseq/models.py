@@ -328,6 +328,8 @@ class NeuralClassifier(Estimator):
 
     def _staged_predict_proba(self, inputs, stages) -> list:
         inputs = self._check_inputs(inputs, self.n_features)
+        if not len(inputs):  # no rows to score: the net does not run
+            return [np.zeros((0, self.n_classes))] * len(stages)
         if self.seen is not None:
             inputs = np.where(self.seen[inputs], inputs, OOV_ID)
         proba = predict_proba(self.net, inputs, self.config.batch_size)

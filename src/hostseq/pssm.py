@@ -27,6 +27,8 @@ _GROUP_OF = {aa: gi for gi, members in enumerate(RESIDUE_GROUPS)
 _MEMBERS = np.array([[_COL_INDEX.get(aa, 20) for aa in members.ljust(3)]
                      for members in RESIDUE_GROUPS])
 _SIZES = np.array([len(members) for members in RESIDUE_GROUPS], dtype=float)
+# The "%4d" text of every cell value -99..999, its 4 ASCII bytes as one <u4.
+_CELL_TEXT = np.array([b"%4d" % v for v in range(-99, 1000)]).view("<u4")
 
 
 @dataclass(frozen=True)
@@ -114,21 +116,25 @@ def render_psiblast_pssm(m: RawPssm) -> str:
         "and relative weight of gapless real matches to pseudocounts\n")
     cols = "           " + "".join(f"{aa:>4}" for aa in PSIBLAST_COLUMNS) * 2
     # Percentages derived from the scores; readers ignore them. The one
-    # float temporary is updated in place and freed before the lines are
-    # built, and each line converts only its own row with tolist, so a
-    # long profile adds little to peak memory.
+    # float temporary is updated in place and freed before the cells are
+    # built. The cells of all rows then take one pass through _CELL_TEXT:
+    # (L, 40) int64 indexes, their (L, 40) cell texts and one decoded
+    # string of 160 characters per row, next to the lines themselves.
     w = np.exp(m.scores / 2.0)
     total = w.sum(axis=1, keepdims=True)
     w *= 100.0
     w /= total
     pct = np.floor(w, out=w).astype(int)
     del w
-    info = (np.abs(m.scores).mean(axis=1) / 10.0).tolist()
-    line = "%5d %s " + "%4d" * 40 + "  %4.2f 0.10"
+    cells = np.hstack((m.scores, pct)).astype(np.int64) + 99
+    body = _CELL_TEXT[cells].tobytes().decode("ascii")
+    values, row_info = np.unique(np.abs(m.scores).mean(axis=1) / 10.0,
+                                 return_inverse=True)
+    info = ["%4.2f" % v for v in values.tolist()]
     lines = [header, cols]
-    for i, aa in enumerate(m.residues):
-        lines.append(line % (i + 1, aa, *m.scores[i].tolist(),
-                             *pct[i].tolist(), info[i]))
+    lines += ["%5d %s %s  %s 0.10" % (i + 1, aa, body[160 * i:160 * i + 160],
+                                      info[k])
+              for i, (aa, k) in enumerate(zip(m.residues, row_info.tolist()))]
     lines.append("")
     lines.append("                      K         Lambda")
     lines.append("Standard Ungapped    0.1377     0.3183")

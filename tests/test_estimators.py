@@ -173,3 +173,14 @@ def test_an_unfitted_estimator_refuses_to_score_or_save(tmp_path, model):
         with pytest.raises(RuntimeError, match=f"^{name} is not fitted$"):
             call()
     assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+def test_a_fitted_estimator_scores_no_rows(model):
+    estimator, X, y = _tiny_fit(model)
+    estimator.fit(X, y)
+    got = [estimator.predict_proba(X[:0]),
+           *estimator.staged_predict_proba(X[:0], [{}, {}])]
+    assert len(got) == 3
+    for proba in got:
+        assert proba.shape == (0, 3) and proba.dtype == np.float64

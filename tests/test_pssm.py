@@ -108,6 +108,19 @@ def test_parse_fixture_dimensions(rng):
     assert len(parsed.residues) == 9
 
 
+HEADER = [
+    "", "Last position-specific scoring matrix computed, weighted observed "
+    "percentages rounded down, information per position, and relative "
+    "weight of gapless real matches to pseudocounts", "",
+    " " * 11 + "".join(f"{aa:>4}" for aa in COLS * 2)]
+FOOTER = [
+    "", "                      K         Lambda",
+    "Standard Ungapped    0.1377     0.3183",
+    "Standard Gapped      0.0410     0.2670",
+    "PSI Ungapped         0.1550     0.3179",
+    "PSI Gapped           0.0410     0.2670"]
+
+
 def oracle_render_rows(m):
     """The matrix lines, rendered row by row and cell by cell."""
     lines = []
@@ -135,12 +148,26 @@ def test_render_rows_match_per_cell_oracle(rng, low, high):
     assert np.array_equal(pssm.parse_psiblast_pssm(text).scores, scores)
     lines = text.splitlines()
     assert lines[-6 - length:-6] == want
-    assert lines[-6:] == [
-        "", "                      K         Lambda",
-        "Standard Ungapped    0.1377     0.3183",
-        "Standard Gapped      0.0410     0.2670",
-        "PSI Ungapped         0.1550     0.3179",
-        "PSI Gapped           0.0410     0.2670"]
+    assert lines[-6:] == FOOTER
+
+
+def every_cell_value(rng):
+    """55 rows whose 1,100 scores hold every value -99..999, shuffled."""
+    return rng.permutation(np.append(np.arange(-99, 1000), 0)).reshape(55, 20)
+
+
+@pytest.mark.parametrize("length", [55, 1, 0])
+def test_render_text_matches_oracle_for_every_cell_value(rng, length):
+    # every entry of the renderer's cell table, and the shortest profiles:
+    # one row, and no row at all (header, column line and footer only)
+    scores = (every_cell_value(rng) if length == 55 else
+              rng.integers(-99, 999, size=(length, 20), endpoint=True))
+    letters = "".join(rng.choice(list(COLS), size=length))
+    raw = pssm.RawPssm(residues=letters, scores=scores)
+    text = pssm.render_psiblast_pssm(raw)
+    assert text == "\n".join(HEADER + oracle_render_rows(raw) + FOOTER) + "\n"
+    if length:
+        assert np.array_equal(pssm.parse_psiblast_pssm(text).scores, scores)
 
 
 @pytest.mark.parametrize("score", [-100, 1000, 1500])
