@@ -8,7 +8,7 @@ flag but --config and --out with its resolved value (null for unset), so
 that config replays the run as --config. A failed command removes the
 --out directory if it created it. Exit codes: 0 success, 1 usage or
 config error, 2 data error, 3 diverged training. Each error code has one exception type, with
-no subclasses: estimators.UsageError, seqio.DataError and
+no subclasses: estimators.UsageError, util.DataError and
 models.TrainingDivergedError; a caller that knows the file, record or
 fold a data error arose in prefixes it with util.located.
 """
@@ -27,9 +27,9 @@ import numpy as np
 from . import estimators, evaluation, ngram, pssm, store, synth
 from .estimators import UsageError
 from .models import TrainingDivergedError
-from .seqio import (DataError, class_order, load_dataset, prepare_corpus,
-                    read_text, save_dataset)
-from .util import located
+from .seqio import (class_order, load_dataset, prepare_corpus, read_text,
+                    save_dataset)
+from .util import DataError, located
 
 # add_argument keywords of each flag and its default, defined once. A
 # model field's flag takes its type from the config dataclass (see

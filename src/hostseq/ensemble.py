@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError
-from .util import Estimator, check_signs, derive_seed
+from .util import DataError, Estimator, check_signs, derive_seed
 
 
 @dataclass(frozen=True)
@@ -301,15 +300,6 @@ def fit_tree(XT, rows, class_weights, max_depth: int,
                         np.array(counts, dtype=np.float64))
 
 
-def _check_width(X, n_features: int) -> np.ndarray:
-    """X as a float64 matrix of the width the trees were fit on."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise DataError(f"feature input must be (n, {n_features}), "
-                        f"not {X.shape}")
-    return X
-
-
 def _tree_arrays(trees) -> dict:
     return {f"t{i}.{key}": arr for i, tree in enumerate(trees)
             for key, arr in tree.to_arrays().items()}
@@ -355,7 +345,6 @@ class Forest(Estimator):
         trees, each cut at max_depth. That is the forest fit_forest grows
         with those values, because a tree's seed does not depend on
         n_estimators and fit_tree grows level by level."""
-        X = _check_width(X, self.n_features)
         cfg = self.config
         ks = [_stage_value(stage, "n_estimators", cfg.n_estimators)
               for stage in stages]
@@ -389,7 +378,7 @@ def fit_forest(forest: Forest, X, y) -> Forest:
     cfg = forest.config
     n, d = X.shape
     per_split = int(np.ceil(np.sqrt(d)))
-    XT = np.ascontiguousarray(X.T, dtype=np.float64)
+    XT = np.ascontiguousarray(X.T)
     onehot = np.eye(forest.n_classes)[y]
     trees = []
     for t in range(cfg.n_estimators):
@@ -418,7 +407,6 @@ class RusBoostModel(Estimator):
         round kept if boosting stopped before. That is the model
         fit_rusboost builds with that value, because each round depends
         only on the rounds before it."""
-        X = _check_width(X, self.n_features)
         rounds = [min(_stage_value(stage, "n_estimators",
                                    self.config.n_estimators), len(self.trees))
                   for stage in stages]
@@ -467,7 +455,6 @@ def fit_rusboost(model: RusBoostModel, X, y) -> RusBoostModel:
     A class of n_classes without samples in y is a DataError.
     """
     cfg, n_classes = model.config, model.n_classes
-    X = np.asarray(X, dtype=np.float64)
     counts = np.bincount(y, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import TrainingDivergedError
-from .seqio import DataError
-from .util import derive_seed, located
+from .util import DataError, derive_seed, located
 
 
 def label_indices(names, class_names) -> np.ndarray:

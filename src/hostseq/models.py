@@ -16,8 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .ngram import OOV_ID, PAD_ID
-from .seqio import DataError
-from .util import Estimator, check_signs, derive_seed
+from .util import DataError, Estimator, check_signs, derive_seed
 
 
 class TrainingDivergedError(RuntimeError):
@@ -315,10 +314,13 @@ class NeuralClassifier(Estimator):
 
     FAMILY = "neural"
 
+    @property
+    def input(self) -> str:
+        return NETS[self.config.kind].INPUT
+
     def _fit(self, inputs, labels) -> None:
-        inputs = self._check_inputs(inputs)
         seen = None
-        if NETS[self.config.kind].INPUT == "tokens":
+        if self.input == "tokens":
             seen = np.zeros(self.config.vocab_size, dtype=bool)
             seen[inputs] = True
             seen[PAD_ID] = True
@@ -327,9 +329,6 @@ class NeuralClassifier(Estimator):
         self.net, self.seen = net, seen
 
     def _staged_predict_proba(self, inputs, stages) -> list:
-        inputs = self._check_inputs(inputs, self.n_features)
-        if not len(inputs):  # no rows to score: the net does not run
-            return [np.zeros((0, self.n_classes))] * len(stages)
         if self.seen is not None:
             inputs = np.where(self.seen[inputs], inputs, OOV_ID)
         proba = predict_proba(self.net, inputs, self.config.batch_size)
@@ -338,20 +337,17 @@ class NeuralClassifier(Estimator):
                             "overflow on this input")
         return [proba] * len(stages)
 
-    def _check_inputs(self, inputs, width=None):
-        """inputs as the net reads them: rows of width columns, any at fit."""
-        tokens = NETS[self.config.kind].INPUT == "tokens"
-        inputs = np.asarray(inputs, dtype=None if tokens else np.float64)
-        if inputs.ndim != 2 or width not in (None, inputs.shape[1]):
-            raise DataError(f"{'token' if tokens else 'feature'} input "
-                            f"must be (n, {width or 'd'})")
-        if tokens:
-            if not np.issubdtype(inputs.dtype, np.integer):
-                raise DataError("token input must be integer ids")
-            size = self.config.vocab_size
-            if inputs.size and not 0 <= inputs.min() <= inputs.max() < size:
-                raise DataError(f"token ids outside [0, {size}): the "
-                                f"model's vocabulary has {size} ids")
+    def _rows(self, inputs) -> np.ndarray:
+        """Float64 feature rows, or integer token ids in [0, vocab_size)."""
+        if self.input == "features":
+            return super()._rows(inputs)
+        inputs = np.asarray(inputs)
+        if not np.issubdtype(inputs.dtype, np.integer):
+            raise DataError("token input must be integer ids")
+        size = self.config.vocab_size
+        if inputs.size and not 0 <= inputs.min() <= inputs.max() < size:
+            raise DataError(f"token ids outside [0, {size}): the "
+                            f"model's vocabulary has {size} ids")
         return inputs
 
     def _checkpoint(self) -> dict:
@@ -365,7 +361,7 @@ class NeuralClassifier(Estimator):
         self.net = build_net(self.config, self.n_classes, n_features)
         self.seen = None
         shapes = {name: p.data.shape for name, p in self.net.params.items()}
-        if NETS[self.config.kind].INPUT == "tokens":
+        if self.input == "tokens":
             shapes["seen"] = (self.config.vocab_size,)
         missing, extra = set(shapes) - set(arrays), set(arrays) - set(shapes)
         if missing or extra:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, LabeledDataset
-from .util import located
+from .seqio import LabeledDataset
+from .util import DataError, located
 
 PAD_ID = 0
 OOV_ID = 1

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqio import DataError, VALID_RESIDUES
-from .util import derive_seed
+from .seqio import VALID_RESIDUES
+from .util import DataError, derive_seed
 
 # Standard PSI-BLAST log-odds column order.
 PSIBLAST_COLUMNS = "ARNDCQEGHILKMFPSTWYV"

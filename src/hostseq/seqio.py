@@ -8,17 +8,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .util import write_json
+from .util import DataError, write_json
 
 # Canonical 20-letter amino-acid alphabet. Sequences containing anything
 # else (X, B, Z, gaps, ...) are rejected during validation.
 AMINO_ACIDS = "ARNDCQEGHILKMFPSTWYV"
 VALID_RESIDUES = frozenset(AMINO_ACIDS)
-
-
-class DataError(ValueError):
-    """Malformed or inconsistent input data: a file, record or value the
-    command was given (exit 2)."""
 
 
 COARSE_HOSTS = ("human", "avian", "swine")

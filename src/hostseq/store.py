@@ -32,8 +32,9 @@ from . import __version__
 from .estimators import FAMILIES
 from .ngram import OOV_ID, PAD_ID, Vocabulary, true_lengths
 from .pssm import parse_psiblast_pssm, render_psiblast_pssm
-from .seqio import DataError, open_text, read_json, read_text, write_fasta
-from .util import atomic_write_bytes, atomic_write_text, located, write_json
+from .seqio import open_text, read_json, read_text, write_fasta
+from .util import (DataError, atomic_write_bytes, atomic_write_text, located,
+                   write_json)
 
 # The file name of each artifact a command writes (see OutDir.file); a
 # profile directory holds one PSSM_FILE per record id.

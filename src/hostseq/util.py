@@ -1,5 +1,5 @@
-"""Shared helpers: seed derivation, the estimator protocol, error
-locations and atomic file writes."""
+"""Shared helpers: seed derivation, the estimator protocol and its input
+contract, DataError and error locations, and atomic file writes."""
 
 import contextlib
 import json
@@ -51,8 +51,13 @@ class Estimator:
     fit/predict contract: cls(config, n_classes) is unfitted; fit checks
     its input here and learns n_features, the width of its rows; every
     score is a stage of staged_predict_proba. Until fit or load_arrays
-    sets n_features, it neither scores nor checkpoints. A family supplies
-    _fit, _staged_predict_proba, _checkpoint and _load_arrays."""
+    sets n_features, it neither scores nor checkpoints. Fit and score read
+    X as _rows makes it; a score input must be rows of the fitted width,
+    else a DataError, and zero rows score as empty matrices. A family
+    supplies _fit, _staged_predict_proba, _checkpoint and _load_arrays,
+    and may override input ("features" or "tokens") and _rows."""
+
+    input = "features"
 
     def __init__(self, config, n_classes: int):
         if n_classes < 2:
@@ -70,7 +75,7 @@ class Estimator:
                 or y.min() < 0 or y.max() >= self.n_classes:
             raise ValueError(f"X must be a non-empty 2-D array, and y one "
                              f"class index in [0, {self.n_classes}) per row")
-        self._fit(X, y)
+        self._fit(self._rows(X), y)
         self.n_features = X.shape[1]
         return self
 
@@ -82,7 +87,17 @@ class Estimator:
         family's stage fields (estimators.Kind.stages) up to their fitted
         values; {} is the fitted model."""
         self._check_fitted()
+        X = self._rows(X)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DataError(f"{self.input[:-1]} input must be (n, "
+                            f"{self.n_features}), not {X.shape}")
+        if not len(X):
+            return [np.zeros((0, self.n_classes))] * len(stages)
         return self._staged_predict_proba(X, stages)
+
+    def _rows(self, X) -> np.ndarray:
+        """X as the family reads it: a float64 array."""
+        return np.asarray(X, dtype=np.float64)
 
     def to_checkpoint(self) -> dict:
         self._check_fitted()
@@ -99,6 +114,11 @@ class Estimator:
     def _check_fitted(self) -> None:
         if not self.n_features:
             raise RuntimeError(f"{type(self).__name__} is not fitted")
+
+
+class DataError(ValueError):
+    """Malformed or inconsistent input data: a file, record or value the
+    command was given (exit 2)."""
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ from hostseq import cli, store
 from hostseq.estimators import (DEFAULT_GRIDS, KINDS, ModelFactory,
                                 UsageError, grid_points)
 from hostseq.models import build_net
+from hostseq.util import DataError
 
 FEATURES = {}
 TOKENS = {"vocab_size": 12}
@@ -184,3 +185,26 @@ def test_a_fitted_estimator_scores_no_rows(model):
     assert len(got) == 3
     for proba in got:
         assert proba.shape == (0, 3) and proba.dtype == np.float64
+
+
+@pytest.mark.parametrize("model", sorted(KINDS))
+def test_score_input_is_checked_alike_for_every_kind(model):
+    # one rule in the estimator base: rows of the fitted width, and zero
+    # rows of it score as (0, n_classes) float64 matrices per stage
+    estimator, X, y = _tiny_fit(model)
+    estimator.fit(X, y)
+    word = KINDS[model].input[:-1]
+    for bad in (np.column_stack([X, X[:, :1]]), X[:, 1:], X[0], X[None],
+                X[:0, 1:]):
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"{word} input must be (n, {X.shape[1]}), not "
+                f"{bad.shape}") + "$"):
+            estimator.staged_predict_proba(bad, [{}])
+    got = estimator.staged_predict_proba(X[:0], [{}, {}])
+    assert [(p.shape, p.dtype) for p in got] == [((0, 3), np.float64)] * 2
+    if word == "token":
+        for call in (lambda: estimator.predict_proba(X.astype(float)),
+                     lambda: _tiny_fit(model)[0].fit(X.astype(float), y)):
+            with pytest.raises(DataError,
+                               match="^token input must be integer ids$"):
+                call()

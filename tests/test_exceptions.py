@@ -1,7 +1,7 @@
 """One exception type per error exit code: the package defines exactly
-UsageError (exit 1), DataError (exit 2) and TrainingDivergedError
-(exit 3), each in the module that owns its code, and no subclass of
-them."""
+UsageError (exit 1) in estimators, DataError (exit 2) in util, which
+every module that reads input imports, and TrainingDivergedError
+(exit 3) in models, and no subclass of them."""
 
 import ast
 import builtins
@@ -43,5 +43,5 @@ def exception_classes():
 
 def test_one_exception_class_per_exit_code():
     assert exception_classes() == {"UsageError": "estimators.py",
-                                   "DataError": "seqio.py",
+                                   "DataError": "util.py",
                                    "TrainingDivergedError": "models.py"}

@@ -2,7 +2,9 @@
 holds every format but seqio's dataset.json and FASTA text; util holds
 the atomic writes and the JSON writer they go through. No other module
 opens a file to write or append, imports an atomic writer or spells an
-artifact file name, and evaluation and ngram do no JSON at all."""
+artifact file name, and evaluation and ngram do no JSON at all. util
+alone defines DataError, so the estimator modules need nothing of
+seqio, the FASTA and corpus module."""
 
 import ast
 import pathlib
@@ -69,6 +71,16 @@ def test_evaluation_and_ngram_do_no_json():
              for line, what in imported(tree)
              if what in ATOMIC | {"json", "write_json"}]
     assert not found, found
+
+
+def test_data_error_is_defined_in_util_alone():
+    found = [f"{name}:{line} imports {what}" for name, tree in sources()
+             if name in ("ensemble.py", "models.py", "evaluation.py")
+             for line, what in imported(tree) if what == "seqio"]
+    assert not found, found
+    defines = [name for name, tree in sources() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "DataError"]
+    assert defines == ["util.py"]
 
 
 def test_each_artifact_file_name_is_defined_once_in_store():
