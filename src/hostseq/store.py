@@ -20,6 +20,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -133,16 +134,20 @@ def _numbers(path, row, dtype, fields) -> np.ndarray:
 
 
 def read_features_csv(path):
-    """Returns (ids, labels, scheme, matrix)."""
+    """Returns (ids, labels, scheme, matrix); a nan or infinite value,
+    which encode never writes, is a DataError naming the record."""
     header, rows = _read_table(path, ["id", "label", "scheme"], "feature")
     scheme = rows[0][2]
     for row in rows:
         if row[2] != scheme:
             raise DataError(f"{path}: mixed schemes {scheme!r} and {row[2]!r}")
-    values = [_numbers(path, row, np.float64, row[3:]) for row in rows]
-    return ([row[0] for row in rows], [row[1] for row in rows], scheme,
-            np.asarray(values, dtype=np.float64).reshape(
-                len(rows), len(header) - 3))
+    matrix = np.asarray([_numbers(path, row, np.float64, row[3:])
+                         for row in rows]).reshape(len(rows), len(header) - 3)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: record {rows[finite.argmin()][0]!r}: a "
+                        f"value that is not finite")
+    return [row[0] for row in rows], [row[1] for row in rows], scheme, matrix
 
 
 def write_tokens_csv(path, ids, labels, matrix) -> None:
@@ -266,18 +271,19 @@ def load_checkpoint(path):
         try:
             name, dtype = entry["name"], _DTYPES.get(entry["dtype"])
             shape = tuple(int(n) for n in entry["shape"])
+            if not all(0 <= n <= len(blob) for n in shape):
+                raise ValueError("a dimension below 0 or past the file")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(
                 f"{path}: malformed array entry {entry!r}") from exc
         if dtype is None:
             raise DataError(f"{path}: unknown dtype {entry['dtype']!r}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if offset + nbytes > len(blob):
+        count = math.prod(shape)  # a Python int: no overflow
+        if offset + count * dtype.itemsize > len(blob):
             raise DataError(f"{path}: truncated array block")
-        arrays[name] = np.frombuffer(
-            blob, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-            offset=offset).reshape(shape).copy()
-        offset += nbytes
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                     offset=offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} bytes more than "
                         f"its header describes")

@@ -568,6 +568,47 @@ def test_version_1_checkpoint_exit_2(tmp_path, capsys):
     assert err.startswith(f"data error: {model}: unsupported version 1")
 
 
+def set_array_shapes(path, shapes):
+    """Rewrites the checkpoint at path with its first array entries'
+    shapes set to shapes, in order, and its payload as it was."""
+    blob = path.read_bytes()
+    start = len(store.MAGIC) + 12
+    end = start + int.from_bytes(blob[start - 8:start], "little")
+    header = json.loads(blob[start:end])
+    for entry, shape in zip(header["arrays"], shapes):
+        entry["shape"] = shape
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:start - 8] + len(text).to_bytes(8, "little")
+                     + text + blob[end:])
+
+
+@pytest.mark.parametrize("shapes", [[[-1], [3]], [[2 ** 62, 4]], [[-2, -1]],
+                                    [[2], [0, 2 ** 70]]],
+                         ids=["minus-one-then-three", "oversized",
+                              "two-unknown", "empty-past-the-file"])
+def test_checkpoint_negative_or_oversized_shape_exit_2(tmp_path, capsys,
+                                                       shapes):
+    # the element count was once an int64 product: over 16 payload bytes,
+    # a [-1] entry took the rest of the file and stepped the next one back
+    # into the header; an overflowing product, two -1s or an empty shape
+    # past numpy's largest dimension failed in reshape, exit 1
+    unit = tmp_path / "unit.bin"
+    store.save_checkpoint(unit, "unit", {}, {"a": np.ones(2),
+                                             "b": np.ones(0)})
+    set_array_shapes(unit, shapes)
+    with pytest.raises(store.DataError, match="malformed array entry"
+                                              "|truncated array block"):
+        store.load_checkpoint(unit)
+    out = train_flow(tmp_path, "rf", ("--n-estimators", "2"))
+    set_array_shapes(out / "model.bin", shapes)
+    capsys.readouterr()
+    assert run(["predict", "--model-file", str(out / "model.bin"),
+                "--features", str(out / "features.csv"),
+                "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {out / 'model.bin'}: ")
+
+
 @pytest.mark.parametrize("command,table,flag", [
     ("evaluate", "features.csv", "--features"),
     ("evaluate", "tokens.csv", "--tokens"),
@@ -1663,6 +1704,26 @@ def test_predict_on_another_width_exit_2(tmp_path, capsys, model):
     assert err.startswith(f"data error: {wide[1]}: {kind} input must be "
                           f"(n, {width})") and err.count("\n") == 1, err
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("model", ["rf", "mlp"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_value_exit_2(tmp_path, capsys, model, value):
+    # encode writes none; rf once trained on such a file, exit 0, and mlp
+    # reported it as divergence, exit 3
+    features = seeded_features(tmp_path)
+    lines = features.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[4] = value
+    lines[3] = ",".join(fields)
+    features.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--model", model, "--features", str(features),
+                "--seed", "1", *_SMALL[model],
+                "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {features}: record 'r2': a value that is not "
+        f"finite\n")
 
 
 @pytest.mark.parametrize("model", sorted(_SMALL))
